@@ -6,6 +6,7 @@
 #include "analysis/debug_sync.hpp"
 #include "bench_util.hpp"
 #include "core/architecture.hpp"
+#include "core/hierarchical.hpp"
 #include "runtime/inproc_comm.hpp"
 #include "grid/powerflow.hpp"
 #include "util/strings.hpp"
@@ -138,7 +139,7 @@ int run() {
       analysis::Mutex mutex{"dse_vs_centralized::mutex"};
       core::DseResult res;
       world.run([&](runtime::Communicator& c) {
-        core::DseResult r = driver.run(c, meas, assignment);
+        core::DseResult r = driver.run(c, meas, assignment, assignment);
         if (c.rank() == 0) {
           analysis::LockGuard lock(mutex);
           res = std::move(r);
@@ -191,7 +192,7 @@ int run() {
     core::DseResult dres;
     runtime::InprocWorld world2(3);
     world2.run([&](runtime::Communicator& c) {
-      core::DseResult r = dse.run(c, meas, assignment);
+      core::DseResult r = dse.run(c, meas, assignment, assignment);
       if (c.rank() == 0) {
         analysis::LockGuard lock(mutex);
         dres = std::move(r);

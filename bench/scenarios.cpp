@@ -64,7 +64,7 @@ Outcome run_dse(const Scenario& s, int clusters) {
   analysis::Mutex mutex{"scenarios::mutex"};
   Outcome out;
   world.run([&](runtime::Communicator& c) {
-    const core::DseResult r = driver.run(c, s.meas, assignment);
+    const core::DseResult r = driver.run(c, s.meas, assignment, assignment);
     if (c.rank() == 0) {
       analysis::LockGuard lock(mutex);
       out.vm_err = grid::max_vm_error(r.state, s.pf.state);

@@ -67,7 +67,7 @@ int main() {
     analysis::Mutex mutex{"hierarchical_se::mutex"};
     core::DseResult result;
     world.run([&](runtime::Communicator& c) {
-      core::DseResult r = driver.run(c, meas, assignment);
+      core::DseResult r = driver.run(c, meas, assignment, assignment);
       if (c.rank() == 0) {
         analysis::LockGuard lock(mutex);
         result = std::move(r);

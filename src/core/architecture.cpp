@@ -113,6 +113,14 @@ fault::TopologyReplayPlan load_replay_plan(const std::string& plan) {
 
 }  // namespace
 
+Transport parse_transport(const std::string& name) {
+  if (name == "inproc") return Transport::kInproc;
+  if (name == "tcp") return Transport::kTcp;
+  if (name == "medici") return Transport::kMedici;
+  if (name == "direct") return Transport::kMediciDirect;
+  throw InvalidInput("unknown transport name: " + name);
+}
+
 DseSystem::DseSystem(io::GeneratedCase generated, SystemConfig config)
     : generated_(std::move(generated)),
       config_(config),

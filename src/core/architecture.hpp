@@ -7,7 +7,6 @@
 #include <string>
 
 #include "core/dse_driver.hpp"
-#include "core/hierarchical.hpp"
 #include "core/supervisor.hpp"
 #include "decomp/sensitivity.hpp"
 #include "fault/topology_replay.hpp"
@@ -32,6 +31,10 @@ enum class Transport {
   kMedici,        ///< TCP through MeDICi pipeline relays (paper's data path)
   kMediciDirect,  ///< MwClient direct TCP (paper's "w/o MeDICi" mode)
 };
+
+/// Parse "inproc" | "tcp" | "medici" | "direct"; throws InvalidInput
+/// otherwise.
+Transport parse_transport(const std::string& name);
 
 /// How the "true" operating state the measurements are drawn from is
 /// produced. Full-Newton AC is exact but its per-frame cost is prohibitive

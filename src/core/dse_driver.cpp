@@ -132,20 +132,6 @@ DseDriver::DseDriver(const grid::Network& network,
 
 DseResult DseDriver::run(runtime::Communicator& comm,
                          const grid::MeasurementSet& global_measurements,
-                         std::span<const graph::PartId> assignment) const {
-  return run(comm, global_measurements, assignment, assignment, nullptr);
-}
-
-DseResult DseDriver::run(runtime::Communicator& comm,
-                         const grid::MeasurementSet& global_measurements,
-                         std::span<const graph::PartId> step1_assignment,
-                         std::span<const graph::PartId> step2_assignment) const {
-  return run(comm, global_measurements, step1_assignment, step2_assignment,
-             nullptr);
-}
-
-DseResult DseDriver::run(runtime::Communicator& comm,
-                         const grid::MeasurementSet& global_measurements,
                          std::span<const graph::PartId> step1_assignment,
                          std::span<const graph::PartId> step2_assignment,
                          const DseRecoveryContext* rctx) const {
@@ -189,9 +175,6 @@ DseResult DseDriver::run(runtime::Communicator& comm,
                                         : std::make_shared<PlanRegistry>();
   const auto estimator_options = [&](int s) {
     LocalEstimatorOptions opts = options_.local;
-    if (options_.condense_boundary) {
-      opts.condense_boundary = true;
-    }
     opts.wls.cache = registry->cache_for(s);
     return opts;
   };
@@ -282,44 +265,16 @@ DseResult DseDriver::run(runtime::Communicator& comm,
   std::map<int, LocalSolveInfo> step1_info;
   {
     OBS_SPAN("dse.step1");
-    if (options_.batched_step1 && !options_.local.robust &&
-        !hosted1.empty()) {
-      // Batched lockstep sweep: every hosted subsystem is one lane of a
-      // single multi-subsystem Gauss-Newton; one numeric
-      // factorization/solve pass per iteration over the packed lane arenas.
-      Timer batch_timer;
-      std::vector<estimation::BatchedLaneProblem> lanes;
-      std::vector<std::shared_ptr<estimation::SolverCache>> caches;
-      lanes.reserve(hosted1.size());
-      caches.reserve(hosted1.size());
-      for (const int s : hosted1) {
-        lanes.push_back(estimators.at(s)->prepare_step1(global_measurements));
-        caches.push_back(registry->cache_for(s));
-      }
-      const std::vector<estimation::WlsResult> results =
-          estimation::batched_estimate(lanes, options_.local.wls, caches);
-      const double per_lane_seconds =
-          batch_timer.seconds() / static_cast<double>(hosted1.size());
-      for (std::size_t i = 0; i < hosted1.size(); ++i) {
-        const int s = hosted1[i];
-        const LocalSolveInfo info =
-            estimators.at(s)->commit_step1(results[i], per_lane_seconds);
-        OBS_HISTOGRAM_OBSERVE("dse.step1.subsystem_seconds", info.seconds);
-        OBS_COUNTER_ADD("dse.step1.subsystems", 1);
-        step1_info[s] = info;
-      }
-    } else {
-      analysis::Mutex info_mutex{"DseDriver::step1_info_mutex"};
-      pool.parallel_for(hosted1.size(), [&](std::size_t i) {
-        const int s = hosted1[i];
-        const LocalSolveInfo info =
-            estimators.at(s)->run_step1(global_measurements);
-        OBS_HISTOGRAM_OBSERVE("dse.step1.subsystem_seconds", info.seconds);
-        OBS_COUNTER_ADD("dse.step1.subsystems", 1);
-        analysis::LockGuard lock(info_mutex);
-        step1_info[s] = info;
-      });
-    }
+    analysis::Mutex info_mutex{"DseDriver::step1_info_mutex"};
+    pool.parallel_for(hosted1.size(), [&](std::size_t i) {
+      const int s = hosted1[i];
+      const LocalSolveInfo info =
+          estimators.at(s)->run_step1(global_measurements);
+      OBS_HISTOGRAM_OBSERVE("dse.step1.subsystem_seconds", info.seconds);
+      OBS_COUNTER_ADD("dse.step1.subsystems", 1);
+      analysis::LockGuard lock(info_mutex);
+      step1_info[s] = info;
+    });
     comm.barrier();
   }
   result.step1_seconds = step1_timer.seconds();
@@ -412,7 +367,7 @@ DseResult DseDriver::run(runtime::Communicator& comm,
     // Tags repeat across rounds: per-(source rank, tag) FIFO ordering keeps
     // the rounds from mixing.
     Timer round_exchange_timer;
-    const bool condense = options_.condense_boundary;
+    const bool condense = options_.local.condense_boundary;
     std::map<int, std::vector<CondensedBoundaryRecord>> neighbor_records;
     for (const int t : hosted2) {
       neighbor_records[t];  // pre-create: the worker pool must never insert

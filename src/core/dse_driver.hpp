@@ -39,16 +39,6 @@ struct DseOptions {
   /// finish the cycle degraded instead of throwing. Only meaningful with a
   /// nonzero exchange_deadline.
   bool degraded_step2 = true;
-  /// Solve this rank's hosted Step-1 subsystems in one lockstep batched
-  /// LDLᵀ sweep (estimation::batched_estimate) instead of one estimator at
-  /// a time. Falls back to the sequential path when local.robust is set
-  /// (IRLS reweights per subsystem).
-  bool batched_step1 = false;
-  /// Ship Schur-condensed boundary records (solution + marginal sigmas) in
-  /// the pseudo-measurement exchange instead of plain bus states, and let
-  /// Step 2 weight each pseudo measurement by the exporter's confidence.
-  /// Implies local.condense_boundary on the driver's estimators.
-  bool condense_boundary = false;
   /// Cross-cycle symbolic-plan registry (per-subsystem solver caches). Null
   /// = a fresh registry per run(), which still shares plans across the
   /// Gauss-Newton iterations and both steps of that cycle. Long-lived
@@ -146,30 +136,21 @@ class DseDriver {
 
   /// Execute one DSE cycle on this rank. `step1_assignment` and
   /// `step2_assignment` map each subsystem to the rank (cluster) hosting it
-  /// in the respective step — the output of the mapping method. Every rank
+  /// in the respective step — the output of the mapping method; pass the
+  /// same vector twice to keep every subsystem on one rank. Every rank
   /// passes the same assignment vectors and the same global measurement
   /// set; each rank only consumes the measurements of the subsystems it
   /// hosts (its own SCADA scope).
-  DseResult run(runtime::Communicator& comm,
-                const grid::MeasurementSet& global_measurements,
-                std::span<const graph::PartId> step1_assignment,
-                std::span<const graph::PartId> step2_assignment) const;
-
-  /// Recovery-aware cycle: phase 0 probes membership (heartbeats), dead
-  /// ranks are skipped without waiting out exchange deadlines, restore
-  /// checkpoints warm-start Step 1, and fresh checkpoints are gathered on
-  /// rank 0 after the combine. `recovery == nullptr` reproduces the plain
-  /// run() exactly.
+  ///
+  /// With a `recovery` context the cycle is recovery-aware: phase 0 probes
+  /// membership (heartbeats), dead ranks are skipped without waiting out
+  /// exchange deadlines, restore checkpoints warm-start Step 1, and fresh
+  /// checkpoints are gathered on rank 0 after the combine.
   DseResult run(runtime::Communicator& comm,
                 const grid::MeasurementSet& global_measurements,
                 std::span<const graph::PartId> step1_assignment,
                 std::span<const graph::PartId> step2_assignment,
-                const DseRecoveryContext* recovery) const;
-
-  /// Convenience: same assignment for both steps.
-  DseResult run(runtime::Communicator& comm,
-                const grid::MeasurementSet& global_measurements,
-                std::span<const graph::PartId> assignment) const;
+                const DseRecoveryContext* recovery = nullptr) const;
 
   [[nodiscard]] const decomp::Decomposition& decomposition() const {
     return *decomposition_;

@@ -27,35 +27,11 @@ estimation::WlsResult solve_local(const grid::Network& network,
     const estimation::WlsEstimator estimator(network, reference, wls_opts);
     return estimator.estimate(set, initial);
   }
-  // HuberEstimator drives WLS internally; thread the reference bus through
-  // by constructing on the same network/options.
   estimation::RobustOptions ropts;
   ropts.wls = wls_opts;
   ropts.gamma = options.huber_gamma;
-  // The robust estimator's WlsEstimator uses the network slack by default;
-  // subsystem models need the explicit reference, so run IRLS manually here.
-  grid::MeasurementSet working = set;
-  grid::GridState start = initial;
-  estimation::WlsResult result;
-  std::vector<double> influence(set.size(), 1.0);
-  for (int iter = 0; iter < ropts.max_reweight_iterations; ++iter) {
-    const estimation::WlsEstimator estimator(network, reference, wls_opts);
-    result = estimator.estimate(working, start);
-    double max_change = 0.0;
-    for (std::size_t i = 0; i < set.size(); ++i) {
-      const double sigma = set.items[i].sigma;
-      const double std_res = std::abs(result.residuals[i]) / sigma;
-      const double w = std_res <= ropts.gamma ? 1.0 : ropts.gamma / std_res;
-      max_change = std::max(max_change, std::abs(w - influence[i]));
-      influence[i] = w;
-      working.items[i].sigma = sigma / std::sqrt(w);
-    }
-    start = result.state;
-    if (max_change < ropts.weight_tolerance) {
-      break;
-    }
-  }
-  return result;
+  const estimation::HuberEstimator estimator(network, reference, ropts);
+  return estimator.estimate(set, initial).wls;
 }
 
 }  // namespace
@@ -125,7 +101,6 @@ LocalSolveInfo LocalEstimator::run_step1(
 
   step1_state_ = result.state;
   step2_state_.reset();
-  step1_prep_.reset();
   maybe_condense(local_set, ref);
 
   LocalSolveInfo info;
@@ -136,53 +111,6 @@ LocalSolveInfo LocalEstimator::run_step1(
   info.objective = result.objective;
   info.num_measurements = local_set.size();
   info.seconds = timer.seconds();
-  return info;
-}
-
-const estimation::BatchedLaneProblem& LocalEstimator::prepare_step1(
-    const grid::MeasurementSet& global_set) {
-  GRIDSE_CHECK_MSG(!options_.robust,
-                   "batched Step 1 is incompatible with the Huber estimator");
-  step1_prep_.emplace();
-  step1_prep_->local_set = local_.filter(global_set, *network_);
-  step1_prep_->ref = pick_reference(local_, step1_prep_->local_set);
-  const Reference& ref = step1_prep_->ref;
-
-  grid::GridState initial(local_.network.num_buses());
-  step1_prep_->warm = warm_start_.has_value();
-  if (step1_prep_->warm) {
-    initial = *warm_start_;
-    warm_start_.reset();
-    initial.theta[static_cast<std::size_t>(ref.local_bus)] = ref.angle;
-  } else {
-    for (double& th : initial.theta) {
-      th = ref.angle;
-    }
-  }
-  step1_prep_->lane.network = &local_.network;
-  step1_prep_->lane.reference_bus = ref.local_bus;
-  step1_prep_->lane.set = &step1_prep_->local_set;
-  step1_prep_->lane.initial = std::move(initial);
-  return step1_prep_->lane;
-}
-
-LocalSolveInfo LocalEstimator::commit_step1(
-    const estimation::WlsResult& result, double seconds) {
-  GRIDSE_CHECK_MSG(step1_prep_.has_value(),
-                   "commit_step1 without prepare_step1");
-  step1_state_ = result.state;
-  step2_state_.reset();
-  maybe_condense(step1_prep_->local_set, step1_prep_->ref);
-
-  LocalSolveInfo info;
-  info.warm_start = step1_prep_->warm;
-  info.converged = result.converged;
-  info.gauss_newton_iterations = result.iterations;
-  info.inner_iterations = result.inner_iterations;
-  info.objective = result.objective;
-  info.num_measurements = step1_prep_->local_set.size();
-  info.seconds = seconds;
-  step1_prep_.reset();
   return info;
 }
 

@@ -4,7 +4,6 @@
 
 #include "core/serialize.hpp"
 #include "decomp/subsystem_model.hpp"
-#include "estimation/batched_wls.hpp"
 #include "estimation/wls.hpp"
 
 namespace gridse::core {
@@ -37,7 +36,8 @@ struct LocalEstimatorOptions {
   /// are folded into those marginals, so the condensed payload is smaller
   /// AND neighbours weight each pseudo measurement by how well this
   /// subsystem actually observed it (instead of the flat pseudo_sigma_*
-  /// defaults).
+  /// defaults). DseDriver then ships the condensed wire format in the
+  /// pseudo-measurement exchange instead of plain bus states.
   bool condense_boundary = false;
   /// Clamp range for received condensed sigmas: the floor keeps an
   /// over-confident export from overriding real telemetry, the cap keeps a
@@ -72,23 +72,6 @@ class LocalEstimator {
   /// the subsystem hosts it, else the bus of the first PMU (kVAngle)
   /// measurement; throws InvalidInput when neither exists.
   LocalSolveInfo run_step1(const grid::MeasurementSet& global_set);
-
-  /// Batched Step-1 split, used by the driver's lockstep multi-subsystem
-  /// sweep: prepare_step1 stages the lane problem (measurement filtering,
-  /// reference pick, warm/flat initial — everything run_step1 does before
-  /// solving; the one-shot warm start is consumed here). The caller solves
-  /// the lane (estimation::batched_estimate) and hands the result to
-  /// commit_step1, which finishes the run_step1 bookkeeping. The returned
-  /// reference points into this estimator and is valid until the next
-  /// prepare/run call. Not available with options.robust (IRLS reweights
-  /// per subsystem).
-  [[nodiscard]] const estimation::BatchedLaneProblem& prepare_step1(
-      const grid::MeasurementSet& global_set);
-
-  /// Install the batched solve of the lane staged by prepare_step1.
-  /// `seconds` is the caller-attributed share of the batched solve time.
-  LocalSolveInfo commit_step1(const estimation::WlsResult& result,
-                              double seconds);
 
   /// Seed the next run_step1 with a restored checkpoint (cross-cycle
   /// warm restart): `records` must cover every bus of this subsystem in
@@ -183,20 +166,9 @@ class LocalEstimator {
   void maybe_condense(const grid::MeasurementSet& local_set,
                       const Reference& ref);
 
-  /// Lane staged by prepare_step1, consumed by commit_step1. The lane's set
-  /// pointer targets `local_set`, which is why this lives in the estimator
-  /// rather than on the caller's stack.
-  struct Step1Prep {
-    grid::MeasurementSet local_set;
-    estimation::BatchedLaneProblem lane;
-    Reference ref;
-    bool warm = false;
-  };
-
   std::optional<grid::GridState> step1_state_;   // local numbering
   std::optional<grid::GridState> step2_state_;   // extended numbering
   std::optional<grid::GridState> warm_start_;    // local numbering, one-shot
-  std::optional<Step1Prep> step1_prep_;
   /// Condensed sigmas for the boundary-bus exports, in boundary_buses
   /// order; empty = export everything with default sigmas.
   std::vector<CondensedBoundaryRecord> condensed_;

@@ -8,7 +8,12 @@ namespace gridse::estimation {
 
 HuberEstimator::HuberEstimator(const grid::Network& network,
                                RobustOptions options)
-    : network_(&network), options_(options) {
+    : HuberEstimator(network, network.slack_bus(), options) {}
+
+HuberEstimator::HuberEstimator(const grid::Network& network,
+                               grid::BusIndex reference_bus,
+                               RobustOptions options)
+    : network_(&network), reference_bus_(reference_bus), options_(options) {
   GRIDSE_CHECK_MSG(options.gamma > 0.0, "Huber gamma must be positive");
   GRIDSE_CHECK_MSG(options.max_reweight_iterations > 0,
                    "need at least one reweight iteration");
@@ -26,7 +31,7 @@ RobustResult HuberEstimator::estimate(const grid::MeasurementSet& set,
   grid::MeasurementSet working = set;
   grid::GridState start = initial;
   for (int iter = 0; iter < options_.max_reweight_iterations; ++iter) {
-    const WlsEstimator wls(*network_, options_.wls);
+    const WlsEstimator wls(*network_, reference_bus_, options_.wls);
     result.wls = wls.estimate(working, start);
     result.reweight_iterations = iter + 1;
 

@@ -30,8 +30,13 @@ struct RobustResult {
 /// option for the paper's reference [19] formulation).
 class HuberEstimator {
  public:
+  /// The angle reference defaults to the network's slack bus.
   explicit HuberEstimator(const grid::Network& network,
                           RobustOptions options = {});
+
+  /// Alternate reference bus (DSE subsystems use their local reference).
+  HuberEstimator(const grid::Network& network, grid::BusIndex reference_bus,
+                 RobustOptions options);
 
   [[nodiscard]] RobustResult estimate(const grid::MeasurementSet& set) const;
   [[nodiscard]] RobustResult estimate(const grid::MeasurementSet& set,
@@ -39,6 +44,7 @@ class HuberEstimator {
 
  private:
   const grid::Network* network_;
+  grid::BusIndex reference_bus_;
   RobustOptions options_;
 };
 

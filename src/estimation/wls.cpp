@@ -14,6 +14,13 @@
 
 namespace gridse::estimation {
 
+LinearSolver parse_linear_solver(const std::string& name) {
+  if (name == "pcg") return LinearSolver::kPcg;
+  if (name == "ldlt") return LinearSolver::kLdlt;
+  if (name == "dense") return LinearSolver::kDense;
+  throw InvalidInput("unknown linear solver name: " + name);
+}
+
 WlsEstimator::WlsEstimator(const grid::Network& network, WlsOptions options)
     : WlsEstimator(network, network.slack_bus(), options) {}
 

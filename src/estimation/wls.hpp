@@ -1,6 +1,7 @@
 #pragma once
 
 #include <memory>
+#include <string>
 
 #include "grid/meas_model.hpp"
 #include "grid/measurement.hpp"
@@ -20,6 +21,9 @@ enum class LinearSolver {
   kLdlt,  ///< sparse direct LDLᵀ (baseline)
   kDense  ///< dense Cholesky (reference; tiny systems only)
 };
+
+/// Parse "pcg" | "ldlt" | "dense"; throws InvalidInput otherwise.
+LinearSolver parse_linear_solver(const std::string& name);
 
 struct WlsOptions {
   /// Gauss–Newton stops when max |Δx| falls below this (10⁻⁶ p.u./radians

@@ -124,7 +124,7 @@ class SymbolicPlan {
 namespace detail {
 
 /// Scratch arrays for the plan-driven numeric LDLᵀ kernel, reusable across
-/// factorizations (and shared by all lanes of a BatchedLdlt sweep).
+/// factorizations.
 struct LdltScratch {
   std::vector<double> y;
   std::vector<Index> pattern;

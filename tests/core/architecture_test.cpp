@@ -101,5 +101,13 @@ TEST(DseSystem, MediciTransportWorksEndToEnd) {
   EXPECT_LT(rep.max_vm_error, 0.02);
 }
 
+TEST(Transport, ParsesNames) {
+  EXPECT_EQ(parse_transport("inproc"), Transport::kInproc);
+  EXPECT_EQ(parse_transport("tcp"), Transport::kTcp);
+  EXPECT_EQ(parse_transport("medici"), Transport::kMedici);
+  EXPECT_EQ(parse_transport("direct"), Transport::kMediciDirect);
+  EXPECT_THROW(parse_transport("udp"), InvalidInput);
+}
+
 }  // namespace
 }  // namespace gridse::core

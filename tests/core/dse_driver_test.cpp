@@ -124,7 +124,7 @@ TEST_F(DseDriverTest, SingleRankDegeneratesToSequentialDse) {
   DseDriver driver(generated_.kase.network, d_, {});
   runtime::InprocWorld world(1);
   world.run([&](runtime::Communicator& c) {
-    const DseResult r = driver.run(c, meas_, all_zero);
+    const DseResult r = driver.run(c, meas_, all_zero, all_zero);
     EXPECT_TRUE(r.all_converged);
     EXPECT_LT(grid::max_vm_error(r.state, pf_.state), 0.02);
   });
@@ -136,7 +136,7 @@ TEST_F(DseDriverTest, WorksOverTcpTransport) {
   analysis::Mutex mutex{"dse_driver_test::mutex"};
   grid::GridState state0;
   world.run([&](runtime::Communicator& c) {
-    const DseResult r = driver.run(c, meas_, assignment_);
+    const DseResult r = driver.run(c, meas_, assignment_, assignment_);
     EXPECT_TRUE(r.all_converged);
     if (c.rank() == 0) {
       analysis::LockGuard lock(mutex);
@@ -187,7 +187,7 @@ TEST_F(DseDriverTest, NonConvergenceIsReportedNotHidden) {
   analysis::Mutex mutex{"dse_driver_test::mutex"};
   std::vector<bool> converged(3, true);
   world.run([&](runtime::Communicator& c) {
-    const DseResult r = driver.run(c, meas_, assignment_);
+    const DseResult r = driver.run(c, meas_, assignment_, assignment_);
     analysis::LockGuard lock(mutex);
     converged[static_cast<std::size_t>(c.rank())] = r.all_converged;
   });
@@ -201,7 +201,7 @@ TEST_F(DseDriverTest, RejectsBadAssignments) {
   runtime::InprocWorld world(2);
   const std::vector<graph::PartId> bad{0, 0, 0, 1, 1, 1, 2, 2, 2};  // rank 2 absent
   world.run([&](runtime::Communicator& c) {
-    EXPECT_THROW(driver.run(c, meas_, bad), InternalError);
+    EXPECT_THROW(driver.run(c, meas_, bad, bad), InternalError);
   });
 }
 
@@ -213,7 +213,7 @@ TEST_F(DseDriverTest, MultiRoundStepTwoConvergesAndNeverHurts) {
   analysis::Mutex mutex{"dse_driver_test::mutex"};
   DseResult multi_result;
   world.run([&](runtime::Communicator& c) {
-    DseResult r = driver.run(c, meas_, assignment_);
+    DseResult r = driver.run(c, meas_, assignment_, assignment_);
     if (c.rank() == 0) {
       analysis::LockGuard lock(mutex);
       multi_result = std::move(r);
@@ -252,7 +252,7 @@ TEST_F(DseDriverTest, WeccScaleScenarioConverges) {
   analysis::Mutex mutex{"dse_driver_test::mutex"};
   DseResult result;
   world.run([&](runtime::Communicator& c) {
-    DseResult r = driver.run(c, meas, assignment);
+    DseResult r = driver.run(c, meas, assignment, assignment);
     if (c.rank() == 0) {
       analysis::LockGuard lock(mutex);
       result = std::move(r);
@@ -263,46 +263,17 @@ TEST_F(DseDriverTest, WeccScaleScenarioConverges) {
   EXPECT_LT(grid::max_angle_error(result.state, wpf.state), 0.03);
 }
 
-TEST_F(DseDriverTest, BatchedStepOneMatchesSequential) {
-  // The batched lockstep sweep is an execution strategy, not an algorithm
-  // change: with the same direct solver the combined estimate must be
-  // bit-identical to the per-subsystem loop.
-  const auto run_with = [&](bool batched) {
-    DseOptions opts;
-    opts.local.wls.solver = estimation::LinearSolver::kLdlt;
-    opts.batched_step1 = batched;
-    DseDriver driver(generated_.kase.network, d_, opts);
-    runtime::InprocWorld world(3);
-    analysis::Mutex mutex{"dse_driver_test::mutex"};
-    DseResult out;
-    world.run([&](runtime::Communicator& c) {
-      DseResult r = driver.run(c, meas_, assignment_);
-      if (c.rank() == 0) {
-        analysis::LockGuard lock(mutex);
-        out = std::move(r);
-      }
-    });
-    return out;
-  };
-  const DseResult batched = run_with(true);
-  const DseResult sequential = run_with(false);
-  EXPECT_TRUE(batched.all_converged);
-  EXPECT_TRUE(sequential.all_converged);
-  EXPECT_LT(grid::max_vm_error(batched.state, sequential.state), 1e-12);
-  EXPECT_LT(grid::max_angle_error(batched.state, sequential.state), 1e-12);
-}
-
 TEST_F(DseDriverTest, CondensationShrinksPseudoTrafficAndTracksTruth) {
   const auto run_with = [&](bool condense) {
     DseOptions opts;
-    opts.condense_boundary = condense;
+    opts.local.condense_boundary = condense;
     DseDriver driver(generated_.kase.network, d_, opts);
     runtime::InprocWorld world(3);
     analysis::Mutex mutex{"dse_driver_test::mutex"};
     DseResult out;
     std::size_t total_bytes = 0;
     world.run([&](runtime::Communicator& c) {
-      DseResult r = driver.run(c, meas_, assignment_);
+      DseResult r = driver.run(c, meas_, assignment_, assignment_);
       analysis::LockGuard lock(mutex);
       total_bytes += r.bytes_sent;
       if (c.rank() == 0) out = std::move(r);
@@ -333,7 +304,7 @@ TEST_F(DseDriverTest, SharedPlanRegistryIsReusedAcrossCycles) {
     runtime::InprocWorld world(3);
     analysis::Mutex mutex{"dse_driver_test::mutex"};
     world.run([&](runtime::Communicator& c) {
-      DseResult r = driver.run(c, meas_, assignment_);
+      DseResult r = driver.run(c, meas_, assignment_, assignment_);
       EXPECT_TRUE(r.all_converged);
       if (c.rank() == 0) {
         analysis::LockGuard lock(mutex);
@@ -356,7 +327,7 @@ TEST_F(DseDriverTest, SharedPlanRegistryIsReusedAcrossCycles) {
   analysis::Mutex mutex{"dse_driver_test::mutex"};
   grid::GridState third_state;
   world.run([&](runtime::Communicator& c) {
-    DseResult r = driver.run(c, meas_, assignment_);
+    DseResult r = driver.run(c, meas_, assignment_, assignment_);
     if (c.rank() == 0) {
       analysis::LockGuard lock(mutex);
       third_state = std::move(r.state);
@@ -367,26 +338,37 @@ TEST_F(DseDriverTest, SharedPlanRegistryIsReusedAcrossCycles) {
 }
 
 TEST_F(DseDriverTest, BatchedCondensedCombinationConverges) {
-  // The two fast-path features compose.
+  // The direct solver, condensed exchange and a persistent plan registry
+  // compose: both cycles converge and track the truth, and the second one
+  // reuses the first one's symbolic plans and reproduces its estimate.
+  const auto registry = std::make_shared<PlanRegistry>();
   DseOptions opts;
   opts.local.wls.solver = estimation::LinearSolver::kLdlt;
-  opts.batched_step1 = true;
-  opts.condense_boundary = true;
-  opts.plan_registry = std::make_shared<PlanRegistry>();
+  opts.local.condense_boundary = true;
+  opts.plan_registry = registry;
   DseDriver driver(generated_.kase.network, d_, opts);
-  runtime::InprocWorld world(3);
-  analysis::Mutex mutex{"dse_driver_test::mutex"};
-  DseResult result;
-  world.run([&](runtime::Communicator& c) {
-    DseResult r = driver.run(c, meas_, assignment_);
-    if (c.rank() == 0) {
-      analysis::LockGuard lock(mutex);
-      result = std::move(r);
-    }
-  });
-  EXPECT_TRUE(result.all_converged);
-  EXPECT_LT(grid::max_vm_error(result.state, pf_.state), 0.02);
-  EXPECT_LT(grid::max_angle_error(result.state, pf_.state), 0.02);
+  std::vector<grid::GridState> states;
+  std::vector<std::uint64_t> misses;
+  for (int cycle = 0; cycle < 2; ++cycle) {
+    runtime::InprocWorld world(3);
+    analysis::Mutex mutex{"dse_driver_test::mutex"};
+    DseResult result;
+    world.run([&](runtime::Communicator& c) {
+      DseResult r = driver.run(c, meas_, assignment_, assignment_);
+      if (c.rank() == 0) {
+        analysis::LockGuard lock(mutex);
+        result = std::move(r);
+      }
+    });
+    EXPECT_TRUE(result.all_converged);
+    EXPECT_LT(grid::max_vm_error(result.state, pf_.state), 0.02);
+    EXPECT_LT(grid::max_angle_error(result.state, pf_.state), 0.02);
+    states.push_back(std::move(result.state));
+    misses.push_back(registry->stats().cache.plan_misses);
+  }
+  EXPECT_EQ(misses[1], misses[0]);
+  EXPECT_LT(grid::max_vm_error(states[0], states[1]), 1e-12);
+  EXPECT_LT(grid::max_angle_error(states[0], states[1]), 1e-12);
 }
 
 TEST_F(DseDriverTest, ExchangeVolumeIsSmall) {

@@ -40,6 +40,25 @@ TEST_F(RobustTest, MatchesWlsOnCleanData) {
   EXPECT_LT(downweighted, static_cast<int>(clean_.size()) / 5);
 }
 
+TEST_F(RobustTest, AlternateReferenceBusGivesSameRelativeState) {
+  grid::MeasurementSet bad = clean_;
+  bad.items[8].value += 1.0;
+  RobustOptions opts;
+  opts.wls.tolerance = 1e-10;
+  const HuberEstimator slack(kase_.network, opts);
+  const HuberEstimator ref5(kase_.network, 5, opts);
+  // Pin reference 5's angle to the slack-referenced solution so both share
+  // the global frame.
+  const RobustResult a = slack.estimate(bad);
+  grid::GridState init5(kase_.network.num_buses());
+  init5.theta[5] = a.wls.state.theta[5];
+  const RobustResult b = ref5.estimate(bad, init5);
+  ASSERT_TRUE(a.wls.converged && b.wls.converged);
+  EXPECT_LT(grid::max_angle_error(a.wls.state, b.wls.state), 1e-6);
+  EXPECT_LT(grid::max_vm_error(a.wls.state, b.wls.state), 1e-6);
+  EXPECT_LT(b.influence[8], 0.1);
+}
+
 TEST_F(RobustTest, BoundsInfluenceOfGrossError) {
   grid::MeasurementSet bad = clean_;
   bad.items[8].value += 1.0;

@@ -150,6 +150,13 @@ TEST(Wls, AlternateReferenceBusGivesSameRelativeState) {
   EXPECT_LT(grid::max_vm_error(a.state, b.state), 1e-7);
 }
 
+TEST(Wls, ParsesLinearSolverNames) {
+  EXPECT_EQ(parse_linear_solver("pcg"), LinearSolver::kPcg);
+  EXPECT_EQ(parse_linear_solver("ldlt"), LinearSolver::kLdlt);
+  EXPECT_EQ(parse_linear_solver("dense"), LinearSolver::kDense);
+  EXPECT_THROW(parse_linear_solver("cholesky"), InvalidInput);
+}
+
 TEST(Wls, ResidualsAreSmallAtNoiselessSolution) {
   const auto d = make_case14_data();
   WlsEstimator est(d.kase.network);

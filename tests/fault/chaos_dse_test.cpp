@@ -88,7 +88,7 @@ class ChaosDseTest : public ::testing::Test {
       runtime::TcpWorld world(2, res);
       analysis::Mutex mutex{"chaos_dse_test::mutex"};
       world.run([&](runtime::Communicator& c) {
-        DseResult r = driver.run(c, meas_, assignment_);
+        DseResult r = driver.run(c, meas_, assignment_, assignment_);
         if (c.rank() == 0) {
           analysis::LockGuard lock(mutex);
           out.rank0 = std::move(r);
@@ -119,7 +119,7 @@ class ChaosDseTest : public ::testing::Test {
                                 medici::unshaped_model(), res);
       analysis::Mutex mutex{"chaos_dse_test::mutex"};
       world.run([&](runtime::Communicator& c) {
-        DseResult r = driver.run(c, meas_, assignment_);
+        DseResult r = driver.run(c, meas_, assignment_, assignment_);
         if (c.rank() == 0) {
           analysis::LockGuard lock(mutex);
           out.rank0 = std::move(r);
@@ -143,7 +143,7 @@ class ChaosDseTest : public ::testing::Test {
     analysis::Mutex mutex{"chaos_dse_test::mutex"};
     DseResult out;
     world.run([&](runtime::Communicator& c) {
-      DseResult r = driver.run(c, meas_, assignment_);
+      DseResult r = driver.run(c, meas_, assignment_, assignment_);
       if (c.rank() == 0) {
         analysis::LockGuard lock(mutex);
         out = std::move(r);
@@ -447,7 +447,7 @@ TEST(ChaosSoakTest, SeedLoopCompletesBoundedOnARing) {
     analysis::Mutex mutex{"chaos_dse_test::mutex"};
     std::vector<DseResult> results(2);
     world.run([&](runtime::Communicator& c) {
-      DseResult r = driver.run(c, meas, assignment);
+      DseResult r = driver.run(c, meas, assignment, assignment);
       analysis::LockGuard lock(mutex);
       results[static_cast<std::size_t>(c.rank())] = std::move(r);
     });

@@ -2,7 +2,7 @@
 """Merge bench-smoke outputs into BENCH_ci.json and gate regressions.
 
 Inputs: one or more google-benchmark JSON files (bench_pcg_solvers,
-bench_batched_solve, ...) and the obs_report.json published by
+bench_step1_sweep, ...) and the obs_report.json published by
 gridse_report. Output: one merged document (schema "gridse-bench-ci/1")
 with two metric classes:
 
@@ -467,7 +467,7 @@ def main():
                              "of stdout")
     parser.add_argument("--benchmarks", nargs="+", metavar="FILE",
                         help="google-benchmark JSON file(s), e.g. from "
-                             "bench_pcg_solvers and bench_batched_solve")
+                             "bench_pcg_solvers and bench_step1_sweep")
     parser.add_argument("--obs-report",
                         help="obs_report.json from gridse_report")
     parser.add_argument("--timeseries",

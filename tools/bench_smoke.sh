@@ -15,7 +15,7 @@
 #   bench_table4_network_overhead — networked overhead rows (Table IV)
 #   bench_pcg_solvers             — PCG/LDLt solver ablation (§IV-C),
 #                                   emits benchmark JSON
-#   bench_batched_solve           — sequential vs batched Step-1 sweep,
+#   bench_step1_sweep             — cached per-subsystem Step-1 sweep,
 #                                   emits benchmark JSON
 #   bench_telemetry_overhead      — per-cycle telemetry sampler cost
 #                                   (<1% cycle budget), emits benchmark JSON
@@ -47,9 +47,9 @@ echo "bench_smoke: PCG solver ablation (benchmark JSON)..." >&2
   --benchmark_out="${out_dir}/pcg_benchmarks.json" \
   --benchmark_out_format=json
 
-echo "bench_smoke: batched Step-1 sweep (benchmark JSON)..." >&2
-"${build_dir}/bench/bench_batched_solve" \
-  --benchmark_out="${out_dir}/batched_benchmarks.json" \
+echo "bench_smoke: Step-1 sweep (benchmark JSON)..." >&2
+"${build_dir}/bench/bench_step1_sweep" \
+  --benchmark_out="${out_dir}/step1_benchmarks.json" \
   --benchmark_out_format=json
 
 echo "bench_smoke: telemetry sampler overhead (benchmark JSON)..." >&2
@@ -97,7 +97,7 @@ fi
 # shellcheck disable=SC2086
 python3 "${repo_root}/tools/bench_gate.py" \
   --benchmarks "${out_dir}/pcg_benchmarks.json" \
-               "${out_dir}/batched_benchmarks.json" \
+               "${out_dir}/step1_benchmarks.json" \
                "${out_dir}/telemetry_benchmarks.json" \
   --obs-report "${out_dir}/obs_report.json" \
   --partition-report "${out_dir}/partition_report.json" \

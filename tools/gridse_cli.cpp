@@ -120,9 +120,7 @@ int cmd_se(const Args& args) {
 
   estimation::WlsOptions opts;
   const std::string solver = opt_str(args, "solver", "pcg");
-  opts.solver = solver == "ldlt"    ? estimation::LinearSolver::kLdlt
-                : solver == "dense" ? estimation::LinearSolver::kDense
-                                    : estimation::LinearSolver::kPcg;
+  opts.solver = estimation::parse_linear_solver(solver);
   opts.preconditioner =
       sparse::parse_preconditioner(opt_str(args, "precond", "ic0"));
 
@@ -159,11 +157,8 @@ int cmd_dse(const Args& args) {
   }
   core::SystemConfig config;
   config.mapping.num_clusters = opt_int(args, "clusters", 3);
-  const std::string transport = opt_str(args, "transport", "inproc");
-  config.transport = transport == "tcp"      ? core::Transport::kTcp
-                     : transport == "medici" ? core::Transport::kMedici
-                     : transport == "direct" ? core::Transport::kMediciDirect
-                                             : core::Transport::kInproc;
+  config.transport =
+      core::parse_transport(opt_str(args, "transport", "inproc"));
   config.dse.step2_rounds = opt_int(args, "rounds", 1);
   core::DseSystem system(*generated, config);
   const int cycles = opt_int(args, "cycles", 1);

@@ -99,10 +99,7 @@ int run(const Args& args) {
   core::SystemConfig config;
   config.mapping.num_clusters = opt_int(args, "clusters", 3);
   const std::string transport = opt_str(args, "transport", "medici");
-  config.transport = transport == "tcp"      ? core::Transport::kTcp
-                     : transport == "medici" ? core::Transport::kMedici
-                     : transport == "direct" ? core::Transport::kMediciDirect
-                                             : core::Transport::kInproc;
+  config.transport = core::parse_transport(transport);
   config.dse.step2_rounds = opt_int(args, "rounds", 1);
   const int cycles = opt_int(args, "cycles", 3);
 
