@@ -118,7 +118,8 @@ int run() {
       ests.back()->run_step1(s.meas);
     }
     const int victim = 4;  // subsystem 5: the best-connected one (Fig. 3)
-    const auto boundary_err = [&](const std::vector<core::BusStateRecord>& recs) {
+    using Records = std::vector<core::CondensedBoundaryRecord>;
+    const auto boundary_err = [&](const Records& recs) {
       ests[victim]->run_step2(s.meas, recs);
       double err = 0.0;
       for (const core::BusStateRecord& rec : ests[victim]->final_states()) {
@@ -127,21 +128,21 @@ int run() {
       }
       return err;
     };
-    std::vector<core::BusStateRecord> all_records;
+    Records all_records;
     for (const int nbr : s.d.neighbors_of(victim)) {
-      const auto recs = ests[static_cast<std::size_t>(nbr)]
-                            ->step1_boundary_states();
+      const auto recs =
+          ests[static_cast<std::size_t>(nbr)]->boundary_records();
       all_records.insert(all_records.end(), recs.begin(), recs.end());
     }
     TextTable t({"links up", "subsystem-5 max |V| err"});
     t.add_row({"all neighbours", strfmt("%.2e", boundary_err(all_records))});
     // drop one neighbour at a time
     for (const int lost : s.d.neighbors_of(victim)) {
-      std::vector<core::BusStateRecord> partial;
+      Records partial;
       for (const int nbr : s.d.neighbors_of(victim)) {
         if (nbr == lost) continue;
-        const auto recs = ests[static_cast<std::size_t>(nbr)]
-                              ->step1_boundary_states();
+        const auto recs =
+            ests[static_cast<std::size_t>(nbr)]->boundary_records();
         partial.insert(partial.end(), recs.begin(), recs.end());
       }
       t.add_row({"link to subsystem " + std::to_string(lost + 1) + " DOWN",

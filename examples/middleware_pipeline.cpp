@@ -89,12 +89,14 @@ int main() {
                 step1.num_measurements, step1.gauss_newton_iterations);
 
     // MW_Client_Send(MeDICi, neighbor, step1_solution)
-    const auto records = estimator.step1_boundary_states();
-    client.send(pipeline_inbound, /*tag=*/1, core::encode_bus_states(records));
+    const auto records = estimator.boundary_records();
+    client.send(pipeline_inbound, /*tag=*/1,
+                core::encode_boundary_records(records, /*with_sigmas=*/false));
 
     // pseudo[neighbor] <- MW_Client_Recv(MeDICi, neighbor)
     const runtime::Message msg = client.recv(runtime::kAnySource, 1);
-    const auto pseudo = core::decode_bus_states(msg.payload);
+    const auto pseudo =
+        core::decode_boundary_records(msg.payload, /*with_sigmas=*/false);
     std::printf("[SE %d] received %zu pseudo measurements from SE %d via "
                 "MeDICi\n",
                 side, pseudo.size(), msg.source);

@@ -571,7 +571,6 @@ void DseSystem::react_to_topology(CycleReport& report,
         EstimatorCheckpoint ckpt;
         ckpt.subsystem = static_cast<std::int32_t>(s);
         ckpt.cycle = this_cycle;
-        ckpt.reuse_gain = false;
         for (const grid::BusIndex b : decomposition_.subsystems[s].buses) {
           ckpt.step1_states.push_back(
               {static_cast<std::int32_t>(b),

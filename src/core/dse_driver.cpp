@@ -6,6 +6,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <string>
 
 #include "obs/obs.hpp"
 #include "util/byte_buffer.hpp"
@@ -61,26 +62,55 @@ std::optional<runtime::Message> recv_within(runtime::Communicator& comm,
   return comm.recv_for(source, tag, deadline.remaining());
 }
 
-/// Plain bus states → condensed records with default (-1) sigmas.
-std::vector<CondensedBoundaryRecord> widen_records(
-    const std::vector<BusStateRecord>& in) {
-  std::vector<CondensedBoundaryRecord> out(in.size());
-  for (std::size_t i = 0; i < in.size(); ++i) {
-    out[i].bus = in[i].bus;
-    out[i].theta = in[i].theta;
-    out[i].vm = in[i].vm;
+/// Why an exchange frame was not consumed (see receive_lossy).
+enum class FrameLoss { kNone, kRankDead, kDeadline, kCorrupt };
+
+[[maybe_unused]] const char* loss_reason(FrameLoss loss) {
+  switch (loss) {
+    case FrameLoss::kRankDead:
+      return "rank_dead";
+    case FrameLoss::kDeadline:
+      return "deadline";
+    case FrameLoss::kCorrupt:
+      return "corrupt";
+    case FrameLoss::kNone:
+      break;
   }
-  return out;
+  return "none";
 }
 
-/// Condensed records → plain bus states (the uncondensed wire format).
-std::vector<BusStateRecord> narrow_records(
-    const std::vector<CondensedBoundaryRecord>& in) {
-  std::vector<BusStateRecord> out(in.size());
-  for (std::size_t i = 0; i < in.size(); ++i) {
-    out[i] = {in[i].bus, in[i].theta, in[i].vm};
+/// The exchanges' one lossy-receive policy. A source the phase-0 membership
+/// view already declared dead is skipped without waiting out the deadline.
+/// Otherwise the frame is awaited within `deadline` and handed to
+/// `consume`. A missed deadline throws CommError, and a frame `consume`
+/// rejects with InvalidInput is counted in `exchange.corrupt_frames` and
+/// rethrown — unless `tolerate_loss`, in which case the loss is returned for
+/// the caller's own bookkeeping. `what` names the frame in the CommError.
+template <typename Consume>
+FrameLoss receive_lossy(runtime::Communicator& comm, const Deadline& deadline,
+                        bool source_dead, int source, int tag,
+                        bool tolerate_loss, const std::string& what,
+                        Consume&& consume) {
+  if (source_dead) {
+    return FrameLoss::kRankDead;
   }
-  return out;
+  const auto msg = recv_within(comm, deadline, source, tag);
+  if (!msg.has_value()) {
+    if (!tolerate_loss) {
+      throw CommError("dse: " + what + " missed the exchange deadline");
+    }
+    return FrameLoss::kDeadline;
+  }
+  try {
+    consume(msg->payload);
+  } catch (const InvalidInput&) {
+    OBS_COUNTER_ADD("exchange.corrupt_frames", 1);
+    if (!tolerate_loss) {
+      throw;
+    }
+    return FrameLoss::kCorrupt;
+  }
+  return FrameLoss::kNone;
 }
 
 #if GRIDSE_OBS
@@ -173,23 +203,16 @@ DseResult DseDriver::run(runtime::Communicator& comm,
   const std::shared_ptr<PlanRegistry> registry =
       options_.plan_registry != nullptr ? options_.plan_registry
                                         : std::make_shared<PlanRegistry>();
-  const auto estimator_options = [&](int s) {
+  std::map<int, std::unique_ptr<LocalEstimator>> estimators;
+  for (int s = 0; s < m; ++s) {
+    if (step1_assignment[static_cast<std::size_t>(s)] != rank &&
+        step2_assignment[static_cast<std::size_t>(s)] != rank) {
+      continue;
+    }
     LocalEstimatorOptions opts = options_.local;
     opts.wls.cache = registry->cache_for(s);
-    return opts;
-  };
-  std::map<int, std::unique_ptr<LocalEstimator>> estimators;
-  for (const int s : hosted1) {
     estimators.emplace(s, std::make_unique<LocalEstimator>(
-                              *network_, *decomposition_, s,
-                              estimator_options(s)));
-  }
-  for (const int s : hosted2) {
-    if (estimators.count(s) == 0) {
-      estimators.emplace(s, std::make_unique<LocalEstimator>(
-                                *network_, *decomposition_, s,
-                                estimator_options(s)));
-    }
+                              *network_, *decomposition_, s, std::move(opts)));
   }
 
   ThreadPool pool(static_cast<std::size_t>(options_.workers_per_cluster));
@@ -297,17 +320,9 @@ DseResult DseDriver::run(runtime::Communicator& comm,
       const graph::PartId dest = step2_assignment[static_cast<std::size_t>(s)];
       if (dest == rank) continue;
       ByteWriter w;
-      const auto states = estimators.at(s)->step1_all_states();
-      w.write_vector(states);
-      if (options_.ship_redistribution) {
-        const grid::MeasurementSet local_set =
-            estimators.at(s)->local_model().filter(global_measurements,
-                                                   *network_);
-        const auto meas_bytes = encode_measurements(local_set);
-        w.write_vector(meas_bytes);
-      } else {
-        w.write_vector(std::vector<std::uint8_t>{});
-      }
+      w.write_vector(estimators.at(s)->step1_all_states());
+      w.write_vector(encode_measurements(estimators.at(s)->local_model().filter(
+          global_measurements, *network_)));
       auto payload = w.take();
       OBS_COUNTER_ADD("dse.redistribute.messages", 1);
       OBS_COUNTER_ADD("dse.redistribute.bytes", payload.size());
@@ -316,38 +331,21 @@ DseResult DseDriver::run(runtime::Communicator& comm,
     for (const int s : hosted2) {
       const graph::PartId src = step1_assignment[static_cast<std::size_t>(s)];
       if (src == rank) continue;
-      if (rank_dead(src)) {
-        // Membership fast path: no point waiting out the deadline for a rank
-        // the phase-0 heartbeat already declared dead.
+      const FrameLoss loss = receive_lossy(
+          comm, deadline, rank_dead(src), src, redist_tag(s),
+          options_.degraded_step2,
+          "redistribution for subsystem " + std::to_string(s),
+          [&](const std::vector<std::uint8_t>& payload) {
+            ByteReader r(payload);
+            const auto states = r.read_vector<BusStateRecord>();
+            (void)r.read_vector<std::uint8_t>();  // raw measurements: costed
+            estimators.at(s)->adopt_step1(states);
+          });
+      if (loss != FrameLoss::kNone) {
         dead_subsystems.insert(s);
         OBS_EVENT("exchange.redistribution_lost", OBS_ATTR("subsystem", s),
-                  OBS_ATTR("from_rank", src), OBS_ATTR("reason", "rank_dead"));
-        continue;
-      }
-      const auto msg = recv_within(comm, deadline, src, redist_tag(s));
-      if (!msg.has_value()) {
-        if (!options_.degraded_step2) {
-          throw CommError("dse: redistribution for subsystem " +
-                          std::to_string(s) + " missed the exchange deadline");
-        }
-        dead_subsystems.insert(s);
-        OBS_EVENT("exchange.redistribution_lost", OBS_ATTR("subsystem", s),
-                  OBS_ATTR("from_rank", src));
-        continue;
-      }
-      try {
-        ByteReader r(msg->payload);
-        const auto states = r.read_vector<BusStateRecord>();
-        (void)r.read_vector<std::uint8_t>();  // raw measurements: costed
-        estimators.at(s)->adopt_step1(states);
-      } catch (const InvalidInput&) {
-        OBS_COUNTER_ADD("exchange.corrupt_frames", 1);
-        if (!options_.degraded_step2) {
-          throw;
-        }
-        dead_subsystems.insert(s);
-        OBS_EVENT("exchange.redistribution_lost", OBS_ATTR("subsystem", s),
-                  OBS_ATTR("from_rank", src), OBS_ATTR("reason", "corrupt"));
+                  OBS_ATTR("from_rank", src),
+                  OBS_ATTR("reason", loss_reason(loss)));
       }
     }
 
@@ -378,12 +376,9 @@ DseResult DseDriver::run(runtime::Communicator& comm,
       for (const int s : hosted2) {
         if (dead_subsystems.count(s) > 0) continue;  // nothing to export
         const std::vector<CondensedBoundaryRecord> records =
-            estimators.at(s)->condensed_boundary_states();
-        // Condensed mode ships the records with their marginal sigmas; plain
-        // mode keeps the historical BusStateRecord wire format.
+            estimators.at(s)->boundary_records();
         const std::vector<std::uint8_t> payload =
-            condense ? encode_condensed_states(records)
-                     : encode_bus_states(narrow_records(records));
+            encode_boundary_records(records, condense);
         for (const int t : decomposition_->neighbors_of(s)) {
           const graph::PartId dest =
               step2_assignment[static_cast<std::size_t>(t)];
@@ -421,42 +416,22 @@ DseResult DseDriver::run(runtime::Communicator& comm,
             }
             continue;
           }
-          if (rank_dead(src)) {
+          const FrameLoss loss = receive_lossy(
+              comm, deadline, rank_dead(src), src, pseudo_tag(s, t, m),
+              options_.degraded_step2,
+              "pseudo measurements from subsystem " + std::to_string(s) +
+                  " for subsystem " + std::to_string(t),
+              [&](const std::vector<std::uint8_t>& payload) {
+                const std::vector<CondensedBoundaryRecord> records =
+                    decode_boundary_records(payload, condense);
+                auto& sink = neighbor_records[t];
+                sink.insert(sink.end(), records.begin(), records.end());
+              });
+          if (loss != FrameLoss::kNone) {
             missing_neighbors[t].insert(s);
             OBS_EVENT("exchange.pseudo_lost", OBS_ATTR("subsystem", t),
                       OBS_ATTR("neighbor", s), OBS_ATTR("round", round),
-                      OBS_ATTR("reason", "rank_dead"));
-            continue;
-          }
-          const auto msg = recv_within(comm, deadline, src,
-                                       pseudo_tag(s, t, m));
-          if (!msg.has_value()) {
-            if (!options_.degraded_step2) {
-              throw CommError("dse: pseudo measurements from subsystem " +
-                              std::to_string(s) + " for subsystem " +
-                              std::to_string(t) +
-                              " missed the exchange deadline");
-            }
-            missing_neighbors[t].insert(s);
-            OBS_EVENT("exchange.pseudo_lost", OBS_ATTR("subsystem", t),
-                      OBS_ATTR("neighbor", s), OBS_ATTR("round", round));
-            continue;
-          }
-          try {
-            const std::vector<CondensedBoundaryRecord> records =
-                condense ? decode_condensed_states(msg->payload)
-                         : widen_records(decode_bus_states(msg->payload));
-            auto& sink = neighbor_records[t];
-            sink.insert(sink.end(), records.begin(), records.end());
-          } catch (const InvalidInput&) {
-            OBS_COUNTER_ADD("exchange.corrupt_frames", 1);
-            if (!options_.degraded_step2) {
-              throw;
-            }
-            missing_neighbors[t].insert(s);
-            OBS_EVENT("exchange.pseudo_lost", OBS_ATTR("subsystem", t),
-                      OBS_ATTR("neighbor", s), OBS_ATTR("round", round),
-                      OBS_ATTR("reason", "corrupt"));
+                      OBS_ATTR("reason", loss_reason(loss)));
           }
         }
 #if GRIDSE_OBS
@@ -559,43 +534,26 @@ DseResult DseDriver::run(runtime::Communicator& comm,
   const Deadline combine_deadline(options_.exchange_deadline);
   for (int r = 0; r < comm.size(); ++r) {
     if (r == rank) continue;
-    if (rank_dead(r)) {
+    const FrameLoss loss = receive_lossy(
+        comm, combine_deadline, rank_dead(r), r, kCombineTag,
+        options_.degraded_step2,
+        "combine payload from rank " + std::to_string(r),
+        [&](const std::vector<std::uint8_t>& payload) {
+          ByteReader reader(payload);
+          const bool peer_ok = reader.read<std::uint8_t>() != 0;
+          const auto records = reader.read_vector<BusStateRecord>();
+          const auto peer_statuses =
+              decode_degraded(reader.read_vector<std::uint8_t>());
+          apply_records(records);
+          all_ok &= peer_ok;
+          result.degraded.insert(result.degraded.end(), peer_statuses.begin(),
+                                 peer_statuses.end());
+        });
+    if (loss != FrameLoss::kNone) {
       result.unresponsive_ranks.push_back(r);
       all_ok = false;
       OBS_EVENT("exchange.unresponsive_rank", OBS_ATTR("rank", r),
-                OBS_ATTR("reason", "rank_dead"));
-      continue;
-    }
-    const auto msg = recv_within(comm, combine_deadline, r, kCombineTag);
-    if (!msg.has_value()) {
-      if (!options_.degraded_step2) {
-        throw CommError("dse: combine payload from rank " +
-                        std::to_string(r) + " missed the exchange deadline");
-      }
-      result.unresponsive_ranks.push_back(r);
-      all_ok = false;
-      OBS_EVENT("exchange.unresponsive_rank", OBS_ATTR("rank", r));
-      continue;
-    }
-    try {
-      ByteReader reader(msg->payload);
-      const bool peer_ok = reader.read<std::uint8_t>() != 0;
-      const auto records = reader.read_vector<BusStateRecord>();
-      const auto peer_statuses =
-          decode_degraded(reader.read_vector<std::uint8_t>());
-      apply_records(records);
-      all_ok &= peer_ok;
-      result.degraded.insert(result.degraded.end(), peer_statuses.begin(),
-                             peer_statuses.end());
-    } catch (const InvalidInput&) {
-      OBS_COUNTER_ADD("exchange.corrupt_frames", 1);
-      if (!options_.degraded_step2) {
-        throw;
-      }
-      result.unresponsive_ranks.push_back(r);
-      all_ok = false;
-      OBS_EVENT("exchange.unresponsive_rank", OBS_ATTR("rank", r),
-                OBS_ATTR("reason", "corrupt"));
+                OBS_ATTR("reason", loss_reason(loss)));
     }
   }
   std::sort(result.degraded.begin(), result.degraded.end(),
@@ -618,9 +576,7 @@ DseResult DseDriver::run(runtime::Communicator& comm,
       EstimatorCheckpoint ckpt;
       ckpt.subsystem = s;
       ckpt.cycle = rctx->cycle;
-      ckpt.reuse_gain = true;
       ckpt.step1_states = estimators.at(s)->final_states();
-      ckpt.boundary_states = estimators.at(s)->current_boundary_states();
       encoded.push_back(encode_checkpoint(ckpt));
       if (rank == 0) {
         result.recovery.checkpoint_bytes += encoded.back().size();
@@ -637,31 +593,30 @@ DseResult DseDriver::run(runtime::Communicator& comm,
     } else {
       const Deadline report_deadline(options_.exchange_deadline);
       for (int r = 1; r < comm.size(); ++r) {
-        if (rank_dead(r)) continue;
-        const auto msg =
-            recv_within(comm, report_deadline, r, runtime::kRecoveryReportTag);
-        if (!msg.has_value()) {
-          OBS_EVENT("recovery.report_missed", OBS_ATTR("rank", r));
-          continue;
-        }
-        try {
-          ByteReader reader(msg->payload);
-          const auto count = reader.read<std::uint64_t>();
-          if (count > msg->payload.size()) {
-            throw InvalidInput("recovery report: implausible count");
-          }
-          for (std::uint64_t i = 0; i < count; ++i) {
-            const auto bytes = reader.read_vector<std::uint8_t>();
-            result.recovery.checkpoints.push_back(decode_checkpoint(bytes));
-            result.recovery.checkpoint_bytes += bytes.size();
-          }
-          if (!reader.at_end()) {
-            throw InvalidInput("recovery report: trailing bytes");
-          }
-        } catch (const InvalidInput&) {
-          OBS_COUNTER_ADD("exchange.corrupt_frames", 1);
+        // A lost report only costs that rank's warm starts: never throw.
+        const FrameLoss loss = receive_lossy(
+            comm, report_deadline, rank_dead(r), r,
+            runtime::kRecoveryReportTag, /*tolerate_loss=*/true,
+            "recovery report from rank " + std::to_string(r),
+            [&](const std::vector<std::uint8_t>& payload) {
+              ByteReader reader(payload);
+              const auto count = reader.read<std::uint64_t>();
+              if (count > payload.size()) {
+                throw InvalidInput("recovery report: implausible count");
+              }
+              for (std::uint64_t i = 0; i < count; ++i) {
+                const auto bytes = reader.read_vector<std::uint8_t>();
+                result.recovery.checkpoints.push_back(
+                    decode_checkpoint(bytes));
+                result.recovery.checkpoint_bytes += bytes.size();
+              }
+              if (!reader.at_end()) {
+                throw InvalidInput("recovery report: trailing bytes");
+              }
+            });
+        if (loss == FrameLoss::kDeadline || loss == FrameLoss::kCorrupt) {
           OBS_EVENT("recovery.report_missed", OBS_ATTR("rank", r),
-                    OBS_ATTR("reason", "corrupt"));
+                    OBS_ATTR("reason", loss_reason(loss)));
         }
       }
       std::sort(result.recovery.checkpoints.begin(),

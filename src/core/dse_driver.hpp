@@ -26,10 +26,6 @@ struct DseOptions {
   /// decomposition" [10]; 1 reproduces the prototype's single round, larger
   /// values propagate boundary information further before the combine.
   int step2_rounds = 1;
-  /// Actually ship the raw-measurement payload when a subsystem is
-  /// re-mapped between Step 1 and Step 2 (costed, real bytes); disable to
-  /// measure the algorithm without redistribution traffic.
-  bool ship_redistribution = true;
   /// Upper bound on waiting for each exchange message (redistribution,
   /// Step-2 pseudo fan-in, final combine). 0 = wait forever (historical
   /// behavior: a lost peer hangs the cycle).

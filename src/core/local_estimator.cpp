@@ -155,9 +155,6 @@ void LocalEstimator::maybe_condense(const grid::MeasurementSet& local_set,
     for (std::size_t i = 0; i < global_buses.size(); ++i) {
       CondensedBoundaryRecord& rec = condensed_[i];
       rec.bus = global_buses[i];
-      const auto l = static_cast<std::size_t>(local_buses[i]);
-      rec.theta = step1_state_->theta[l];
-      rec.vm = step1_state_->vm[l];
       const std::int32_t ts = split.theta_slot[i];
       // The reference angle is pinned exactly; export the floor so the
       // receiver treats it as a firm anchor rather than a default.
@@ -212,20 +209,6 @@ void LocalEstimator::adopt_step1(const std::vector<BusStateRecord>& records) {
 void LocalEstimator::set_warm_start(
     const std::vector<BusStateRecord>& records) {
   warm_start_ = records_to_local_state(records, "set_warm_start");
-}
-
-LocalSolveInfo LocalEstimator::run_step2(
-    const grid::MeasurementSet& global_set,
-    const std::vector<BusStateRecord>& neighbor_states,
-    bool fill_missing_with_priors) {
-  std::vector<CondensedBoundaryRecord> widened(neighbor_states.size());
-  for (std::size_t i = 0; i < neighbor_states.size(); ++i) {
-    widened[i].bus = neighbor_states[i].bus;
-    widened[i].theta = neighbor_states[i].theta;
-    widened[i].vm = neighbor_states[i].vm;
-    // sigma_* stay -1: use the configured pseudo_sigma_* defaults.
-  }
-  return run_step2(global_set, widened, fill_missing_with_priors);
 }
 
 LocalSolveInfo LocalEstimator::run_step2(
@@ -363,60 +346,39 @@ std::vector<BusStateRecord> LocalEstimator::step1_all_states() const {
   return out;
 }
 
-std::vector<BusStateRecord> LocalEstimator::step1_boundary_states() const {
+std::vector<CondensedBoundaryRecord> LocalEstimator::boundary_records()
+    const {
   GRIDSE_CHECK_MSG(step1_state_.has_value(), "step1 has not run");
   const decomp::Subsystem& sub =
       decomposition_->subsystems[static_cast<std::size_t>(subsystem_)];
-  std::vector<BusStateRecord> out;
+  // Step-2 values live in extended numbering, Step-1 values in local.
+  const bool refined = step2_state_.has_value();
+  const decomp::SubsystemModel& model = refined ? extended_ : local_;
+  const grid::GridState& state = refined ? *step2_state_ : *step1_state_;
+  std::vector<CondensedBoundaryRecord> out;
   const auto add = [&](grid::BusIndex g) {
-    const auto it = local_.local_of_global.find(g);
-    GRIDSE_CHECK(it != local_.local_of_global.end());
-    const grid::BusIndex l = it->second;
-    out.push_back({g, step1_state_->theta[static_cast<std::size_t>(l)],
-                   step1_state_->vm[static_cast<std::size_t>(l)]});
+    const auto it = model.local_of_global.find(g);
+    GRIDSE_CHECK(it != model.local_of_global.end());
+    const auto l = static_cast<std::size_t>(it->second);
+    CondensedBoundaryRecord rec;
+    rec.bus = g;
+    rec.theta = state.theta[l];
+    rec.vm = state.vm[l];
+    out.push_back(rec);
   };
   for (const grid::BusIndex g : sub.boundary_buses) add(g);
-  for (const grid::BusIndex g : sub.sensitive_internal) add(g);
-  return out;
-}
-
-std::vector<BusStateRecord> LocalEstimator::current_boundary_states() const {
-  std::vector<BusStateRecord> out = step1_boundary_states();
-  if (!step2_state_.has_value()) {
+  if (condensed_.empty()) {
+    for (const grid::BusIndex g : sub.sensitive_internal) add(g);
     return out;
   }
-  for (BusStateRecord& rec : out) {
-    const auto it = extended_.local_of_global.find(rec.bus);
-    GRIDSE_CHECK(it != extended_.local_of_global.end());
-    rec.theta = step2_state_->theta[static_cast<std::size_t>(it->second)];
-    rec.vm = step2_state_->vm[static_cast<std::size_t>(it->second)];
-  }
-  return out;
-}
-
-std::vector<CondensedBoundaryRecord> LocalEstimator::condensed_boundary_states()
-    const {
-  const std::vector<BusStateRecord> base = current_boundary_states();
-  // When condensation succeeded, export ONLY the boundary buses — the
-  // leading condensed_.size() records of `base` (step1_boundary_states puts
-  // boundary before sensitive-internal) — each with its Schur marginal
-  // sigmas. The interior information those sigmas encode replaces the
-  // explicit sensitive-internal records of the plain exchange. Step-2
-  // refinement only updated theta/vm; the Step-1 sigmas remain this
-  // subsystem's confidence.
-  const std::size_t count =
-      condensed_.empty() ? base.size() : condensed_.size();
-  GRIDSE_CHECK(count <= base.size());
-  std::vector<CondensedBoundaryRecord> out(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    out[i].bus = base[i].bus;
-    out[i].theta = base[i].theta;
-    out[i].vm = base[i].vm;
-    if (!condensed_.empty()) {
-      GRIDSE_CHECK(condensed_[i].bus == out[i].bus);
-      out[i].sigma_theta = condensed_[i].sigma_theta;
-      out[i].sigma_vm = condensed_[i].sigma_vm;
-    }
+  // Condensed export: the interior information the Schur marginals encode
+  // replaces the explicit sensitive-internal records. Step-2 refinement only
+  // updated theta/vm; the Step-1 sigmas remain this subsystem's confidence.
+  GRIDSE_CHECK(condensed_.size() == out.size());
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    GRIDSE_CHECK(condensed_[i].bus == out[i].bus);
+    out[i].sigma_theta = condensed_[i].sigma_theta;
+    out[i].sigma_vm = condensed_[i].sigma_vm;
   }
   return out;
 }

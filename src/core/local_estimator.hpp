@@ -88,20 +88,14 @@ class LocalEstimator {
   void adopt_step1(const std::vector<BusStateRecord>& records);
 
   /// DSE Step 2: re-evaluate on the extended model using own measurements
-  /// plus neighbour pseudo measurements. Requires run_step1 first.
+  /// plus neighbour pseudo measurements. Requires run_step1 first. Each
+  /// pseudo measurement uses its record's marginal sigma (clamped to the
+  /// configured range), or the flat pseudo_sigma_* defaults when the sigma
+  /// is non-positive (plain exchange).
   /// With `fill_missing_with_priors` (degraded mode), remote extended buses
   /// not covered by `neighbor_states` get low-weight priors derived from the
   /// nearest own bus's Step-1 solution instead of being left unanchored, so
   /// the extended solve stays observable when a neighbour never reported.
-  LocalSolveInfo run_step2(const grid::MeasurementSet& global_set,
-                           const std::vector<BusStateRecord>& neighbor_states,
-                           bool fill_missing_with_priors = false);
-
-  /// Step 2 with condensed neighbour records: each pseudo measurement uses
-  /// the record's marginal sigma (clamped to the configured range) instead
-  /// of the flat pseudo_sigma_* defaults. Records with non-positive sigmas
-  /// fall back to the defaults, so this is a strict generalization of the
-  /// BusStateRecord overload.
   LocalSolveInfo run_step2(
       const grid::MeasurementSet& global_set,
       const std::vector<CondensedBoundaryRecord>& neighbor_states,
@@ -111,21 +105,13 @@ class LocalEstimator {
   /// all buses (for the final combine).
   [[nodiscard]] std::vector<BusStateRecord> step1_all_states() const;
 
-  /// Step-1 solution restricted to boundary + sensitive internal buses —
-  /// the pseudo measurements shipped to neighbours.
-  [[nodiscard]] std::vector<BusStateRecord> step1_boundary_states() const;
-
-  /// Boundary + sensitive states from the most recent step (Step 2 when it
-  /// has run, else Step 1) — the payload of later exchange rounds.
-  [[nodiscard]] std::vector<BusStateRecord> current_boundary_states() const;
-
-  /// The condensed export. With condensation active: boundary-bus records
-  /// only, widened with the Schur marginal sigmas computed after Step 1.
-  /// When condensation is off or was not possible (adopted Step-1 solution,
-  /// interior factorization failure): all of current_boundary_states() with
-  /// sigma -1 (use defaults).
-  [[nodiscard]] std::vector<CondensedBoundaryRecord> condensed_boundary_states()
-      const;
+  /// The pseudo measurements shipped to neighbours, valued from the most
+  /// recent step (Step 2 when it has run, else Step 1). With condensation
+  /// active: boundary-bus records only, each carrying the Schur marginal
+  /// sigmas computed after Step 1. Otherwise (condensation off, or not
+  /// possible after an adopted Step-1 solution or an interior factorization
+  /// failure): boundary then sensitive-internal records with sigma -1.
+  [[nodiscard]] std::vector<CondensedBoundaryRecord> boundary_records() const;
 
   /// Final per-bus states after Step 2: Step-2 values for boundary +
   /// sensitive buses, Step-1 values elsewhere. Falls back to Step-1
@@ -170,7 +156,8 @@ class LocalEstimator {
   std::optional<grid::GridState> step2_state_;   // extended numbering
   std::optional<grid::GridState> warm_start_;    // local numbering, one-shot
   /// Condensed sigmas for the boundary-bus exports, in boundary_buses
-  /// order; empty = export everything with default sigmas.
+  /// order (theta/vm unused); empty = export everything with default
+  /// sigmas.
   std::vector<CondensedBoundaryRecord> condensed_;
 };
 

@@ -4,36 +4,39 @@
 
 namespace gridse::core {
 
-std::vector<std::uint8_t> encode_bus_states(
-    const std::vector<BusStateRecord>& records) {
-  ByteWriter w(16 + records.size() * sizeof(BusStateRecord));
-  w.write_vector(records);
-  return w.take();
-}
-
-std::vector<BusStateRecord> decode_bus_states(
-    const std::vector<std::uint8_t>& bytes) {
-  ByteReader r(bytes);
-  auto records = r.read_vector<BusStateRecord>();
-  if (!r.at_end()) {
-    throw InvalidInput("decode_bus_states: trailing bytes in frame");
+std::vector<std::uint8_t> encode_boundary_records(
+    const std::vector<CondensedBoundaryRecord>& records, bool with_sigmas) {
+  if (with_sigmas) {
+    ByteWriter w(16 + records.size() * sizeof(CondensedBoundaryRecord));
+    w.write_vector(records);
+    return w.take();
   }
-  return records;
-}
-
-std::vector<std::uint8_t> encode_condensed_states(
-    const std::vector<CondensedBoundaryRecord>& records) {
-  ByteWriter w(16 + records.size() * sizeof(CondensedBoundaryRecord));
-  w.write_vector(records);
+  std::vector<BusStateRecord> plain(records.size());
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    plain[i] = {records[i].bus, records[i].theta, records[i].vm};
+  }
+  ByteWriter w(16 + plain.size() * sizeof(BusStateRecord));
+  w.write_vector(plain);
   return w.take();
 }
 
-std::vector<CondensedBoundaryRecord> decode_condensed_states(
-    const std::vector<std::uint8_t>& bytes) {
+std::vector<CondensedBoundaryRecord> decode_boundary_records(
+    const std::vector<std::uint8_t>& bytes, bool with_sigmas) {
   ByteReader r(bytes);
-  auto records = r.read_vector<CondensedBoundaryRecord>();
+  std::vector<CondensedBoundaryRecord> records;
+  if (with_sigmas) {
+    records = r.read_vector<CondensedBoundaryRecord>();
+  } else {
+    const auto plain = r.read_vector<BusStateRecord>();
+    records.resize(plain.size());
+    for (std::size_t i = 0; i < plain.size(); ++i) {
+      records[i].bus = plain[i].bus;
+      records[i].theta = plain[i].theta;
+      records[i].vm = plain[i].vm;
+    }
+  }
   if (!r.at_end()) {
-    throw InvalidInput("decode_condensed_states: trailing bytes in frame");
+    throw InvalidInput("decode_boundary_records: trailing bytes in frame");
   }
   return records;
 }
@@ -70,13 +73,10 @@ std::vector<DegradedStatus> decode_degraded(
 }
 
 std::vector<std::uint8_t> encode_checkpoint(const EstimatorCheckpoint& ckpt) {
-  ByteWriter w(48 + (ckpt.step1_states.size() + ckpt.boundary_states.size()) *
-                        sizeof(BusStateRecord));
+  ByteWriter w(32 + ckpt.step1_states.size() * sizeof(BusStateRecord));
   w.write(ckpt.subsystem);
   w.write(ckpt.cycle);
-  w.write(static_cast<std::uint8_t>(ckpt.reuse_gain ? 1 : 0));
   w.write_vector(ckpt.step1_states);
-  w.write_vector(ckpt.boundary_states);
   return w.take();
 }
 
@@ -85,9 +85,10 @@ EstimatorCheckpoint decode_checkpoint(const std::vector<std::uint8_t>& bytes) {
   EstimatorCheckpoint ckpt;
   ckpt.subsystem = r.read<std::int32_t>();
   ckpt.cycle = r.read<std::int64_t>();
-  ckpt.reuse_gain = r.read<std::uint8_t>() != 0;
+  // A frame of the older layout (a gain-reuse byte before step1_states and
+  // a second record vector after it) misreads this length prefix and is
+  // rejected as truncated or as carrying trailing bytes.
   ckpt.step1_states = r.read_vector<BusStateRecord>();
-  ckpt.boundary_states = r.read_vector<BusStateRecord>();
   if (!r.at_end()) {
     throw InvalidInput("decode_checkpoint: trailing bytes in frame");
   }

@@ -8,9 +8,9 @@
 
 namespace gridse::core {
 
-/// One bus's solved state shipped between estimators (the paper's pseudo
-/// measurements: "bus voltage, phase angle" of boundary and sensitive
-/// internal buses). Global bus numbering.
+/// One bus's solved state ("bus voltage, phase angle"), global bus
+/// numbering: the unit of the redistribution, combine and checkpoint
+/// payloads, and the plain wire image of a boundary record.
 struct BusStateRecord {
   std::int32_t bus = -1;
   double theta = 0.0;
@@ -18,19 +18,13 @@ struct BusStateRecord {
 };
 static_assert(std::is_trivially_copyable_v<BusStateRecord>);
 
-/// Serialize/deserialize a batch of bus state records.
-std::vector<std::uint8_t> encode_bus_states(
-    const std::vector<BusStateRecord>& records);
-std::vector<BusStateRecord> decode_bus_states(
-    const std::vector<std::uint8_t>& bytes);
-
-/// A boundary/sensitive bus's solved state with the marginal confidence of
-/// the exporting subsystem's Schur-condensed boundary system:
-/// sigma = sqrt(diag(S⁻¹)). The condensed pseudo-measurement exchange ships
-/// these instead of plain BusStateRecords, so the receiver weights each
-/// pseudo measurement by how well the exporter actually observed that bus.
-/// Non-positive sigmas mean "no condensed confidence — use the configured
-/// default pseudo sigma".
+/// The Step-2 pseudo-measurement exchange unit: a boundary/sensitive bus's
+/// solved state plus the exporting subsystem's marginal confidence in it,
+/// sigma = sqrt(diag(S⁻¹)) of its Schur-condensed boundary system, so the
+/// receiver weights each pseudo measurement by how well the exporter
+/// actually observed that bus. Non-positive sigmas mean "no condensed
+/// confidence — use the configured default pseudo sigma" (the plain
+/// exchange, which ships no sigmas at all).
 struct CondensedBoundaryRecord {
   std::int32_t bus = -1;
   double theta = 0.0;
@@ -40,11 +34,14 @@ struct CondensedBoundaryRecord {
 };
 static_assert(std::is_trivially_copyable_v<CondensedBoundaryRecord>);
 
-/// Serialize/deserialize a batch of condensed boundary records.
-std::vector<std::uint8_t> encode_condensed_states(
-    const std::vector<CondensedBoundaryRecord>& records);
-std::vector<CondensedBoundaryRecord> decode_condensed_states(
-    const std::vector<std::uint8_t>& bytes);
+/// Serialize/deserialize a batch of boundary records (one pseudo-measurement
+/// frame). `with_sigmas` picks the wire width and must match on both ends:
+/// true ships whole 40-byte records; false ships 24-byte BusStateRecord
+/// images and decodes them with sigma -1.
+std::vector<std::uint8_t> encode_boundary_records(
+    const std::vector<CondensedBoundaryRecord>& records, bool with_sigmas);
+std::vector<CondensedBoundaryRecord> decode_boundary_records(
+    const std::vector<std::uint8_t>& bytes, bool with_sigmas);
 
 /// Health record of one subsystem whose Step 2 ran degraded: some neighbour
 /// pseudo-measurements never arrived (re-solved with Step-1 priors), or its
@@ -66,23 +63,16 @@ std::vector<DegradedStatus> decode_degraded(
     const std::vector<std::uint8_t>& bytes);
 
 /// Warm-restart checkpoint of one subsystem's estimator, collected at the
-/// end of every recovered cycle and stored by the supervisor: the Step-1
-/// state vector (Step-2-refined where available), the boundary/sensitive
-/// pseudo-measurement exports, and the gain-matrix reuse flag. A rank that
+/// end of every recovered cycle and stored by the supervisor. A rank that
 /// (re)hosts the subsystem warm-starts its next Step-1 solve from
 /// `step1_states` instead of cold-starting from a flat profile.
 struct EstimatorCheckpoint {
   std::int32_t subsystem = -1;
   /// Cycle index the checkpoint was taken at; the store keeps the newest.
   std::int64_t cycle = -1;
-  /// The subsystem's topology was unchanged when the checkpoint was taken,
-  /// so a restored solver may reuse its factorized gain matrix.
-  bool reuse_gain = false;
-  /// Per-bus solution over all own buses (global numbering).
+  /// Per-bus solution over all own buses (global numbering), Step-2-refined
+  /// where available.
   std::vector<BusStateRecord> step1_states;
-  /// Boundary + sensitive-internal exports (the pseudo measurements the
-  /// subsystem last shipped to its neighbours).
-  std::vector<BusStateRecord> boundary_states;
 };
 
 /// Serialize/deserialize one estimator checkpoint.

@@ -6,6 +6,7 @@
 #include <limits>
 
 #include "util/error.hpp"
+#include "util/strings.hpp"
 
 namespace gridse::runtime {
 namespace {
@@ -17,17 +18,6 @@ std::uint64_t mix64(std::uint64_t x) {
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
   return x ^ (x >> 31);
-}
-
-long long parse_integer(const std::string& name, const std::string& raw,
-                        const char* expectation) {
-  char* end = nullptr;
-  const long long value = std::strtoll(raw.c_str(), &end, 10);
-  if (end == raw.c_str() || *end != '\0') {
-    throw InvalidInput(name + ": expected " + expectation + ", got \"" + raw +
-                       "\"");
-  }
-  return value;
 }
 
 /// Apply one environment override through `parse` when `name` is set and

@@ -1,7 +1,12 @@
 #include "util/strings.hpp"
 
+#include <cerrno>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
+#include <cstdlib>
+
+#include "util/error.hpp"
 
 namespace gridse {
 
@@ -29,6 +34,41 @@ std::string_view trim(std::string_view s) {
 
 bool starts_with(std::string_view s, std::string_view prefix) {
   return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
+}
+
+namespace {
+
+[[noreturn]] void reject_number(const std::string& name, const std::string& raw,
+                                const char* expectation) {
+  throw InvalidInput(name + ": expected " + expectation + ", got \"" + raw +
+                     "\"");
+}
+
+}  // namespace
+
+long long parse_integer(const std::string& name, const std::string& raw,
+                        const char* expectation, long long min_value,
+                        long long max_value) {
+  char* end = nullptr;
+  errno = 0;
+  const long long value = std::strtoll(raw.c_str(), &end, 10);
+  if (end == raw.c_str() || *end != '\0' || errno == ERANGE ||
+      value < min_value || value > max_value) {
+    reject_number(name, raw, expectation);
+  }
+  return value;
+}
+
+double parse_double(const std::string& name, const std::string& raw,
+                    const char* expectation) {
+  char* end = nullptr;
+  errno = 0;
+  const double value = std::strtod(raw.c_str(), &end);
+  if (end == raw.c_str() || *end != '\0' || errno == ERANGE ||
+      !std::isfinite(value)) {
+    reject_number(name, raw, expectation);
+  }
+  return value;
 }
 
 std::string strfmt(const char* fmt, ...) {

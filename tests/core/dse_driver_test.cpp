@@ -2,18 +2,71 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <utility>
 
 #include "analysis/debug_sync.hpp"
 #include "decomp/sensitivity.hpp"
 #include "grid/meas_generator.hpp"
 #include "grid/powerflow.hpp"
 #include "io/synthetic.hpp"
+#include "obs/metrics.hpp"
 #include "runtime/inproc_comm.hpp"
 #include "runtime/tcp_comm.hpp"
 #include "util/rng.hpp"
 
 namespace gridse::core {
 namespace {
+
+/// Counters fixed by the exchange's wire format, as cycle deltas summed over
+/// all ranks of the in-process world.
+constexpr const char* kWireCounters[] = {
+    "dse.pseudo.bytes", "exchange.boundary_bytes", "dse.redistribute.bytes",
+    "dse.combine.bytes", "dse.pseudo.messages"};
+using WireCounts = std::map<std::string, std::uint64_t>;
+
+/// Pinned outcome of one ieee118 cycle (9 subsystems on 3 ranks). The
+/// state is pinned through exact checksums over all 118 buses plus eight
+/// sampled buses; the tolerances follow from a 1e-12 per-bus bound.
+struct ExchangeGolden {
+  WireCounts counters;
+  double sum_theta;
+  double sum_vm;
+  double weighted_theta;  ///< sum over buses of (bus + 1) * theta
+  double weighted_vm;
+  /// {theta, vm} at buses 0, 16, 32, ..., 112.
+  std::vector<std::pair<double, double>> samples;
+};
+
+void expect_golden(const DseResult& r, const WireCounts& counts,
+                   const ExchangeGolden& g) {
+  EXPECT_TRUE(r.all_converged);
+  if (obs::kEnabled) {
+    EXPECT_EQ(counts, g.counters);
+  }
+  double sum_theta = 0.0;
+  double sum_vm = 0.0;
+  double weighted_theta = 0.0;
+  double weighted_vm = 0.0;
+  for (std::size_t i = 0; i < r.state.theta.size(); ++i) {
+    const auto w = static_cast<double>(i + 1);
+    sum_theta += r.state.theta[i];
+    sum_vm += r.state.vm[i];
+    weighted_theta += w * r.state.theta[i];
+    weighted_vm += w * r.state.vm[i];
+  }
+  const double n = static_cast<double>(r.state.theta.size());
+  EXPECT_NEAR(sum_theta, g.sum_theta, n * 1e-12);
+  EXPECT_NEAR(sum_vm, g.sum_vm, n * 1e-12);
+  EXPECT_NEAR(weighted_theta, g.weighted_theta, n * (n + 1) / 2 * 1e-12);
+  EXPECT_NEAR(weighted_vm, g.weighted_vm, n * (n + 1) / 2 * 1e-12);
+  ASSERT_EQ(g.samples.size(), 8u);
+  for (std::size_t k = 0; k < g.samples.size(); ++k) {
+    EXPECT_NEAR(r.state.theta[16 * k], g.samples[k].first, 1e-12) << k;
+    EXPECT_NEAR(r.state.vm[16 * k], g.samples[k].second, 1e-12) << k;
+  }
+}
 
 class DseDriverTest : public ::testing::Test {
  protected:
@@ -47,6 +100,37 @@ class DseDriverTest : public ::testing::Test {
       results[static_cast<std::size_t>(c.rank())] = std::move(r);
     });
     return results;
+  }
+
+  /// One cycle on 3 ranks: rank 0's result and the cycle's wire counters.
+  std::pair<DseResult, WireCounts> run_counted(
+      const DseOptions& opts, const std::vector<graph::PartId>& step2) {
+    obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
+    WireCounts counts;
+    for (const char* name : kWireCounters) {
+      counts[name] = registry.counter(name).value();
+    }
+    DseDriver driver(generated_.kase.network, d_, opts);
+    runtime::InprocWorld world(3);
+    analysis::Mutex mutex{"dse_driver_test::mutex"};
+    DseResult out;
+    world.run([&](runtime::Communicator& c) {
+      DseResult r = driver.run(c, meas_, assignment_, step2);
+      analysis::LockGuard lock(mutex);
+      if (c.rank() == 0) out = std::move(r);
+    });
+    for (const char* name : kWireCounters) {
+      counts[name] = registry.counter(name).value() - counts[name];
+    }
+    return {std::move(out), std::move(counts)};
+  }
+
+  /// Subsystems 2 (rank 0 -> 1) and 7 (rank 2 -> 0) move between steps.
+  [[nodiscard]] std::vector<graph::PartId> remapped() const {
+    std::vector<graph::PartId> step2 = assignment_;
+    step2[2] = 1;
+    step2[7] = 0;
+    return step2;
   }
 
   io::GeneratedCase generated_;
@@ -146,33 +230,26 @@ TEST_F(DseDriverTest, WorksOverTcpTransport) {
   EXPECT_LT(grid::max_vm_error(state0, pf_.state), 0.02);
 }
 
-TEST_F(DseDriverTest, RedistributionToggleOnlyChangesTraffic) {
+TEST_F(DseDriverTest, RedistributionShipsStep1StatesAndLocalMeasurements) {
+  // Moving subsystem 2 from rank 0 to rank 1 ships one redistribution
+  // frame: its Step-1 states over all own buses plus its encoded local
+  // measurements, each behind an 8-byte length prefix. The measurements are
+  // costed, never consumed, so this pins them against silently shrinking.
   std::vector<graph::PartId> step2 = assignment_;
-  std::swap(step2[2], step2[3]);  // move subsystem 3 (rank 0) <-> 4 (rank 1)
-  const auto run_with = [&](bool ship) {
-    DseOptions opts;
-    opts.ship_redistribution = ship;
-    DseDriver driver(generated_.kase.network, d_, opts);
-    runtime::InprocWorld world(3);
-    analysis::Mutex mutex{"dse_driver_test::mutex"};
-    DseResult out;
-    std::size_t total_bytes = 0;
-    world.run([&](runtime::Communicator& c) {
-      DseResult r = driver.run(c, meas_, assignment_, step2);
-      analysis::LockGuard lock(mutex);
-      total_bytes += r.bytes_sent;
-      if (c.rank() == 0) out = std::move(r);
-    });
-    return std::make_pair(std::move(out), total_bytes);
-  };
-  const auto [with_ship, bytes_with] = run_with(true);
-  const auto [without_ship, bytes_without] = run_with(false);
-  EXPECT_TRUE(with_ship.all_converged);
-  EXPECT_TRUE(without_ship.all_converged);
-  // identical estimates either way (the payload is costed, not consumed)
-  EXPECT_LT(grid::max_vm_error(with_ship.state, without_ship.state), 1e-12);
-  // but the raw-measurement shipment shows up in the traffic accounting
-  EXPECT_GT(bytes_with, bytes_without);
+  step2[2] = 1;
+  const auto [result, counts] = run_counted({}, step2);
+  EXPECT_TRUE(result.all_converged);
+  LocalEstimator moved(generated_.kase.network, d_, 2, {});
+  const std::size_t states_bytes =
+      8 + moved.local_model().global_bus.size() * sizeof(BusStateRecord);
+  const std::size_t meas_bytes =
+      8 + encode_measurements(
+              moved.local_model().filter(meas_, generated_.kase.network))
+              .size();
+  EXPECT_EQ(states_bytes + meas_bytes, 3800u);
+  if (obs::kEnabled) {
+    EXPECT_EQ(counts.at("dse.redistribute.bytes"), states_bytes + meas_bytes);
+  }
 }
 
 TEST_F(DseDriverTest, NonConvergenceIsReportedNotHidden) {
@@ -337,10 +414,11 @@ TEST_F(DseDriverTest, SharedPlanRegistryIsReusedAcrossCycles) {
   EXPECT_LT(grid::max_vm_error(first_state, third_state), 1e-12);
 }
 
-TEST_F(DseDriverTest, BatchedCondensedCombinationConverges) {
-  // The direct solver, condensed exchange and a persistent plan registry
-  // compose: both cycles converge and track the truth, and the second one
-  // reuses the first one's symbolic plans and reproduces its estimate.
+TEST_F(DseDriverTest, LdltCondensedPlanReuseConverges) {
+  // The LDLT direct solver, the condensed exchange and a persistent plan
+  // registry compose: both cycles converge and track the truth, and the
+  // second one reuses the first one's symbolic plans and reproduces its
+  // estimate.
   const auto registry = std::make_shared<PlanRegistry>();
   DseOptions opts;
   opts.local.wls.solver = estimation::LinearSolver::kLdlt;
@@ -369,6 +447,97 @@ TEST_F(DseDriverTest, BatchedCondensedCombinationConverges) {
   EXPECT_EQ(misses[1], misses[0]);
   EXPECT_LT(grid::max_vm_error(states[0], states[1]), 1e-12);
   EXPECT_LT(grid::max_angle_error(states[0], states[1]), 1e-12);
+}
+
+// Golden cycles: estimates, bytes and message counts of the pseudo
+// measurement exchange in its plain and condensed widths, with and without
+// a Step-1 != Step-2 remap.
+const ExchangeGolden kPlainGolden{
+    {{"dse.pseudo.bytes", 3928},
+     {"exchange.boundary_bytes", 3928},
+     {"dse.redistribute.bytes", 0},
+     {"dse.combine.bytes", 5814},
+     {"dse.pseudo.messages", 14}},
+    -11.258510240400142,
+    120.2093522175682,
+    -704.97271703272759,
+    7153.6409285788131,
+    {{0, 1.0397437529942919},
+     {-0.12347376449059423, 1.0260746471048923},
+     {-0.13104623202952345, 1.0064548077309117},
+     {-0.085771941804044419, 1.009002656074931},
+     {-0.099602873772315997, 1.0081596278366061},
+     {-0.11145649750784499, 1.0085362928434494},
+     {-0.11407851195022801, 1.0126525641631914},
+     {-0.079384154663830808, 1.0411565803994185}}};
+
+TEST_F(DseDriverTest, GoldenPlainExchange) {
+  const auto [result, counts] = run_counted({}, assignment_);
+  expect_golden(result, counts, kPlainGolden);
+}
+
+TEST_F(DseDriverTest, GoldenCondensedExchange) {
+  DseOptions opts;
+  opts.local.condense_boundary = true;
+  const auto [result, counts] = run_counted(opts, assignment_);
+  expect_golden(
+      result, counts,
+      {{{"dse.pseudo.bytes", 3152},
+        {"exchange.boundary_bytes", 3152},
+        {"dse.redistribute.bytes", 0},
+        {"dse.combine.bytes", 5814},
+        {"dse.pseudo.messages", 14}},
+       -11.266265408535473,
+       120.18633976187294,
+       -705.33092235008269,
+       7151.9735292386958,
+       {{0, 1.0390779227775595},
+        {-0.1235541953184945, 1.0270612292352232},
+        {-0.13164840063716687, 1.005945839776383},
+        {-0.086405691371424342, 1.0077423609315996},
+        {-0.099671530072157025, 1.0101853552224331},
+        {-0.11161605541088469, 1.0074880871529448},
+        {-0.11414028267768021, 1.0121316242084932},
+        {-0.079384154663830808, 1.0411565803994185}}});
+}
+
+TEST_F(DseDriverTest, GoldenRemappedExchange) {
+  // Plain: an adopted Step-1 solution exports exactly what a local run
+  // would, so only the traffic differs from the unmapped cycle.
+  const auto [plain, plain_counts] = run_counted({}, remapped());
+  ExchangeGolden plain_golden = kPlainGolden;
+  plain_golden.counters = {{"dse.pseudo.bytes", 3952},
+                           {"exchange.boundary_bytes", 3952},
+                           {"dse.redistribute.bytes", 7728},
+                           {"dse.combine.bytes", 5814},
+                           {"dse.pseudo.messages", 14}};
+  expect_golden(plain, plain_counts, plain_golden);
+
+  // Condensed: the two adopted subsystems cannot condense and ship default
+  // (-1) sigmas for all their boundary and sensitive buses inside the
+  // condensed frames.
+  DseOptions opts;
+  opts.local.condense_boundary = true;
+  const auto [condensed, condensed_counts] = run_counted(opts, remapped());
+  expect_golden(
+      condensed, condensed_counts,
+      {{{"dse.pseudo.bytes", 3712},
+        {"exchange.boundary_bytes", 3712},
+        {"dse.redistribute.bytes", 7728},
+        {"dse.combine.bytes", 5814},
+        {"dse.pseudo.messages", 14}},
+       -11.269696406086911,
+       120.1760679813475,
+       -705.557010195472,
+       7151.2867629894336,
+       {{0, 1.0390779227775595},
+        {-0.12358301119731673, 1.0269677426434656},
+        {-0.13164840063716687, 1.005945839776383},
+        {-0.086405691371424342, 1.0077423609315996},
+        {-0.099843930524651625, 1.010186437532353},
+        {-0.11161605541088469, 1.0074880871529448},
+        {-0.11414028267768021, 1.0121316242084932},
+        {-0.079384154663830808, 1.0411565803994185}}});
 }
 
 TEST_F(DseDriverTest, ExchangeVolumeIsSmall) {

@@ -59,32 +59,34 @@ TEST_F(LocalEstimatorTest, Step1ConvergesOnEverySubsystem) {
 TEST_F(LocalEstimatorTest, BoundaryStatesCoverGsBuses) {
   LocalEstimator est(generated_.kase.network, d_, 2, {});
   est.run_step1(meas_);
-  const auto records = est.step1_boundary_states();
+  const auto records = est.boundary_records();
   EXPECT_EQ(static_cast<int>(records.size()), d_.subsystems[2].gs());
 }
 
 TEST_F(LocalEstimatorTest, Step2RequiresStep1) {
   LocalEstimator est(generated_.kase.network, d_, 1, {});
-  EXPECT_THROW(est.run_step2(meas_, std::vector<core::BusStateRecord>{}), InternalError);
+  EXPECT_THROW(est.run_step2(meas_, {}), InternalError);
 }
 
 TEST_F(LocalEstimatorTest, Step2ImprovesBoundaryAccuracy) {
   // Aggregate over all subsystems: boundary-bus error after Step 2 with
   // neighbour pseudo measurements must beat Step 1 alone.
   std::vector<std::unique_ptr<LocalEstimator>> estimators;
+  // Exports are taken after Step 1 everywhere, before any Step 2 runs.
+  std::vector<std::vector<CondensedBoundaryRecord>> exports;
   for (int s = 0; s < d_.num_subsystems(); ++s) {
     estimators.push_back(std::make_unique<LocalEstimator>(
         generated_.kase.network, d_, s, LocalEstimatorOptions{}));
     estimators.back()->run_step1(meas_);
+    exports.push_back(estimators.back()->boundary_records());
   }
   double step1_err = 0.0;
   double step2_err = 0.0;
   int boundary_count = 0;
   for (int s = 0; s < d_.num_subsystems(); ++s) {
-    std::vector<BusStateRecord> neighbor_states;
+    std::vector<CondensedBoundaryRecord> neighbor_states;
     for (const int t : d_.neighbors_of(s)) {
-      const auto recs = estimators[static_cast<std::size_t>(t)]
-                            ->step1_boundary_states();
+      const auto& recs = exports[static_cast<std::size_t>(t)];
       neighbor_states.insert(neighbor_states.end(), recs.begin(), recs.end());
     }
     const LocalSolveInfo info =
@@ -183,7 +185,7 @@ TEST_F(LocalEstimatorTest, RobustModeBoundsLocalBadData) {
     LocalEstimator est(generated_.kase.network, d_, 2, opts);
     EXPECT_TRUE(est.run_step1(bad).converged);
     double err = 0.0;
-    for (const BusStateRecord& rec : est.step1_boundary_states()) {
+    for (const CondensedBoundaryRecord& rec : est.boundary_records()) {
       const auto bi = static_cast<std::size_t>(rec.bus);
       err += std::abs(rec.vm - pf_.state.vm[bi]) +
              std::abs(rec.theta - pf_.state.theta[bi]);
@@ -245,9 +247,7 @@ TEST_F(LocalEstimatorTest, CheckpointRoundTripPreservesWarmStartExactly) {
   EstimatorCheckpoint ckpt;
   ckpt.subsystem = 3;
   ckpt.cycle = 1;
-  ckpt.reuse_gain = true;
   ckpt.step1_states = source.final_states();
-  ckpt.boundary_states = source.current_boundary_states();
   const EstimatorCheckpoint decoded =
       decode_checkpoint(encode_checkpoint(ckpt));
 

@@ -8,27 +8,61 @@ namespace gridse::core {
 namespace {
 
 TEST(Serialize, BusStatesRoundTrip) {
-  const std::vector<BusStateRecord> records{
-      {0, 0.1, 1.02}, {17, -0.25, 0.98}, {117, 0.0, 1.0}};
-  const auto bytes = encode_bus_states(records);
-  const auto back = decode_bus_states(bytes);
+  // Plain width: 24-byte bus states on the wire, sigmas dropped and decoded
+  // as -1 (use the default pseudo sigmas).
+  const std::vector<CondensedBoundaryRecord> records{
+      {0, 0.1, 1.02, 0.5, 0.5}, {17, -0.25, 0.98, -1, -1}, {117, 0.0, 1.0}};
+  const auto bytes = encode_boundary_records(records, /*with_sigmas=*/false);
+  EXPECT_EQ(bytes.size(), 8 + records.size() * 24);
+  const auto back = decode_boundary_records(bytes, /*with_sigmas=*/false);
   ASSERT_EQ(back.size(), records.size());
   for (std::size_t i = 0; i < records.size(); ++i) {
     EXPECT_EQ(back[i].bus, records[i].bus);
     EXPECT_DOUBLE_EQ(back[i].theta, records[i].theta);
     EXPECT_DOUBLE_EQ(back[i].vm, records[i].vm);
+    EXPECT_DOUBLE_EQ(back[i].sigma_theta, -1.0);
+    EXPECT_DOUBLE_EQ(back[i].sigma_vm, -1.0);
   }
 }
 
+TEST(Serialize, CondensedRecordsRoundTrip) {
+  // Condensed width: whole 40-byte records, sigmas included.
+  const std::vector<CondensedBoundaryRecord> records{
+      {3, 0.1, 1.02, 2e-3, 1e-3}, {40, -0.25, 0.98, -1, -1}};
+  const auto bytes = encode_boundary_records(records, /*with_sigmas=*/true);
+  EXPECT_EQ(bytes.size(), 8 + records.size() * 40);
+  const auto back = decode_boundary_records(bytes, /*with_sigmas=*/true);
+  ASSERT_EQ(back.size(), records.size());
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    EXPECT_EQ(back[i].bus, records[i].bus);
+    EXPECT_DOUBLE_EQ(back[i].theta, records[i].theta);
+    EXPECT_DOUBLE_EQ(back[i].vm, records[i].vm);
+    EXPECT_DOUBLE_EQ(back[i].sigma_theta, records[i].sigma_theta);
+    EXPECT_DOUBLE_EQ(back[i].sigma_vm, records[i].sigma_vm);
+  }
+  // The widths are not interchangeable: a condensed frame read as plain
+  // (or vice versa) fails the length check instead of yielding garbage.
+  EXPECT_THROW(decode_boundary_records(bytes, /*with_sigmas=*/false),
+               InvalidInput);
+  EXPECT_THROW(decode_boundary_records(
+                   encode_boundary_records(records, /*with_sigmas=*/false),
+                   /*with_sigmas=*/true),
+               InvalidInput);
+}
+
 TEST(Serialize, EmptyBusStates) {
-  const auto bytes = encode_bus_states({});
-  EXPECT_TRUE(decode_bus_states(bytes).empty());
+  for (const bool with_sigmas : {false, true}) {
+    const auto bytes = encode_boundary_records({}, with_sigmas);
+    EXPECT_TRUE(decode_boundary_records(bytes, with_sigmas).empty());
+  }
 }
 
 TEST(Serialize, BusStatesRejectTrailingGarbage) {
-  auto bytes = encode_bus_states({{1, 0.0, 1.0}});
-  bytes.push_back(0xff);
-  EXPECT_THROW(decode_bus_states(bytes), InvalidInput);
+  for (const bool with_sigmas : {false, true}) {
+    auto bytes = encode_boundary_records({{1, 0.0, 1.0}}, with_sigmas);
+    bytes.push_back(0xff);
+    EXPECT_THROW(decode_boundary_records(bytes, with_sigmas), InvalidInput);
+  }
 }
 
 TEST(Serialize, MeasurementsRoundTrip) {
@@ -79,31 +113,29 @@ TEST(Serialize, StateRejectsMismatchedArrays) {
 }
 
 TEST(Serialize, TruncatedFrameRejected) {
-  const auto bytes = encode_bus_states({{1, 0.5, 1.0}, {2, 0.1, 1.0}});
-  const std::vector<std::uint8_t> cut(bytes.begin(), bytes.end() - 5);
-  EXPECT_THROW(decode_bus_states(cut), InvalidInput);
+  for (const bool with_sigmas : {false, true}) {
+    const auto bytes = encode_boundary_records(
+        {{1, 0.5, 1.0}, {2, 0.1, 1.0}}, with_sigmas);
+    const std::vector<std::uint8_t> cut(bytes.begin(), bytes.end() - 5);
+    EXPECT_THROW(decode_boundary_records(cut, with_sigmas), InvalidInput);
+  }
 }
 
 TEST(Serialize, CheckpointRoundTrips) {
   EstimatorCheckpoint ckpt;
   ckpt.subsystem = 4;
   ckpt.cycle = 12;
-  ckpt.reuse_gain = true;
   ckpt.step1_states = {{0, 0.1, 1.02}, {7, -0.25, 0.98}, {117, 0.0, 1.0}};
-  ckpt.boundary_states = {{7, -0.25, 0.98}};
   const auto bytes = encode_checkpoint(ckpt);
   const EstimatorCheckpoint back = decode_checkpoint(bytes);
   EXPECT_EQ(back.subsystem, 4);
   EXPECT_EQ(back.cycle, 12);
-  EXPECT_TRUE(back.reuse_gain);
   ASSERT_EQ(back.step1_states.size(), ckpt.step1_states.size());
   for (std::size_t i = 0; i < ckpt.step1_states.size(); ++i) {
     EXPECT_EQ(back.step1_states[i].bus, ckpt.step1_states[i].bus);
     EXPECT_DOUBLE_EQ(back.step1_states[i].theta, ckpt.step1_states[i].theta);
     EXPECT_DOUBLE_EQ(back.step1_states[i].vm, ckpt.step1_states[i].vm);
   }
-  ASSERT_EQ(back.boundary_states.size(), 1u);
-  EXPECT_EQ(back.boundary_states[0].bus, 7);
 }
 
 TEST(Serialize, DefaultCheckpointRoundTrips) {
@@ -111,9 +143,7 @@ TEST(Serialize, DefaultCheckpointRoundTrips) {
       encode_checkpoint(EstimatorCheckpoint{}));
   EXPECT_EQ(back.subsystem, -1);
   EXPECT_EQ(back.cycle, -1);
-  EXPECT_FALSE(back.reuse_gain);
   EXPECT_TRUE(back.step1_states.empty());
-  EXPECT_TRUE(back.boundary_states.empty());
 }
 
 TEST(Serialize, CheckpointRejectsMalformedFrames) {

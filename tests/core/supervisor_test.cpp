@@ -4,7 +4,9 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <fstream>
 
+#include "util/byte_buffer.hpp"
 #include "util/error.hpp"
 
 namespace gridse::core {
@@ -16,9 +18,7 @@ EstimatorCheckpoint make_ckpt(int subsystem, std::int64_t cycle) {
   EstimatorCheckpoint ckpt;
   ckpt.subsystem = subsystem;
   ckpt.cycle = cycle;
-  ckpt.reuse_gain = true;
   ckpt.step1_states = {{subsystem, 0.1 * cycle, 1.0}};
-  ckpt.boundary_states = {{subsystem, 0.1 * cycle, 1.0}};
   return ckpt;
 }
 
@@ -61,6 +61,36 @@ TEST(CheckpointStore, SpillsToDiskAndReloads) {
   ASSERT_TRUE(reloaded.latest(3).has_value());
   EXPECT_EQ(reloaded.latest(3)->cycle, 7);
   EXPECT_EQ(reloaded.latest(0)->cycle, 2);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(CheckpointStore, SkipsOlderLayoutSpill) {
+  // A spill file in the older checkpoint layout (gain-reuse byte + a second
+  // record vector) is skipped, so its subsystem cold-starts instead of
+  // warm-starting from a misread frame.
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / "gridse_ckpt_old_layout";
+  std::filesystem::remove_all(dir);
+  {
+    CheckpointStore store(dir.string());
+    store.store(make_ckpt(0, 2));
+  }
+  ByteWriter w;
+  w.write(std::int32_t{4});
+  w.write(std::int64_t{9});
+  w.write(std::uint8_t{1});
+  w.write_vector(std::vector<BusStateRecord>{{4, 0.1, 1.0}, {5, 0.2, 1.0}});
+  w.write_vector(std::vector<BusStateRecord>{{5, 0.2, 1.0}});
+  {
+    std::ofstream out(dir / "ckpt_s4.bin", std::ios::binary);
+    const std::vector<std::uint8_t> bytes = w.take();
+    out.write(reinterpret_cast<const char*>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+  }
+  CheckpointStore reloaded(dir.string());
+  EXPECT_EQ(reloaded.load_spilled(), 1u);
+  EXPECT_TRUE(reloaded.latest(0).has_value());
+  EXPECT_FALSE(reloaded.latest(4).has_value());
   std::filesystem::remove_all(dir);
 }
 

@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
@@ -26,6 +27,7 @@
 #include "io/decomp_format.hpp"
 #include "io/matpower.hpp"
 #include "io/synthetic.hpp"
+#include "util/error.hpp"
 #include "util/strings.hpp"
 
 namespace {
@@ -38,27 +40,41 @@ struct Args {
   std::map<std::string, std::string> options;
 };
 
+/// `<command> [<case>] [--flag value]...`; a stray token or a flag without
+/// a value is an error, never silently dropped.
 Args parse_args(int argc, char** argv) {
   Args args;
-  if (argc >= 2) args.command = argv[1];
-  if (argc >= 3 && argv[2][0] != '-') args.target = argv[2];
-  for (int i = 3; i < argc; ++i) {
-    std::string key = argv[i];
-    if (key.rfind("--", 0) == 0 && i + 1 < argc) {
-      args.options[key.substr(2)] = argv[++i];
+  int i = 1;
+  if (i < argc) args.command = argv[i++];
+  if (i < argc && argv[i][0] != '-') args.target = argv[i++];
+  for (; i < argc; ++i) {
+    const std::string key = argv[i];
+    if (key.rfind("--", 0) != 0) {
+      throw InvalidInput("unexpected argument \"" + key + "\"");
     }
+    if (i + 1 >= argc) {
+      throw InvalidInput(key + ": missing value");
+    }
+    args.options[key.substr(2)] = argv[++i];
   }
   return args;
 }
 
 double opt_double(const Args& a, const std::string& key, double fallback) {
   const auto it = a.options.find(key);
-  return it == a.options.end() ? fallback : std::stod(it->second);
+  return it == a.options.end()
+             ? fallback
+             : parse_double("--" + key, it->second, "a number");
 }
 
 int opt_int(const Args& a, const std::string& key, int fallback) {
   const auto it = a.options.find(key);
-  return it == a.options.end() ? fallback : std::stoi(it->second);
+  return it == a.options.end()
+             ? fallback
+             : static_cast<int>(parse_integer(
+                   "--" + key, it->second, "an integer",
+                   std::numeric_limits<int>::min(),
+                   std::numeric_limits<int>::max()));
 }
 
 std::string opt_str(const Args& a, const std::string& key,
@@ -238,8 +254,8 @@ void usage() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Args args = parse_args(argc, argv);
   try {
+    const Args args = parse_args(argc, argv);
     if (args.command == "info") return cmd_info(args);
     if (args.command == "se") return cmd_se(args);
     if (args.command == "dse") return cmd_dse(args);

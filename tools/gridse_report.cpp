@@ -20,6 +20,7 @@
 // counters, gauges, histograms) accumulated across all cycles. With
 // --table the human-readable registry dump is also printed to stdout.
 #include <cstdio>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -27,6 +28,7 @@
 #include "core/architecture.hpp"
 #include "io/synthetic.hpp"
 #include "obs/metrics.hpp"
+#include "util/strings.hpp"
 
 namespace {
 
@@ -55,7 +57,12 @@ Args parse_args(int argc, char** argv) {
 
 int opt_int(const Args& a, const std::string& key, int fallback) {
   const auto it = a.options.find(key);
-  return it == a.options.end() ? fallback : std::stoi(it->second);
+  return it == a.options.end()
+             ? fallback
+             : static_cast<int>(parse_integer(
+                   "--" + key, it->second, "an integer",
+                   std::numeric_limits<int>::min(),
+                   std::numeric_limits<int>::max()));
 }
 
 std::string opt_str(const Args& a, const std::string& key,

@@ -29,6 +29,7 @@
 
 #include "obs/trace/json_mini.hpp"
 #include "util/error.hpp"
+#include "util/strings.hpp"
 
 namespace {
 
@@ -196,7 +197,7 @@ int run(int argc, char** argv) {
     if (arg == "--out" && i + 1 < argc) {
       out_path = argv[++i];
     } else if (arg == "--mad-k" && i + 1 < argc) {
-      mad_k = std::stod(argv[++i]);
+      mad_k = gridse::parse_double("--mad-k", argv[++i], "a number");
     } else if (arg.rfind("--", 0) == 0) {
       std::fprintf(stderr,
                    "usage: gridse_stats <timeseries.jsonl | telemetry-dir> "
