@@ -172,7 +172,7 @@ int run() {
     const grid::MeasurementSet meas = gen.generate(pf.state, rng);
     const std::vector<graph::PartId> assignment{0, 0, 0, 1, 1, 1, 2, 2, 2};
 
-    core::HierarchicalDriver hier(generated.kase.network, d, {});
+    core::HierarchicalDriver hier(generated.kase.network, d);
     runtime::InprocWorld world(3);
     analysis::Mutex mutex{"dse_vs_centralized::mutex"};
     core::HierarchicalResult hres;

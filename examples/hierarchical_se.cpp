@@ -41,7 +41,7 @@ int main() {
 
   // --- hierarchical: balancing authorities -> reliability coordinator -------
   {
-    core::HierarchicalDriver driver(generated.kase.network, d, {});
+    core::HierarchicalDriver driver(generated.kase.network, d);
     runtime::InprocWorld world(3);
     analysis::Mutex mutex{"hierarchical_se::mutex"};
     core::HierarchicalResult result;

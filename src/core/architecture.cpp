@@ -44,10 +44,16 @@ namespace {
 /// DC path is what makes the 10k+ tiers runnable end to end: angles from
 /// the sparse B'θ = P solve, magnitudes anchored at the generator setpoints
 /// with a small seed-deterministic jitter on load buses (re-derived
-/// identically every frame, so only the angles track a moving load).
+/// identically every frame, so only the angles track a moving load). With
+/// `islands` (topology replay, DC only) each island gets its own reference
+/// and de-energized buses are pinned to |V| = 0, θ = 0; the jitter stream
+/// draws for every PQ bus regardless of energization, so restoring the base
+/// topology returns the exact pre-event truth.
 grid::GridState solve_truth_state(const grid::Network& network, TruthMode mode,
-                                  std::uint64_t seed) {
+                                  std::uint64_t seed,
+                                  const grid::IslandReport* islands) {
   if (mode == TruthMode::kAcPowerFlow) {
+    GRIDSE_CHECK(islands == nullptr);
     const grid::PowerFlowResult pf = grid::solve_power_flow(network);
     if (!pf.converged) {
       throw ConvergenceFailure("DseSystem: power flow for the true state did "
@@ -55,34 +61,17 @@ grid::GridState solve_truth_state(const grid::Network& network, TruthMode mode,
     }
     return pf.state;
   }
-  const std::optional<grid::DcPowerFlow> dc =
-      grid::solve_dc_power_flow(network);
-  if (!dc) {
-    throw ConvergenceFailure("DseSystem: DC power flow is singular");
-  }
   grid::GridState state(network.num_buses());
-  state.theta = dc->theta;
-  Rng jitter(seed ^ 0xdc0ull);
-  for (grid::BusIndex b = 0; b < network.num_buses(); ++b) {
-    const grid::Bus& bus = network.bus(b);
-    state.vm[static_cast<std::size_t>(b)] =
-        bus.type == grid::BusType::kPQ ? 1.0 + jitter.uniform(-0.02, 0.02)
-                                       : bus.v_setpoint;
+  if (islands != nullptr) {
+    state.theta = grid::solve_dc_power_flow_islands(network, *islands).theta;
+  } else {
+    const std::optional<grid::DcPowerFlow> dc =
+        grid::solve_dc_power_flow(network);
+    if (!dc) {
+      throw ConvergenceFailure("DseSystem: DC power flow is singular");
+    }
+    state.theta = dc->theta;
   }
-  return state;
-}
-
-/// Island-aware variant of the DC truth above: per-island references,
-/// de-energized buses pinned to |V| = 0, θ = 0. The jitter stream draws for
-/// every PQ bus regardless of energization, so restoring the base topology
-/// returns the exact pre-event truth.
-grid::GridState solve_truth_state_islands(const grid::Network& network,
-                                          const grid::IslandReport& islands,
-                                          std::uint64_t seed) {
-  const grid::DcPowerFlow dc =
-      grid::solve_dc_power_flow_islands(network, islands);
-  grid::GridState state(network.num_buses());
-  state.theta = dc.theta;
   Rng jitter(seed ^ 0xdc0ull);
   for (grid::BusIndex b = 0; b < network.num_buses(); ++b) {
     const grid::Bus& bus = network.bus(b);
@@ -90,7 +79,7 @@ grid::GridState solve_truth_state_islands(const grid::Network& network,
                           ? 1.0 + jitter.uniform(-0.02, 0.02)
                           : bus.v_setpoint;
     state.vm[static_cast<std::size_t>(b)] =
-        islands.bus_energized(b) ? vm : 0.0;
+        islands == nullptr || islands->bus_energized(b) ? vm : 0.0;
   }
   return state;
 }
@@ -127,22 +116,13 @@ DseSystem::DseSystem(io::GeneratedCase generated, SystemConfig config)
       decomposition_(decomp::decompose(generated_.kase.network,
                                        generated_.subsystem_of_bus)),
       rng_(config.seed) {
-  // Environment overrides win over the configured resilience values; the
-  // resolved exchange deadline flows into the DSE options unless those were
-  // already set to a nonzero deadline.
+  // Environment overrides win over every configured value.
   config_.resilience = runtime::with_env_overrides(config_.resilience);
-  if (config_.dse.exchange_deadline.count() == 0) {
-    config_.dse.exchange_deadline = config_.resilience.exchange_deadline;
-  }
-  config_.dse.degraded_step2 =
-      config_.dse.degraded_step2 && config_.resilience.degraded_step2;
-  // Telemetry/SLO resolution mirrors the resilience pattern: env wins, and
-  // the resolved SLO thresholds flow into the DSE options unless already
-  // set explicitly there.
+  config_.dse.exchange_deadline =
+      runtime::exchange_deadline_with_env(config_.dse.exchange_deadline);
+  config_.dse.slo = runtime::with_env_overrides(config_.dse.slo);
   config_.telemetry = runtime::with_env_overrides(config_.telemetry);
-  if (!config_.dse.slo.any()) {
-    config_.dse.slo = config_.telemetry.slo;
-  }
+  config_.topology = runtime::with_env_overrides(config_.topology);
   // A system-lifetime plan registry: symbolic solver plans survive across
   // cycles (each cycle's DseDriver is ephemeral). run_cycle invalidates the
   // entries of migrated subsystems on every remap epoch.
@@ -159,14 +139,13 @@ DseSystem::DseSystem(io::GeneratedCase generated, SystemConfig config)
   }
 
   true_state_ = solve_truth_state(generated_.kase.network, config_.truth_mode,
-                                  config_.seed);
+                                  config_.seed, nullptr);
   last_estimate_ = true_state_;
   bus_energized_prev_.assign(
       static_cast<std::size_t>(generated_.kase.network.num_buses()), 1);
 
-  // Topology replay: env wins over the configured plan/threshold, and a
-  // resolved non-empty plan arms the harness for run_cycle.
-  config_.topology = runtime::with_env_overrides(config_.topology);
+  // Topology replay: a resolved non-empty plan arms the harness for
+  // run_cycle.
   if (!config_.topology.plan.empty()) {
     ensure_live_topology();
     replay_ = std::make_unique<fault::TopologyReplayHarness>(
@@ -268,25 +247,19 @@ CycleReport DseSystem::run_cycle(double time_sec) {
     react_to_topology(report, *islands);
   }
 
-  if (live_topology_ != nullptr) {
-    // The switching state may have moved: re-solve the island-aware DC
-    // truth every cycle (per-island references, dead buses at |V| = 0).
-    if (config_.load_profile) {
-      grid::Network scaled = generated_.kase.network;
-      scaled.scale_loads(config_.load_profile(time_sec));
-      true_state_ = solve_truth_state_islands(scaled, *islands, config_.seed);
-    } else {
-      true_state_ = solve_truth_state_islands(generated_.kase.network,
-                                              *islands, config_.seed);
-    }
-  } else if (config_.load_profile) {
-    // Track a moving operating point: re-solve the power flow at the
+  if (live_topology_ != nullptr || config_.load_profile) {
+    // Re-solve the truth when the switching state may have moved (the
+    // island-aware DC truth) or to track a moving operating point at the
     // frame's load level. The measurement model itself is load-independent
     // (loads only shift the true state), so the same generator stays valid.
-    const double factor = config_.load_profile(time_sec);
-    grid::Network scaled = generated_.kase.network;
-    scaled.scale_loads(factor);
-    true_state_ = solve_truth_state(scaled, config_.truth_mode, config_.seed);
+    std::optional<grid::Network> scaled;
+    if (config_.load_profile) {
+      scaled = generated_.kase.network;
+      scaled->scale_loads(config_.load_profile(time_sec));
+    }
+    true_state_ = solve_truth_state(
+        scaled ? *scaled : generated_.kase.network, config_.truth_mode,
+        config_.seed, islands ? &*islands : nullptr);
   }
   last_measurements_ = generator_->generate(true_state_, rng_, time_sec);
   if (live_topology_ != nullptr) {
@@ -295,12 +268,9 @@ CycleReport DseSystem::run_cycle(double time_sec) {
     grid::MaskedMeasurements masked = grid::mask_measurements(
         generated_.kase.network, *islands, last_measurements_);
     report.topology.masked_measurements = masked.total_masked();
-    grid::AnchorOptions anchor_options;
-    anchor_options.angle_sigma = config_.topology.anchor_angle_sigma;
-    anchor_options.dead_sigma = config_.topology.dead_pin_sigma;
     report.topology.anchors_added = grid::append_anchor_measurements(
         generated_.kase.network, *islands, generated_.subsystem_of_bus,
-        last_estimate_, masked.active, anchor_options);
+        last_estimate_, masked.active);
     last_measurements_ = std::move(masked.active);
     OBS_COUNTER_ADD("topology.masked_measurements",
                     report.topology.masked_measurements);
@@ -537,7 +507,7 @@ void DseSystem::react_to_topology(CycleReport& report,
     options.seed = config_.seed;
     options.objective = graph::PartitionObjective::kConvergenceAware;
     int k = m;
-    if (config_.topology.k_min > 0 && config_.topology.k_max > 0) {
+    if (config_.topology.k_min > 0) {  // k_max is then set too
       // Sweep the subsystem count, but never below the cluster count:
       // mapping onto more clusters than subsystems is infeasible.
       const auto k_lo = static_cast<graph::PartId>(

@@ -49,15 +49,16 @@ struct SystemConfig {
   mapping::MappingOptions mapping;          ///< clusters, balance tolerance
   mapping::WeightModelParams weight_model;  ///< Expressions (1)–(5)
   decomp::SensitivityOptions sensitivity;   ///< preliminary-step analysis
+  /// DSE options. dse.exchange_deadline and the dse.slo thresholds are
+  /// resolved against GRIDSE_EXCHANGE_DEADLINE_MS, GRIDSE_CYCLE_DEADLINE_MS
+  /// and GRIDSE_PHASE_BUDGET_*_MS at construction (env wins).
   DseOptions dse;
   grid::MeasurementPlan plan;  ///< SCADA/PMU synthesis (PMUs auto-placed)
   TruthMode truth_mode = TruthMode::kAcPowerFlow;
   Transport transport = Transport::kInproc;
-  /// Fault-handling knobs: send retry/backoff, barrier timeout, exchange
-  /// deadline. Resolved against GRIDSE_BARRIER_TIMEOUT_MS and
-  /// GRIDSE_EXCHANGE_DEADLINE_MS at construction (env wins); the resolved
-  /// exchange deadline and degraded flag also seed dse.exchange_deadline /
-  /// dse.degraded_step2 unless those were set explicitly.
+  /// Fault-handling knobs: send retry/backoff, barrier timeout, recovery.
+  /// Resolved against GRIDSE_BARRIER_TIMEOUT_MS and the recovery variables
+  /// at construction (env wins).
   runtime::ResilienceConfig resilience;
   std::uint64_t seed = 1;
   /// Directory for per-rank distributed-trace files, flushed when the
@@ -65,13 +66,11 @@ struct SystemConfig {
   /// GRIDSE_TRACE_DIR environment variable; both empty = no trace files.
   /// Ignored (no files, no overhead) when built with GRIDSE_OBS=OFF.
   std::string trace_dir;
-  /// Per-cycle telemetry: time-series sampler, live exposition file, SLO
-  /// thresholds, degradation flight recorder (docs/OBSERVABILITY.md).
-  /// Resolved against GRIDSE_TELEMETRY_* / GRIDSE_CYCLE_DEADLINE_MS /
-  /// GRIDSE_PHASE_BUDGET_*_MS at construction (env wins); the resolved SLO
-  /// thresholds also seed dse.slo unless that was set explicitly. An empty
-  /// directory (config and GRIDSE_TELEMETRY_DIR both unset) disables the
-  /// sampler; so does a GRIDSE_OBS=OFF build (no files, no overhead).
+  /// Per-cycle telemetry: time-series sampler, live exposition file,
+  /// degradation flight recorder (docs/OBSERVABILITY.md). Resolved against
+  /// GRIDSE_TELEMETRY_* at construction (env wins). An empty directory
+  /// (config and GRIDSE_TELEMETRY_DIR both unset) disables the sampler; so
+  /// does a GRIDSE_OBS=OFF build (no files, no overhead).
   runtime::TelemetryConfig telemetry;
   /// Optional system-load multiplier per frame time (e.g. a diurnal curve).
   /// When set, each run_cycle re-solves the power flow at the scaled
@@ -80,10 +79,11 @@ struct SystemConfig {
   std::function<double(double time_sec)> load_profile;
   /// Topology-change replay + event-driven repartitioning (see
   /// docs/RESILIENCE.md, "Topology events & repartitioning"). Resolved
-  /// against GRIDSE_TOPOLOGY_* at construction (env wins). A non-empty
-  /// plan (inline JSON or a file path) enables replay, which requires
-  /// truth_mode == kDcLinearized: the island-aware DC truth degrades
-  /// gracefully where the AC Newton solve would go singular.
+  /// against GRIDSE_TOPOLOGY_* at construction (env wins); a half-set
+  /// k_min / k_max pair throws InvalidInput. A non-empty plan (inline JSON
+  /// or a file path) enables replay, which requires truth_mode ==
+  /// kDcLinearized: the island-aware DC truth degrades gracefully where the
+  /// AC Newton solve would go singular.
   runtime::TopologyConfig topology;
 };
 

@@ -82,32 +82,24 @@ enum class FrameLoss { kNone, kRankDead, kDeadline, kCorrupt };
 /// The exchanges' one lossy-receive policy. A source the phase-0 membership
 /// view already declared dead is skipped without waiting out the deadline.
 /// Otherwise the frame is awaited within `deadline` and handed to
-/// `consume`. A missed deadline throws CommError, and a frame `consume`
-/// rejects with InvalidInput is counted in `exchange.corrupt_frames` and
-/// rethrown — unless `tolerate_loss`, in which case the loss is returned for
-/// the caller's own bookkeeping. `what` names the frame in the CommError.
+/// `consume`; a frame `consume` rejects with InvalidInput is counted in
+/// `exchange.corrupt_frames`. Every loss is returned for the caller's own
+/// bookkeeping, so the cycle finishes degraded instead of throwing.
 template <typename Consume>
 FrameLoss receive_lossy(runtime::Communicator& comm, const Deadline& deadline,
                         bool source_dead, int source, int tag,
-                        bool tolerate_loss, const std::string& what,
                         Consume&& consume) {
   if (source_dead) {
     return FrameLoss::kRankDead;
   }
   const auto msg = recv_within(comm, deadline, source, tag);
   if (!msg.has_value()) {
-    if (!tolerate_loss) {
-      throw CommError("dse: " + what + " missed the exchange deadline");
-    }
     return FrameLoss::kDeadline;
   }
   try {
     consume(msg->payload);
   } catch (const InvalidInput&) {
     OBS_COUNTER_ADD("exchange.corrupt_frames", 1);
-    if (!tolerate_loss) {
-      throw;
-    }
     return FrameLoss::kCorrupt;
   }
   return FrameLoss::kNone;
@@ -333,8 +325,6 @@ DseResult DseDriver::run(runtime::Communicator& comm,
       if (src == rank) continue;
       const FrameLoss loss = receive_lossy(
           comm, deadline, rank_dead(src), src, redist_tag(s),
-          options_.degraded_step2,
-          "redistribution for subsystem " + std::to_string(s),
           [&](const std::vector<std::uint8_t>& payload) {
             ByteReader r(payload);
             const auto states = r.read_vector<BusStateRecord>();
@@ -418,9 +408,6 @@ DseResult DseDriver::run(runtime::Communicator& comm,
           }
           const FrameLoss loss = receive_lossy(
               comm, deadline, rank_dead(src), src, pseudo_tag(s, t, m),
-              options_.degraded_step2,
-              "pseudo measurements from subsystem " + std::to_string(s) +
-                  " for subsystem " + std::to_string(t),
               [&](const std::vector<std::uint8_t>& payload) {
                 const std::vector<CondensedBoundaryRecord> records =
                     decode_boundary_records(payload, condense);
@@ -536,8 +523,6 @@ DseResult DseDriver::run(runtime::Communicator& comm,
     if (r == rank) continue;
     const FrameLoss loss = receive_lossy(
         comm, combine_deadline, rank_dead(r), r, kCombineTag,
-        options_.degraded_step2,
-        "combine payload from rank " + std::to_string(r),
         [&](const std::vector<std::uint8_t>& payload) {
           ByteReader reader(payload);
           const bool peer_ok = reader.read<std::uint8_t>() != 0;
@@ -568,7 +553,7 @@ DseResult DseDriver::run(runtime::Communicator& comm,
   // to rank 0, where the Supervisor keeps the newest checkpoint per
   // subsystem. These are the warm-start seeds for the next cycle and the
   // migration payloads after a cluster loss.
-  if (rctx != nullptr && rctx->collect_checkpoints) {
+  if (rctx != nullptr) {
     OBS_SPAN("dse.recovery.collect");
     std::vector<std::vector<std::uint8_t>> encoded;
     for (const int s : hosted2) {
@@ -593,11 +578,10 @@ DseResult DseDriver::run(runtime::Communicator& comm,
     } else {
       const Deadline report_deadline(options_.exchange_deadline);
       for (int r = 1; r < comm.size(); ++r) {
-        // A lost report only costs that rank's warm starts: never throw.
+        // A lost report only costs that rank's warm starts.
         const FrameLoss loss = receive_lossy(
             comm, report_deadline, rank_dead(r), r,
-            runtime::kRecoveryReportTag, /*tolerate_loss=*/true,
-            "recovery report from rank " + std::to_string(r),
+            runtime::kRecoveryReportTag,
             [&](const std::vector<std::uint8_t>& payload) {
               ByteReader reader(payload);
               const auto count = reader.read<std::uint64_t>();

@@ -27,14 +27,13 @@ struct DseOptions {
   /// values propagate boundary information further before the combine.
   int step2_rounds = 1;
   /// Upper bound on waiting for each exchange message (redistribution,
-  /// Step-2 pseudo fan-in, final combine). 0 = wait forever (historical
-  /// behavior: a lost peer hangs the cycle).
+  /// Step-2 pseudo fan-in, final combine, recovery report). 0 = wait
+  /// forever (historical behavior: a lost peer hangs the cycle). A message
+  /// that misses the deadline or arrives corrupt is recorded as lost and the
+  /// cycle finishes degraded: a subsystem missing neighbour pseudo
+  /// measurements re-solves Step 2 with Step-1-derived low-weight priors.
+  /// DseSystem overrides it with GRIDSE_EXCHANGE_DEADLINE_MS when set.
   std::chrono::milliseconds exchange_deadline{0};
-  /// When a neighbour's pseudo measurements never arrive within the
-  /// deadline, re-solve Step 2 with Step-1-derived low-weight priors and
-  /// finish the cycle degraded instead of throwing. Only meaningful with a
-  /// nonzero exchange_deadline.
-  bool degraded_step2 = true;
   /// Cross-cycle symbolic-plan registry (per-subsystem solver caches). Null
   /// = a fresh registry per run(), which still shares plans across the
   /// Gauss-Newton iterations and both steps of that cycle. Long-lived
@@ -44,7 +43,9 @@ struct DseOptions {
   /// Per-cycle SLO thresholds (cycle deadline + phase budgets). Checked on
   /// rank 0 after the cycle completes; violations emit `slo.*` counters and
   /// trace events but never change control flow. All-zero (the default)
-  /// disables the checks; so does a GRIDSE_OBS=OFF build.
+  /// disables the checks; so does a GRIDSE_OBS=OFF build. DseSystem
+  /// overrides each threshold with GRIDSE_CYCLE_DEADLINE_MS /
+  /// GRIDSE_PHASE_BUDGET_*_MS when set.
   runtime::SloConfig slo;
 };
 
@@ -61,8 +62,6 @@ struct DseRecoveryContext {
   /// warm-starts from it (orphan migration, rejoin, or plain cross-cycle
   /// tracking).
   std::map<int, EstimatorCheckpoint> restore;
-  /// Gather fresh checkpoints onto rank 0 at the end of the cycle.
-  bool collect_checkpoints = true;
 };
 
 /// Recovery outputs of one cycle (embedded in DseResult).

@@ -15,14 +15,17 @@ namespace {
 constexpr int kUpTag = 1 << 16;        // BA -> coordinator
 constexpr int kDownTag = (1 << 16) + 1;  // coordinator -> BA
 
+/// Sigma assigned to subsystem solutions when the coordinator treats them
+/// as pseudo measurements (|V| and θ).
+constexpr double kSolutionSigma = 0.005;
+/// Worker threads per cluster for the hosted local estimations.
+constexpr std::size_t kWorkersPerCluster = 3;
+
 }  // namespace
 
 HierarchicalDriver::HierarchicalDriver(
-    const grid::Network& network, const decomp::Decomposition& decomposition,
-    HierarchicalOptions options)
-    : network_(&network),
-      decomposition_(&decomposition),
-      options_(options) {}
+    const grid::Network& network, const decomp::Decomposition& decomposition)
+    : network_(&network), decomposition_(&decomposition) {}
 
 HierarchicalResult HierarchicalDriver::run(
     runtime::Communicator& comm,
@@ -46,10 +49,11 @@ HierarchicalResult HierarchicalDriver::run(
   std::map<int, std::unique_ptr<LocalEstimator>> estimators;
   bool local_ok = true;
   {
-    ThreadPool pool(static_cast<std::size_t>(options_.workers_per_cluster));
+    ThreadPool pool(kWorkersPerCluster);
     for (const int s : hosted) {
       estimators.emplace(s, std::make_unique<LocalEstimator>(
-                                *network_, *decomposition_, s, options_.local));
+                                *network_, *decomposition_, s,
+                                LocalEstimatorOptions{}));
     }
     analysis::Mutex ok_mutex{"HierarchicalDriver::ok_mutex"};
     pool.parallel_for(hosted.size(), [&](std::size_t i) {
@@ -102,10 +106,10 @@ HierarchicalResult HierarchicalDriver::run(
     for (grid::BusIndex b = 0; b < network_->num_buses(); ++b) {
       coord_set.items.push_back({grid::MeasType::kVMag, b, -1, true,
                                  assembled.vm[static_cast<std::size_t>(b)],
-                                 options_.solution_sigma_vm});
+                                 kSolutionSigma});
       coord_set.items.push_back({grid::MeasType::kVAngle, b, -1, true,
                                  assembled.theta[static_cast<std::size_t>(b)],
-                                 options_.solution_sigma_angle});
+                                 kSolutionSigma});
     }
     for (const std::size_t tie : decomposition_->tie_lines) {
       for (const grid::Measurement& meas : global_measurements.items) {
@@ -116,7 +120,8 @@ HierarchicalResult HierarchicalDriver::run(
         }
       }
     }
-    estimation::WlsEstimator coordinator(*network_, options_.coordinator_wls);
+    const estimation::WlsEstimator coordinator(*network_,
+                                               estimation::WlsOptions{});
     const estimation::WlsResult refined =
         coordinator.estimate(coord_set, assembled);
     result.state = refined.state;

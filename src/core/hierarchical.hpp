@@ -6,21 +6,6 @@
 
 namespace gridse::core {
 
-/// Configuration of the hierarchical (coordinator-based) state estimation
-/// mode — the industry-standard structure the paper contrasts with the
-/// peer-to-peer DSE (§I: balancing authorities feed a reliability
-/// coordinator).
-struct HierarchicalOptions {
-  LocalEstimatorOptions local;
-  /// WLS settings for the coordinator's re-evaluation pass.
-  estimation::WlsOptions coordinator_wls;
-  /// Sigma assigned to subsystem solutions when the coordinator treats them
-  /// as pseudo measurements.
-  double solution_sigma_vm = 0.005;
-  double solution_sigma_angle = 0.005;
-  int workers_per_cluster = 3;
-};
-
 struct HierarchicalResult {
   grid::GridState state;  ///< coordinator solution, broadcast to all ranks
   bool all_converged = false;
@@ -34,12 +19,14 @@ struct HierarchicalResult {
 /// runs its subsystems' local estimations, ships the solutions up to the
 /// coordinator (rank 0), which re-evaluates system-wide using the subsystem
 /// solutions as pseudo measurements plus the tie-line telemetry, then
-/// broadcasts the result (paper Fig. 1, top layer).
+/// broadcasts the result (paper Fig. 1, top layer). This is the
+/// coordinator-based structure the paper contrasts with the peer-to-peer
+/// DSE (§I: balancing authorities feed a reliability coordinator); local
+/// solves use the default LocalEstimatorOptions.
 class HierarchicalDriver {
  public:
   HierarchicalDriver(const grid::Network& network,
-                     const decomp::Decomposition& decomposition,
-                     HierarchicalOptions options);
+                     const decomp::Decomposition& decomposition);
 
   /// `assignment` maps each subsystem to its hosting rank; rank 0 is both a
   /// host and the coordinator.
@@ -50,7 +37,6 @@ class HierarchicalDriver {
  private:
   const grid::Network* network_;
   const decomp::Decomposition* decomposition_;
-  HierarchicalOptions options_;
 };
 
 }  // namespace gridse::core

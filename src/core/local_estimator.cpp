@@ -15,6 +15,22 @@
 namespace gridse::core {
 namespace {
 
+/// Standard deviation of a neighbour pseudo measurement (|V| and θ) in
+/// Step 2 when its record carries no condensed sigma.
+constexpr double kPseudoSigma = 0.01;
+/// Standard deviation of the low-weight priors substituted for missing
+/// neighbour pseudo measurements in degraded Step 2 (several times looser
+/// than kPseudoSigma so real data always dominates).
+constexpr double kDegradedPriorSigma = 0.05;
+/// Tikhonov regularization for the Step-2 extended system (remote corners
+/// of the extended model can be weakly observed).
+constexpr double kStep2Regularization = 1e-8;
+/// Clamp range for received condensed sigmas: the floor keeps an
+/// over-confident export from overriding real telemetry, the cap keeps a
+/// barely-observed export at least as anchoring as a degraded prior.
+constexpr double kCondenseSigmaFloor = 1e-4;
+constexpr double kCondenseSigmaCap = 0.05;
+
 /// Dispatch one local solve through plain WLS or the Huber M-estimator,
 /// per the options.
 estimation::WlsResult solve_local(const grid::Network& network,
@@ -29,7 +45,6 @@ estimation::WlsResult solve_local(const grid::Network& network,
   }
   estimation::RobustOptions ropts;
   ropts.wls = wls_opts;
-  ropts.gamma = options.huber_gamma;
   const estimation::HuberEstimator estimator(network, reference, ropts);
   return estimator.estimate(set, initial).wls;
 }
@@ -159,7 +174,7 @@ void LocalEstimator::maybe_condense(const grid::MeasurementSet& local_set,
       // The reference angle is pinned exactly; export the floor so the
       // receiver treats it as a firm anchor rather than a default.
       rec.sigma_theta = ts >= 0 ? sigmas[static_cast<std::size_t>(ts)]
-                                : options_.condense_sigma_floor;
+                                : kCondenseSigmaFloor;
       rec.sigma_vm =
           sigmas[static_cast<std::size_t>(split.vm_slot[i])];
     }
@@ -239,12 +254,11 @@ LocalSolveInfo LocalEstimator::run_step2(
   // (paper §II Step 2), and seed the initial state of the remote buses.
   // Condensed records carry the exporter's marginal sigmas; clamp them so a
   // wildly over/under-confident export cannot distort the local solve.
-  const auto pseudo_sigma = [&](double condensed, double fallback) {
+  const auto pseudo_sigma = [](double condensed) {
     if (condensed <= 0.0) {
-      return fallback;
+      return kPseudoSigma;
     }
-    return std::clamp(condensed, options_.condense_sigma_floor,
-                      options_.condense_sigma_cap);
+    return std::clamp(condensed, kCondenseSigmaFloor, kCondenseSigmaCap);
   };
   std::vector<bool> covered(
       static_cast<std::size_t>(extended_.network.num_buses()), false);
@@ -258,11 +272,9 @@ LocalSolveInfo LocalEstimator::run_step2(
       continue;  // own buses keep their own Step-1 estimate
     }
     ext_set.items.push_back({grid::MeasType::kVMag, l, -1, true, rec.vm,
-                             pseudo_sigma(rec.sigma_vm,
-                                          options_.pseudo_sigma_vm)});
+                             pseudo_sigma(rec.sigma_vm)});
     ext_set.items.push_back({grid::MeasType::kVAngle, l, -1, true, rec.theta,
-                             pseudo_sigma(rec.sigma_theta,
-                                          options_.pseudo_sigma_angle)});
+                             pseudo_sigma(rec.sigma_theta)});
     initial.theta[static_cast<std::size_t>(l)] = rec.theta;
     initial.vm[static_cast<std::size_t>(l)] = rec.vm;
     covered[static_cast<std::size_t>(l)] = true;
@@ -306,18 +318,17 @@ LocalSolveInfo LocalEstimator::run_step2(
           a >= 0 ? initial.theta[static_cast<std::size_t>(a)] : ref.angle;
       ext_set.items.push_back({grid::MeasType::kVMag,
                                static_cast<grid::BusIndex>(l), -1, true, vm,
-                               options_.degraded_prior_sigma_vm});
+                               kDegradedPriorSigma});
       ext_set.items.push_back({grid::MeasType::kVAngle,
                                static_cast<grid::BusIndex>(l), -1, true,
-                               theta, options_.degraded_prior_sigma_angle});
+                               theta, kDegradedPriorSigma});
       initial.theta[l] = theta;
       initial.vm[l] = vm;
     }
   }
 
   estimation::WlsOptions wls = options_.wls;
-  wls.regularization = std::max(wls.regularization,
-                                options_.step2_regularization);
+  wls.regularization = std::max(wls.regularization, kStep2Regularization);
   initial.theta[static_cast<std::size_t>(ref.local_bus)] = ref.angle;
   const estimation::WlsResult result = solve_local(
       extended_.network, ref.local_bus, options_, wls, ext_set, initial);

@@ -12,38 +12,19 @@ namespace gridse::core {
 /// hierarchical drivers).
 struct LocalEstimatorOptions {
   estimation::WlsOptions wls;
-  /// Standard deviations assigned to neighbour pseudo measurements in
-  /// Step 2.
-  double pseudo_sigma_vm = 0.01;
-  double pseudo_sigma_angle = 0.01;
-  /// Standard deviations of the low-weight priors substituted for missing
-  /// neighbour pseudo measurements in degraded Step 2 (several times looser
-  /// than pseudo_sigma_* so real data always dominates).
-  double degraded_prior_sigma_vm = 0.05;
-  double degraded_prior_sigma_angle = 0.05;
-  /// Tikhonov regularization for the Step-2 extended system (remote corners
-  /// of the extended model can be weakly observed).
-  double step2_regularization = 1e-8;
   /// Use the Huber M-estimator (IRLS) for the local solves instead of plain
   /// WLS: gross errors in one subsystem's telemetry are then bounded before
   /// its solution is exported to neighbours as pseudo measurements.
   bool robust = false;
-  /// Huber threshold in standard deviations (only with robust = true).
-  double huber_gamma = 1.5;
   /// After Step 1, Schur-condense the gain matrix onto the boundary states
   /// and export ONLY boundary records, each carrying its marginal sigma
   /// sqrt(diag(S⁻¹)). The sensitive-internal records of the plain exchange
   /// are folded into those marginals, so the condensed payload is smaller
   /// AND neighbours weight each pseudo measurement by how well this
-  /// subsystem actually observed it (instead of the flat pseudo_sigma_*
-  /// defaults). DseDriver then ships the condensed wire format in the
+  /// subsystem actually observed it (instead of the flat default pseudo
+  /// sigma). DseDriver then ships the condensed wire format in the
   /// pseudo-measurement exchange instead of plain bus states.
   bool condense_boundary = false;
-  /// Clamp range for received condensed sigmas: the floor keeps an
-  /// over-confident export from overriding real telemetry, the cap keeps a
-  /// barely-observed export at least as anchoring as a degraded prior.
-  double condense_sigma_floor = 1e-4;
-  double condense_sigma_cap = 0.05;
 };
 
 /// Outcome of one subsystem step.
@@ -89,9 +70,9 @@ class LocalEstimator {
 
   /// DSE Step 2: re-evaluate on the extended model using own measurements
   /// plus neighbour pseudo measurements. Requires run_step1 first. Each
-  /// pseudo measurement uses its record's marginal sigma (clamped to the
-  /// configured range), or the flat pseudo_sigma_* defaults when the sigma
-  /// is non-positive (plain exchange).
+  /// pseudo measurement uses its record's marginal sigma (clamped to a fixed
+  /// range), or the flat default pseudo sigma when the record's sigma is
+  /// non-positive (plain exchange).
   /// With `fill_missing_with_priors` (degraded mode), remote extended buses
   /// not covered by `neighbor_states` get low-weight priors derived from the
   /// nearest own bus's Step-1 solution instead of being left unanchored, so

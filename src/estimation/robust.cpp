@@ -5,6 +5,12 @@
 #include "util/error.hpp"
 
 namespace gridse::estimation {
+namespace {
+
+/// IRLS stops when the largest relative weight change falls below this.
+constexpr double kWeightTolerance = 1e-3;
+
+}  // namespace
 
 HuberEstimator::HuberEstimator(const grid::Network& network,
                                RobustOptions options)
@@ -49,7 +55,7 @@ RobustResult HuberEstimator::estimate(const grid::MeasurementSet& set,
       working.items[i].sigma = sigma / std::sqrt(w);
     }
     start = result.wls.state;  // warm start the next IRLS pass
-    if (max_change < options_.weight_tolerance) {
+    if (max_change < kWeightTolerance) {
       break;
     }
   }

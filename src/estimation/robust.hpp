@@ -12,8 +12,6 @@ struct RobustOptions {
   double gamma = 1.5;
   /// Outer IRLS iterations (each runs one full WLS on reweighted data).
   int max_reweight_iterations = 10;
-  /// Stop when the largest relative weight change falls below this.
-  double weight_tolerance = 1e-3;
 };
 
 struct RobustResult {

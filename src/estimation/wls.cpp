@@ -13,6 +13,12 @@
 #include "util/logging.hpp"
 
 namespace gridse::estimation {
+namespace {
+
+/// Relative tolerance for the inner PCG solve.
+constexpr double kCgTolerance = 1e-12;
+
+}  // namespace
 
 LinearSolver parse_linear_solver(const std::string& name) {
   if (name == "pcg") return LinearSolver::kPcg;
@@ -83,7 +89,7 @@ WlsResult WlsEstimator::estimate(const grid::MeasurementSet& set,
           precond = sparse::make_preconditioner(options_.preconditioner, gain);
         }
         sparse::CgOptions cg_opts;
-        cg_opts.tolerance = options_.cg_tolerance;
+        cg_opts.tolerance = kCgTolerance;
         const sparse::CgReport rep = sparse::pcg(gain, rhs, dx, *precond, cg_opts);
         result.inner_iterations += rep.iterations;
         OBS_COUNTS_OBSERVE("wls.pcg.iterations", rep.iterations);

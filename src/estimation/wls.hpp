@@ -33,8 +33,6 @@ struct WlsOptions {
   int max_iterations = 25;
   LinearSolver solver = LinearSolver::kPcg;
   sparse::PreconditionerKind preconditioner = sparse::PreconditionerKind::kIc0;
-  /// Relative tolerance for the inner PCG solve.
-  double cg_tolerance = 1e-12;
   /// Tikhonov term added to the gain matrix diagonal (0 = none). DSE Step 2
   /// re-evaluation sets this to keep reduced systems well-posed.
   double regularization = 0.0;

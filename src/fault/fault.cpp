@@ -15,6 +15,7 @@
 #include "obs/obs.hpp"
 #include "obs/trace/json_mini.hpp"
 #include "util/error.hpp"
+#include "util/strings.hpp"
 
 namespace gridse::fault {
 namespace {
@@ -280,26 +281,33 @@ FaultPlan FaultPlan::parse(std::string_view json) {
   if (!doc.is_object()) {
     throw InvalidInput("fault plan: top level must be an object");
   }
-  FaultPlan plan;
-  if (const obs::jsonm::Value* seed = doc.find("seed")) {
-    if (!seed->is_number()) {
-      throw InvalidInput("fault plan: \"seed\" must be a number");
+  // Integer fields are read from the raw numeric token: "2.7", "1e3" or a
+  // value outside the target type is rejected, never truncated.
+  const auto read_integer = [](const obs::jsonm::Value& v, const char* key,
+                               long long fallback, long long min_value,
+                               long long max_value) {
+    const obs::jsonm::Value* field = v.find(key);
+    if (field == nullptr) return fallback;
+    const std::string name = std::string("fault plan: \"") + key + "\"";
+    if (!field->is_number()) {
+      throw InvalidInput(name + " must be a number");
     }
-    plan.seed = seed->as_u64();
-  }
+    return parse_integer(name, field->text, "an integer in range", min_value,
+                         max_value);
+  };
+  // An int field cannot spell the kAnyValue (INT_MIN) wildcard explicitly.
+  const auto read_int = [&](const obs::jsonm::Value& v, const char* key) {
+    return static_cast<int>(read_integer(v, key, kAnyValue, kAnyValue + 1LL,
+                                         std::numeric_limits<int>::max()));
+  };
+  FaultPlan plan;
+  plan.seed = static_cast<std::uint64_t>(
+      read_integer(doc, "seed", static_cast<long long>(plan.seed), 0,
+                   std::numeric_limits<long long>::max()));
   const obs::jsonm::Value* rules = doc.find("rules");
   if (rules == nullptr || !rules->is_array()) {
     throw InvalidInput("fault plan: missing \"rules\" array");
   }
-  const auto read_int = [](const obs::jsonm::Value& v, const char* key) {
-    const obs::jsonm::Value* field = v.find(key);
-    if (field == nullptr) return kAnyValue;
-    if (!field->is_number()) {
-      throw InvalidInput(std::string("fault plan: \"") + key +
-                         "\" must be a number");
-    }
-    return static_cast<int>(field->number);
-  };
   for (const obs::jsonm::Value& entry : rules->array) {
     if (!entry.is_object()) {
       throw InvalidInput("fault plan: each rule must be an object");

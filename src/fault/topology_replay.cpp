@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <utility>
 
@@ -11,6 +12,7 @@
 #include "obs/trace/json_mini.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
+#include "util/strings.hpp"
 
 namespace gridse::fault {
 namespace {
@@ -51,27 +53,30 @@ TopologyReplayPlan TopologyReplayPlan::parse(std::string_view json) {
   if (!doc.is_object()) {
     throw InvalidInput("topology plan: top level must be an object");
   }
-  TopologyReplayPlan plan;
-  if (const obs::jsonm::Value* seed = doc.find("seed")) {
-    if (!seed->is_number()) {
-      throw InvalidInput("topology plan: \"seed\" must be a number");
+  // Integer fields are read from the raw numeric token: "2.7", "1e3" or a
+  // value outside the target type is rejected, never truncated.
+  const auto read_int = [](const obs::jsonm::Value& v, const char* key,
+                           std::int64_t fallback, std::int64_t min_value,
+                           std::int64_t max_value) {
+    const obs::jsonm::Value* field = v.find(key);
+    if (field == nullptr) return fallback;
+    const std::string name = std::string("topology plan: \"") + key + "\"";
+    if (!field->is_number()) {
+      throw InvalidInput(name + " must be a number");
     }
-    plan.seed = seed->as_u64();
-  }
+    return static_cast<std::int64_t>(parse_integer(
+        name, field->text, "an integer in range", min_value, max_value));
+  };
+  constexpr std::int64_t kInt32Min = std::numeric_limits<std::int32_t>::min();
+  constexpr std::int64_t kInt32Max = std::numeric_limits<std::int32_t>::max();
+  TopologyReplayPlan plan;
+  plan.seed = static_cast<std::uint64_t>(read_int(
+      doc, "seed", static_cast<std::int64_t>(plan.seed), 0,
+      std::numeric_limits<std::int64_t>::max()));
   const obs::jsonm::Value* events = doc.find("events");
   if (events == nullptr || !events->is_array()) {
     throw InvalidInput("topology plan: missing \"events\" array");
   }
-  const auto read_int = [](const obs::jsonm::Value& v, const char* key,
-                           std::int64_t fallback) {
-    const obs::jsonm::Value* field = v.find(key);
-    if (field == nullptr) return fallback;
-    if (!field->is_number()) {
-      throw InvalidInput(std::string("topology plan: \"") + key +
-                         "\" must be a number");
-    }
-    return static_cast<std::int64_t>(field->number);
-  };
   for (const obs::jsonm::Value& entry : events->array) {
     if (!entry.is_object()) {
       throw InvalidInput("topology plan: each event must be an object");
@@ -81,16 +86,20 @@ TopologyReplayPlan TopologyReplayPlan::parse(std::string_view json) {
       throw InvalidInput("topology plan: event needs a string \"kind\"");
     }
     ScheduledTopologyEvent e;
-    e.cycle = read_int(entry, "cycle", 0);
+    e.cycle = read_int(entry, "cycle", 0,
+                       std::numeric_limits<std::int64_t>::min(),
+                       std::numeric_limits<std::int64_t>::max());
     e.event.kind = kind_from_name(kind->text);
     if (kind_takes_branch(e.event.kind)) {
-      const std::int64_t branch = read_int(entry, "branch", -1);
+      const std::int64_t branch =
+          read_int(entry, "branch", -1, kInt32Min, kInt32Max);
       if (branch < 0) {
         throw InvalidInput("topology plan: branch event needs \"branch\"");
       }
       e.event.branch = static_cast<std::int32_t>(branch);
     } else {
-      const std::int64_t bus = read_int(entry, "bus", -1);
+      const std::int64_t bus =
+          read_int(entry, "bus", -1, kInt32Min, kInt32Max);
       if (bus < 0) {
         throw InvalidInput("topology plan: bus event needs \"bus\"");
       }

@@ -30,8 +30,6 @@ struct PartitionOptions {
   std::uint64_t seed = 1;
   /// Exhaustive (provably optimal) search is used when k^n is at most this.
   double exhaustive_budget = 2e6;
-  /// FM refinement passes per level.
-  int refinement_passes = 8;
   /// Stop coarsening once the graph has at most max(this, 4k) vertices.
   VertexId coarsen_to = 24;
   /// Score minimized after feasibility.

@@ -12,6 +12,9 @@
 namespace gridse::graph::detail {
 namespace {
 
+/// FM refinement passes per level.
+constexpr int kRefinementPasses = 8;
+
 /// Count of vertices per part; moves that would empty a part are forbidden.
 std::vector<int> part_sizes(std::span<const PartId> assignment, PartId k) {
   std::vector<int> sizes(static_cast<std::size_t>(k), 0);
@@ -300,11 +303,11 @@ Partition fm_refine_with(const WeightedGraph& g,
   s.limit = options.imbalance_tolerance * g.total_vertex_weight() /
             static_cast<double>(k);
 
-  for (int pass = 0; pass < options.refinement_passes; ++pass) {
+  for (int pass = 0; pass < kRefinementPasses; ++pass) {
     if (cut_pass(g, options, exec, s) == 0) break;
   }
   if (options.objective == PartitionObjective::kConvergenceAware) {
-    for (int pass = 0; pass < options.refinement_passes; ++pass) {
+    for (int pass = 0; pass < kRefinementPasses; ++pass) {
       if (coupling_pass(g, options, exec, s) == 0) break;
     }
   }

@@ -268,8 +268,7 @@ std::size_t append_anchor_measurements(const Network& network,
                                        const IslandReport& islands,
                                        std::span<const int> group_of_bus,
                                        const GridState& prior,
-                                       MeasurementSet& set,
-                                       const AnchorOptions& options) {
+                                       MeasurementSet& set) {
   const BusIndex n = network.num_buses();
   GRIDSE_CHECK(group_of_bus.size() == static_cast<std::size_t>(n));
   std::size_t appended = 0;
@@ -293,10 +292,8 @@ std::size_t append_anchor_measurements(const Network& network,
   // is singular in every dead bus's variables.
   for (BusIndex i = 0; i < n; ++i) {
     if (islands.bus_energized(i)) continue;
-    set.items.push_back({MeasType::kVMag, i, -1, true, 0.0,
-                         options.dead_sigma});
-    set.items.push_back({MeasType::kVAngle, i, -1, true, 0.0,
-                         options.dead_sigma});
+    set.items.push_back({MeasType::kVMag, i, -1, true, 0.0, kAnchorSigma});
+    set.items.push_back({MeasType::kVAngle, i, -1, true, 0.0, kAnchorSigma});
     appended += 2;
   }
 
@@ -355,7 +352,7 @@ std::size_t append_anchor_measurements(const Network& network,
     }
     if (!covered_angle) {
       set.items.push_back({MeasType::kVAngle, anchor_bus, -1, true,
-                           theta_value, options.angle_sigma});
+                           theta_value, kAnchorSigma});
       ++appended;
     }
     if (!covered_vmag) {
@@ -366,7 +363,7 @@ std::size_t append_anchor_measurements(const Network& network,
               ? prior.vm[static_cast<std::size_t>(anchor_bus)]
               : 1.0;
       set.items.push_back({MeasType::kVMag, anchor_bus, -1, true, vm_value,
-                           options.vm_sigma});
+                           kAnchorSigma});
       ++appended;
     }
   }

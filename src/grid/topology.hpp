@@ -131,18 +131,14 @@ struct MaskedMeasurements {
                                                    const IslandReport& islands,
                                                    const MeasurementSet& set);
 
-/// Pseudo-measurement pinning so every estimation group keeps a
-/// nonsingular gain matrix under islanding.
-struct AnchorOptions {
-  /// Sigma of the pseudo angle anchors added to unobserved components.
-  double angle_sigma = 1e-4;
-  /// Sigma of the |V|=0 / θ=0 pins on de-energized buses.
-  double dead_sigma = 1e-4;
-  /// Sigma of the |V| anchors on live components whose voltage-magnitude
-  /// telemetry was entirely masked away (the level is unobservable from
-  /// P/Q alone — without an anchor the island's |V| profile drifts).
-  double vm_sigma = 1e-4;
-};
+/// Sigma of every pseudo measurement append_anchor_measurements adds: the
+/// |V| = 0 / θ = 0 pins on de-energized buses, the θ anchors on live
+/// components with no angle measurement, and the |V| anchors on live
+/// components whose voltage-magnitude telemetry was entirely masked away
+/// (the level is unobservable from P/Q alone — without an anchor the
+/// island's |V| profile drifts). Together they keep every estimation
+/// group's gain matrix nonsingular under islanding.
+inline constexpr double kAnchorSigma = 1e-4;
 
 /// Append pseudo measurements to `set`: (a) |V| = 0 and θ = 0 pins at
 /// every de-energized bus; (b) per live connected component of each
@@ -159,8 +155,7 @@ std::size_t append_anchor_measurements(const Network& network,
                                        const IslandReport& islands,
                                        std::span<const int> group_of_bus,
                                        const GridState& prior,
-                                       MeasurementSet& set,
-                                       const AnchorOptions& options = {});
+                                       MeasurementSet& set);
 
 /// DC power flow of the live, possibly islanded network: each energized
 /// island is solved with its own reference pinned to θ = 0; de-energized

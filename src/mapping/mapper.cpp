@@ -67,7 +67,6 @@ MappingResult ClusterMapper::map_before_step1(
   popts.imbalance_tolerance = options_.imbalance_tolerance;
   popts.seed = options_.seed;
   popts.objective = options_.objective;
-  popts.threads = options_.partition_threads;
   result.partition =
       (previous != nullptr)
           ? graph::repartition(result.weighted_graph, *previous, popts)
@@ -93,7 +92,6 @@ MappingResult ClusterMapper::map_before_step2(
   popts.imbalance_tolerance = options_.imbalance_tolerance;
   popts.seed = options_.seed;
   popts.objective = options_.objective;
-  popts.threads = options_.partition_threads;
   result.partition = graph::repartition(result.weighted_graph, step1, popts);
   return result;
 }

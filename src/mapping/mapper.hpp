@@ -21,8 +21,6 @@ struct MappingOptions {
   /// cut, or the convergence-aware boundary-coupling score (arXiv
   /// 2104.04320) that trades cut for fewer expected GN iterations.
   graph::PartitionObjective objective = graph::PartitionObjective::kEdgeCut;
-  /// Partitioner worker threads (the result is bit-identical regardless).
-  int partition_threads = 1;
 };
 
 /// A subsystem→cluster mapping plus the weighted graph it was computed on.

@@ -103,8 +103,6 @@ double parse_env_double(const std::string& name, const std::string& raw,
 
 ResilienceConfig with_env_overrides(ResilienceConfig base) {
   read_env("GRIDSE_BARRIER_TIMEOUT_MS", base.barrier_timeout, parse_env_ms);
-  read_env("GRIDSE_EXCHANGE_DEADLINE_MS", base.exchange_deadline,
-           parse_env_ms);
   read_env("GRIDSE_RECOVERY", base.recovery.enabled, parse_env_flag);
   read_env("GRIDSE_HEARTBEAT_PERIOD_MS", base.recovery.heartbeat_period,
            parse_env_ms);
@@ -131,15 +129,23 @@ TelemetryConfig with_env_overrides(TelemetryConfig base) {
            [](const std::string& name, const std::string& raw) {
              return parse_env_int(name, raw, 1);
            });
-  read_env("GRIDSE_CYCLE_DEADLINE_MS", base.slo.cycle_deadline, parse_env_ms);
-  read_env("GRIDSE_PHASE_BUDGET_STEP1_MS", base.slo.step1_budget,
+  return base;
+}
+
+SloConfig with_env_overrides(SloConfig base) {
+  read_env("GRIDSE_CYCLE_DEADLINE_MS", base.cycle_deadline, parse_env_ms);
+  read_env("GRIDSE_PHASE_BUDGET_STEP1_MS", base.step1_budget, parse_env_ms);
+  read_env("GRIDSE_PHASE_BUDGET_EXCHANGE_MS", base.exchange_budget,
            parse_env_ms);
-  read_env("GRIDSE_PHASE_BUDGET_EXCHANGE_MS", base.slo.exchange_budget,
+  read_env("GRIDSE_PHASE_BUDGET_STEP2_MS", base.step2_budget, parse_env_ms);
+  read_env("GRIDSE_PHASE_BUDGET_COMBINE_MS", base.combine_budget,
            parse_env_ms);
-  read_env("GRIDSE_PHASE_BUDGET_STEP2_MS", base.slo.step2_budget,
-           parse_env_ms);
-  read_env("GRIDSE_PHASE_BUDGET_COMBINE_MS", base.slo.combine_budget,
-           parse_env_ms);
+  return base;
+}
+
+std::chrono::milliseconds exchange_deadline_with_env(
+    std::chrono::milliseconds base) {
+  read_env("GRIDSE_EXCHANGE_DEADLINE_MS", base, parse_env_ms);
   return base;
 }
 
@@ -159,6 +165,13 @@ TopologyConfig with_env_overrides(TopologyConfig base) {
            [](const std::string& name, const std::string& raw) {
              return parse_env_int(name, raw, 0);
            });
+  if ((base.k_min > 0) != (base.k_max > 0)) {
+    throw InvalidInput(
+        "topology k sweep: GRIDSE_TOPOLOGY_K_MIN and GRIDSE_TOPOLOGY_K_MAX "
+        "(topology.k_min / k_max) must be set together, got k_min = " +
+        std::to_string(base.k_min) + ", k_max = " +
+        std::to_string(base.k_max));
+  }
   return base;
 }
 

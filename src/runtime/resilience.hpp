@@ -54,6 +54,7 @@ struct RecoveryConfig {
 
 /// Per-cycle service-level objectives: a wall-clock deadline for the whole
 /// cycle and optional per-phase budgets. A value of 0 disables that check.
+/// Lives in core::DseOptions::slo, the one place the driver reads it.
 /// Violations never alter control flow — they only emit
 /// `slo.cycle_deadline_missed` / `slo.phase_budget_over` counters and trace
 /// events (see docs/OBSERVABILITY.md, "Per-cycle telemetry").
@@ -85,7 +86,6 @@ struct TelemetryConfig {
   std::chrono::milliseconds sample_period{0};
   /// Cycle snapshots retained in the flight-recorder ring.
   int flight_ring = 16;
-  SloConfig slo;
 };
 
 /// Topology-change replay and event-driven repartitioning knobs (see
@@ -100,30 +100,20 @@ struct TopologyConfig {
   /// <= 0 disables event-driven repartitioning.
   double repartition_threshold = 1.5;
   /// Subsystem-count sweep bounds handed to graph::choose_parts when a
-  /// repartition triggers; both 0 = keep the current k.
+  /// repartition triggers; both 0 = keep the current k. Set both or
+  /// neither.
   int k_min = 0;
   int k_max = 0;
-  /// Sigma of the pseudo angle anchors on unobserved live components.
-  double anchor_angle_sigma = 1e-4;
-  /// Sigma of the |V| = 0 / θ = 0 pins on de-energized buses.
-  double dead_pin_sigma = 1e-4;
 };
 
-/// How the distributed exchange behaves when peers misbehave. Threaded from
-/// SystemConfig into the transports and the DSE driver.
+/// How the transports behave when peers misbehave, plus cross-cycle
+/// recovery. Threaded from SystemConfig into the transports and the
+/// supervisor; the exchange deadline is DseOptions::exchange_deadline.
 struct ResilienceConfig {
   RetryPolicy send_retry;
   /// How long a barrier waits before declaring a peer lost (historically
   /// the hard-coded 120 s kBarrierTimeout in tcp_comm.cpp).
   std::chrono::milliseconds barrier_timeout{120'000};
-  /// Per-phase deadline on the Step-2 pseudo-measurement fan-in, the
-  /// redistribution receive, and the final combine. 0 = wait forever (the
-  /// pre-resilience behavior).
-  std::chrono::milliseconds exchange_deadline{0};
-  /// When a neighbour's pseudo-measurements miss the deadline, re-solve
-  /// Step 2 with own Step-1 boundary values as low-weight priors and tag
-  /// the result degraded, instead of failing the cycle.
-  bool degraded_step2 = true;
   /// Cross-cycle recovery (heartbeats, checkpoints, remap-after-loss).
   RecoveryConfig recovery;
 };
@@ -154,7 +144,7 @@ double parse_env_double(const std::string& name, const std::string& raw,
                         double min_value);
 
 /// `base` with environment overrides applied:
-///   GRIDSE_BARRIER_TIMEOUT_MS, GRIDSE_EXCHANGE_DEADLINE_MS   (ms)
+///   GRIDSE_BARRIER_TIMEOUT_MS                                (ms)
 ///   GRIDSE_RECOVERY                                          (flag)
 ///   GRIDSE_HEARTBEAT_PERIOD_MS, GRIDSE_HEARTBEAT_TIMEOUT_MS  (ms)
 ///   GRIDSE_HEARTBEAT_ROUNDS  (int >= 1), GRIDSE_REJOIN_EPOCH (int >= 1)
@@ -166,17 +156,28 @@ ResilienceConfig with_env_overrides(ResilienceConfig base);
 ///   GRIDSE_TELEMETRY_DIR                                   (path)
 ///   GRIDSE_TELEMETRY_SAMPLE_MS                             (ms)
 ///   GRIDSE_FLIGHT_RING                                     (int >= 1)
+/// Throws gridse::InvalidInput on unparsable values.
+TelemetryConfig with_env_overrides(TelemetryConfig base);
+
+/// `base` with environment overrides applied:
 ///   GRIDSE_CYCLE_DEADLINE_MS                               (ms)
 ///   GRIDSE_PHASE_BUDGET_STEP1_MS, GRIDSE_PHASE_BUDGET_EXCHANGE_MS,
 ///   GRIDSE_PHASE_BUDGET_STEP2_MS, GRIDSE_PHASE_BUDGET_COMBINE_MS  (ms)
 /// Throws gridse::InvalidInput on unparsable values.
-TelemetryConfig with_env_overrides(TelemetryConfig base);
+SloConfig with_env_overrides(SloConfig base);
+
+/// `base` (the configured exchange deadline) overridden by
+/// GRIDSE_EXCHANGE_DEADLINE_MS (ms) when that is set. Throws
+/// gridse::InvalidInput on an unparsable value.
+std::chrono::milliseconds exchange_deadline_with_env(
+    std::chrono::milliseconds base);
 
 /// `base` with environment overrides applied:
 ///   GRIDSE_TOPOLOGY_PLAN                         (inline JSON or path)
 ///   GRIDSE_TOPOLOGY_REPARTITION_THRESHOLD        (double >= 0; 0 = off)
 ///   GRIDSE_TOPOLOGY_K_MIN, GRIDSE_TOPOLOGY_K_MAX (int >= 0; 0 = keep k)
-/// Throws gridse::InvalidInput on unparsable values.
+/// Throws gridse::InvalidInput on unparsable values, and when the resolved
+/// k_min / k_max pair is half set (one positive, the other 0).
 TopologyConfig with_env_overrides(TopologyConfig base);
 
 }  // namespace gridse::runtime

@@ -3,6 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
+
+#include "fault/topology_replay.hpp"
+#include "obs/metrics.hpp"
+#include "state_golden.hpp"
 
 namespace gridse::core {
 namespace {
@@ -99,6 +104,87 @@ TEST(DseSystem, MediciTransportWorksEndToEnd) {
   const CycleReport rep = sys.run_cycle(0.0);
   EXPECT_TRUE(rep.dse.all_converged);
   EXPECT_LT(rep.max_vm_error, 0.02);
+}
+
+// Pins the fixed anchor sigma, the single truth path (island-aware DC
+// truth on a load-scaled network) and the Step-2 constants through three
+// replay cycles with a diurnal load.
+TEST(DseSystem, GoldenReplayWithDiurnalLoad) {
+  const io::GeneratedCase gc = io::ieee118_dse();
+  SystemConfig cfg = small_config();
+  cfg.truth_mode = TruthMode::kDcLinearized;
+  cfg.topology.plan =
+      fault::TopologyReplayPlan::generate(gc.kase.network, 5).to_json();
+  cfg.topology.repartition_threshold = 0.0;
+  cfg.load_profile = [](double t) {
+    return 1.0 + 0.1 * std::sin(2.0 * M_PI * t / 86400.0);
+  };
+  DseSystem sys(io::ieee118_dse(), cfg);
+  const std::size_t masked[] = {0, 4, 8};
+  const std::size_t anchors[] = {0, 1, 1};
+  CycleReport rep;
+  for (int c = 0; c < 3; ++c) {
+    rep = sys.run_cycle(c * 3600.0);
+    EXPECT_TRUE(rep.dse.all_converged) << c;
+    EXPECT_EQ(rep.topology.masked_measurements, masked[c]) << c;
+    EXPECT_EQ(rep.topology.anchors_added, anchors[c]) << c;
+  }
+  expect_state_golden(sys.true_state(),
+                      {-11.133295824449387,
+                       118.47869087601498,
+                       -683.19277547272975,
+                       7049.4317317388586,
+                       {{0, 1.04},
+                        {-0.10952772365046422, 0.98513512522029267},
+                        {-0.14321718077952164, 1.0190013765381469},
+                        {-0.094866869258606656, 0.99109993733401602},
+                        {-0.099585349172375937, 1.0114147644603355},
+                        {-0.10914989705878374, 0.98818910047864261},
+                        {-0.11334688475324359, 0.98932335183885856},
+                        {-0.063967845129426215, 0.99752321552693057}}});
+  expect_state_golden(rep.dse.state,
+                      {-11.146479414508185,
+                       118.38170924302374,
+                       -688.82276555031706,
+                       7039.9728673673326,
+                       {{0, 1.0408563483969677},
+                        {-0.10962505416020914, 0.98700358165172475},
+                        {-0.14401448675495818, 1.0172242628499428},
+                        {-0.096460877212675031, 0.98932749808621234},
+                        {-0.10093560318089777, 1.0103038684657575},
+                        {-0.10851189094372735, 0.987896110541993},
+                        {-0.11314860021604067, 0.98621373864322293},
+                        {-0.066538829034384628, 0.9961740493491803}}});
+}
+
+// The environment beats the configured SLO: a 60 s configured cycle
+// deadline overridden by GRIDSE_CYCLE_DEADLINE_MS=1 is missed every cycle.
+TEST(DseSystem, CycleDeadlineEnvBeatsConfiguredSlo) {
+  if (!obs::kEnabled) {
+    GTEST_SKIP() << "SLO counters need GRIDSE_OBS";
+  }
+  SystemConfig cfg = small_config();
+  cfg.dse.slo.cycle_deadline = std::chrono::milliseconds{60'000};
+  ::setenv("GRIDSE_CYCLE_DEADLINE_MS", "1", 1);
+  DseSystem sys(io::ieee118_dse(), cfg);
+  ::unsetenv("GRIDSE_CYCLE_DEADLINE_MS");
+  obs::Counter& missed =
+      obs::MetricsRegistry::global().counter("slo.cycle_deadline_missed");
+  for (int c = 0; c < 2; ++c) {
+    const std::uint64_t before = missed.value();
+    const CycleReport rep = sys.run_cycle(c * 60.0);
+    ASSERT_GT(rep.dse.total_seconds, 0.001) << "cycle " << c;
+    EXPECT_EQ(missed.value() - before, 1u) << "cycle " << c;
+  }
+}
+
+TEST(DseSystem, HalfSetTopologyKSweepRejectedAtConstruction) {
+  SystemConfig cfg = small_config();
+  cfg.topology.k_min = 4;
+  EXPECT_THROW(DseSystem(io::ieee118_dse(), cfg), InvalidInput);
+  cfg.topology.k_min = 0;
+  cfg.topology.k_max = 8;
+  EXPECT_THROW(DseSystem(io::ieee118_dse(), cfg), InvalidInput);
 }
 
 TEST(Transport, ParsesNames) {

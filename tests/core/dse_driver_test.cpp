@@ -15,6 +15,7 @@
 #include "runtime/inproc_comm.hpp"
 #include "runtime/tcp_comm.hpp"
 #include "util/rng.hpp"
+#include "state_golden.hpp"
 
 namespace gridse::core {
 namespace {
@@ -26,16 +27,14 @@ constexpr const char* kWireCounters[] = {
     "dse.combine.bytes", "dse.pseudo.messages"};
 using WireCounts = std::map<std::string, std::uint64_t>;
 
-/// Pinned outcome of one ieee118 cycle (9 subsystems on 3 ranks). The
-/// state is pinned through exact checksums over all 118 buses plus eight
-/// sampled buses; the tolerances follow from a 1e-12 per-bus bound.
+/// Pinned outcome of one ieee118 cycle (9 subsystems on 3 ranks): the wire
+/// counters plus the state pin of StateGolden.
 struct ExchangeGolden {
   WireCounts counters;
   double sum_theta;
   double sum_vm;
-  double weighted_theta;  ///< sum over buses of (bus + 1) * theta
+  double weighted_theta;
   double weighted_vm;
-  /// {theta, vm} at buses 0, 16, 32, ..., 112.
   std::vector<std::pair<double, double>> samples;
 };
 
@@ -45,27 +44,8 @@ void expect_golden(const DseResult& r, const WireCounts& counts,
   if (obs::kEnabled) {
     EXPECT_EQ(counts, g.counters);
   }
-  double sum_theta = 0.0;
-  double sum_vm = 0.0;
-  double weighted_theta = 0.0;
-  double weighted_vm = 0.0;
-  for (std::size_t i = 0; i < r.state.theta.size(); ++i) {
-    const auto w = static_cast<double>(i + 1);
-    sum_theta += r.state.theta[i];
-    sum_vm += r.state.vm[i];
-    weighted_theta += w * r.state.theta[i];
-    weighted_vm += w * r.state.vm[i];
-  }
-  const double n = static_cast<double>(r.state.theta.size());
-  EXPECT_NEAR(sum_theta, g.sum_theta, n * 1e-12);
-  EXPECT_NEAR(sum_vm, g.sum_vm, n * 1e-12);
-  EXPECT_NEAR(weighted_theta, g.weighted_theta, n * (n + 1) / 2 * 1e-12);
-  EXPECT_NEAR(weighted_vm, g.weighted_vm, n * (n + 1) / 2 * 1e-12);
-  ASSERT_EQ(g.samples.size(), 8u);
-  for (std::size_t k = 0; k < g.samples.size(); ++k) {
-    EXPECT_NEAR(r.state.theta[16 * k], g.samples[k].first, 1e-12) << k;
-    EXPECT_NEAR(r.state.vm[16 * k], g.samples[k].second, 1e-12) << k;
-  }
+  expect_state_golden(r.state, {g.sum_theta, g.sum_vm, g.weighted_theta,
+                                g.weighted_vm, g.samples});
 }
 
 class DseDriverTest : public ::testing::Test {
@@ -538,6 +518,28 @@ TEST_F(DseDriverTest, GoldenRemappedExchange) {
         {-0.11161605541088469, 1.0074880871529448},
         {-0.11414028267768021, 1.0121316242084932},
         {-0.079384154663830808, 1.0411565803994185}}});
+}
+
+TEST_F(DseDriverTest, GoldenHuberExchange) {
+  // Robust local solves (Huber IRLS at the default threshold): the wire
+  // format is the plain one, only the estimates move.
+  DseOptions opts;
+  opts.local.robust = true;
+  const auto [result, counts] = run_counted(opts, assignment_);
+  expect_golden(result, counts,
+                {kPlainGolden.counters,
+                 -11.258147475801733,
+                 120.22169816726911,
+                 -704.9528361530148,
+                 7154.4921625604284,
+                 {{0, 1.0397709676313454},
+                  {-0.12345465586105228, 1.0264287713055944},
+                  {-0.13102310394749658, 1.0062903967641479},
+                  {-0.085839642514490486, 1.0089831867939472},
+                  {-0.099603784552531383, 1.0083632066682329},
+                  {-0.1114480218861475, 1.0087330691059249},
+                  {-0.11407471908634585, 1.0127495891885985},
+                  {-0.079389391450393268, 1.0413095634723946}}});
 }
 
 TEST_F(DseDriverTest, ExchangeVolumeIsSmall) {

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-
 #include "analysis/debug_sync.hpp"
 #include "decomp/sensitivity.hpp"
 #include "grid/meas_generator.hpp"
@@ -10,6 +9,7 @@
 #include "io/synthetic.hpp"
 #include "runtime/inproc_comm.hpp"
 #include "util/rng.hpp"
+#include "state_golden.hpp"
 
 namespace gridse::core {
 namespace {
@@ -40,7 +40,7 @@ class HierarchicalTest : public ::testing::Test {
 };
 
 TEST_F(HierarchicalTest, ConvergesAndMatchesTruth) {
-  HierarchicalDriver driver(generated_.kase.network, d_, {});
+  HierarchicalDriver driver(generated_.kase.network, d_);
   runtime::InprocWorld world(3);
   analysis::Mutex mutex{"hierarchical_test::mutex"};
   std::vector<HierarchicalResult> results(3);
@@ -56,7 +56,7 @@ TEST_F(HierarchicalTest, ConvergesAndMatchesTruth) {
 }
 
 TEST_F(HierarchicalTest, CoordinatorBroadcastsIdenticalState) {
-  HierarchicalDriver driver(generated_.kase.network, d_, {});
+  HierarchicalDriver driver(generated_.kase.network, d_);
   runtime::InprocWorld world(3);
   analysis::Mutex mutex{"hierarchical_test::mutex"};
   std::vector<grid::GridState> states(3);
@@ -75,7 +75,7 @@ TEST_F(HierarchicalTest, CoordinatorBroadcastsIdenticalState) {
 TEST_F(HierarchicalTest, CoordinationRefinesStepOne) {
   // The coordinator's pass (with tie-line telemetry) must not be worse than
   // the raw assembly of local solutions.
-  HierarchicalDriver driver(generated_.kase.network, d_, {});
+  HierarchicalDriver driver(generated_.kase.network, d_);
   runtime::InprocWorld world(3);
   analysis::Mutex mutex{"hierarchical_test::mutex"};
   grid::GridState refined;
@@ -102,8 +102,38 @@ TEST_F(HierarchicalTest, CoordinationRefinesStepOne) {
   EXPECT_LE(grid::max_vm_error(refined, pf_.state), assembled_err * 1.5);
 }
 
+TEST_F(HierarchicalTest, GoldenCoordinatorState) {
+  // Pins the fixed coordinator settings (solution sigma 0.005, default
+  // coordinator WLS, default local estimators) through the broadcast state.
+  HierarchicalDriver driver(generated_.kase.network, d_);
+  runtime::InprocWorld world(3);
+  analysis::Mutex mutex{"hierarchical_test::mutex"};
+  HierarchicalResult rank0;
+  world.run([&](runtime::Communicator& c) {
+    HierarchicalResult r = driver.run(c, meas_, assignment_);
+    if (c.rank() == 0) {
+      analysis::LockGuard lock(mutex);
+      rank0 = std::move(r);
+    }
+  });
+  EXPECT_TRUE(rank0.all_converged);
+  expect_state_golden(rank0.state,
+                      {-11.224699928291692,
+                       120.34183886690349,
+                       -708.11488101974339,
+                       7163.7544471751407,
+                       {{0, 1.0400084632049076},
+                        {-0.11990775382603454, 1.0281190923691148},
+                        {-0.1295782657988592, 1.0080537532047944},
+                        {-0.087017709161649581, 1.0081758816467037},
+                        {-0.099416871349331123, 1.0116958479988984},
+                        {-0.11032942124044498, 1.0096327849996438},
+                        {-0.1177995651485241, 1.0156778227317389},
+                        {-0.082338341285485686, 1.0421927391036261}}});
+}
+
 TEST_F(HierarchicalTest, SingleRankWorks) {
-  HierarchicalDriver driver(generated_.kase.network, d_, {});
+  HierarchicalDriver driver(generated_.kase.network, d_);
   runtime::InprocWorld world(1);
   const std::vector<graph::PartId> all_zero(9, 0);
   world.run([&](runtime::Communicator& c) {

@@ -73,7 +73,6 @@ class ChaosDseTest : public ::testing::Test {
       std::chrono::milliseconds deadline) {
     DseOptions opts;
     opts.exchange_deadline = deadline;
-    opts.degraded_step2 = true;
     return opts;
   }
 
@@ -429,7 +428,6 @@ TEST(ChaosSoakTest, SeedLoopCompletesBoundedOnARing) {
 
   DseOptions opts;
   opts.exchange_deadline = std::chrono::milliseconds{1500};
-  opts.degraded_step2 = true;
   DseDriver driver(generated.kase.network, d, opts);
 
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {

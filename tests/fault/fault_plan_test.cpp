@@ -78,6 +78,16 @@ TEST_F(FaultPlanTest, RejectsMalformedPlans) {
   EXPECT_THROW(
       FaultPlan::parse(R"({"rules": [{"site": "x", "delay_ms": -5}]})"),
       InvalidInput);
+  // Integer fields are never truncated, wrapped or clamped, and no field
+  // can spell the kAnyValue wildcard.
+  for (const char* bad :
+       {R"({"seed": -5, "rules": []})", R"({"seed": 1.5, "rules": []})",
+        R"({"rules": [{"site": "x", "after": 2.7}]})",
+        R"({"rules": [{"site": "x", "delay_ms": 1e300}]})",
+        R"({"rules": [{"site": "x", "tag": 4294967296}]})",
+        R"({"rules": [{"site": "x", "source": -2147483648}]})"}) {
+    EXPECT_THROW(FaultPlan::parse(bad), InvalidInput) << bad;
+  }
 }
 
 TEST_F(FaultPlanTest, ExactAndPrefixSiteMatching) {

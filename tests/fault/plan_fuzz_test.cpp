@@ -1,0 +1,104 @@
+// Seeded mutation fuzz over the plan JSON parsers: every truncated,
+// bit-flipped or byte-inserted plan must either parse or throw
+// InvalidInput — never crash, hang, or surface another exception type. A
+// replay plan that parses must round-trip through to_json().
+#include <gtest/gtest.h>
+
+#include <string>
+
+#include "fault/fault.hpp"
+#include "fault/topology_replay.hpp"
+#include "io/synthetic.hpp"
+#include "util/error.hpp"
+#include "util/rng.hpp"
+
+namespace gridse::fault {
+namespace {
+
+constexpr int kMutationsPerSeed = 400;
+
+/// One seeded mutation of `text`: truncate it, flip one to three bits, or
+/// insert a byte (half the time a JSON-significant one).
+std::string mutate(const std::string& text, Rng& rng) {
+  std::string out = text;
+  const auto pos = [&](std::size_t size) {
+    return static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(size) - 1));
+  };
+  switch (rng.uniform_int(0, 2)) {
+    case 0:
+      out.resize(pos(out.size()));
+      break;
+    case 1:
+      for (std::int64_t flips = rng.uniform_int(1, 3); flips > 0; --flips) {
+        char& byte = out[pos(out.size())];
+        byte = static_cast<char>(byte ^ (1 << rng.uniform_int(0, 7)));
+      }
+      break;
+    default: {
+      static constexpr char kSignificant[] = "{}[]\",:.-+eE0123456789";
+      const char byte =
+          rng.bernoulli(0.5)
+              ? kSignificant[pos(sizeof kSignificant - 1)]
+              : static_cast<char>(rng.uniform_int(0, 255));
+      out.insert(out.begin() + static_cast<std::ptrdiff_t>(pos(out.size() + 1)),
+                 byte);
+      break;
+    }
+  }
+  return out;
+}
+
+TEST(TopologyReplayPlanFuzz, MutatedPlansThrowOrRoundTrip) {
+  const io::GeneratedCase gc = io::ieee118_dse();
+  const std::string json =
+      TopologyReplayPlan::generate(gc.kase.network, 5).to_json();
+  int parsed = 0;
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    Rng rng(seed);
+    for (int i = 0; i < kMutationsPerSeed; ++i) {
+      const std::string text = mutate(json, rng);
+      try {
+        const TopologyReplayPlan plan = TopologyReplayPlan::parse(text);
+        const TopologyReplayPlan again =
+            TopologyReplayPlan::parse(plan.to_json());
+        EXPECT_EQ(again.seed, plan.seed) << text;
+        EXPECT_EQ(again.events, plan.events) << text;
+        ++parsed;
+      } catch (const InvalidInput&) {
+        // Rejected loudly: the only acceptable failure.
+      }
+    }
+  }
+  // Some mutations (e.g. a flipped digit) leave a valid plan.
+  EXPECT_GT(parsed, 0);
+}
+
+TEST(FaultPlanFuzz, MutatedPlansThrowOrParse) {
+  // The example plan of docs/RESILIENCE.md ("Fault plans").
+  const std::string json =
+      R"({"seed": 5, "rules": [
+  {"site": "tcp.send", "action": "drop", "source": 1,
+   "tag_min": 16, "tag_max": 106}
+]})";
+  ASSERT_NO_THROW(FaultPlan::parse(json));
+  int parsed = 0;
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    Rng rng(seed);
+    for (int i = 0; i < kMutationsPerSeed; ++i) {
+      const std::string text = mutate(json, rng);
+      try {
+        const FaultPlan plan = FaultPlan::parse(text);
+        for (const FaultRule& rule : plan.rules) {
+          EXPECT_FALSE(rule.site.empty()) << text;
+        }
+        ++parsed;
+      } catch (const InvalidInput&) {
+      }
+    }
+  }
+  EXPECT_GT(parsed, 0);
+}
+
+}  // namespace
+}  // namespace gridse::fault

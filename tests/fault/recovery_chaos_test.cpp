@@ -28,7 +28,7 @@ SystemConfig recovery_config() {
   cfg.mapping.num_clusters = 3;
   cfg.transport = Transport::kTcp;
   cfg.resilience.barrier_timeout = std::chrono::milliseconds{30'000};
-  cfg.resilience.exchange_deadline = std::chrono::milliseconds{2000};
+  cfg.dse.exchange_deadline = std::chrono::milliseconds{2000};
   cfg.resilience.recovery.enabled = true;
   cfg.resilience.recovery.heartbeat_period = std::chrono::milliseconds{5};
   cfg.resilience.recovery.heartbeat_timeout = std::chrono::milliseconds{500};

@@ -62,6 +62,17 @@ TEST(TopologyReplayPlanTest, MalformedPlansAreRejected) {
   EXPECT_THROW(TopologyReplayPlan::parse(
                    "{\"events\":[{\"cycle\":1,\"kind\":\"bus_split\"}]}"),
                InvalidInput);
+  // Integer fields are never truncated, wrapped or clamped.
+  for (const char* bad :
+       {R"({"events":[{"cycle":2.7,"kind":"line_outage","branch":3}]})",
+        R"({"events":[{"cycle":1e300,"kind":"line_outage","branch":3}]})",
+        R"({"events":[{"cycle":1,"kind":"line_outage","branch":3.5}]})",
+        R"({"events":[{"cycle":1,"kind":"line_outage","branch":4294967296}]})",
+        R"({"events":[{"cycle":1,"kind":"bus_split","bus":1e2}]})",
+        R"({"seed":-5,"events":[]})", R"({"seed":1.5,"events":[]})",
+        R"({"seed":18446744073709551616,"events":[]})"}) {
+    EXPECT_THROW(TopologyReplayPlan::parse(bad), InvalidInput) << bad;
+  }
 }
 
 TEST(TopologyReplayPlanTest, GeneratorIsSeedDeterministicAndArcShaped) {

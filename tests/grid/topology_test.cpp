@@ -255,9 +255,8 @@ TEST(AnchorMeasurementsTest, DeadBusesPinnedAndLiveComponentsAnchored) {
   for (std::size_t i = 0; i < prior.theta.size(); ++i) {
     prior.theta[i] = 0.01 * static_cast<double>(i);
   }
-  AnchorOptions options;
-  const std::size_t appended = append_anchor_measurements(
-      net, islands, one_group, prior, set, options);
+  const std::size_t appended =
+      append_anchor_measurements(net, islands, one_group, prior, set);
   EXPECT_EQ(appended, set.items.size());
 
   // The dead bus gets the |V| = 0 / θ = 0 pins.
@@ -266,7 +265,7 @@ TEST(AnchorMeasurementsTest, DeadBusesPinnedAndLiveComponentsAnchored) {
   for (const Measurement& m : set.items) {
     if (m.bus == pq) {
       EXPECT_EQ(m.value, 0.0);
-      EXPECT_EQ(m.sigma, options.dead_sigma);
+      EXPECT_EQ(m.sigma, kAnchorSigma);
       ++dead_pins;
     } else if (m.type == MeasType::kVAngle) {
       // The big island holds its reference in this single-group split, so
@@ -283,7 +282,7 @@ TEST(AnchorMeasurementsTest, DeadBusesPinnedAndLiveComponentsAnchored) {
 
   // Determinism: a second pass over the same inputs appends the same rows.
   MeasurementSet again;
-  append_anchor_measurements(net, islands, one_group, prior, again, options);
+  append_anchor_measurements(net, islands, one_group, prior, again);
   ASSERT_EQ(again.items.size(), set.items.size());
   for (std::size_t i = 0; i < set.items.size(); ++i) {
     EXPECT_EQ(again.items[i].bus, set.items[i].bus);

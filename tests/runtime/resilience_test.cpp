@@ -9,8 +9,8 @@
 namespace gridse::runtime {
 namespace {
 
-/// Clear every env var with_env_overrides reads, restore nothing: tests set
-/// exactly what they need and the fixture guarantees a clean slate.
+/// Clear every env var these tests set, restore nothing: tests set exactly
+/// what they need and the fixture guarantees a clean slate.
 class ResilienceEnvTest : public ::testing::Test {
  protected:
   void SetUp() override { clear(); }
@@ -21,7 +21,9 @@ class ResilienceEnvTest : public ::testing::Test {
          {"GRIDSE_BARRIER_TIMEOUT_MS", "GRIDSE_EXCHANGE_DEADLINE_MS",
           "GRIDSE_RECOVERY", "GRIDSE_HEARTBEAT_PERIOD_MS",
           "GRIDSE_HEARTBEAT_TIMEOUT_MS", "GRIDSE_HEARTBEAT_ROUNDS",
-          "GRIDSE_REJOIN_EPOCH", "GRIDSE_CHECKPOINT_DIR"}) {
+          "GRIDSE_REJOIN_EPOCH", "GRIDSE_CHECKPOINT_DIR",
+          "GRIDSE_CYCLE_DEADLINE_MS", "GRIDSE_PHASE_BUDGET_STEP2_MS",
+          "GRIDSE_TOPOLOGY_K_MIN", "GRIDSE_TOPOLOGY_K_MAX"}) {
       ::unsetenv(name);
     }
   }
@@ -84,10 +86,10 @@ TEST(ParseEnvFlag, RejectsAnythingElse) {
 
 TEST_F(ResilienceEnvTest, NoOverridesLeavesConfigUntouched) {
   ResilienceConfig base;
-  base.exchange_deadline = std::chrono::milliseconds{123};
   base.recovery.heartbeat_rounds = 5;
   const ResilienceConfig out = with_env_overrides(base);
-  EXPECT_EQ(out.exchange_deadline, std::chrono::milliseconds{123});
+  EXPECT_EQ(exchange_deadline_with_env(std::chrono::milliseconds{123}),
+            std::chrono::milliseconds{123});
   EXPECT_EQ(out.barrier_timeout, base.barrier_timeout);
   EXPECT_FALSE(out.recovery.enabled);
   EXPECT_EQ(out.recovery.heartbeat_rounds, 5);
@@ -104,7 +106,8 @@ TEST_F(ResilienceEnvTest, AppliesEveryRecoveryOverride) {
   ::setenv("GRIDSE_CHECKPOINT_DIR", "/tmp/ckpt", 1);
   const ResilienceConfig out = with_env_overrides(ResilienceConfig{});
   EXPECT_EQ(out.barrier_timeout, std::chrono::milliseconds{777});
-  EXPECT_EQ(out.exchange_deadline, std::chrono::milliseconds{888});
+  EXPECT_EQ(exchange_deadline_with_env(std::chrono::milliseconds{0}),
+            std::chrono::milliseconds{888});
   EXPECT_TRUE(out.recovery.enabled);
   EXPECT_EQ(out.recovery.heartbeat_period, std::chrono::milliseconds{7});
   EXPECT_EQ(out.recovery.heartbeat_timeout, std::chrono::milliseconds{99});
@@ -115,7 +118,8 @@ TEST_F(ResilienceEnvTest, AppliesEveryRecoveryOverride) {
 
 TEST_F(ResilienceEnvTest, RejectsMalformedValuesLoudly) {
   ::setenv("GRIDSE_EXCHANGE_DEADLINE_MS", "-50", 1);
-  EXPECT_THROW(with_env_overrides(ResilienceConfig{}), InvalidInput);
+  EXPECT_THROW(exchange_deadline_with_env(std::chrono::milliseconds{0}),
+               InvalidInput);
   clear();
   ::setenv("GRIDSE_BARRIER_TIMEOUT_MS", "fast", 1);
   EXPECT_THROW(with_env_overrides(ResilienceConfig{}), InvalidInput);
@@ -129,8 +133,44 @@ TEST_F(ResilienceEnvTest, RejectsMalformedValuesLoudly) {
 
 TEST_F(ResilienceEnvTest, EmptyValueIsIgnored) {
   ::setenv("GRIDSE_EXCHANGE_DEADLINE_MS", "", 1);
-  const ResilienceConfig out = with_env_overrides(ResilienceConfig{});
-  EXPECT_EQ(out.exchange_deadline, std::chrono::milliseconds{0});
+  EXPECT_EQ(exchange_deadline_with_env(std::chrono::milliseconds{0}),
+            std::chrono::milliseconds{0});
+}
+
+TEST_F(ResilienceEnvTest, ExchangeDeadlineEnvBeatsConfig) {
+  ::setenv("GRIDSE_EXCHANGE_DEADLINE_MS", "250", 1);
+  EXPECT_EQ(exchange_deadline_with_env(std::chrono::milliseconds{5000}),
+            std::chrono::milliseconds{250});
+}
+
+TEST_F(ResilienceEnvTest, SloEnvBeatsConfigPerThreshold) {
+  SloConfig base;
+  base.cycle_deadline = std::chrono::milliseconds{60'000};
+  base.step1_budget = std::chrono::milliseconds{40};
+  ::setenv("GRIDSE_CYCLE_DEADLINE_MS", "1", 1);
+  ::setenv("GRIDSE_PHASE_BUDGET_STEP2_MS", "7", 1);
+  const SloConfig out = with_env_overrides(base);
+  EXPECT_EQ(out.cycle_deadline, std::chrono::milliseconds{1});
+  EXPECT_EQ(out.step1_budget, std::chrono::milliseconds{40});
+  EXPECT_EQ(out.step2_budget, std::chrono::milliseconds{7});
+  EXPECT_EQ(out.exchange_budget, std::chrono::milliseconds{0});
+}
+
+TEST_F(ResilienceEnvTest, TopologyKSweepBoundsMustBeSetTogether) {
+  ::setenv("GRIDSE_TOPOLOGY_K_MIN", "4", 1);
+  EXPECT_THROW(with_env_overrides(TopologyConfig{}), InvalidInput);
+  ::setenv("GRIDSE_TOPOLOGY_K_MAX", "8", 1);
+  const TopologyConfig both = with_env_overrides(TopologyConfig{});
+  EXPECT_EQ(both.k_min, 4);
+  EXPECT_EQ(both.k_max, 8);
+  clear();
+  ::setenv("GRIDSE_TOPOLOGY_K_MAX", "8", 1);
+  EXPECT_THROW(with_env_overrides(TopologyConfig{}), InvalidInput);
+  // A configured half pair is rejected the same way.
+  clear();
+  TopologyConfig half;
+  half.k_min = 4;
+  EXPECT_THROW(with_env_overrides(half), InvalidInput);
 }
 
 }  // namespace

@@ -121,9 +121,9 @@ int run(const Args& args) {
   }
 
   // Per-cycle telemetry + flight recorder (docs/OBSERVABILITY.md). The SLO
-  // deadline flows through config.telemetry.slo into the driver.
+  // deadline is the driver's own config.dse.slo.
   config.telemetry.dir = opt_str(args, "telemetry-dir", "");
-  config.telemetry.slo.cycle_deadline =
+  config.dse.slo.cycle_deadline =
       std::chrono::milliseconds(opt_int(args, "cycle-deadline-ms", 0));
   if (!config.telemetry.dir.empty() && !obs::kEnabled) {
     std::fprintf(stderr,
@@ -140,9 +140,7 @@ int run(const Args& args) {
   const int kill_cycle = opt_int(args, "kill-cycle", -1);
   if (recovery) {
     config.resilience.recovery.enabled = true;
-    if (config.resilience.exchange_deadline.count() == 0) {
-      config.resilience.exchange_deadline = std::chrono::milliseconds(2000);
-    }
+    config.dse.exchange_deadline = std::chrono::milliseconds(2000);
   }
   if (kill_cluster >= 0 && !recovery) {
     std::fprintf(stderr, "--kill-cluster requires --recovery 1\n");
