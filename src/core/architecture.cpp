@@ -48,10 +48,12 @@ namespace {
 /// `islands` (topology replay, DC only) each island gets its own reference
 /// and de-energized buses are pinned to |V| = 0, θ = 0; the jitter stream
 /// draws for every PQ bus regardless of energization, so restoring the base
-/// topology returns the exact pre-event truth.
-grid::GridState solve_truth_state(const grid::Network& network, TruthMode mode,
-                                  std::uint64_t seed,
-                                  const grid::IslandReport* islands) {
+/// topology returns the exact pre-event truth. `plan` is the caller's B′
+/// plan slot, reused while B′'s pattern is unchanged.
+grid::GridState solve_truth_state(
+    const grid::Network& network, TruthMode mode, std::uint64_t seed,
+    const grid::IslandReport* islands,
+    std::shared_ptr<const sparse::SymbolicPlan>& plan) {
   if (mode == TruthMode::kAcPowerFlow) {
     GRIDSE_CHECK(islands == nullptr);
     const grid::PowerFlowResult pf = grid::solve_power_flow(network);
@@ -63,10 +65,11 @@ grid::GridState solve_truth_state(const grid::Network& network, TruthMode mode,
   }
   grid::GridState state(network.num_buses());
   if (islands != nullptr) {
-    state.theta = grid::solve_dc_power_flow_islands(network, *islands).theta;
+    state.theta =
+        grid::solve_dc_power_flow_islands(network, *islands, plan).theta;
   } else {
     const std::optional<grid::DcPowerFlow> dc =
-        grid::solve_dc_power_flow(network);
+        grid::solve_dc_power_flow(network, plan);
     if (!dc) {
       throw ConvergenceFailure("DseSystem: DC power flow is singular");
     }
@@ -139,7 +142,7 @@ DseSystem::DseSystem(io::GeneratedCase generated, SystemConfig config)
   }
 
   true_state_ = solve_truth_state(generated_.kase.network, config_.truth_mode,
-                                  config_.seed, nullptr);
+                                  config_.seed, nullptr, truth_plan_);
   last_estimate_ = true_state_;
   bus_energized_prev_.assign(
       static_cast<std::size_t>(generated_.kase.network.num_buses()), 1);
@@ -259,7 +262,7 @@ CycleReport DseSystem::run_cycle(double time_sec) {
     }
     true_state_ = solve_truth_state(
         scaled ? *scaled : generated_.kase.network, config_.truth_mode,
-        config_.seed, islands ? &*islands : nullptr);
+        config_.seed, islands ? &*islands : nullptr, truth_plan_);
   }
   last_measurements_ = generator_->generate(true_state_, rng_, time_sec);
   if (live_topology_ != nullptr) {
@@ -589,8 +592,13 @@ void DseSystem::announce_rejoin(int cluster) {
 estimation::WlsResult DseSystem::centralized_reference() const {
   GRIDSE_CHECK_MSG(!last_measurements_.items.empty(),
                    "run_cycle must run before centralized_reference");
+  // The whole-network gain is solved by LDLᵀ under AMD, the faster
+  // centralized solver on every tier measured (EXPERIMENTS.md), so the DSE
+  // speed-up is taken against the strongest baseline.
+  estimation::WlsOptions options = config_.dse.local.wls;
+  options.solver = estimation::LinearSolver::kLdlt;
   return centralized_estimate(generated_.kase.network, last_measurements_,
-                              config_.dse.local.wls);
+                              options);
 }
 
 }  // namespace gridse::core

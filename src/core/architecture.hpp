@@ -154,7 +154,8 @@ class DseSystem {
   /// combine. Deterministic given the config seed and cycle count.
   CycleReport run_cycle(double time_sec);
 
-  /// The centralized reference on the same measurements as the last cycle.
+  /// The centralized reference on the same measurements as the last cycle,
+  /// solved by sparse LDLᵀ whatever the Step-1 solver.
   [[nodiscard]] estimation::WlsResult centralized_reference() const;
 
   /// Cross-cycle recovery controls (require resilience.recovery.enabled;
@@ -206,6 +207,12 @@ class DseSystem {
   [[nodiscard]] const grid::GridState& true_state() const {
     return true_state_;
   }
+  /// The DC truth's B′ symbolic plan, kept across frames (null under AC
+  /// truth). Re-analyzed only when switching changes B′'s pattern.
+  [[nodiscard]] const std::shared_ptr<const sparse::SymbolicPlan>&
+  truth_plan() const {
+    return truth_plan_;
+  }
   [[nodiscard]] const grid::MeasurementSet& last_measurements() const {
     return last_measurements_;
   }
@@ -226,6 +233,8 @@ class DseSystem {
   SystemConfig config_;
   decomp::Decomposition decomposition_;
   grid::GridState true_state_;
+  /// The one B′ plan slot every DC truth solve of this system goes through.
+  std::shared_ptr<const sparse::SymbolicPlan> truth_plan_;
   std::unique_ptr<grid::MeasurementGenerator> generator_;
   Rng rng_;
   grid::MeasurementSet last_measurements_;

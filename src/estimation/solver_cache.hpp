@@ -31,7 +31,7 @@ class SolverCache {
   };
 
   /// Plan for the pattern of `a` (analyzing it on a miss). `ordered` selects
-  /// the RCM-permuted LDLᵀ facet; plans with different `ordered` flags are
+  /// the fill-reduced LDLᵀ facet; plans with different `ordered` flags are
   /// distinct cache entries.
   std::shared_ptr<const sparse::SymbolicPlan> plan_for(const sparse::Csr& a,
                                                        bool ordered = true);

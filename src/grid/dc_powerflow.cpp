@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <queue>
-#include <set>
+#include <utility>
 
 #include "sparse/csr.hpp"
 #include "sparse/ldlt.hpp"
@@ -12,8 +12,7 @@
 namespace gridse::grid {
 namespace {
 
-bool connected_without(const Network& network,
-                       const std::set<std::size_t>& outaged) {
+bool connected_with(const Network& network, std::span<const char> in_service) {
   const BusIndex n = network.num_buses();
   if (n <= 1) return true;
   std::vector<bool> seen(static_cast<std::size_t>(n), false);
@@ -25,7 +24,7 @@ bool connected_without(const Network& network,
     const BusIndex u = q.front();
     q.pop();
     for (const std::size_t bi : network.branches_at(u)) {
-      if (outaged.count(bi) > 0) continue;
+      if (in_service[bi] == 0) continue;
       const Branch& br = network.branch(bi);
       const BusIndex v = (br.from == u) ? br.to : br.from;
       if (!seen[static_cast<std::size_t>(v)]) {
@@ -38,72 +37,161 @@ bool connected_without(const Network& network,
   return count == n;
 }
 
-}  // namespace
-
-std::optional<DcPowerFlow> solve_dc_power_flow(
-    const Network& network, const std::vector<std::size_t>& outaged) {
-  network.validate();
-  const std::set<std::size_t> out(outaged.begin(), outaged.end());
-  for (const std::size_t bi : out) {
-    GRIDSE_CHECK_MSG(bi < network.num_branches(),
-                     "outaged branch index out of range");
-  }
-  if (!connected_without(network, out)) {
-    return std::nullopt;
-  }
-
-  const BusIndex n = network.num_buses();
-  const BusIndex slack = network.slack_bus();
-  // reduced index: all buses except slack
-  std::vector<std::int32_t> red(static_cast<std::size_t>(n), -1);
-  std::int32_t next = 0;
-  for (BusIndex i = 0; i < n; ++i) {
-    if (i != slack) red[static_cast<std::size_t>(i)] = next++;
-  }
-
-  // B' matrix over susceptances 1/x (taps/charging ignored in DC).
-  std::vector<sparse::Triplet<double>> triplets;
+/// B′ over susceptances 1/x (taps and charging ignored in DC), assembled
+/// straight into CSR: each row gathers its terms in branch order, is
+/// insertion-sorted by column (stable), and sums its duplicates — the
+/// diagonal and parallel branches — in that order.
+sparse::Csr assemble_bprime(const Network& network,
+                            std::span<const std::int32_t> reduced,
+                            std::span<const char> in_bprime,
+                            sparse::Index dim) {
+  const auto row_of = [&](BusIndex b) {
+    return reduced[static_cast<std::size_t>(b)];
+  };
+  std::vector<sparse::Index> start(static_cast<std::size_t>(dim) + 1, 0);
   for (std::size_t bi = 0; bi < network.num_branches(); ++bi) {
-    if (out.count(bi) > 0) continue;
+    if (in_bprime[bi] == 0) continue;
+    const Branch& br = network.branch(bi);
+    const std::int32_t rf = row_of(br.from);
+    const std::int32_t rt = row_of(br.to);
+    if (rf >= 0) start[static_cast<std::size_t>(rf) + 1] += rt >= 0 ? 2 : 1;
+    if (rt >= 0) start[static_cast<std::size_t>(rt) + 1] += rf >= 0 ? 2 : 1;
+  }
+  for (std::size_t r = 0; r < static_cast<std::size_t>(dim); ++r) {
+    start[r + 1] += start[r];
+  }
+  std::vector<std::pair<sparse::Index, double>> terms(
+      static_cast<std::size_t>(start.back()));
+  std::vector<sparse::Index> next(start.begin(), start.end() - 1);
+  const auto add = [&](std::int32_t row, std::int32_t col, double v) {
+    terms[static_cast<std::size_t>(next[static_cast<std::size_t>(row)]++)] = {
+        col, v};
+  };
+  for (std::size_t bi = 0; bi < network.num_branches(); ++bi) {
+    if (in_bprime[bi] == 0) continue;
     const Branch& br = network.branch(bi);
     GRIDSE_CHECK_MSG(br.x != 0.0, "DC power flow requires nonzero reactance");
     const double b = 1.0 / br.x;
-    const auto rf = red[static_cast<std::size_t>(br.from)];
-    const auto rt = red[static_cast<std::size_t>(br.to)];
-    if (rf >= 0) triplets.push_back({rf, rf, b});
-    if (rt >= 0) triplets.push_back({rt, rt, b});
+    const std::int32_t rf = row_of(br.from);
+    const std::int32_t rt = row_of(br.to);
+    if (rf >= 0) add(rf, rf, b);
+    if (rt >= 0) add(rt, rt, b);
     if (rf >= 0 && rt >= 0) {
-      triplets.push_back({rf, rt, -b});
-      triplets.push_back({rt, rf, -b});
+      add(rf, rt, -b);
+      add(rt, rf, -b);
     }
   }
-  const auto dim = static_cast<sparse::Index>(n - 1);
-  const sparse::Csr bmat =
-      sparse::Csr::from_triplets(dim, dim, std::move(triplets));
 
+  std::vector<sparse::Index> row_ptr(static_cast<std::size_t>(dim) + 1, 0);
+  std::vector<sparse::Index> col;
+  std::vector<double> val;
+  col.reserve(terms.size());
+  val.reserve(terms.size());
+  for (std::size_t r = 0; r < static_cast<std::size_t>(dim); ++r) {
+    const auto first = terms.begin() + start[r];
+    const auto last = terms.begin() + start[r + 1];
+    for (auto it = first; it != last; ++it) {
+      const auto term = *it;
+      auto hole = it;
+      for (; hole != first && (hole - 1)->first > term.first; --hole) {
+        *hole = *(hole - 1);
+      }
+      *hole = term;
+    }
+    const std::size_t row_begin = col.size();
+    for (auto it = first; it != last; ++it) {
+      if (col.size() > row_begin && col.back() == it->first) {
+        val.back() += it->second;
+      } else {
+        col.push_back(it->first);
+        val.push_back(it->second);
+      }
+    }
+    row_ptr[r + 1] = static_cast<sparse::Index>(col.size());
+  }
+  return sparse::Csr::from_parts(dim, dim, std::move(row_ptr), std::move(col),
+                                 std::move(val));
+}
+
+}  // namespace
+
+namespace detail {
+
+std::vector<double> solve_bprime_angles(
+    const Network& network, std::span<const std::int32_t> reduced,
+    std::span<const char> in_bprime,
+    std::shared_ptr<const sparse::SymbolicPlan>& plan) {
+  const BusIndex n = network.num_buses();
+  GRIDSE_CHECK(reduced.size() == static_cast<std::size_t>(n) &&
+               in_bprime.size() == network.num_branches());
+  const auto dim = static_cast<sparse::Index>(
+      std::count_if(reduced.begin(), reduced.end(),
+                    [](std::int32_t r) { return r >= 0; }));
+  const sparse::Csr bprime = assemble_bprime(network, reduced, in_bprime, dim);
   std::vector<double> p(static_cast<std::size_t>(dim), 0.0);
   for (BusIndex i = 0; i < n; ++i) {
-    const auto ri = red[static_cast<std::size_t>(i)];
-    if (ri < 0) continue;
-    p[static_cast<std::size_t>(ri)] = network.scheduled_injection(i).first;
-  }
-
-  sparse::SparseLdlt ldlt;
-  ldlt.factorize(bmat);
-  const std::vector<double> theta_red = ldlt.solve(p);
-
-  DcPowerFlow result;
-  result.theta.assign(static_cast<std::size_t>(n), 0.0);
-  for (BusIndex i = 0; i < n; ++i) {
-    const auto ri = red[static_cast<std::size_t>(i)];
+    const std::int32_t ri = reduced[static_cast<std::size_t>(i)];
     if (ri >= 0) {
-      result.theta[static_cast<std::size_t>(i)] =
-          theta_red[static_cast<std::size_t>(ri)];
+      p[static_cast<std::size_t>(ri)] = network.scheduled_injection(i).first;
     }
   }
+
+  if (plan == nullptr || !plan->matches(bprime)) {
+    plan = std::make_shared<const sparse::SymbolicPlan>(
+        sparse::SymbolicPlan::analyze(bprime));
+  }
+  sparse::SparseLdlt ldlt;
+  ldlt.factorize(bprime, plan);
+  const std::vector<double> theta_reduced = ldlt.solve(p);
+
+  std::vector<double> theta(static_cast<std::size_t>(n), 0.0);
+  for (BusIndex i = 0; i < n; ++i) {
+    const std::int32_t ri = reduced[static_cast<std::size_t>(i)];
+    if (ri >= 0) {
+      theta[static_cast<std::size_t>(i)] =
+          theta_reduced[static_cast<std::size_t>(ri)];
+    }
+  }
+  return theta;
+}
+
+}  // namespace detail
+
+std::optional<DcPowerFlow> solve_dc_power_flow(
+    const Network& network, const std::vector<std::size_t>& outaged) {
+  std::shared_ptr<const sparse::SymbolicPlan> plan;
+  return solve_dc_power_flow(network, plan, outaged);
+}
+
+std::optional<DcPowerFlow> solve_dc_power_flow(
+    const Network& network, std::shared_ptr<const sparse::SymbolicPlan>& plan,
+    const std::vector<std::size_t>& outaged) {
+  network.validate();
+  std::vector<char> in_service(network.num_branches(), 1);
+  for (const std::size_t bi : outaged) {
+    GRIDSE_CHECK_MSG(bi < network.num_branches(),
+                     "outaged branch index out of range");
+    in_service[bi] = 0;
+  }
+  // validate() proved the full network connected; only outages can split it.
+  if (!outaged.empty() && !connected_with(network, in_service)) {
+    return std::nullopt;
+  }
+
+  // Reduced index: all buses except the slack.
+  const BusIndex n = network.num_buses();
+  const BusIndex slack = network.slack_bus();
+  std::vector<std::int32_t> reduced(static_cast<std::size_t>(n), -1);
+  std::int32_t next = 0;
+  for (BusIndex i = 0; i < n; ++i) {
+    if (i != slack) reduced[static_cast<std::size_t>(i)] = next++;
+  }
+
+  DcPowerFlow result;
+  result.theta = detail::solve_bprime_angles(network, reduced, in_service, plan);
   result.flows.assign(network.num_branches(), 0.0);
   for (std::size_t bi = 0; bi < network.num_branches(); ++bi) {
-    if (out.count(bi) > 0) continue;
+    if (in_service[bi] == 0) continue;
     const Branch& br = network.branch(bi);
     result.flows[bi] =
         (result.theta[static_cast<std::size_t>(br.from)] -

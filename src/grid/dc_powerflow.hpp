@@ -1,9 +1,12 @@
 #pragma once
 
+#include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "grid/network.hpp"
+#include "sparse/symbolic_plan.hpp"
 
 namespace gridse::grid {
 
@@ -24,6 +27,28 @@ struct DcPowerFlow {
 /// Injections come from the network's scheduled values; the slack balances.
 std::optional<DcPowerFlow> solve_dc_power_flow(
     const Network& network, const std::vector<std::size_t>& outaged = {});
+
+/// As above, with a caller-owned slot for B′'s symbolic plan: the plan in
+/// `plan` is reused while its fingerprint matches B′'s pattern, and a new
+/// one is analyzed (and stored) otherwise. A caller that solves the same
+/// topology every frame then pays only for the numeric factor.
+std::optional<DcPowerFlow> solve_dc_power_flow(
+    const Network& network, std::shared_ptr<const sparse::SymbolicPlan>& plan,
+    const std::vector<std::size_t>& outaged = {});
+
+namespace detail {
+
+/// Bus angles from B′θ = P. B′ spans the branches with `in_bprime[bi]`
+/// set and the buses with `reduced[b] >= 0` (their B′ row); the others —
+/// reference and dead buses — get θ = 0. P is the scheduled active
+/// injection. The plan in `plan` is reused while it matches B′'s pattern;
+/// otherwise a new one is analyzed and stored there.
+std::vector<double> solve_bprime_angles(
+    const Network& network, std::span<const std::int32_t> reduced,
+    std::span<const char> in_bprime,
+    std::shared_ptr<const sparse::SymbolicPlan>& plan);
+
+}  // namespace detail
 
 /// Assign thermal ratings to every branch: `margin` times the absolute
 /// base-case DC flow, floored at `min_rating` so lightly loaded branches

@@ -4,7 +4,6 @@
 #include <queue>
 
 #include "grid/ybus.hpp"
-#include "sparse/ldlt.hpp"
 #include "util/error.hpp"
 
 namespace gridse::grid {
@@ -372,6 +371,13 @@ std::size_t append_anchor_measurements(const Network& network,
 
 DcPowerFlow solve_dc_power_flow_islands(const Network& network,
                                         const IslandReport& islands) {
+  std::shared_ptr<const sparse::SymbolicPlan> plan;
+  return solve_dc_power_flow_islands(network, islands, plan);
+}
+
+DcPowerFlow solve_dc_power_flow_islands(
+    const Network& network, const IslandReport& islands,
+    std::shared_ptr<const sparse::SymbolicPlan>& plan) {
   const BusIndex n = network.num_buses();
   GRIDSE_CHECK(islands.island_of_bus.size() == static_cast<std::size_t>(n));
 
@@ -387,50 +393,23 @@ DcPowerFlow solve_dc_power_flow_islands(const Network& network,
     red[static_cast<std::size_t>(i)] = next++;
   }
 
+  // Live branches: in service and energized. Both ends of an in-service
+  // branch lie in one island, so the from end decides.
+  std::vector<char> live(network.num_branches(), 0);
+  for (std::size_t bi = 0; bi < network.num_branches(); ++bi) {
+    const Branch& br = network.branch(bi);
+    live[bi] = br.in_service && islands.bus_energized(br.from) ? 1 : 0;
+  }
+
   DcPowerFlow result;
   result.theta.assign(static_cast<std::size_t>(n), 0.0);
   result.flows.assign(network.num_branches(), 0.0);
   if (next > 0) {
-    std::vector<sparse::Triplet<double>> triplets;
-    for (std::size_t bi = 0; bi < network.num_branches(); ++bi) {
-      const Branch& br = network.branch(bi);
-      if (!br.in_service) continue;
-      if (!islands.bus_energized(br.from)) continue;  // dead island: no flow
-      GRIDSE_CHECK_MSG(br.x != 0.0,
-                       "DC power flow requires nonzero reactance");
-      const double b = 1.0 / br.x;
-      const auto rf = red[static_cast<std::size_t>(br.from)];
-      const auto rt = red[static_cast<std::size_t>(br.to)];
-      if (rf >= 0) triplets.push_back({rf, rf, b});
-      if (rt >= 0) triplets.push_back({rt, rt, b});
-      if (rf >= 0 && rt >= 0) {
-        triplets.push_back({rf, rt, -b});
-        triplets.push_back({rt, rf, -b});
-      }
-    }
-    const auto dim = static_cast<sparse::Index>(next);
-    const sparse::Csr bmat =
-        sparse::Csr::from_triplets(dim, dim, std::move(triplets));
-    std::vector<double> p(static_cast<std::size_t>(dim), 0.0);
-    for (BusIndex i = 0; i < n; ++i) {
-      const auto ri = red[static_cast<std::size_t>(i)];
-      if (ri < 0) continue;
-      p[static_cast<std::size_t>(ri)] = network.scheduled_injection(i).first;
-    }
-    sparse::SparseLdlt ldlt;
-    ldlt.factorize(bmat);
-    const std::vector<double> theta_red = ldlt.solve(p);
-    for (BusIndex i = 0; i < n; ++i) {
-      const auto ri = red[static_cast<std::size_t>(i)];
-      if (ri >= 0) {
-        result.theta[static_cast<std::size_t>(i)] =
-            theta_red[static_cast<std::size_t>(ri)];
-      }
-    }
+    result.theta = detail::solve_bprime_angles(network, red, live, plan);
   }
   for (std::size_t bi = 0; bi < network.num_branches(); ++bi) {
+    if (live[bi] == 0) continue;
     const Branch& br = network.branch(bi);
-    if (!br.in_service || !islands.bus_energized(br.from)) continue;
     result.flows[bi] = (result.theta[static_cast<std::size_t>(br.from)] -
                         result.theta[static_cast<std::size_t>(br.to)]) /
                        br.x;

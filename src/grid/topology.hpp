@@ -164,4 +164,12 @@ std::size_t append_anchor_measurements(const Network& network,
 [[nodiscard]] DcPowerFlow solve_dc_power_flow_islands(
     const Network& network, const IslandReport& islands);
 
+/// As above, reusing the reduced B′'s symbolic plan from the caller-owned
+/// `plan` slot while its pattern is unchanged. Switching that moves an
+/// island boundary changes the pattern, and only then is a new plan
+/// analyzed.
+[[nodiscard]] DcPowerFlow solve_dc_power_flow_islands(
+    const Network& network, const IslandReport& islands,
+    std::shared_ptr<const sparse::SymbolicPlan>& plan);
+
 }  // namespace gridse::grid

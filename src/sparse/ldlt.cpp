@@ -1,11 +1,12 @@
 #include "sparse/ldlt.hpp"
 
-#include <numeric>
-
-#include "sparse/ordering.hpp"
 #include "util/error.hpp"
 
 namespace gridse::sparse {
+
+void SparseLdlt::factorize(const Csr& a) {
+  factorize(a, std::make_shared<const SymbolicPlan>(SymbolicPlan::analyze(a)));
+}
 
 void SparseLdlt::factorize(const Csr& a,
                            std::shared_ptr<const SymbolicPlan> plan) {
@@ -14,167 +15,20 @@ void SparseLdlt::factorize(const Csr& a,
                        static_cast<std::uint64_t>(a.nnz()) ==
                            plan->fingerprint().nnz,
                    "SparseLdlt: matrix does not match the symbolic plan");
-  n_ = plan->dim();
   plan_ = std::move(plan);
-  lp_.clear();
-  perm_.clear();
-  perm_inv_.clear();
   li_.resize(plan_->factor_nnz());
   lx_.resize(plan_->factor_nnz());
-  d_.resize(static_cast<std::size_t>(n_));
+  d_.resize(static_cast<std::size_t>(plan_->dim()));
   detail::ldlt_numeric(*plan_, a, li_, lx_, d_, scratch_);
-}
-
-void SparseLdlt::factorize(const Csr& a_in, bool use_rcm) {
-  GRIDSE_CHECK(a_in.rows() == a_in.cols());
-  const Index n = a_in.rows();
-  n_ = n;
-  plan_.reset();
-
-  if (use_rcm) {
-    perm_ = reverse_cuthill_mckee(a_in);
-  } else {
-    perm_.resize(static_cast<std::size_t>(n));
-    std::iota(perm_.begin(), perm_.end(), 0);
-  }
-  perm_inv_ = invert_permutation(perm_);
-  const Csr a = use_rcm ? permute_symmetric(a_in, perm_) : a_in;
-
-  const auto col = a.col_idx();
-  const auto val = a.values();
-
-  // --- symbolic: elimination tree and per-column counts -------------------
-  // For a symmetric matrix, the CSR row k restricted to columns < k is the
-  // strict upper part of column k, which is what the up-looking algorithm
-  // consumes.
-  std::vector<Index> parent(static_cast<std::size_t>(n), -1);
-  std::vector<Index> lnz(static_cast<std::size_t>(n), 0);
-  std::vector<Index> flag(static_cast<std::size_t>(n), -1);
-  for (Index k = 0; k < n; ++k) {
-    parent[static_cast<std::size_t>(k)] = -1;
-    flag[static_cast<std::size_t>(k)] = k;
-    const auto [b, e] = a.row_range(k);
-    for (Index p = b; p < e; ++p) {
-      Index i = col[static_cast<std::size_t>(p)];
-      if (i >= k) break;  // row is column-sorted; rest is diagonal/upper
-      for (; flag[static_cast<std::size_t>(i)] != k;
-           i = parent[static_cast<std::size_t>(i)]) {
-        if (parent[static_cast<std::size_t>(i)] == -1) {
-          parent[static_cast<std::size_t>(i)] = k;
-        }
-        ++lnz[static_cast<std::size_t>(i)];
-        flag[static_cast<std::size_t>(i)] = k;
-      }
-    }
-  }
-
-  lp_.assign(static_cast<std::size_t>(n) + 1, 0);
-  for (Index k = 0; k < n; ++k) {
-    lp_[static_cast<std::size_t>(k) + 1] =
-        lp_[static_cast<std::size_t>(k)] + lnz[static_cast<std::size_t>(k)];
-  }
-  li_.assign(static_cast<std::size_t>(lp_[static_cast<std::size_t>(n)]), 0);
-  lx_.assign(li_.size(), 0.0);
-  d_.assign(static_cast<std::size_t>(n), 0.0);
-
-  // --- numeric -------------------------------------------------------------
-  std::vector<double> y(static_cast<std::size_t>(n), 0.0);
-  std::vector<Index> pattern(static_cast<std::size_t>(n));
-  std::vector<Index> next_free(static_cast<std::size_t>(n));
-  std::fill(lnz.begin(), lnz.end(), 0);
-
-  for (Index k = 0; k < n; ++k) {
-    Index top = n;
-    flag[static_cast<std::size_t>(k)] = k;
-    const auto [b, e] = a.row_range(k);
-    double akk = 0.0;
-    for (Index p = b; p < e; ++p) {
-      const Index i = col[static_cast<std::size_t>(p)];
-      if (i > k) break;
-      if (i == k) {
-        akk = val[static_cast<std::size_t>(p)];
-        continue;
-      }
-      y[static_cast<std::size_t>(i)] += val[static_cast<std::size_t>(p)];
-      Index len = 0;
-      Index node = i;
-      for (; flag[static_cast<std::size_t>(node)] != k;
-           node = parent[static_cast<std::size_t>(node)]) {
-        pattern[static_cast<std::size_t>(len++)] = node;
-        flag[static_cast<std::size_t>(node)] = k;
-      }
-      while (len > 0) {
-        pattern[static_cast<std::size_t>(--top)] =
-            pattern[static_cast<std::size_t>(--len)];
-      }
-    }
-    d_[static_cast<std::size_t>(k)] = akk;
-    for (Index t = top; t < n; ++t) {
-      const Index i = pattern[static_cast<std::size_t>(t)];
-      const double yi = y[static_cast<std::size_t>(i)];
-      y[static_cast<std::size_t>(i)] = 0.0;
-      const Index pb = lp_[static_cast<std::size_t>(i)];
-      const Index pe = pb + lnz[static_cast<std::size_t>(i)];
-      for (Index p = pb; p < pe; ++p) {
-        y[static_cast<std::size_t>(li_[static_cast<std::size_t>(p)])] -=
-            lx_[static_cast<std::size_t>(p)] * yi;
-      }
-      const double lki = yi / d_[static_cast<std::size_t>(i)];
-      d_[static_cast<std::size_t>(k)] -= lki * yi;
-      li_[static_cast<std::size_t>(pe)] = k;
-      lx_[static_cast<std::size_t>(pe)] = lki;
-      ++lnz[static_cast<std::size_t>(i)];
-    }
-    if (d_[static_cast<std::size_t>(k)] == 0.0) {
-      throw ConvergenceFailure("sparse LDLt: zero pivot at column " +
-                               std::to_string(k));
-    }
-    (void)next_free;
-  }
 }
 
 std::vector<double> SparseLdlt::solve(std::span<const double> b) const {
   GRIDSE_CHECK_MSG(factored(), "SparseLdlt::solve before factorize");
-  GRIDSE_CHECK(static_cast<Index>(b.size()) == n_);
-  if (plan_ != nullptr) {
-    std::vector<double> out(static_cast<std::size_t>(n_));
-    std::vector<double> work(static_cast<std::size_t>(n_));
-    detail::ldlt_solve(*plan_, li_, lx_, d_, b, out, work);
-    return out;
-  }
-  const auto n = static_cast<std::size_t>(n_);
-  std::vector<double> x(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    x[i] = b[static_cast<std::size_t>(perm_[i])];
-  }
-  // forward: L y = Pb
-  for (Index j = 0; j < n_; ++j) {
-    const double xj = x[static_cast<std::size_t>(j)];
-    for (Index p = lp_[static_cast<std::size_t>(j)];
-         p < lp_[static_cast<std::size_t>(j) + 1]; ++p) {
-      x[static_cast<std::size_t>(li_[static_cast<std::size_t>(p)])] -=
-          lx_[static_cast<std::size_t>(p)] * xj;
-    }
-  }
-  // diagonal
-  for (std::size_t i = 0; i < n; ++i) {
-    x[i] /= d_[i];
-  }
-  // backward: Lᵀ z = y
-  for (Index j = n_ - 1; j >= 0; --j) {
-    double xj = x[static_cast<std::size_t>(j)];
-    for (Index p = lp_[static_cast<std::size_t>(j)];
-         p < lp_[static_cast<std::size_t>(j) + 1]; ++p) {
-      xj -= lx_[static_cast<std::size_t>(p)] *
-            x[static_cast<std::size_t>(li_[static_cast<std::size_t>(p)])];
-    }
-    x[static_cast<std::size_t>(j)] = xj;
-  }
-  // un-permute
+  const auto n = static_cast<std::size_t>(plan_->dim());
+  GRIDSE_CHECK(b.size() == n);
   std::vector<double> out(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    out[static_cast<std::size_t>(perm_[i])] = x[i];
-  }
+  std::vector<double> work(n);
+  detail::ldlt_solve(*plan_, li_, lx_, d_, b, out, work);
   return out;
 }
 

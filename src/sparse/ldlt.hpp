@@ -12,13 +12,15 @@ namespace gridse::sparse {
 /// Sparse simplicial LDLᵀ factorization of a symmetric matrix (up-looking,
 /// elimination-tree based). Serves as the direct-solver baseline against the
 /// paper's PCG in the solver ablation, and as the robust fallback for small
-/// subsystem gain matrices.
+/// subsystem gain matrices. One code path: a SymbolicPlan holds the
+/// ordering and the factor pattern, detail::ldlt_numeric fills the factor
+/// and detail::ldlt_solve applies it.
 class SparseLdlt {
  public:
-  /// Factor `a` (must be structurally and numerically symmetric). When
-  /// `use_rcm` is set, a reverse Cuthill–McKee permutation is applied first
-  /// to reduce fill. Throws `ConvergenceFailure` on a zero pivot.
-  void factorize(const Csr& a, bool use_rcm = true);
+  /// Factor `a` (must be structurally and numerically symmetric) under an
+  /// approximate minimum degree ordering: analyzes a fresh SymbolicPlan,
+  /// then refactors over it. Throws `ConvergenceFailure` on a zero pivot.
+  void factorize(const Csr& a);
 
   /// Numeric-only refactorization over a precomputed SymbolicPlan: ordering,
   /// permutation, and symbolic analysis are skipped entirely, and the factor
@@ -26,26 +28,22 @@ class SparseLdlt {
   /// matrix with `a`'s sparsity pattern (cheap size/nnz checks are applied;
   /// full fingerprint validation is the caller's — typically a
   /// SolverCache's — job). This is the hot path of repeated Gauss–Newton
-  /// iterations on a fixed topology.
+  /// iterations on a fixed topology. A natural-order factor comes from a
+  /// plan analyzed with `SymbolicPlan::analyze(a, false)`.
   void factorize(const Csr& a, std::shared_ptr<const SymbolicPlan> plan);
 
   /// Solve A x = b with the current factorization.
   [[nodiscard]] std::vector<double> solve(std::span<const double> b) const;
 
-  [[nodiscard]] bool factored() const { return n_ > 0; }
+  [[nodiscard]] bool factored() const { return plan_ != nullptr; }
   [[nodiscard]] std::size_t factor_nnz() const { return lx_.size(); }
 
  private:
-  Index n_ = 0;
-  // L in compressed-sparse-column form, unit diagonal implicit.
-  std::vector<Index> lp_;
+  // L's row indices and values in the plan's column layout (strict lower,
+  // CSC, unit diagonal implicit), and the pivots D.
   std::vector<Index> li_;
   std::vector<double> lx_;
   std::vector<double> d_;
-  std::vector<Index> perm_;      // perm_[new] = old (identity when RCM off)
-  std::vector<Index> perm_inv_;  // perm_inv_[old] = new
-  // Plan-driven mode: pattern/permutation live in the shared plan and the
-  // members above (except li_/lx_/d_) stay empty.
   std::shared_ptr<const SymbolicPlan> plan_;
   detail::LdltScratch scratch_;
 };

@@ -18,7 +18,7 @@ SymbolicPlan SymbolicPlan::analyze(const Csr& a, bool use_ordering) {
   plan.ordered_ = use_ordering;
 
   if (use_ordering) {
-    plan.perm_ = reverse_cuthill_mckee(a);
+    plan.perm_ = approximate_minimum_degree(a);
   } else {
     plan.perm_.resize(static_cast<std::size_t>(n));
     std::iota(plan.perm_.begin(), plan.perm_.end(), 0);

@@ -57,9 +57,10 @@ PatternFingerprint fingerprint_pattern(const CsrMatrix<T>& a) {
 /// gain pattern, the fingerprint stops matching, and the plan is rebuilt.
 class SymbolicPlan {
  public:
-  /// Analyze the pattern of symmetric matrix `a`. With `use_ordering` a
-  /// reverse Cuthill–McKee permutation is computed first; without it the
-  /// permutation is the identity (the IC(0)/PCG path needs no reordering).
+  /// Analyze the pattern of symmetric matrix `a`. With `use_ordering` an
+  /// approximate minimum degree permutation is computed first; without it
+  /// the permutation is the identity (the IC(0)/PCG path needs no
+  /// reordering).
   [[nodiscard]] static SymbolicPlan analyze(const Csr& a,
                                             bool use_ordering = true);
 

@@ -157,6 +157,36 @@ TEST(DseSystem, GoldenReplayWithDiurnalLoad) {
                         {-0.066538829034384628, 0.9961740493491803}}});
 }
 
+// A diurnal load moves only B′'s values, so the DC truth analyzes B′ once,
+// at construction, and every frame after that refactors numerically on the
+// same plan. The truth so computed equals a fresh solve without the slot.
+TEST(DseSystem, DcTruthReusesOneBprimePlanAcrossFrames) {
+  SystemConfig cfg = small_config();
+  cfg.truth_mode = TruthMode::kDcLinearized;
+  cfg.load_profile = [](double t) {
+    return 1.0 + 0.1 * std::sin(2.0 * M_PI * t / 86400.0);
+  };
+  DseSystem sys(io::ieee118_dse(), cfg);
+  const std::shared_ptr<const sparse::SymbolicPlan> plan = sys.truth_plan();
+  ASSERT_NE(plan, nullptr);
+  for (int c = 0; c < 3; ++c) {
+    const double t = c * 3600.0;
+    EXPECT_TRUE(sys.run_cycle(t).dse.all_converged) << c;
+    EXPECT_EQ(sys.truth_plan(), plan) << c;
+
+    grid::Network scaled = sys.network();
+    scaled.scale_loads(cfg.load_profile(t));
+    const std::optional<grid::DcPowerFlow> fresh =
+        grid::solve_dc_power_flow(scaled);
+    ASSERT_TRUE(fresh.has_value());
+    ASSERT_EQ(sys.true_state().theta.size(), fresh->theta.size());
+    for (std::size_t b = 0; b < fresh->theta.size(); ++b) {
+      EXPECT_NEAR(sys.true_state().theta[b], fresh->theta[b], 1e-12)
+          << c << " bus " << b;
+    }
+  }
+}
+
 // The environment beats the configured SLO: a 60 s configured cycle
 // deadline overridden by GRIDSE_CYCLE_DEADLINE_MS=1 is missed every cycle.
 TEST(DseSystem, CycleDeadlineEnvBeatsConfiguredSlo) {

@@ -3,7 +3,7 @@
 // within one process, and across two separate processes (catching
 // unordered-container iteration, address-dependent hashing, or
 // uninitialized reads that an in-process comparison can miss). Mirrors the
-// RCM ordering determinism tests in tests/sparse/ordering_test.cpp.
+// AMD ordering determinism tests in tests/sparse/ordering_test.cpp.
 #include <gtest/gtest.h>
 
 #include <unistd.h>

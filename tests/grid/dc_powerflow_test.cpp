@@ -96,6 +96,31 @@ TEST(DcPowerFlow, MultipleOutagesSupported) {
   EXPECT_DOUBLE_EQ(r->flows[4], 0.0);
 }
 
+TEST(DcPowerFlow, PlanSlotReusedWhileBprimePatternHolds) {
+  // The slot keeps B′'s plan across solves of the same topology, whatever
+  // the injections; an outage changes the pattern and brings a new plan.
+  auto c = io::ieee14();
+  std::shared_ptr<const sparse::SymbolicPlan> plan;
+  const auto base = solve_dc_power_flow(c.network, plan);
+  ASSERT_TRUE(base.has_value());
+  ASSERT_NE(plan, nullptr);
+  const auto analyzed = plan;
+
+  c.network.scale_loads(1.1);
+  const auto scaled = solve_dc_power_flow(c.network, plan);
+  ASSERT_TRUE(scaled.has_value());
+  EXPECT_EQ(plan, analyzed);
+  const auto fresh = solve_dc_power_flow(c.network);
+  ASSERT_TRUE(fresh.has_value());
+  for (std::size_t i = 0; i < fresh->theta.size(); ++i) {
+    EXPECT_NEAR(scaled->theta[i], fresh->theta[i], 1e-12);
+  }
+
+  // Branch 2 (2-3) joins two non-slack buses, so B′ loses an off-diagonal.
+  ASSERT_TRUE(solve_dc_power_flow(c.network, plan, {2}).has_value());
+  EXPECT_NE(plan->fingerprint(), analyzed->fingerprint());
+}
+
 TEST(DcPowerFlow, OutOfRangeOutageThrows) {
   const auto c = io::ieee14();
   EXPECT_THROW(solve_dc_power_flow(c.network, {999}), InternalError);

@@ -319,5 +319,33 @@ TEST(IslandDcPowerFlowTest, MatchesPlainDcWhenConnectedAndZeroesDeadIslands) {
   }
 }
 
+TEST(IslandDcPowerFlowTest, PlanSlotReanalyzesOnlyWhenSwitchingChangesBprime) {
+  Network net = ieee118();
+  std::shared_ptr<const sparse::SymbolicPlan> plan;
+  const IslandReport connected = find_islands(net);
+  const DcPowerFlow first = solve_dc_power_flow_islands(net, connected, plan);
+  ASSERT_NE(plan, nullptr);
+  const auto analyzed = plan;
+  (void)solve_dc_power_flow_islands(net, connected, plan);
+  EXPECT_EQ(plan, analyzed);
+
+  // Isolating a PQ bus drops its row from the reduced B′: a new plan, whose
+  // solve matches a slot-less one.
+  LiveTopology live(net);
+  BusIndex pq = -1;
+  for (BusIndex i = 0; i < net.num_buses() && pq < 0; ++i) {
+    if (net.bus(i).type == BusType::kPQ) pq = i;
+  }
+  live.apply({TopologyEventKind::kBusSplit, -1, pq});
+  const IslandReport split = find_islands(net);
+  const DcPowerFlow cached = solve_dc_power_flow_islands(net, split, plan);
+  EXPECT_NE(plan, analyzed);
+  const DcPowerFlow fresh = solve_dc_power_flow_islands(net, split);
+  for (std::size_t i = 0; i < fresh.theta.size(); ++i) {
+    EXPECT_EQ(cached.theta[i], fresh.theta[i]);
+  }
+  EXPECT_NE(cached.theta, first.theta);
+}
+
 }  // namespace
 }  // namespace gridse::grid

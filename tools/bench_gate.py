@@ -71,7 +71,7 @@ def load(path):
 #: Benchmark counters promoted from advisory to enforced: anything ending
 #: in one of these suffixes (or named exactly "lanes") is deterministic
 #: given the seeded inputs, so drift means an algorithm change.
-ENFORCED_COUNTER_SUFFIXES = ("_iters", "_bytes", "_lanes")
+ENFORCED_COUNTER_SUFFIXES = ("_iters", "_bytes", "_lanes", "_nnz")
 ENFORCED_COUNTER_NAMES = ("lanes",)
 
 
