@@ -20,8 +20,6 @@ const char* transport_name(core::Transport t) {
   switch (t) {
     case core::Transport::kInproc:
       return "inproc";
-    case core::Transport::kTcp:
-      return "tcp";
     case core::Transport::kMedici:
       return "medici";
     case core::Transport::kMediciDirect:
@@ -57,8 +55,8 @@ int run() {
   }
 
   for (const core::Transport transport :
-       {core::Transport::kInproc, core::Transport::kTcp,
-        core::Transport::kMediciDirect, core::Transport::kMedici}) {
+       {core::Transport::kInproc, core::Transport::kMediciDirect,
+        core::Transport::kMedici}) {
     core::SystemConfig cfg = base_cfg;
     cfg.transport = transport;
     core::DseSystem sys(io::ieee118_dse(), cfg);

@@ -18,7 +18,6 @@
 #include "obs/trace/trace.hpp"
 #endif
 #include "runtime/inproc_comm.hpp"
-#include "runtime/tcp_comm.hpp"
 #include "util/error.hpp"
 #include "util/logging.hpp"
 
@@ -107,7 +106,6 @@ fault::TopologyReplayPlan load_replay_plan(const std::string& plan) {
 
 Transport parse_transport(const std::string& name) {
   if (name == "inproc") return Transport::kInproc;
-  if (name == "tcp") return Transport::kTcp;
   if (name == "medici") return Transport::kMedici;
   if (name == "direct") return Transport::kMediciDirect;
   throw InvalidInput("unknown transport name: " + name);
@@ -359,11 +357,6 @@ CycleReport DseSystem::run_cycle(double time_sec) {
   switch (config_.transport) {
     case Transport::kInproc: {
       runtime::InprocWorld world(k);
-      world.run(body);
-      break;
-    }
-    case Transport::kTcp: {
-      runtime::TcpWorld world(k, config_.resilience);
       world.run(body);
       break;
     }

@@ -27,13 +27,11 @@ namespace gridse::core {
 /// Which transport carries the estimator-to-estimator traffic.
 enum class Transport {
   kInproc,        ///< in-process channels (fast, deterministic)
-  kTcp,           ///< real loopback TCP sockets
   kMedici,        ///< TCP through MeDICi pipeline relays (paper's data path)
   kMediciDirect,  ///< MwClient direct TCP (paper's "w/o MeDICi" mode)
 };
 
-/// Parse "inproc" | "tcp" | "medici" | "direct"; throws InvalidInput
-/// otherwise.
+/// Parse "inproc" | "medici" | "direct"; throws InvalidInput otherwise.
 Transport parse_transport(const std::string& name);
 
 /// How the "true" operating state the measurements are drawn from is

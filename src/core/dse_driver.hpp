@@ -121,7 +121,7 @@ struct DseResult {
 /// deployment): Step 1 locally per subsystem, peer-to-peer exchange of
 /// boundary/sensitive solutions through the communicator, Step 2
 /// re-evaluation, and an allgather-style final combine. Transport-agnostic:
-/// run it over InprocWorld, TcpWorld, or MediciWorld communicators.
+/// run it over InprocWorld or MediciWorld communicators.
 class DseDriver {
  public:
   /// `decomposition` must already carry sensitivity analysis results (or

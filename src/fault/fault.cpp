@@ -317,6 +317,12 @@ FaultPlan FaultPlan::parse(std::string_view json) {
     if (site == nullptr || !site->is_string() || site->text.empty()) {
       throw InvalidInput("fault plan: rule needs a nonempty \"site\"");
     }
+    if (std::none_of(kKnownSites.begin(), kKnownSites.end(),
+                     [&](std::string_view known) {
+                       return site_matches(site->text, known);
+                     })) {
+      throw InvalidInput("fault plan: unknown site \"" + site->text + "\"");
+    }
     rule.site = site->text;
     if (const obs::jsonm::Value* action = entry.find("action")) {
       if (!action->is_string()) {

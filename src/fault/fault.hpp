@@ -17,6 +17,7 @@
 // macros: the arguments sit in an unevaluated sizeof, costing no code and
 // no symbol references (tests/fault/check_off_symbols.sh verifies).
 
+#include <array>
 #include <chrono>
 #include <cstdint>
 #include <limits>
@@ -38,6 +39,19 @@ inline constexpr bool kEnabled = GRIDSE_FAULT != 0;
 /// Matches any source or tag in a rule (sources and tags are allowed to be
 /// negative: the middleware rank is -1).
 inline constexpr int kAnyValue = std::numeric_limits<int>::min();
+
+/// Every site a FAULT_* hook in the tree checks. A plan rule must name one
+/// of these, or a "prefix*" pattern matching at least one.
+/// tools/gridse_check.py keeps its site -> hosting-file manifest equal to
+/// this list.
+inline constexpr auto kKnownSites = std::to_array<std::string_view>({
+    "socket.send", "socket.recv", "socket.connect",  // runtime::Socket
+    "mailbox.deliver",                               // runtime::Mailbox
+    "wire.read", "wire.write",                       // medici frames
+    "relay.forward",                                 // MeDICi relay
+    "client.send",                                   // medici::MwClient
+    "topology.apply",                                // fault::TopologyReplay
+});
 
 /// What one injection site should do for one hit.
 enum class ActionKind : std::uint8_t {
@@ -90,7 +104,8 @@ struct FaultPlan {
   ///   {"seed": 42, "rules": [{"site": "wire.write", "action": "drop",
   ///    "probability": 0.3, "source": 1, "tag_min": 16, "tag_max": 400,
   ///    "after": 0, "max": 10, "delay_ms": 50}]}
-  /// Throws gridse::InvalidInput on malformed input.
+  /// Throws gridse::InvalidInput on malformed input, including a "site"
+  /// that matches none of kKnownSites.
   static FaultPlan parse(std::string_view json);
 };
 

@@ -76,7 +76,7 @@ std::string field_str(const jsonm::Value& obj, const std::string& key) {
 
 /// Subsystem track of a record: the leading name segment, or the leading
 /// two for the medici/runtime layers whose second segment distinguishes the
-/// component (client vs relay, inproc vs tcp).
+/// component (client vs relay, inproc vs mailbox).
 std::string subsystem_of(const std::string& name) {
   const std::size_t first = name.find('.');
   if (first == std::string::npos) {

@@ -9,8 +9,9 @@ namespace gridse::runtime {
 
 /// Minimal MPI-flavoured message-passing interface. Each participating
 /// "cluster master" holds one Communicator; implementations provide
-/// in-process channels (deterministic tests, fast benches) and real TCP
-/// sockets (the paper's cross-cluster data path).
+/// in-process channels (InprocWorld: deterministic tests, fast benches) and
+/// real TCP sockets through MeDICi clients (medici::MediciWorld: the paper's
+/// cross-cluster data path, relayed or direct).
 ///
 /// Semantics: send is asynchronous and ordered per (sender, receiver) pair;
 /// recv blocks until a matching message arrives. Tags are nonnegative;

@@ -10,7 +10,8 @@
 namespace gridse::runtime {
 
 /// Thread-safe mailbox with (source, tag) selective receive — the shared
-/// receive engine behind both the in-process and the TCP communicators.
+/// receive engine behind the in-process communicator and every MeDICi
+/// client.
 class Mailbox {
  public:
   /// Deposit a message (any thread).

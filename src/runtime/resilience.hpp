@@ -111,8 +111,7 @@ struct TopologyConfig {
 /// supervisor; the exchange deadline is DseOptions::exchange_deadline.
 struct ResilienceConfig {
   RetryPolicy send_retry;
-  /// How long a barrier waits before declaring a peer lost (historically
-  /// the hard-coded 120 s kBarrierTimeout in tcp_comm.cpp).
+  /// How long a MediciWorld barrier waits before declaring a peer lost.
   std::chrono::milliseconds barrier_timeout{120'000};
   /// Cross-cycle recovery (heartbeats, checkpoints, remap-after-loss).
   RecoveryConfig recovery;

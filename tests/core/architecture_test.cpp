@@ -65,7 +65,7 @@ TEST(DseSystem, SmallerSystemsAndDifferentClusterCounts) {
 
 TEST(DseSystem, TcpTransportProducesSameEstimateAsInproc) {
   DseSystem inproc(io::ieee118_dse(), small_config(Transport::kInproc));
-  DseSystem tcp(io::ieee118_dse(), small_config(Transport::kTcp));
+  DseSystem tcp(io::ieee118_dse(), small_config(Transport::kMediciDirect));
   const CycleReport a = inproc.run_cycle(0.0);
   const CycleReport b = tcp.run_cycle(0.0);
   EXPECT_LT(grid::max_vm_error(a.dse.state, b.dse.state), 1e-12);
@@ -219,10 +219,10 @@ TEST(DseSystem, HalfSetTopologyKSweepRejectedAtConstruction) {
 
 TEST(Transport, ParsesNames) {
   EXPECT_EQ(parse_transport("inproc"), Transport::kInproc);
-  EXPECT_EQ(parse_transport("tcp"), Transport::kTcp);
   EXPECT_EQ(parse_transport("medici"), Transport::kMedici);
   EXPECT_EQ(parse_transport("direct"), Transport::kMediciDirect);
   EXPECT_THROW(parse_transport("udp"), InvalidInput);
+  EXPECT_THROW(parse_transport("tcp"), InvalidInput);
 }
 
 }  // namespace

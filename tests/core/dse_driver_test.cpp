@@ -11,9 +11,9 @@
 #include "grid/meas_generator.hpp"
 #include "grid/powerflow.hpp"
 #include "io/synthetic.hpp"
+#include "medici/medici_comm.hpp"
 #include "obs/metrics.hpp"
 #include "runtime/inproc_comm.hpp"
-#include "runtime/tcp_comm.hpp"
 #include "util/rng.hpp"
 #include "state_golden.hpp"
 
@@ -196,7 +196,7 @@ TEST_F(DseDriverTest, SingleRankDegeneratesToSequentialDse) {
 
 TEST_F(DseDriverTest, WorksOverTcpTransport) {
   DseDriver driver(generated_.kase.network, d_, {});
-  runtime::TcpWorld world(3);
+  medici::MediciWorld world(3, medici::TransportMode::kDirectTcp);
   analysis::Mutex mutex{"dse_driver_test::mutex"};
   grid::GridState state0;
   world.run([&](runtime::Communicator& c) {

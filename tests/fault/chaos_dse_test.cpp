@@ -19,7 +19,6 @@
 #include "io/synthetic.hpp"
 #include "medici/medici_comm.hpp"
 #include "runtime/resilience.hpp"
-#include "runtime/tcp_comm.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
 
@@ -76,34 +75,8 @@ class ChaosDseTest : public ::testing::Test {
     return opts;
   }
 
-  ChaosRun run_tcp(const fault::FaultPlan& plan, const DseOptions& opts) {
-    fault::install(plan);
-    DseDriver driver(generated_.kase.network, d_, opts);
-    runtime::ResilienceConfig res;
-    res.barrier_timeout = std::chrono::milliseconds{30'000};
-    ChaosRun out;
-    Timer timer;
-    {
-      runtime::TcpWorld world(2, res);
-      analysis::Mutex mutex{"chaos_dse_test::mutex"};
-      world.run([&](runtime::Communicator& c) {
-        DseResult r = driver.run(c, meas_, assignment_, assignment_);
-        if (c.rank() == 0) {
-          analysis::LockGuard lock(mutex);
-          out.rank0 = std::move(r);
-        }
-      });
-    }
-    out.seconds = timer.seconds();
-    out.log = fault::injection_log();
-    out.log_json = fault::log_to_json();
-    out.injected = fault::injected_count();
-    fault::clear();
-    return out;
-  }
-
-  ChaosRun run_medici(const fault::FaultPlan& plan, const DseOptions& opts,
-                      int retry_attempts) {
+  ChaosRun run_chaos(const fault::FaultPlan& plan, const DseOptions& opts,
+                     int retry_attempts = runtime::RetryPolicy{}.max_attempts) {
     fault::install(plan);
     DseDriver driver(generated_.kase.network, d_, opts);
     runtime::ResilienceConfig res;
@@ -138,7 +111,7 @@ class ChaosDseTest : public ::testing::Test {
   DseResult golden(const DseOptions& opts) {
     fault::clear();
     DseDriver driver(generated_.kase.network, d_, opts);
-    runtime::TcpWorld world(2);
+    medici::MediciWorld world(2, medici::TransportMode::kDirectTcp);
     analysis::Mutex mutex{"chaos_dse_test::mutex"};
     DseResult out;
     world.run([&](runtime::Communicator& c) {
@@ -243,14 +216,14 @@ class ChaosDseTest : public ::testing::Test {
 TEST_F(ChaosDseTest, DropOnePeerDegradesExactlyTheBoundarySubsystems) {
   fault::FaultPlan plan;
   plan.seed = 5;
-  plan.rules.push_back({.site = "tcp.send",
+  plan.rules.push_back({.site = "client.send",
                         .action = fault::ActionKind::kDrop,
                         .source = 1,
                         .tag_min = kPseudoTagLo,
                         .tag_max = kPseudoTagHi});
   const DseOptions opts = chaos_options(std::chrono::milliseconds{2000});
 
-  const ChaosRun a = run_tcp(plan, opts);
+  const ChaosRun a = run_chaos(plan, opts);
   write_health_report("drop_one_peer", a);
 
   // Bounded completion: the cycle finishes instead of hanging on the lost
@@ -278,7 +251,7 @@ TEST_F(ChaosDseTest, DropOnePeerDegradesExactlyTheBoundarySubsystems) {
 
   // Reproducibility: the same seed produces the identical fault schedule
   // and the identical degradation report.
-  const ChaosRun b = run_tcp(plan, opts);
+  const ChaosRun b = run_chaos(plan, opts);
   EXPECT_EQ(a.log, b.log);
   EXPECT_EQ(degraded_subsystems(a.rank0), degraded_subsystems(b.rank0));
 }
@@ -286,15 +259,15 @@ TEST_F(ChaosDseTest, DropOnePeerDegradesExactlyTheBoundarySubsystems) {
 TEST_F(ChaosDseTest, ThirtyPercentPseudoLossIsDeterministicPerSeed) {
   fault::FaultPlan plan;
   plan.seed = 77;
-  plan.rules.push_back({.site = "tcp.send",
+  plan.rules.push_back({.site = "client.send",
                         .action = fault::ActionKind::kDrop,
                         .probability = 0.3,
                         .tag_min = kPseudoTagLo,
                         .tag_max = kPseudoTagHi});
   const DseOptions opts = chaos_options(std::chrono::milliseconds{2000});
 
-  const ChaosRun a = run_tcp(plan, opts);
-  const ChaosRun b = run_tcp(plan, opts);
+  const ChaosRun a = run_chaos(plan, opts);
+  const ChaosRun b = run_chaos(plan, opts);
   write_health_report("pseudo_loss_30pct", a);
 
   EXPECT_GT(a.injected, 0u);
@@ -311,7 +284,7 @@ TEST_F(ChaosDseTest, ThirtyPercentPseudoLossIsDeterministicPerSeed) {
 TEST_F(ChaosDseTest, DelayedFanInCompletesUndegraded) {
   fault::FaultPlan plan;
   plan.seed = 11;
-  plan.rules.push_back({.site = "tcp.send",
+  plan.rules.push_back({.site = "client.send",
                         .action = fault::ActionKind::kDelay,
                         .tag_min = kPseudoTagLo,
                         .tag_max = kPseudoTagHi,
@@ -320,7 +293,7 @@ TEST_F(ChaosDseTest, DelayedFanInCompletesUndegraded) {
   // The deadline comfortably covers the injected delays: slow, not lost.
   const DseOptions opts = chaos_options(std::chrono::milliseconds{20'000});
 
-  const ChaosRun run = run_tcp(plan, opts);
+  const ChaosRun run = run_chaos(plan, opts);
   EXPECT_GT(run.injected, 0u);
   EXPECT_TRUE(run.rank0.degraded.empty());
   EXPECT_TRUE(run.rank0.unresponsive_ranks.empty());
@@ -343,8 +316,8 @@ TEST_F(ChaosDseTest, CorruptedFramesNeverDesyncTheExchange) {
                         .tag_max = kPseudoTagHi});
   const DseOptions opts = chaos_options(std::chrono::milliseconds{5000});
 
-  const ChaosRun a = run_medici(plan, opts, /*retry_attempts=*/3);
-  const ChaosRun b = run_medici(plan, opts, /*retry_attempts=*/3);
+  const ChaosRun a = run_chaos(plan, opts, /*retry_attempts=*/3);
+  const ChaosRun b = run_chaos(plan, opts, /*retry_attempts=*/3);
   write_health_report("corrupt_frames", a);
 
   EXPECT_GT(a.injected, 0u);
@@ -369,7 +342,7 @@ TEST_F(ChaosDseTest, MidRunDisconnectIsRetriedTransparently) {
                         .max_injections = 2});
   const DseOptions opts = chaos_options(std::chrono::milliseconds{10'000});
 
-  const ChaosRun run = run_medici(plan, opts, /*retry_attempts=*/4);
+  const ChaosRun run = run_chaos(plan, opts, /*retry_attempts=*/4);
   write_health_report("mid_run_disconnect", run);
 
   EXPECT_EQ(run.injected, 2u);
@@ -392,7 +365,7 @@ TEST_F(ChaosDseTest, TruncatedFramePoisonsOnlyOneConnection) {
                         .max_injections = 1});
   const DseOptions opts = chaos_options(std::chrono::milliseconds{10'000});
 
-  const ChaosRun run = run_medici(plan, opts, /*retry_attempts=*/4);
+  const ChaosRun run = run_chaos(plan, opts, /*retry_attempts=*/4);
   EXPECT_EQ(run.injected, 1u);
   EXPECT_GE(run.retries, 1u);
   EXPECT_TRUE(run.rank0.degraded.empty());
@@ -433,7 +406,7 @@ TEST(ChaosSoakTest, SeedLoopCompletesBoundedOnARing) {
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     fault::FaultPlan plan;
     plan.seed = seed;
-    plan.rules.push_back({.site = "tcp.send",
+    plan.rules.push_back({.site = "client.send",
                           .action = fault::ActionKind::kDrop,
                           .probability = 0.25,
                           .tag_min = 16,
@@ -441,7 +414,9 @@ TEST(ChaosSoakTest, SeedLoopCompletesBoundedOnARing) {
     fault::install(plan);
     runtime::ResilienceConfig res;
     res.barrier_timeout = std::chrono::milliseconds{30'000};
-    runtime::TcpWorld world(2, res);
+    medici::MediciWorld world(2, medici::TransportMode::kDirectTcp,
+                              medici::medici_relay_model(),
+                              medici::unshaped_model(), res);
     analysis::Mutex mutex{"chaos_dse_test::mutex"};
     std::vector<DseResult> results(2);
     world.run([&](runtime::Communicator& c) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -57,7 +59,7 @@ TEST_F(FaultPlanTest, DefaultsAreWildcardDropAlways) {
 
 TEST_F(FaultPlanTest, TagShorthandSetsBothEnds) {
   const FaultPlan plan = FaultPlan::parse(
-      R"({"rules": [{"site": "tcp.send", "tag": 7}]})");
+      R"({"rules": [{"site": "client.send", "tag": 7}]})");
   EXPECT_EQ(plan.rules[0].tag_min, 7);
   EXPECT_EQ(plan.rules[0].tag_max, 7);
 }
@@ -67,26 +69,46 @@ TEST_F(FaultPlanTest, RejectsMalformedPlans) {
   EXPECT_THROW(FaultPlan::parse("{}"), InvalidInput);
   EXPECT_THROW(FaultPlan::parse(R"({"rules": [{}]})"), InvalidInput);
   EXPECT_THROW(
-      FaultPlan::parse(R"({"rules": [{"site": "x", "action": "explode"}]})"),
+      FaultPlan::parse(
+          R"({"rules": [{"site": "wire.write", "action": "explode"}]})"),
       InvalidInput);
   EXPECT_THROW(
-      FaultPlan::parse(R"({"rules": [{"site": "x", "probability": 1.5}]})"),
+      FaultPlan::parse(
+          R"({"rules": [{"site": "wire.write", "probability": 1.5}]})"),
       InvalidInput);
   EXPECT_THROW(
-      FaultPlan::parse(R"({"rules": [{"site": "x", "after": -1}]})"),
+      FaultPlan::parse(R"({"rules": [{"site": "wire.write", "after": -1}]})"),
       InvalidInput);
   EXPECT_THROW(
-      FaultPlan::parse(R"({"rules": [{"site": "x", "delay_ms": -5}]})"),
+      FaultPlan::parse(
+          R"({"rules": [{"site": "wire.write", "delay_ms": -5}]})"),
       InvalidInput);
   // Integer fields are never truncated, wrapped or clamped, and no field
   // can spell the kAnyValue wildcard.
   for (const char* bad :
        {R"({"seed": -5, "rules": []})", R"({"seed": 1.5, "rules": []})",
-        R"({"rules": [{"site": "x", "after": 2.7}]})",
-        R"({"rules": [{"site": "x", "delay_ms": 1e300}]})",
-        R"({"rules": [{"site": "x", "tag": 4294967296}]})",
-        R"({"rules": [{"site": "x", "source": -2147483648}]})"}) {
+        R"({"rules": [{"site": "wire.write", "after": 2.7}]})",
+        R"({"rules": [{"site": "wire.write", "delay_ms": 1e300}]})",
+        R"({"rules": [{"site": "wire.write", "tag": 4294967296}]})",
+        R"({"rules": [{"site": "wire.write", "source": -2147483648}]})"}) {
     EXPECT_THROW(FaultPlan::parse(bad), InvalidInput) << bad;
+  }
+}
+
+TEST_F(FaultPlanTest, RejectsUnknownSites) {
+  // A rule naming a site no hook checks would inject nothing, silently.
+  EXPECT_THROW(FaultPlan::parse(R"({"rules":[{"site":"tcp.send"}]})"),
+               InvalidInput);
+  EXPECT_THROW(FaultPlan::parse(R"({"rules":[{"site":"wire"}]})"),
+               InvalidInput);
+  EXPECT_THROW(FaultPlan::parse(R"({"rules":[{"site":"tcp.*"}]})"),
+               InvalidInput);
+  // A prefix pattern is accepted when it matches at least one known site.
+  EXPECT_NO_THROW(FaultPlan::parse(R"({"rules":[{"site":"wire.*"}]})"));
+  for (const std::string_view site : kKnownSites) {
+    const std::string json =
+        R"({"rules":[{"site":")" + std::string(site) + R"("}]})";
+    EXPECT_NO_THROW(FaultPlan::parse(json)) << site;
   }
 }
 
@@ -102,17 +124,17 @@ TEST_F(FaultPlanTest, ExactAndPrefixSiteMatching) {
 
 TEST_F(FaultPlanTest, SourceAndTagWindowsFilter) {
   FaultPlan plan;
-  plan.rules.push_back({.site = "tcp.send",
+  plan.rules.push_back({.site = "client.send",
                         .action = ActionKind::kDrop,
                         .source = 1,
                         .tag_min = 10,
                         .tag_max = 20});
   install(plan);
-  EXPECT_TRUE(maybe("tcp.send", 0, 15).none());   // wrong source
-  EXPECT_TRUE(maybe("tcp.send", 1, 9).none());    // below window
-  EXPECT_TRUE(maybe("tcp.send", 1, 21).none());   // above window
-  EXPECT_EQ(maybe("tcp.send", 1, 10).kind, ActionKind::kDrop);
-  EXPECT_EQ(maybe("tcp.send", 1, 20).kind, ActionKind::kDrop);
+  EXPECT_TRUE(maybe("client.send", 0, 15).none());   // wrong source
+  EXPECT_TRUE(maybe("client.send", 1, 9).none());    // below window
+  EXPECT_TRUE(maybe("client.send", 1, 21).none());   // above window
+  EXPECT_EQ(maybe("client.send", 1, 10).kind, ActionKind::kDrop);
+  EXPECT_EQ(maybe("client.send", 1, 20).kind, ActionKind::kDrop);
 }
 
 TEST_F(FaultPlanTest, AfterSkipsTheFirstHitsPerStream) {
@@ -223,10 +245,10 @@ TEST_F(FaultPlanTest, FirstMatchingRuleWins) {
 
 TEST_F(FaultPlanTest, EnvPlanInstallsInlineJson) {
   ::setenv("GRIDSE_FAULT_PLAN",
-           R"({"seed": 3, "rules": [{"site": "env.site"}]})", 1);
+           R"({"seed": 3, "rules": [{"site": "mailbox.deliver"}]})", 1);
   EXPECT_TRUE(load_env_plan());
   EXPECT_TRUE(active());
-  EXPECT_EQ(maybe("env.site").kind, ActionKind::kDrop);
+  EXPECT_EQ(maybe("mailbox.deliver").kind, ActionKind::kDrop);
 }
 
 TEST_F(FaultPlanTest, EnvPlanReportsMissingFile) {

@@ -78,7 +78,7 @@ TEST(FaultPlanFuzz, MutatedPlansThrowOrParse) {
   // The example plan of docs/RESILIENCE.md ("Fault plans").
   const std::string json =
       R"({"seed": 5, "rules": [
-  {"site": "tcp.send", "action": "drop", "source": 1,
+  {"site": "client.send", "action": "drop", "source": 1,
    "tag_min": 16, "tag_max": 106}
 ]})";
   ASSERT_NO_THROW(FaultPlan::parse(json));

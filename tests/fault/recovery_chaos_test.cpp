@@ -12,8 +12,8 @@
 #include "fault/fault.hpp"
 #include "grid/state.hpp"
 #include "io/synthetic.hpp"
+#include "medici/medici_comm.hpp"
 #include "runtime/recovery.hpp"
-#include "runtime/tcp_comm.hpp"
 #include "util/error.hpp"
 
 namespace gridse::core {
@@ -26,7 +26,7 @@ using runtime::RankState;
 SystemConfig recovery_config() {
   SystemConfig cfg;
   cfg.mapping.num_clusters = 3;
-  cfg.transport = Transport::kTcp;
+  cfg.transport = Transport::kMediciDirect;
   cfg.resilience.barrier_timeout = std::chrono::milliseconds{30'000};
   cfg.dse.exchange_deadline = std::chrono::milliseconds{2000};
   cfg.resilience.recovery.enabled = true;
@@ -44,11 +44,11 @@ SystemConfig recovery_config() {
 fault::FaultPlan kill_rank1_plan() {
   fault::FaultPlan plan;
   plan.seed = 5;
-  plan.rules.push_back({.site = "tcp.send",
+  plan.rules.push_back({.site = "client.send",
                         .action = fault::ActionKind::kDrop,
                         .source = 1,
                         .tag_min = 0,
-                        .tag_max = runtime::TcpWorld::kMaxUserTag});
+                        .tag_max = medici::MediciWorld::kMaxUserTag});
   return plan;
 }
 

@@ -8,10 +8,10 @@
 #include "core/architecture.hpp"
 #include "fault/fault.hpp"
 #include "io/synthetic.hpp"
+#include "medici/medici_comm.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace/json_mini.hpp"
 #include "runtime/resilience.hpp"
-#include "runtime/tcp_comm.hpp"
 
 namespace gridse::core {
 namespace {
@@ -25,7 +25,7 @@ namespace jsonm = obs::jsonm;
 SystemConfig telemetry_recovery_config(const std::string& dir) {
   SystemConfig cfg;
   cfg.mapping.num_clusters = 3;
-  cfg.transport = Transport::kTcp;
+  cfg.transport = Transport::kMediciDirect;
   cfg.resilience.barrier_timeout = std::chrono::milliseconds{30'000};
   cfg.dse.exchange_deadline = std::chrono::milliseconds{2000};
   cfg.resilience.recovery.enabled = true;
@@ -42,11 +42,11 @@ SystemConfig telemetry_recovery_config(const std::string& dir) {
 fault::FaultPlan kill_rank1_plan() {
   fault::FaultPlan plan;
   plan.seed = 5;
-  plan.rules.push_back({.site = "tcp.send",
+  plan.rules.push_back({.site = "client.send",
                         .action = fault::ActionKind::kDrop,
                         .source = 1,
                         .tag_min = 0,
-                        .tag_max = runtime::TcpWorld::kMaxUserTag});
+                        .tag_max = medici::MediciWorld::kMaxUserTag});
   return plan;
 }
 

@@ -16,8 +16,8 @@
 #include "fault/fault.hpp"
 #include "fault/topology_replay.hpp"
 #include "io/synthetic.hpp"
+#include "medici/medici_comm.hpp"
 #include "runtime/resilience.hpp"
-#include "runtime/tcp_comm.hpp"
 
 namespace gridse::core {
 namespace {
@@ -40,7 +40,7 @@ SystemConfig topo_recovery_config() {
   SystemConfig cfg;
   cfg.truth_mode = TruthMode::kDcLinearized;
   cfg.mapping.num_clusters = 3;
-  cfg.transport = Transport::kTcp;
+  cfg.transport = Transport::kMediciDirect;
   cfg.resilience.barrier_timeout = std::chrono::milliseconds{30'000};
   cfg.dse.exchange_deadline = std::chrono::milliseconds{2000};
   cfg.resilience.recovery.enabled = true;
@@ -55,11 +55,11 @@ SystemConfig topo_recovery_config() {
 fault::FaultPlan kill_rank1_plan() {
   fault::FaultPlan plan;
   plan.seed = 5;
-  plan.rules.push_back({.site = "tcp.send",
+  plan.rules.push_back({.site = "client.send",
                         .action = fault::ActionKind::kDrop,
                         .source = 1,
                         .tag_min = 0,
-                        .tag_max = runtime::TcpWorld::kMaxUserTag});
+                        .tag_max = medici::MediciWorld::kMaxUserTag});
   return plan;
 }
 

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
+#include "util/error.hpp"
+
 namespace gridse::medici {
 namespace {
 
@@ -30,6 +35,64 @@ TEST_P(MediciCommModes, SelectiveTagsAcrossWorld) {
       EXPECT_EQ(c.recv(0, 100).payload[0], 1);
     }
   });
+}
+
+TEST_P(MediciCommModes, SingleRankWorld) {
+  MediciWorld world(1, GetParam(), unshaped_model());
+  world.run([](runtime::Communicator& c) {
+    EXPECT_EQ(c.size(), 1);
+    c.send(0, 1, {7});
+    EXPECT_EQ(c.recv(0, 1).payload[0], 7);
+    c.barrier();
+  });
+}
+
+TEST_P(MediciCommModes, LargeMessageSurvivesFraming) {
+  MediciWorld world(2, GetParam(), unshaped_model());
+  world.run([](runtime::Communicator& c) {
+    std::vector<std::uint8_t> data(4 << 20);
+    for (std::size_t i = 0; i < data.size(); ++i) {
+      data[i] = static_cast<std::uint8_t>(i * 31);
+    }
+    if (c.rank() == 0) {
+      c.send(1, 1, data);
+    } else {
+      const runtime::Message m = c.recv(0, 1);
+      ASSERT_EQ(m.payload.size(), data.size());
+      EXPECT_EQ(m.payload, data);
+    }
+  });
+}
+
+TEST_P(MediciCommModes, EmptyPayloadDelivered) {
+  MediciWorld world(2, GetParam(), unshaped_model());
+  world.run([](runtime::Communicator& c) {
+    if (c.rank() == 0) {
+      c.send(1, 3, {});
+    } else {
+      EXPECT_TRUE(c.recv(0, 3).payload.empty());
+    }
+  });
+}
+
+TEST_P(MediciCommModes, BarrierAndOrdering) {
+  MediciWorld world(3, GetParam(), unshaped_model());
+  world.run([](runtime::Communicator& c) {
+    for (int round = 0; round < 5; ++round) {
+      if (c.rank() == 0) {
+        c.send(1, 9, {static_cast<std::uint8_t>(round)});
+      } else if (c.rank() == 1) {
+        EXPECT_EQ(c.recv(0, 9).payload[0], static_cast<std::uint8_t>(round));
+      }
+      c.barrier();
+    }
+  });
+}
+
+TEST_P(MediciCommModes, ReservedTagRejected) {
+  MediciWorld world(2, GetParam(), unshaped_model());
+  const auto c = world.communicator(0);
+  EXPECT_THROW(c->send(1, MediciWorld::kMaxUserTag + 1, {}), CommError);
 }
 
 INSTANTIATE_TEST_SUITE_P(Modes, MediciCommModes,

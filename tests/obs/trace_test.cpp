@@ -1,5 +1,5 @@
 // Distributed-tracing layer tests: ring-buffer overflow semantics, trace
-// context propagation across the inproc and TCP transports, and a golden
+// context propagation across the inproc and direct-TCP transports, and a golden
 // end-to-end check that an ieee118 run produces a valid Perfetto document
 // (GRIDSE_OBS=ON) or exactly nothing (GRIDSE_OBS=OFF).
 
@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
 #include <string>
@@ -17,8 +18,8 @@
 #include "obs/obs.hpp"
 #include "obs/trace/collector.hpp"
 #include "obs/trace/event_log.hpp"
+#include "medici/medici_comm.hpp"
 #include "runtime/inproc_comm.hpp"
-#include "runtime/tcp_comm.hpp"
 
 namespace gridse::obs::trace {
 namespace {
@@ -59,6 +60,7 @@ TEST(TraceBufferTest, OverflowDropsOldestAndCountsDrops) {
 struct SendConsumePair {
   TraceRecord send;
   TraceRecord consume;
+  std::vector<TraceRecord> spans;
 };
 
 /// Run a 2-rank world where rank 0 sends one tagged message from inside a
@@ -86,6 +88,8 @@ SendConsumePair run_send_recv(World& world, std::atomic<std::uint64_t>& scope) {
       EXPECT_FALSE(have_consume) << "expected exactly one consume record";
       pair.consume = rec;
       have_consume = true;
+    } else if (rec.kind == RecordKind::kSpan) {
+      pair.spans.push_back(rec);
     }
   }
   EXPECT_TRUE(have_send);
@@ -110,10 +114,18 @@ TEST(TracePropagationTest, InprocConsumeParentIsSenderSpan) {
 TEST(TracePropagationTest, TcpConsumeParentIsSenderSpanAcrossTheWire) {
   Tracer::global().reset();
   std::atomic<std::uint64_t> scope{0};
-  runtime::TcpWorld world(2);
+  medici::MediciWorld world(2, medici::TransportMode::kDirectTcp);
   const SendConsumePair pair = run_send_recv(world, scope);
 
-  EXPECT_EQ(pair.send.parent_id, scope.load());
+  // MwClient takes the send record inside its own client span: the record's
+  // parent is that span, and the span's parent is the test scope.
+  const auto client_span = std::find_if(
+      pair.spans.begin(), pair.spans.end(), [&](const TraceRecord& rec) {
+        return rec.span_id == pair.send.parent_id;
+      });
+  ASSERT_NE(client_span, pair.spans.end());
+  EXPECT_STREQ(client_span->name, "medici.client.send");
+  EXPECT_EQ(client_span->parent_id, scope.load());
   EXPECT_EQ(pair.consume.parent_id, pair.send.span_id);
   EXPECT_EQ(pair.consume.flow_id, pair.send.flow_id);
   EXPECT_EQ(pair.send.rank, 0);
@@ -125,7 +137,7 @@ TEST(TracePropagationTest, DisabledTracerPutsNothingOnTheWire) {
   Tracer::global().reset();
   Tracer::global().set_enabled(false);
   std::atomic<std::uint64_t> scope{0};
-  runtime::TcpWorld world(2);
+  medici::MediciWorld world(2, medici::TransportMode::kDirectTcp);
   world.run([&](runtime::Communicator& comm) {
     if (comm.rank() == 0) {
       comm.send(1, 5, {1, 2, 3});

@@ -7,7 +7,6 @@
 #include "analysis/debug_sync.hpp"
 #include "fault/fault.hpp"
 #include "runtime/inproc_comm.hpp"
-#include "runtime/tcp_comm.hpp"
 #include "util/error.hpp"
 
 namespace gridse::runtime {
@@ -59,17 +58,6 @@ TEST_F(RecoveryProbeTest, HealthyWorldAgreesAllAlive) {
   }
 }
 
-TEST_F(RecoveryProbeTest, HealthyTcpWorldAgreesAllAlive) {
-  ResilienceConfig resilience;
-  resilience.barrier_timeout = std::chrono::milliseconds{30'000};
-  TcpWorld world(3, resilience);
-  const auto views = probe_all(world, 3, fast_settings());
-  for (const MembershipView& v : views) {
-    EXPECT_TRUE(v.all_alive());
-    EXPECT_TRUE(v.consensus);
-  }
-}
-
 TEST_F(RecoveryProbeTest, SilentRankIsDeadOnEveryView) {
   if (!fault::kEnabled) {
     GTEST_SKIP() << "built with GRIDSE_FAULT=OFF";
@@ -79,16 +67,14 @@ TEST_F(RecoveryProbeTest, SilentRankIsDeadOnEveryView) {
   fault::FaultPlan plan;
   plan.seed = 7;
   fault::FaultRule rule;
-  rule.site = "tcp.send";
+  rule.site = "mailbox.deliver";
   rule.source = 1;
   rule.tag_min = kHeartbeatTagBase;
   rule.tag_max = kMembershipViewTag;
   plan.rules.push_back(rule);
   fault::install(plan);
 
-  ResilienceConfig resilience;
-  resilience.barrier_timeout = std::chrono::milliseconds{30'000};
-  TcpWorld world(3, resilience);
+  InprocWorld world(3);
   const auto views = probe_all(world, 3, fast_settings());
   for (const MembershipView& v : views) {
     ASSERT_EQ(v.states.size(), 3u);
@@ -110,16 +96,14 @@ TEST_F(RecoveryProbeTest, PartialBeatsMeanSuspectNotDead) {
   fault::FaultPlan plan;
   plan.seed = 7;
   fault::FaultRule rule;
-  rule.site = "tcp.send";
+  rule.site = "mailbox.deliver";
   rule.source = 1;
   rule.tag_min = heartbeat_tag(1);
   rule.tag_max = heartbeat_tag(1);
   plan.rules.push_back(rule);
   fault::install(plan);
 
-  ResilienceConfig resilience;
-  resilience.barrier_timeout = std::chrono::milliseconds{30'000};
-  TcpWorld world(3, resilience);
+  InprocWorld world(3);
   const auto views = probe_all(world, 3, fast_settings());
   for (const MembershipView& v : views) {
     EXPECT_TRUE(v.consensus);
@@ -137,7 +121,7 @@ TEST_F(RecoveryProbeTest, ViewIsDeterministicPerSeed) {
   fault::FaultPlan plan;
   plan.seed = 21;
   fault::FaultRule rule;
-  rule.site = "tcp.send";
+  rule.site = "mailbox.deliver";
   rule.source = 2;
   rule.tag_min = kHeartbeatTagBase;
   rule.tag_max = kMembershipViewTag;
@@ -146,9 +130,7 @@ TEST_F(RecoveryProbeTest, ViewIsDeterministicPerSeed) {
   std::vector<std::vector<MembershipView>> runs;
   for (int attempt = 0; attempt < 2; ++attempt) {
     fault::install(plan);
-    ResilienceConfig resilience;
-    resilience.barrier_timeout = std::chrono::milliseconds{30'000};
-    TcpWorld world(3, resilience);
+    InprocWorld world(3);
     runs.push_back(probe_all(world, 3, fast_settings()));
     fault::clear();
   }

@@ -16,7 +16,8 @@ clang-tidy enforces, because they are *project* conventions:
   fault-hook       transport primitives (send_all / recv_all / recv_some /
                    ::send / ::recv / ::connect) in src/runtime or src/medici
                    files that contain no FAULT_POINT / FAULT_DROP hook, plus
-                   a manifest of known fault sites that must keep existing.
+                   a manifest of known fault sites that must keep existing
+                   and must equal the fault::kKnownSites list.
                    New transport code must be chaos-testable.
   locked-requires  *_locked() function declarations without a
                    GRIDSE_REQUIRES(...) annotation.  The _locked suffix is
@@ -85,8 +86,11 @@ SOURCE_SUFFIXES = (".cpp", ".hpp", ".cc", ".h")
 # Known fault-injection sites: site name -> file that must keep its hook.
 # Deleting a hook (or renaming a site without updating the chaos plans and
 # this manifest) breaks every recorded fault plan silently; fail loudly here.
+# The keys must equal fault::kKnownSites in KNOWN_SITES_HEADER, the list
+# FaultPlan::parse validates rule sites against.
+KNOWN_SITES_HEADER = "src/fault/fault.hpp"
+KNOWN_SITES_RE = re.compile(r"kKnownSites\s*=[^{]*\{(.*?)\}\);", re.S)
 REQUIRED_FAULT_SITES = {
-    "tcp.send": "src/runtime/tcp_comm.cpp",
     "socket.send": "src/runtime/socket.cpp",
     "socket.recv": "src/runtime/socket.cpp",
     "socket.connect": "src/runtime/socket.cpp",
@@ -315,6 +319,18 @@ def check_file(rel: str, raw_lines: list[str]) -> list[Finding]:
 
 def check_fault_manifest(root: Path) -> list[Finding]:
     findings = []
+    header = root / KNOWN_SITES_HEADER
+    text = (header.read_text(encoding="utf-8", errors="replace")
+            if header.is_file() else "")
+    m = KNOWN_SITES_RE.search(text)
+    known = set(re.findall(r'"([^"]+)"', m.group(1))) if m else set()
+    if known != set(REQUIRED_FAULT_SITES):
+        findings.append(Finding(
+            KNOWN_SITES_HEADER, 1, "fault-hook",
+            "fault::kKnownSites and REQUIRED_FAULT_SITES in "
+            "tools/gridse_check.py disagree: only in kKnownSites "
+            f"{sorted(known - set(REQUIRED_FAULT_SITES))}, only in the "
+            f"manifest {sorted(set(REQUIRED_FAULT_SITES) - known)}"))
     for site, rel in sorted(REQUIRED_FAULT_SITES.items()):
         path = root / rel
         if not path.is_file():
@@ -505,10 +521,18 @@ def run_self_test(root: Path) -> int:
     ghost["corpus.ghost"] = "src/runtime/does_not_exist.cpp"
     with _patched_manifest(ghost):
         fired = [f for f in check_fault_manifest(root)
-                 if "corpus.ghost" in f.message]
+                 if "corpus.ghost" in f.message and "is missing" in f.message]
     if not fired:
         failures.append("manifest: rule did not fire for a missing "
                         "fault-site file")
+    dropped = dict(REQUIRED_FAULT_SITES)
+    dropped.pop("client.send")
+    with _patched_manifest(dropped):
+        fired = [f for f in check_fault_manifest(root)
+                 if "disagree" in f.message and "client.send" in f.message]
+    if not fired:
+        failures.append("manifest: rule did not fire when the manifest "
+                        "drifted from fault::kKnownSites")
     for msg in failures:
         print(f"gridse_check self-test: FAIL: {msg}", file=sys.stderr)
     if failures:

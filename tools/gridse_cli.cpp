@@ -4,7 +4,6 @@
 //   gridse_cli se <case> [--noise X] [--seed N] [--solver pcg|ldlt|dense]
 //                        [--precond none|jacobi|ssor|ic0]
 //   gridse_cli dse <builtin-case> [--clusters K] [--transport T] [--cycles N]
-//   gridse_cli contingency <case> [--margin M]
 //   gridse_cli partition <builtin-case> [--clusters K]
 //
 // <case> is a case-file path or a builtin name: ieee14, ieee118, wecc37.
@@ -17,10 +16,8 @@
 #include <optional>
 #include <string>
 
-#include "apps/contingency.hpp"
 #include "core/architecture.hpp"
 #include "estimation/bad_data.hpp"
-#include "grid/dc_powerflow.hpp"
 #include "grid/powerflow.hpp"
 #include "io/case14.hpp"
 #include "io/case_format.hpp"
@@ -189,25 +186,6 @@ int cmd_dse(const Args& args) {
   return 0;
 }
 
-int cmd_contingency(const Args& args) {
-  io::Case c = resolve_case(args.target, 0);
-  grid::assign_ratings_from_base_case(c.network,
-                                      opt_double(args, "margin", 1.3), 0.1);
-  const apps::ContingencyReport report = apps::screen_all_branches(c.network);
-  std::printf("N-1 screening of %zu branch outages: %d insecure "
-              "(%d islanding)\n",
-              report.outcomes.size(), report.insecure_cases,
-              report.islanding_cases);
-  for (const apps::ContingencyOutcome& o : report.outcomes) {
-    if (!o.secure() && !o.islanding) {
-      std::printf("  outage %zu -> %zu overload(s), worst %.0f%%\n",
-                  o.outaged_branch, o.overloaded_branches.size(),
-                  o.worst_loading * 100.0);
-    }
-  }
-  return 0;
-}
-
 int cmd_partition(const Args& args) {
   const auto generated = builtin_generated(args.target, 0);
   if (!generated) {
@@ -241,13 +219,12 @@ void usage() {
   std::fprintf(
       stderr,
       "usage: gridse_cli <command> <case> [options]\n"
-      "  commands: info | se | dse | contingency | partition\n"
+      "  commands: info | se | dse | partition\n"
       "  cases: ieee14 | ieee118 | wecc37 | <path to case file>\n"
       "  se options:   --noise X --seed N --solver pcg|ldlt|dense "
       "--precond none|jacobi|ssor|ic0\n"
-      "  dse options:  --clusters K --transport inproc|tcp|medici|direct "
+      "  dse options:  --clusters K --transport inproc|medici|direct "
       "--cycles N --rounds R\n"
-      "  contingency:  --margin M\n"
       "  partition:    --clusters K\n");
 }
 
@@ -259,7 +236,6 @@ int main(int argc, char** argv) {
     if (args.command == "info") return cmd_info(args);
     if (args.command == "se") return cmd_se(args);
     if (args.command == "dse") return cmd_dse(args);
-    if (args.command == "contingency") return cmd_contingency(args);
     if (args.command == "partition") return cmd_partition(args);
   } catch (const Error& e) {
     std::fprintf(stderr, "error: %s\n", e.what());

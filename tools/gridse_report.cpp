@@ -2,7 +2,7 @@
 // report the paper's evaluation tables are read from.
 //
 //   gridse_report [--case ieee118|wecc37] [--clusters K] [--cycles N]
-//                 [--transport inproc|tcp|medici|direct] [--rounds R]
+//                 [--transport inproc|medici|direct] [--rounds R]
 //                 [--out obs_report.json] [--trace-dir DIR] [--table]
 //                 [--telemetry-dir DIR] [--cycle-deadline-ms MS]
 //                 [--recovery 0|1] [--kill-cluster C --kill-cycle N]
@@ -81,8 +81,7 @@ void usage() {
   std::fprintf(
       stderr,
       "usage: gridse_report [--case ieee118|wecc37] [--clusters K]\n"
-      "                     [--cycles N] [--transport inproc|tcp|medici|"
-      "direct]\n"
+      "                     [--cycles N] [--transport inproc|medici|direct]\n"
       "                     [--rounds R] [--out obs_report.json]\n"
       "                     [--trace-dir DIR] [--table]\n"
       "                     [--telemetry-dir DIR] [--cycle-deadline-ms MS]\n"
