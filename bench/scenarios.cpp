@@ -111,16 +111,18 @@ int run() {
     const Scenario s = make_scenario(io::ieee118_dse(), 1, 5);
     // Baseline Step-1/Step-2 per subsystem, then re-run subsystem 4's Step 2
     // with the link to each neighbour cut (its pseudo measurements lost).
+    const decomp::MeasurementRoute route =
+        decomp::route_measurements(s.d, s.generated.kase.network, s.meas);
     std::vector<std::unique_ptr<core::LocalEstimator>> ests;
     for (int i = 0; i < s.d.num_subsystems(); ++i) {
       ests.push_back(std::make_unique<core::LocalEstimator>(
           s.generated.kase.network, s.d, i, core::LocalEstimatorOptions{}));
-      ests.back()->run_step1(s.meas);
+      ests.back()->run_step1(s.meas, route);
     }
     const int victim = 4;  // subsystem 5: the best-connected one (Fig. 3)
     using Records = std::vector<core::CondensedBoundaryRecord>;
     const auto boundary_err = [&](const Records& recs) {
-      ests[victim]->run_step2(s.meas, recs);
+      ests[victim]->run_step2(s.meas, route, recs);
       double err = 0.0;
       for (const core::BusStateRecord& rec : ests[victim]->final_states()) {
         err = std::max(err, std::abs(rec.vm - s.pf.state.vm[static_cast<std::size_t>(

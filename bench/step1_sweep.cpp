@@ -58,7 +58,8 @@ const CaseFixture& fixture_wecc() {
   return fx;
 }
 
-/// Per-subsystem run_step1 with registry caches, as the driver does.
+/// One frame's routing, then per-subsystem run_step1 with registry caches,
+/// as the driver does.
 void bench_sequential(benchmark::State& state, const CaseFixture& fx) {
   core::PlanRegistry registry;
   std::vector<std::unique_ptr<core::LocalEstimator>> ests;
@@ -72,8 +73,10 @@ void bench_sequential(benchmark::State& state, const CaseFixture& fx) {
   int gn_iters = 0;
   for (auto _ : state) {
     gn_iters = 0;
+    const decomp::MeasurementRoute route = decomp::route_measurements(
+        fx.d, fx.generated.kase.network, fx.meas);
     for (auto& est : ests) {
-      const core::LocalSolveInfo info = est->run_step1(fx.meas);
+      const core::LocalSolveInfo info = est->run_step1(fx.meas, route);
       gn_iters += info.gauss_newton_iterations;
       benchmark::DoNotOptimize(info.objective);
     }

@@ -61,6 +61,9 @@ int main() {
   grid::MeasurementGenerator gen(generated.kase.network, plan);
   Rng rng(3);
   const grid::MeasurementSet meas = gen.generate(pf.state, rng);
+  // Each meter is routed to the subsystem owning its bus, once per frame.
+  const decomp::MeasurementRoute route =
+      decomp::route_measurements(d, generated.kase.network, meas);
 
   // --- each estimator is identified by a URL (paper §IV-A) ------------------
   medici::MwClient nwiceb_se(0);   // estimator on "Nwiceb"
@@ -83,7 +86,7 @@ int main() {
                             const medici::EndpointUrl& pipeline_inbound) {
     core::LocalEstimator estimator(generated.kase.network, d, side,
                                    core::LocalEstimatorOptions{});
-    const core::LocalSolveInfo step1 = estimator.run_step1(meas);
+    const core::LocalSolveInfo step1 = estimator.run_step1(meas, route);
     std::printf("[SE %d] DSE Step 1: %s, %zu measurements, %d iterations\n",
                 side, step1.converged ? "converged" : "FAILED",
                 step1.num_measurements, step1.gauss_newton_iterations);
@@ -101,7 +104,8 @@ int main() {
                 "MeDICi\n",
                 side, pseudo.size(), msg.source);
 
-    const core::LocalSolveInfo step2 = estimator.run_step2(meas, pseudo);
+    const core::LocalSolveInfo step2 =
+        estimator.run_step2(meas, route, pseudo);
     std::printf("[SE %d] DSE Step 2: %s, %zu measurements (incl. pseudo)\n",
                 side, step2.converged ? "converged" : "FAILED",
                 step2.num_measurements);

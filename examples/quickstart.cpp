@@ -38,7 +38,8 @@ int main() {
                   (2 * kase.network.num_buses() - 1));
 
   // 4. Estimate the state with weighted least squares. The default solver is
-  //    the paper's preconditioned conjugate gradient (IC(0) preconditioner).
+  //    the paper's preconditioned conjugate gradient, preconditioned by the
+  //    exact LDLT factor of the first Gauss-Newton gain.
   const estimation::WlsEstimator estimator(kase.network);
   const estimation::WlsResult result = estimator.estimate(scan);
   std::printf("WLS converged: %s after %d Gauss-Newton iterations "

@@ -207,6 +207,12 @@ DseResult DseDriver::run(runtime::Communicator& comm,
                               *network_, *decomposition_, s, std::move(opts)));
   }
 
+  // One pass routes every meter to the subsystem owning its bus; the
+  // hosted solves and the redistribution payloads then filter only their
+  // own lists instead of the interconnection's whole set.
+  const decomp::MeasurementRoute route = decomp::route_measurements(
+      *decomposition_, *network_, global_measurements);
+
   ThreadPool pool(static_cast<std::size_t>(options_.workers_per_cluster));
 
   // --- Phase 0: heartbeat membership + checkpoint restore (recovery only) ----
@@ -284,7 +290,7 @@ DseResult DseDriver::run(runtime::Communicator& comm,
     pool.parallel_for(hosted1.size(), [&](std::size_t i) {
       const int s = hosted1[i];
       const LocalSolveInfo info =
-          estimators.at(s)->run_step1(global_measurements);
+          estimators.at(s)->run_step1(global_measurements, route);
       OBS_HISTOGRAM_OBSERVE("dse.step1.subsystem_seconds", info.seconds);
       OBS_COUNTER_ADD("dse.step1.subsystems", 1);
       analysis::LockGuard lock(info_mutex);
@@ -314,7 +320,7 @@ DseResult DseDriver::run(runtime::Communicator& comm,
       ByteWriter w;
       w.write_vector(estimators.at(s)->step1_all_states());
       w.write_vector(encode_measurements(estimators.at(s)->local_model().filter(
-          global_measurements, *network_)));
+          global_measurements, *network_, route.of(s))));
       auto payload = w.take();
       OBS_COUNTER_ADD("dse.redistribute.messages", 1);
       OBS_COUNTER_ADD("dse.redistribute.bytes", payload.size());
@@ -439,7 +445,7 @@ DseResult DseDriver::run(runtime::Communicator& comm,
         if (dead_subsystems.count(s) > 0) return;
         const bool degraded = missing_neighbors.count(s) > 0;
         const LocalSolveInfo info = estimators.at(s)->run_step2(
-            global_measurements, neighbor_records.at(s),
+            global_measurements, route, neighbor_records.at(s),
             /*fill_missing_with_priors=*/degraded);
         OBS_HISTOGRAM_OBSERVE("dse.step2.subsystem_seconds", info.seconds);
         OBS_COUNTER_ADD("dse.step2.subsystems", 1);

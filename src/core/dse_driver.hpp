@@ -134,8 +134,10 @@ class DseDriver {
   /// in the respective step — the output of the mapping method; pass the
   /// same vector twice to keep every subsystem on one rank. Every rank
   /// passes the same assignment vectors and the same global measurement
-  /// set; each rank only consumes the measurements of the subsystems it
-  /// hosts (its own SCADA scope).
+  /// set; each rank routes it once by the owning subsystem of each metered
+  /// bus and only consumes the measurements of the subsystems it hosts (its
+  /// own SCADA scope). A malformed measurement, such as one on a bus
+  /// outside the network, throws InvalidInput before Step 1.
   ///
   /// With a `recovery` context the cycle is recovery-aware: phase 0 probes
   /// membership (heartbeats), dead ranks are skipped without waiting out

@@ -46,6 +46,8 @@ HierarchicalResult HierarchicalDriver::run(
 
   // --- local estimations (same Step 1 as the distributed mode) ---------------
   Timer step1_timer;
+  const decomp::MeasurementRoute route = decomp::route_measurements(
+      *decomposition_, *network_, global_measurements);
   std::map<int, std::unique_ptr<LocalEstimator>> estimators;
   bool local_ok = true;
   {
@@ -58,7 +60,7 @@ HierarchicalResult HierarchicalDriver::run(
     analysis::Mutex ok_mutex{"HierarchicalDriver::ok_mutex"};
     pool.parallel_for(hosted.size(), [&](std::size_t i) {
       const LocalSolveInfo info =
-          estimators.at(hosted[i])->run_step1(global_measurements);
+          estimators.at(hosted[i])->run_step1(global_measurements, route);
       analysis::LockGuard lock(ok_mutex);
       local_ok &= info.converged;
     });

@@ -87,9 +87,11 @@ LocalEstimator::Reference LocalEstimator::pick_reference(
 }
 
 LocalSolveInfo LocalEstimator::run_step1(
-    const grid::MeasurementSet& global_set) {
+    const grid::MeasurementSet& global_set,
+    const decomp::MeasurementRoute& route) {
   Timer timer;
-  const grid::MeasurementSet local_set = local_.filter(global_set, *network_);
+  const grid::MeasurementSet local_set =
+      local_.filter(global_set, *network_, route.of(subsystem_));
   const Reference ref = pick_reference(local_, local_set);
 
   grid::GridState initial(local_.network.num_buses());
@@ -228,12 +230,14 @@ void LocalEstimator::set_warm_start(
 
 LocalSolveInfo LocalEstimator::run_step2(
     const grid::MeasurementSet& global_set,
+    const decomp::MeasurementRoute& route,
     const std::vector<CondensedBoundaryRecord>& neighbor_states,
     bool fill_missing_with_priors) {
   GRIDSE_CHECK_MSG(step1_state_.has_value(), "run_step2 before run_step1");
   Timer timer;
 
-  grid::MeasurementSet ext_set = extended_.filter(global_set, *network_);
+  grid::MeasurementSet ext_set =
+      extended_.filter(global_set, *network_, route.of(subsystem_));
   const Reference ref = pick_reference(extended_, ext_set);
 
   // Initial state: own buses from Step 1; remote buses flat, overwritten

@@ -47,12 +47,14 @@ class LocalEstimator {
   LocalEstimator(const grid::Network& network, const decomp::Decomposition& d,
                  int subsystem, LocalEstimatorOptions options);
 
-  /// DSE Step 1: estimate from this subsystem's own measurements (already
-  /// filtered to the local model by the caller, or pass the global set and
-  /// let this filter). The local angle reference is the global slack bus if
-  /// the subsystem hosts it, else the bus of the first PMU (kVAngle)
-  /// measurement; throws InvalidInput when neither exists.
-  LocalSolveInfo run_step1(const grid::MeasurementSet& global_set);
+  /// DSE Step 1: estimate from this subsystem's own measurements: its
+  /// list in `route` (decomp::route_measurements of `global_set`, made once
+  /// per frame), filtered out of `global_set`. The local angle reference is
+  /// the global slack bus if the subsystem hosts it, else the bus of the
+  /// first PMU (kVAngle) measurement; throws InvalidInput when neither
+  /// exists.
+  LocalSolveInfo run_step1(const grid::MeasurementSet& global_set,
+                           const decomp::MeasurementRoute& route);
 
   /// Seed the next run_step1 with a restored checkpoint (cross-cycle
   /// warm restart): `records` must cover every bus of this subsystem in
@@ -69,7 +71,8 @@ class LocalEstimator {
   void adopt_step1(const std::vector<BusStateRecord>& records);
 
   /// DSE Step 2: re-evaluate on the extended model using own measurements
-  /// plus neighbour pseudo measurements. Requires run_step1 first. Each
+  /// (selected through `route` as in run_step1) plus neighbour pseudo
+  /// measurements. Requires run_step1 first. Each
   /// pseudo measurement uses its record's marginal sigma (clamped to a fixed
   /// range), or the flat default pseudo sigma when the record's sigma is
   /// non-positive (plain exchange).
@@ -79,6 +82,7 @@ class LocalEstimator {
   /// the extended solve stays observable when a neighbour never reported.
   LocalSolveInfo run_step2(
       const grid::MeasurementSet& global_set,
+      const decomp::MeasurementRoute& route,
       const std::vector<CondensedBoundaryRecord>& neighbor_states,
       bool fill_missing_with_priors = false);
 

@@ -1,6 +1,7 @@
 #include "decomp/subsystem_model.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
 
 #include "util/error.hpp"
@@ -98,6 +99,57 @@ grid::MeasurementSet SubsystemModel::filter(
     }
   }
   return out;
+}
+
+grid::MeasurementSet SubsystemModel::filter(
+    const grid::MeasurementSet& global_set,
+    const grid::Network& global_network,
+    std::span<const std::uint32_t> indices) const {
+  grid::MeasurementSet out;
+  out.timestamp = global_set.timestamp;
+  for (const std::uint32_t i : indices) {
+    if (auto local = remap(global_set.items[i], global_network)) {
+      out.items.push_back(*local);
+    }
+  }
+  return out;
+}
+
+std::span<const std::uint32_t> MeasurementRoute::of(int s) const {
+  GRIDSE_CHECK(s >= 0 && static_cast<std::size_t>(s) + 1 < offsets.size());
+  const auto b = offsets[static_cast<std::size_t>(s)];
+  const auto e = offsets[static_cast<std::size_t>(s) + 1];
+  return std::span<const std::uint32_t>(indices).subspan(b, e - b);
+}
+
+MeasurementRoute route_measurements(const Decomposition& d,
+                                    const grid::Network& network,
+                                    const grid::MeasurementSet& set) {
+  GRIDSE_CHECK(static_cast<grid::BusIndex>(d.subsystem_of_bus.size()) ==
+               network.num_buses());
+  GRIDSE_CHECK(set.size() <= UINT32_MAX);
+  grid::validate_measurements(network, set);
+  // Counting sort by owning subsystem; a stable scatter keeps each list in
+  // measurement order.
+  MeasurementRoute route;
+  route.offsets.assign(static_cast<std::size_t>(d.num_subsystems()) + 1, 0);
+  for (const grid::Measurement& m : set.items) {
+    ++route.offsets[static_cast<std::size_t>(
+        d.subsystem_of_bus[static_cast<std::size_t>(m.bus)]) + 1];
+  }
+  for (std::size_t s = 1; s < route.offsets.size(); ++s) {
+    route.offsets[s] += route.offsets[s - 1];
+  }
+  route.indices.resize(set.size());
+  std::vector<std::uint32_t> next(route.offsets.begin(),
+                                  route.offsets.end() - 1);
+  for (std::size_t i = 0; i < set.size(); ++i) {
+    const int s =
+        d.subsystem_of_bus[static_cast<std::size_t>(set.items[i].bus)];
+    route.indices[next[static_cast<std::size_t>(s)]++] =
+        static_cast<std::uint32_t>(i);
+  }
+  return route;
 }
 
 void SubsystemModel::scatter_state(const grid::GridState& local_state,

@@ -1,7 +1,9 @@
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <optional>
+#include <span>
 
 #include "decomp/decomposition.hpp"
 #include "grid/measurement.hpp"
@@ -41,10 +43,20 @@ struct SubsystemModel {
       const grid::Measurement& global_meas,
       const grid::Network& global_network) const;
 
-  /// Filter and remap a whole global measurement set.
+  /// Filter and remap a whole global measurement set: the reference the
+  /// routed overload below must equal. The estimators filter only their
+  /// routed list.
   [[nodiscard]] grid::MeasurementSet filter(
       const grid::MeasurementSet& global_set,
       const grid::Network& global_network) const;
+
+  /// Filter and remap only the items of `global_set` at `indices` (this
+  /// subsystem's MeasurementRoute list); equal to the whole-set filter,
+  /// since remap keeps only meters on own buses.
+  [[nodiscard]] grid::MeasurementSet filter(
+      const grid::MeasurementSet& global_set,
+      const grid::Network& global_network,
+      std::span<const std::uint32_t> indices) const;
 
   /// Scatter a local state into a global state (only this model's buses are
   /// touched; optionally own buses only).
@@ -56,6 +68,26 @@ struct SubsystemModel {
   [[nodiscard]] grid::GridState gather_state(
       const grid::GridState& global_state) const;
 };
+
+/// A frame's measurements routed to their subsystems: a meter belongs to the
+/// subsystem owning its metered bus, the rule SubsystemModel::remap applies,
+/// so each subsystem's local and extended filters need only its own list.
+/// Lists hold indices into the routed set, ascending, so filtering a list
+/// keeps measurement order.
+struct MeasurementRoute {
+  /// of(s) is indices[offsets[s], offsets[s + 1]).
+  std::vector<std::uint32_t> offsets;
+  std::vector<std::uint32_t> indices;
+
+  [[nodiscard]] std::span<const std::uint32_t> of(int s) const;
+};
+
+/// Validate `set` against `network` (grid::validate_measurements: InvalidInput
+/// on the first malformed item, a bus outside the network included) and
+/// route it by `d.subsystem_of_bus` in one pass.
+MeasurementRoute route_measurements(const Decomposition& d,
+                                    const grid::Network& network,
+                                    const grid::MeasurementSet& set);
 
 /// Extract the Step-1 local model of subsystem `s`.
 SubsystemModel extract_local(const grid::Network& network,

@@ -7,12 +7,12 @@
 namespace gridse::estimation {
 
 std::shared_ptr<const sparse::SymbolicPlan> SolverCache::plan_for(
-    const sparse::Csr& a, bool ordered) {
+    const sparse::Csr& a) {
   const sparse::PatternFingerprint fp = sparse::fingerprint_pattern(a);
   {
     analysis::LockGuard lock(mutex_);
     for (const auto& plan : plans_) {
-      if (plan->fingerprint() == fp && plan->ordered() == ordered) {
+      if (plan->fingerprint() == fp) {
         ++stats_.plan_hits;
         OBS_COUNTER_ADD("solver.plan.hits", 1);
         return plan;
@@ -24,7 +24,7 @@ std::shared_ptr<const sparse::SymbolicPlan> SolverCache::plan_for(
   // Analyze outside the lock: symbolic analysis is the expensive part, and a
   // duplicate analysis on a race is harmless (both plans are equivalent).
   auto plan = std::make_shared<const sparse::SymbolicPlan>(
-      sparse::SymbolicPlan::analyze(a, ordered));
+      sparse::SymbolicPlan::analyze(a));
   analysis::LockGuard lock(mutex_);
   if (plans_.size() >= kMaxEntries) {
     plans_.erase(plans_.begin());

@@ -12,10 +12,10 @@
 namespace gridse::estimation {
 
 /// Thread-safe store of symbolic solver artifacts keyed on sparsity-pattern
-/// fingerprints: SymbolicPlans for the gain matrix (LDLᵀ ordering/etree +
-/// IC(0) lower pattern) and NormalAssemblers for the Jacobian pattern.
-/// One cache per (subsystem, model) survives across Gauss–Newton iterations
-/// and DSE cycles; `invalidate()` is the remap/topology-change hook — it
+/// fingerprints: SymbolicPlans for the gain matrix (LDLᵀ ordering and etree)
+/// and NormalAssemblers for the Jacobian pattern. One cache per
+/// (subsystem, model) survives across Gauss–Newton iterations and DSE
+/// cycles; `invalidate()` is the remap/topology-change hook — it
 /// drops everything, so the next solve re-analyzes from scratch and a stale
 /// plan can never be applied to a changed pattern. Even without an explicit
 /// invalidation a pattern change is caught by the fingerprint mismatch; the
@@ -30,11 +30,8 @@ class SolverCache {
     std::uint64_t invalidations = 0;
   };
 
-  /// Plan for the pattern of `a` (analyzing it on a miss). `ordered` selects
-  /// the fill-reduced LDLᵀ facet; plans with different `ordered` flags are
-  /// distinct cache entries.
-  std::shared_ptr<const sparse::SymbolicPlan> plan_for(const sparse::Csr& a,
-                                                       bool ordered = true);
+  /// Plan for the pattern of `a` (analyzing it on a miss).
+  std::shared_ptr<const sparse::SymbolicPlan> plan_for(const sparse::Csr& a);
 
   /// Gain assembler for the pattern of `h` (analyzing it on a miss).
   std::shared_ptr<const sparse::NormalAssembler> assembler_for(

@@ -63,6 +63,9 @@ WlsResult WlsEstimator::estimate(const grid::MeasurementSet& set,
   // Hoisted out of the iteration loop: the direct solver's arrays are
   // resized once and refilled numerically each iteration.
   sparse::SparseLdlt ldlt;
+  // The PCG preconditioner. An LDLᵀ one is built from the first gain only:
+  // later gains move little, so its exact factor keeps PCG to a few steps.
+  std::unique_ptr<sparse::Preconditioner> precond;
 
   for (int iter = 0; iter < options_.max_iterations; ++iter) {
     const grid::GridState state = index.unpack(x, ref_angle);
@@ -81,10 +84,11 @@ WlsResult WlsEstimator::estimate(const grid::MeasurementSet& set,
     std::vector<double> dx(static_cast<std::size_t>(index.size()), 0.0);
     switch (options_.solver) {
       case LinearSolver::kPcg: {
-        std::unique_ptr<sparse::Preconditioner> precond;
-        if (options_.preconditioner == sparse::PreconditionerKind::kIc0) {
-          const auto plan = cache_->plan_for(gain, /*ordered=*/false);
-          precond = std::make_unique<sparse::Ic0Preconditioner>(gain, *plan);
+        if (options_.preconditioner == sparse::PreconditionerKind::kLdlt) {
+          if (precond == nullptr) {
+            precond = std::make_unique<sparse::LdltPreconditioner>(
+                gain, cache_->plan_for(gain));
+          }
         } else {
           precond = sparse::make_preconditioner(options_.preconditioner, gain);
         }
@@ -101,8 +105,8 @@ WlsResult WlsEstimator::estimate(const grid::MeasurementSet& set,
         break;
       }
       case LinearSolver::kLdlt: {
-        ldlt.factorize(gain, cache_->plan_for(gain, /*ordered=*/true));
-        dx = ldlt.solve(rhs);
+        ldlt.factorize(gain, cache_->plan_for(gain));
+        ldlt.solve(rhs, dx);
         break;
       }
       case LinearSolver::kDense: {

@@ -32,7 +32,10 @@ struct WlsOptions {
   double tolerance = 1e-6;
   int max_iterations = 25;
   LinearSolver solver = LinearSolver::kPcg;
-  sparse::PreconditionerKind preconditioner = sparse::PreconditionerKind::kIc0;
+  /// PCG preconditioner. The default, kLdlt, is the exact factor of the
+  /// solve's first gain, kept for every later Gauss–Newton iteration; the
+  /// others (kIc0 is the paper's) are rebuilt from each iteration's gain.
+  sparse::PreconditionerKind preconditioner = sparse::PreconditionerKind::kLdlt;
   /// Tikhonov term added to the gain matrix diagonal (0 = none). DSE Step 2
   /// re-evaluation sets this to keep reduced systems well-posed.
   double regularization = 0.0;

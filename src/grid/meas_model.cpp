@@ -136,12 +136,13 @@ std::vector<double> MeasurementModel::evaluate(const MeasurementSet& set,
 sparse::Csr MeasurementModel::jacobian(const MeasurementSet& set,
                                        const GridState& state) const {
   GRIDSE_CHECK(state.num_buses() == network_->num_buses());
-  std::vector<sparse::Triplet<double>> triplets;
-  triplets.reserve(set.size() * 8);
+  // Rows are emitted in measurement order, so each one is sorted on its own
+  // instead of sorting the whole matrix's triplets.
+  sparse::CsrRowBuilder<double> rows(index_.size(), set.size() * 8);
 
-  const auto add = [&](std::size_t row, std::int32_t col, double value) {
+  const auto add = [&](std::int32_t col, double value) {
     if (col >= 0 && value != 0.0) {
-      triplets.push_back({static_cast<sparse::Index>(row), col, value});
+      rows.add(col, value);
     }
   };
 
@@ -149,10 +150,10 @@ sparse::Csr MeasurementModel::jacobian(const MeasurementSet& set,
     const Measurement& m = set.items[mi];
     switch (m.type) {
       case MeasType::kVMag:
-        add(mi, index_.vm_index(m.bus), 1.0);
+        add(index_.vm_index(m.bus), 1.0);
         break;
       case MeasType::kVAngle:
-        add(mi, index_.theta_index(m.bus), 1.0);
+        add(index_.theta_index(m.bus), 1.0);
         break;
       case MeasType::kPFlow:
       case MeasType::kQFlow: {
@@ -169,10 +170,10 @@ sparse::Csr MeasurementModel::jacobian(const MeasurementSet& set,
             state.theta[static_cast<std::size_t>(mb)],
             state.theta[static_cast<std::size_t>(ob)]);
         const bool is_p = m.type == MeasType::kPFlow;
-        add(mi, index_.theta_index(mb), is_p ? t.dp_dth_m : t.dq_dth_m);
-        add(mi, index_.theta_index(ob), is_p ? t.dp_dth_o : t.dq_dth_o);
-        add(mi, index_.vm_index(mb), is_p ? t.dp_dv_m : t.dq_dv_m);
-        add(mi, index_.vm_index(ob), is_p ? t.dp_dv_o : t.dq_dv_o);
+        add(index_.theta_index(mb), is_p ? t.dp_dth_m : t.dq_dth_m);
+        add(index_.theta_index(ob), is_p ? t.dp_dth_o : t.dq_dth_o);
+        add(index_.vm_index(mb), is_p ? t.dp_dv_m : t.dq_dv_m);
+        add(index_.vm_index(ob), is_p ? t.dp_dv_o : t.dq_dv_o);
         break;
       }
       case MeasType::kPInjection:
@@ -208,11 +209,11 @@ sparse::Csr MeasurementModel::jacobian(const MeasurementSet& set,
           const auto y = vals[static_cast<std::size_t>(k)];
           if (j == i) {
             if (is_p) {
-              add(mi, index_.theta_index(i), -q - bii * vi * vi);
-              add(mi, index_.vm_index(i), p / vi + gii * vi);
+              add(index_.theta_index(i), -q - bii * vi * vi);
+              add(index_.vm_index(i), p / vi + gii * vi);
             } else {
-              add(mi, index_.theta_index(i), p - gii * vi * vi);
-              add(mi, index_.vm_index(i), q / vi - bii * vi);
+              add(index_.theta_index(i), p - gii * vi * vi);
+              add(index_.vm_index(i), q / vi - bii * vi);
             }
             continue;
           }
@@ -221,20 +222,20 @@ sparse::Csr MeasurementModel::jacobian(const MeasurementSet& set,
           const double c = std::cos(d);
           const double s = std::sin(d);
           if (is_p) {
-            add(mi, index_.theta_index(j), vi * vj * (y.real() * s - y.imag() * c));
-            add(mi, index_.vm_index(j), vi * (y.real() * c + y.imag() * s));
+            add(index_.theta_index(j), vi * vj * (y.real() * s - y.imag() * c));
+            add(index_.vm_index(j), vi * (y.real() * c + y.imag() * s));
           } else {
-            add(mi, index_.theta_index(j),
+            add(index_.theta_index(j),
                 -vi * vj * (y.real() * c + y.imag() * s));
-            add(mi, index_.vm_index(j), vi * (y.real() * s - y.imag() * c));
+            add(index_.vm_index(j), vi * (y.real() * s - y.imag() * c));
           }
         }
         break;
       }
     }
+    rows.end_row();
   }
-  return sparse::Csr::from_triplets(static_cast<sparse::Index>(set.size()),
-                                    index_.size(), std::move(triplets));
+  return std::move(rows).finish();
 }
 
 }  // namespace gridse::grid

@@ -42,29 +42,33 @@ std::vector<double> MeasurementSet::values() const {
 void validate_measurements(const Network& network, const MeasurementSet& set) {
   for (std::size_t i = 0; i < set.items.size(); ++i) {
     const Measurement& m = set.items[i];
-    const std::string at = "measurement " + std::to_string(i) + " (" +
-                           meas_type_name(m.type) + ")";
+    // The description is built only on the failure path: this loop runs
+    // over every measurement of every solve.
+    const auto reject = [&](const char* why) {
+      throw InvalidInput("measurement " + std::to_string(i) + " (" +
+                         meas_type_name(m.type) + "): " + why);
+    };
     if (m.sigma <= 0.0) {
-      throw InvalidInput(at + ": sigma must be positive");
+      reject("sigma must be positive");
     }
     const bool is_flow =
         m.type == MeasType::kPFlow || m.type == MeasType::kQFlow;
     if (is_flow) {
       if (m.branch < 0 ||
           static_cast<std::size_t>(m.branch) >= network.num_branches()) {
-        throw InvalidInput(at + ": branch index out of range");
+        reject("branch index out of range");
       }
       const Branch& br = network.branch(static_cast<std::size_t>(m.branch));
       const BusIndex metered = m.at_from_side ? br.from : br.to;
       if (m.bus != metered) {
-        throw InvalidInput(at + ": bus does not match the metered branch end");
+        reject("bus does not match the metered branch end");
       }
     } else {
       if (m.bus < 0 || m.bus >= network.num_buses()) {
-        throw InvalidInput(at + ": bus index out of range");
+        reject("bus index out of range");
       }
       if (m.branch != -1) {
-        throw InvalidInput(at + ": non-flow measurement must not set branch");
+        reject("non-flow measurement must not set branch");
       }
     }
   }

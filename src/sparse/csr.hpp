@@ -203,6 +203,70 @@ class CsrMatrix {
   std::vector<T> values_;
 };
 
+/// Row-by-row CSR assembly for producers that emit whole rows in order (the
+/// measurement Jacobian). end_row() sorts the short row just emitted by
+/// column and sums its duplicates in emission order, so finish() equals
+/// from_triplets of the same entries without a sort over the whole matrix.
+template <typename T>
+class CsrRowBuilder {
+ public:
+  CsrRowBuilder(Index cols, std::size_t expected_nnz) : cols_(cols) {
+    col_idx_.reserve(expected_nnz);
+    values_.reserve(expected_nnz);
+  }
+
+  /// Append an entry to the current row.
+  void add(Index col, T value) {
+    GRIDSE_CHECK_MSG(col >= 0 && col < cols_, "row entry out of range");
+    col_idx_.push_back(col);
+    values_.push_back(value);
+  }
+
+  /// Close the current row.
+  void end_row() {
+    const auto begin = static_cast<std::size_t>(row_ptr_.back());
+    // Insertion sort: rows hold a handful of entries, and it is stable, so
+    // duplicates stay in emission order for the fold below.
+    for (std::size_t i = begin + 1; i < col_idx_.size(); ++i) {
+      const Index c = col_idx_[i];
+      const T v = values_[i];
+      std::size_t j = i;
+      for (; j > begin && col_idx_[j - 1] > c; --j) {
+        col_idx_[j] = col_idx_[j - 1];
+        values_[j] = values_[j - 1];
+      }
+      col_idx_[j] = c;
+      values_[j] = v;
+    }
+    std::size_t out = begin;
+    for (std::size_t i = begin; i < col_idx_.size(); ++i) {
+      if (out > begin && col_idx_[out - 1] == col_idx_[i]) {
+        values_[out - 1] += values_[i];
+      } else {
+        col_idx_[out] = col_idx_[i];
+        values_[out] = values_[i];
+        ++out;
+      }
+    }
+    col_idx_.resize(out);
+    values_.resize(out);
+    row_ptr_.push_back(static_cast<Index>(out));
+  }
+
+  /// The assembled matrix; one row per end_row() call.
+  [[nodiscard]] CsrMatrix<T> finish() && {
+    const auto rows = static_cast<Index>(row_ptr_.size() - 1);
+    return CsrMatrix<T>::from_parts(rows, cols_, std::move(row_ptr_),
+                                    std::move(col_idx_), std::move(values_));
+  }
+
+ private:
+  Index cols_;
+  std::vector<Index> row_ptr_{0};
+  std::vector<Index> col_idx_;
+  std::vector<T> values_;
+};
+
 using Csr = CsrMatrix<double>;
 using CsrComplex = CsrMatrix<std::complex<double>>;
 

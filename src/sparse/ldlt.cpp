@@ -1,5 +1,8 @@
 #include "sparse/ldlt.hpp"
 
+#include <algorithm>
+#include <limits>
+
 #include "util/error.hpp"
 
 namespace gridse::sparse {
@@ -20,6 +23,18 @@ void SparseLdlt::factorize(const Csr& a,
   lx_.resize(plan_->factor_nnz());
   d_.resize(static_cast<std::size_t>(plan_->dim()));
   detail::ldlt_numeric(*plan_, a, li_, lx_, d_, scratch_);
+}
+
+void SparseLdlt::solve(std::span<const double> b, std::span<double> x) {
+  GRIDSE_CHECK_MSG(factored(), "SparseLdlt::solve before factorize");
+  work_.resize(static_cast<std::size_t>(plan_->dim()));
+  detail::ldlt_solve(*plan_, li_, lx_, d_, b, x, work_);
+}
+
+double SparseLdlt::min_pivot() const {
+  GRIDSE_CHECK_MSG(factored(), "SparseLdlt::min_pivot before factorize");
+  return d_.empty() ? std::numeric_limits<double>::infinity()
+                    : *std::min_element(d_.begin(), d_.end());
 }
 
 std::vector<double> SparseLdlt::solve(std::span<const double> b) const {

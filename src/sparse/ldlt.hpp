@@ -10,11 +10,11 @@
 namespace gridse::sparse {
 
 /// Sparse simplicial LDLᵀ factorization of a symmetric matrix (up-looking,
-/// elimination-tree based). Serves as the direct-solver baseline against the
-/// paper's PCG in the solver ablation, and as the robust fallback for small
-/// subsystem gain matrices. One code path: a SymbolicPlan holds the
-/// ordering and the factor pattern, detail::ldlt_numeric fills the factor
-/// and detail::ldlt_solve applies it.
+/// elimination-tree based). It is the direct solver of the solver ablation
+/// and, through LdltPreconditioner, the default preconditioner of the WLS
+/// PCG. One code path: a SymbolicPlan holds the ordering and the factor
+/// pattern, detail::ldlt_numeric fills the factor and detail::ldlt_solve
+/// applies it.
 class SparseLdlt {
  public:
   /// Factor `a` (must be structurally and numerically symmetric) under an
@@ -28,15 +28,21 @@ class SparseLdlt {
   /// matrix with `a`'s sparsity pattern (cheap size/nnz checks are applied;
   /// full fingerprint validation is the caller's — typically a
   /// SolverCache's — job). This is the hot path of repeated Gauss–Newton
-  /// iterations on a fixed topology. A natural-order factor comes from a
-  /// plan analyzed with `SymbolicPlan::analyze(a, false)`.
+  /// iterations on a fixed topology.
   void factorize(const Csr& a, std::shared_ptr<const SymbolicPlan> plan);
 
   /// Solve A x = b with the current factorization.
   [[nodiscard]] std::vector<double> solve(std::span<const double> b) const;
 
+  /// Solve A x = b into `x` without allocating: the permuted work vector is
+  /// owned by this factor, so one factor serves one solve at a time.
+  void solve(std::span<const double> b, std::span<double> x);
+
   [[nodiscard]] bool factored() const { return plan_ != nullptr; }
   [[nodiscard]] std::size_t factor_nnz() const { return lx_.size(); }
+  /// Smallest pivot of D; ≤ 0 means the factored matrix was not positive
+  /// definite.
+  [[nodiscard]] double min_pivot() const;
 
  private:
   // L's row indices and values in the plan's column layout (strict lower,
@@ -46,6 +52,7 @@ class SparseLdlt {
   std::vector<double> d_;
   std::shared_ptr<const SymbolicPlan> plan_;
   detail::LdltScratch scratch_;
+  std::vector<double> work_;
 };
 
 }  // namespace gridse::sparse

@@ -1,8 +1,9 @@
 #include "sparse/preconditioner.hpp"
 
+#include <algorithm>
 #include <cmath>
 
-#include "sparse/symbolic_plan.hpp"
+#include "sparse/normal_equations.hpp"
 #include "util/error.hpp"
 #include "util/logging.hpp"
 
@@ -24,6 +25,30 @@ Csr lower_triangle(const Csr& a, bool include_diagonal) {
     }
   }
   return Csr::from_triplets(a.rows(), a.cols(), std::move(t));
+}
+
+/// Run `try_factor(shift)` with no shift, then with a diagonal shift that
+/// starts at 1e-8·max|diag(A)| and grows tenfold, until it succeeds. Returns
+/// the shift that worked.
+template <typename TryFactor>
+double factorize_with_shift_retries(const Csr& a, const char* what,
+                                    TryFactor&& try_factor) {
+  double max_diag = 0.0;
+  for (const double d : a.diagonal()) {
+    max_diag = std::max(max_diag, std::abs(d));
+  }
+  double shift = 0.0;
+  for (int attempt = 0; attempt < 12; ++attempt) {
+    if (try_factor(shift)) {
+      if (shift > 0.0) {
+        GRIDSE_DEBUG << what << ": succeeded with diagonal shift " << shift;
+      }
+      return shift;
+    }
+    shift = (shift == 0.0) ? 1e-8 * max_diag : shift * 10.0;
+  }
+  throw ConvergenceFailure(std::string(what) +
+                           " factorization failed even with large shift");
 }
 
 }  // namespace
@@ -98,50 +123,9 @@ Ic0Preconditioner::Ic0Preconditioner(const Csr& a) {
   GRIDSE_CHECK(a.rows() == a.cols());
   l_ = lower_triangle(a, /*include_diagonal=*/true);
   base_vals_.assign(l_.values().begin(), l_.values().end());
-  const auto diag = a.diagonal();
-  double max_diag = 0.0;
-  for (const double d : diag) max_diag = std::max(max_diag, std::abs(d));
-  factorize_with_retries(max_diag);
-}
-
-Ic0Preconditioner::Ic0Preconditioner(const Csr& a, const SymbolicPlan& plan) {
-  GRIDSE_CHECK(a.rows() == a.cols());
-  GRIDSE_CHECK_MSG(a.rows() == plan.dim() &&
-                       static_cast<std::uint64_t>(a.nnz()) ==
-                           plan.fingerprint().nnz,
-                   "IC(0): matrix does not match the symbolic plan");
-  const auto lt_ptr = plan.lower_row_ptr();
-  const auto lt_col = plan.lower_col_idx();
-  const auto lt_map = plan.lower_value_map();
-  const auto aval = a.values();
-  base_vals_.resize(lt_col.size());
-  double max_diag = 0.0;
-  for (std::size_t p = 0; p < lt_col.size(); ++p) {
-    base_vals_[p] = aval[static_cast<std::size_t>(lt_map[p])];
-  }
-  for (const double d : a.diagonal()) max_diag = std::max(max_diag, std::abs(d));
-  l_ = Csr::from_parts(a.rows(), a.cols(),
-                       std::vector<Index>(lt_ptr.begin(), lt_ptr.end()),
-                       std::vector<Index>(lt_col.begin(), lt_col.end()),
-                       base_vals_);
-  factorize_with_retries(max_diag);
-}
-
-void Ic0Preconditioner::factorize_with_retries(double max_diag) {
-  // Retry with a growing diagonal shift if a pivot breaks down; the shifted
-  // factor is still an effective preconditioner.
-  double shift = 0.0;
-  for (int attempt = 0; attempt < 12; ++attempt) {
-    if (try_factorize(shift)) {
-      shift_ = shift;
-      if (shift > 0.0) {
-        GRIDSE_DEBUG << "IC(0): succeeded with diagonal shift " << shift;
-      }
-      return;
-    }
-    shift = (shift == 0.0) ? 1e-8 * max_diag : shift * 10.0;
-  }
-  throw ConvergenceFailure("IC(0) factorization failed even with large shift");
+  // The shifted factor is still an effective preconditioner.
+  shift_ = factorize_with_shift_retries(
+      a, "IC(0)", [&](double shift) { return try_factorize(shift); });
 }
 
 bool Ic0Preconditioner::try_factorize(double shift) {
@@ -227,6 +211,45 @@ void Ic0Preconditioner::apply(std::span<const double> r,
   }
 }
 
+LdltPreconditioner::LdltPreconditioner(const Csr& a)
+    : LdltPreconditioner(
+          a, std::make_shared<const SymbolicPlan>(SymbolicPlan::analyze(a))) {}
+
+LdltPreconditioner::LdltPreconditioner(
+    const Csr& a, std::shared_ptr<const SymbolicPlan> plan) {
+  GRIDSE_CHECK(a.rows() == a.cols());
+  shift_ = factorize_with_shift_retries(
+      a, "LDLt preconditioner",
+      [&](double shift) { return try_factorize(a, plan, shift); });
+}
+
+bool LdltPreconditioner::try_factorize(
+    const Csr& a, const std::shared_ptr<const SymbolicPlan>& plan,
+    double shift) {
+  try {
+    if (shift == 0.0) {
+      factor_.factorize(a, plan);
+    } else {
+      // Rare path. A gain carries a structural diagonal, so the shifted
+      // matrix keeps its pattern and the plan; otherwise analyze afresh.
+      const Csr shifted = add_diagonal(a, shift);
+      if (shifted.nnz() == a.nnz()) {
+        factor_.factorize(shifted, plan);
+      } else {
+        factor_.factorize(shifted);
+      }
+    }
+  } catch (const ConvergenceFailure&) {
+    return false;  // exact zero pivot
+  }
+  return factor_.min_pivot() > 0.0;
+}
+
+void LdltPreconditioner::apply(std::span<const double> r,
+                               std::span<double> z) const {
+  factor_.solve(r, z);
+}
+
 std::unique_ptr<Preconditioner> make_preconditioner(PreconditionerKind kind,
                                                     const Csr& a) {
   switch (kind) {
@@ -238,6 +261,8 @@ std::unique_ptr<Preconditioner> make_preconditioner(PreconditionerKind kind,
       return std::make_unique<SsorPreconditioner>(a);
     case PreconditionerKind::kIc0:
       return std::make_unique<Ic0Preconditioner>(a);
+    case PreconditionerKind::kLdlt:
+      return std::make_unique<LdltPreconditioner>(a);
   }
   throw InvalidInput("unknown preconditioner kind");
 }
@@ -247,6 +272,7 @@ PreconditionerKind parse_preconditioner(const std::string& name) {
   if (name == "jacobi") return PreconditionerKind::kJacobi;
   if (name == "ssor") return PreconditionerKind::kSsor;
   if (name == "ic0") return PreconditionerKind::kIc0;
+  if (name == "ldlt") return PreconditionerKind::kLdlt;
   throw InvalidInput("unknown preconditioner name: " + name);
 }
 

@@ -5,6 +5,7 @@
 #include <string>
 
 #include "sparse/csr.hpp"
+#include "sparse/ldlt.hpp"
 
 namespace gridse::sparse {
 
@@ -55,20 +56,12 @@ class SsorPreconditioner final : public Preconditioner {
   double omega_;
 };
 
-class SymbolicPlan;
-
 /// Incomplete Cholesky with zero fill-in, IC(0): L has the sparsity pattern
 /// of tril(A). The factorization shifts the diagonal and retries when a
 /// pivot breaks down, so it is robust on barely-SPD Step-2 systems.
 class Ic0Preconditioner final : public Preconditioner {
  public:
   explicit Ic0Preconditioner(const Csr& a);
-
-  /// Pattern-reuse construction: the lower-triangle structure comes from a
-  /// precomputed SymbolicPlan (one gather pass over a.values(), no triplet
-  /// rebuild). Numerically identical to the plain constructor; this is the
-  /// per-Gauss–Newton-iteration fast path on a fixed topology.
-  Ic0Preconditioner(const Csr& a, const SymbolicPlan& plan);
 
   void apply(std::span<const double> r, std::span<double> z) const override;
   [[nodiscard]] std::string name() const override { return "ic0"; }
@@ -78,7 +71,6 @@ class Ic0Preconditioner final : public Preconditioner {
   [[nodiscard]] double shift() const { return shift_; }
 
  private:
-  void factorize_with_retries(double max_diag);
   bool try_factorize(double shift);
 
   Csr l_;  // lower triangle including diagonal, row-major
@@ -86,13 +78,47 @@ class Ic0Preconditioner final : public Preconditioner {
   double shift_ = 0.0;
 };
 
-enum class PreconditionerKind { kNone, kJacobi, kSsor, kIc0 };
+/// The exact LDLᵀ factor of one matrix A (AMD-ordered, over a SymbolicPlan),
+/// applied as M = A. PCG on A itself then converges in one step, and on a
+/// nearby matrix of the same dimension in a few: WLS factors the gain of a
+/// solve's first Gauss–Newton iteration and keeps the factor for the later,
+/// slightly moved gains. A pivot ≤ 0 (a singular or indefinite A) is retried
+/// on A + shift·I with a growing shift, as IC(0) does; the shifted factor is
+/// still a preconditioner, and PCG still solves the unshifted system.
+class LdltPreconditioner final : public Preconditioner {
+ public:
+  /// Factor `a` over a fresh plan.
+  explicit LdltPreconditioner(const Csr& a);
+  /// Factor `a` over `plan`, which must have been analyzed on a's pattern
+  /// (a SolverCache lookup).
+  LdltPreconditioner(const Csr& a, std::shared_ptr<const SymbolicPlan> plan);
+
+  /// Two triangular solves; no allocation.
+  void apply(std::span<const double> r, std::span<double> z) const override;
+  [[nodiscard]] std::string name() const override { return "ldlt"; }
+
+  /// Diagonal shift that was required for positive pivots (0 when A
+  /// factored cleanly).
+  [[nodiscard]] double shift() const { return shift_; }
+
+ private:
+  bool try_factorize(const Csr& a,
+                     const std::shared_ptr<const SymbolicPlan>& plan,
+                     double shift);
+
+  // apply() is logically const but solves in the factor's own work space.
+  mutable SparseLdlt factor_;
+  double shift_ = 0.0;
+};
+
+enum class PreconditionerKind { kNone, kJacobi, kSsor, kIc0, kLdlt };
 
 /// Build the requested preconditioner for matrix `a`.
 std::unique_ptr<Preconditioner> make_preconditioner(PreconditionerKind kind,
                                                     const Csr& a);
 
-/// Parse "none" | "jacobi" | "ssor" | "ic0"; throws InvalidInput otherwise.
+/// Parse "none" | "jacobi" | "ssor" | "ic0" | "ldlt"; throws InvalidInput
+/// otherwise.
 PreconditionerKind parse_preconditioner(const std::string& name);
 
 }  // namespace gridse::sparse

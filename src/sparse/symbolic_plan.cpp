@@ -1,28 +1,20 @@
 #include "sparse/symbolic_plan.hpp"
 
 #include <algorithm>
-#include <numeric>
 
 #include "sparse/ordering.hpp"
 #include "util/error.hpp"
 
 namespace gridse::sparse {
 
-SymbolicPlan SymbolicPlan::analyze(const Csr& a, bool use_ordering) {
+SymbolicPlan SymbolicPlan::analyze(const Csr& a) {
   GRIDSE_CHECK(a.rows() == a.cols());
   const Index n = a.rows();
   const auto col = a.col_idx();
 
   SymbolicPlan plan;
   plan.fp_ = fingerprint_pattern(a);
-  plan.ordered_ = use_ordering;
-
-  if (use_ordering) {
-    plan.perm_ = approximate_minimum_degree(a);
-  } else {
-    plan.perm_.resize(static_cast<std::size_t>(n));
-    std::iota(plan.perm_.begin(), plan.perm_.end(), 0);
-  }
+  plan.perm_ = approximate_minimum_degree(a);
   plan.perm_inv_ = invert_permutation(plan.perm_);
 
   // --- permuted pattern B = P A Pᵀ with a value gather map ------------------
@@ -98,20 +90,6 @@ SymbolicPlan SymbolicPlan::analyze(const Csr& a, bool use_ordering) {
   for (Index k = 0; k < n; ++k) {
     plan.lp_[static_cast<std::size_t>(k) + 1] =
         plan.lp_[static_cast<std::size_t>(k)] + lnz[static_cast<std::size_t>(k)];
-  }
-
-  // --- unpermuted lower-triangle pattern for IC(0) --------------------------
-  plan.lt_ptr_.assign(static_cast<std::size_t>(n) + 1, 0);
-  for (Index r = 0; r < n; ++r) {
-    const auto [b, e] = a.row_range(r);
-    for (Index k = b; k < e; ++k) {
-      const Index c = col[static_cast<std::size_t>(k)];
-      if (c > r) break;  // rows are column-sorted
-      plan.lt_col_.push_back(c);
-      plan.lt_map_.push_back(k);
-    }
-    plan.lt_ptr_[static_cast<std::size_t>(r) + 1] =
-        static_cast<Index>(plan.lt_col_.size());
   }
   return plan;
 }

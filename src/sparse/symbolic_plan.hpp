@@ -49,23 +49,18 @@ PatternFingerprint fingerprint_pattern(const CsrMatrix<T>& a) {
 
 /// Everything about factoring a fixed sparsity pattern that does not depend
 /// on the numeric values: the fill-reducing ordering, the symmetrically
-/// permuted pattern with a gather map back into the source value array, the
-/// elimination tree and LDLᵀ column pointers, and the (unpermuted) lower
-/// triangle pattern IC(0) factors on. Computed once per (subsystem,
-/// topology) and reused across Gauss–Newton iterations and DSE cycles; the
+/// permuted pattern with a gather map back into the source value array, and
+/// the elimination tree and LDLᵀ column pointers. Computed once per
+/// (subsystem, topology) and reused across solves and DSE cycles; the
 /// fingerprint is the invalidation token — a topology change alters the
 /// gain pattern, the fingerprint stops matching, and the plan is rebuilt.
 class SymbolicPlan {
  public:
-  /// Analyze the pattern of symmetric matrix `a`. With `use_ordering` an
-  /// approximate minimum degree permutation is computed first; without it
-  /// the permutation is the identity (the IC(0)/PCG path needs no
-  /// reordering).
-  [[nodiscard]] static SymbolicPlan analyze(const Csr& a,
-                                            bool use_ordering = true);
+  /// Analyze the pattern of symmetric matrix `a` under an approximate
+  /// minimum degree ordering.
+  [[nodiscard]] static SymbolicPlan analyze(const Csr& a);
 
   [[nodiscard]] const PatternFingerprint& fingerprint() const { return fp_; }
-  [[nodiscard]] bool ordered() const { return ordered_; }
   [[nodiscard]] Index dim() const { return fp_.n; }
 
   /// True iff `a` has the pattern this plan was analyzed on.
@@ -73,7 +68,6 @@ class SymbolicPlan {
     return fingerprint_pattern(a) == fp_;
   }
 
-  // --- LDLᵀ facet (permuted pattern) ----------------------------------------
   [[nodiscard]] std::span<const Index> perm() const { return perm_; }
   [[nodiscard]] std::span<const Index> perm_inv() const { return perm_inv_; }
   /// CSR structure of B = P A Pᵀ (rows column-sorted).
@@ -94,22 +88,8 @@ class SymbolicPlan {
     return lp_.empty() ? 0 : static_cast<std::size_t>(lp_.back());
   }
 
-  // --- IC(0) facet (unpermuted lower triangle) ------------------------------
-  /// CSR structure of tril(A) including the diagonal.
-  [[nodiscard]] std::span<const Index> lower_row_ptr() const {
-    return lt_ptr_;
-  }
-  [[nodiscard]] std::span<const Index> lower_col_idx() const {
-    return lt_col_;
-  }
-  /// lower_value_map()[p] is the offset in a.values() of the p-th tril entry.
-  [[nodiscard]] std::span<const Index> lower_value_map() const {
-    return lt_map_;
-  }
-
  private:
   PatternFingerprint fp_;
-  bool ordered_ = true;
   std::vector<Index> perm_;      // perm_[new] = old
   std::vector<Index> perm_inv_;  // perm_inv_[old] = new
   std::vector<Index> ap_ptr_;
@@ -117,9 +97,6 @@ class SymbolicPlan {
   std::vector<Index> ap_map_;
   std::vector<Index> parent_;
   std::vector<Index> lp_;
-  std::vector<Index> lt_ptr_;
-  std::vector<Index> lt_col_;
-  std::vector<Index> lt_map_;
 };
 
 namespace detail {

@@ -89,9 +89,11 @@ TEST_F(HierarchicalTest, CoordinationRefinesStepOne) {
   // Compare against a pure Step-1 assembly (DSE driver without Step 2 would
   // give that; approximate it by running local estimators directly).
   double assembled_err = 0.0;
+  const decomp::MeasurementRoute route =
+      decomp::route_measurements(d_, generated_.kase.network, meas_);
   for (int s = 0; s < d_.num_subsystems(); ++s) {
     LocalEstimator est(generated_.kase.network, d_, s, {});
-    est.run_step1(meas_);
+    est.run_step1(meas_, route);
     for (const BusStateRecord& rec : est.step1_all_states()) {
       assembled_err = std::max(
           assembled_err,

@@ -29,6 +29,12 @@ class LocalEstimatorTest : public ::testing::Test {
         generated_.kase.network, plan);
     Rng rng(33);
     meas_ = gen_->generate(pf_.state, rng);
+    route_ = route(meas_);
+  }
+
+  [[nodiscard]] decomp::MeasurementRoute route(
+      const grid::MeasurementSet& set) const {
+    return decomp::route_measurements(d_, generated_.kase.network, set);
   }
 
   io::GeneratedCase generated_;
@@ -36,12 +42,13 @@ class LocalEstimatorTest : public ::testing::Test {
   grid::PowerFlowResult pf_;
   std::unique_ptr<grid::MeasurementGenerator> gen_;
   grid::MeasurementSet meas_;
+  decomp::MeasurementRoute route_;
 };
 
 TEST_F(LocalEstimatorTest, Step1ConvergesOnEverySubsystem) {
   for (int s = 0; s < d_.num_subsystems(); ++s) {
     LocalEstimator est(generated_.kase.network, d_, s, {});
-    const LocalSolveInfo info = est.run_step1(meas_);
+    const LocalSolveInfo info = est.run_step1(meas_, route_);
     EXPECT_TRUE(info.converged) << "subsystem " << s;
     EXPECT_GT(info.num_measurements, 0u);
     // Step-1 solution accuracy on own buses: internal buses should be close
@@ -58,14 +65,14 @@ TEST_F(LocalEstimatorTest, Step1ConvergesOnEverySubsystem) {
 
 TEST_F(LocalEstimatorTest, BoundaryStatesCoverGsBuses) {
   LocalEstimator est(generated_.kase.network, d_, 2, {});
-  est.run_step1(meas_);
+  est.run_step1(meas_, route_);
   const auto records = est.boundary_records();
   EXPECT_EQ(static_cast<int>(records.size()), d_.subsystems[2].gs());
 }
 
 TEST_F(LocalEstimatorTest, Step2RequiresStep1) {
   LocalEstimator est(generated_.kase.network, d_, 1, {});
-  EXPECT_THROW(est.run_step2(meas_, {}), InternalError);
+  EXPECT_THROW(est.run_step2(meas_, route_, {}), InternalError);
 }
 
 TEST_F(LocalEstimatorTest, Step2ImprovesBoundaryAccuracy) {
@@ -77,7 +84,7 @@ TEST_F(LocalEstimatorTest, Step2ImprovesBoundaryAccuracy) {
   for (int s = 0; s < d_.num_subsystems(); ++s) {
     estimators.push_back(std::make_unique<LocalEstimator>(
         generated_.kase.network, d_, s, LocalEstimatorOptions{}));
-    estimators.back()->run_step1(meas_);
+    estimators.back()->run_step1(meas_, route_);
     exports.push_back(estimators.back()->boundary_records());
   }
   double step1_err = 0.0;
@@ -90,8 +97,8 @@ TEST_F(LocalEstimatorTest, Step2ImprovesBoundaryAccuracy) {
       neighbor_states.insert(neighbor_states.end(), recs.begin(), recs.end());
     }
     const LocalSolveInfo info =
-        estimators[static_cast<std::size_t>(s)]->run_step2(meas_,
-                                                           neighbor_states);
+        estimators[static_cast<std::size_t>(s)]->run_step2(
+            meas_, route_, neighbor_states);
     EXPECT_TRUE(info.converged) << "subsystem " << s;
 
     const auto before = estimators[static_cast<std::size_t>(s)]->step1_all_states();
@@ -116,7 +123,7 @@ TEST_F(LocalEstimatorTest, Step2ImprovesBoundaryAccuracy) {
 
 TEST_F(LocalEstimatorTest, AdoptStep1MatchesLocalRun) {
   LocalEstimator a(generated_.kase.network, d_, 3, {});
-  a.run_step1(meas_);
+  a.run_step1(meas_, route_);
   const auto records = a.step1_all_states();
 
   LocalEstimator b(generated_.kase.network, d_, 3, {});
@@ -133,11 +140,11 @@ TEST_F(LocalEstimatorTest, AdoptStep1RejectsBadRecords) {
   LocalEstimator est(generated_.kase.network, d_, 3, {});
   // wrong subsystem's buses
   LocalEstimator other(generated_.kase.network, d_, 4, {});
-  other.run_step1(meas_);
+  other.run_step1(meas_, route_);
   EXPECT_THROW(est.adopt_step1(other.step1_all_states()), InvalidInput);
   // incomplete
   LocalEstimator self(generated_.kase.network, d_, 3, {});
-  self.run_step1(meas_);
+  self.run_step1(meas_, route_);
   auto partial = self.step1_all_states();
   partial.pop_back();
   EXPECT_THROW(est.adopt_step1(partial), InvalidInput);
@@ -154,11 +161,12 @@ TEST_F(LocalEstimatorTest, MissingPmuIsDiagnosed) {
                      }),
       no_pmu.items.end());
   // subsystem 8 does not contain the global slack (bus 0 is in subsystem 0)
+  const decomp::MeasurementRoute no_pmu_route = route(no_pmu);
   LocalEstimator est(generated_.kase.network, d_, 8, {});
-  EXPECT_THROW(est.run_step1(no_pmu), InvalidInput);
+  EXPECT_THROW(est.run_step1(no_pmu, no_pmu_route), InvalidInput);
   // subsystem 0 hosts the slack and still works
   LocalEstimator est0(generated_.kase.network, d_, 0, {});
-  EXPECT_TRUE(est0.run_step1(no_pmu).converged);
+  EXPECT_TRUE(est0.run_step1(no_pmu, no_pmu_route).converged);
 }
 
 TEST_F(LocalEstimatorTest, RobustModeBoundsLocalBadData) {
@@ -180,10 +188,11 @@ TEST_F(LocalEstimatorTest, RobustModeBoundsLocalBadData) {
   }
   ASSERT_NE(victim, SIZE_MAX);
   bad.items[victim].value += 1.0;
+  const decomp::MeasurementRoute bad_route = route(bad);
 
   const auto boundary_error = [&](const LocalEstimatorOptions& opts) {
     LocalEstimator est(generated_.kase.network, d_, 2, opts);
-    EXPECT_TRUE(est.run_step1(bad).converged);
+    EXPECT_TRUE(est.run_step1(bad, bad_route).converged);
     double err = 0.0;
     for (const CondensedBoundaryRecord& rec : est.boundary_records()) {
       const auto bi = static_cast<std::size_t>(rec.bus);
@@ -200,7 +209,7 @@ TEST_F(LocalEstimatorTest, RobustModeBoundsLocalBadData) {
 
 TEST_F(LocalEstimatorTest, WarmStartConvergesInFewerIterations) {
   LocalEstimator cold(generated_.kase.network, d_, 3, {});
-  const LocalSolveInfo cold_info = cold.run_step1(meas_);
+  const LocalSolveInfo cold_info = cold.run_step1(meas_, route_);
   ASSERT_TRUE(cold_info.converged);
   EXPECT_FALSE(cold_info.warm_start);
   ASSERT_GT(cold_info.gauss_newton_iterations, 1);
@@ -209,7 +218,7 @@ TEST_F(LocalEstimatorTest, WarmStartConvergesInFewerIterations) {
   // so the first iterate is already (nearly) the fixed point.
   LocalEstimator warm(generated_.kase.network, d_, 3, {});
   warm.set_warm_start(cold.step1_all_states());
-  const LocalSolveInfo warm_info = warm.run_step1(meas_);
+  const LocalSolveInfo warm_info = warm.run_step1(meas_, route_);
   EXPECT_TRUE(warm_info.converged);
   EXPECT_TRUE(warm_info.warm_start);
   EXPECT_LT(warm_info.gauss_newton_iterations,
@@ -226,14 +235,14 @@ TEST_F(LocalEstimatorTest, WarmStartConvergesInFewerIterations) {
 
 TEST_F(LocalEstimatorTest, WarmStartIsOneShot) {
   LocalEstimator cold(generated_.kase.network, d_, 3, {});
-  const LocalSolveInfo cold_info = cold.run_step1(meas_);
+  const LocalSolveInfo cold_info = cold.run_step1(meas_, route_);
 
   LocalEstimator est(generated_.kase.network, d_, 3, {});
   est.set_warm_start(cold.step1_all_states());
-  EXPECT_TRUE(est.run_step1(meas_).warm_start);
+  EXPECT_TRUE(est.run_step1(meas_, route_).warm_start);
   // The seed was consumed: the next cycle runs cold again, identical to a
   // never-warmed estimator.
-  const LocalSolveInfo second = est.run_step1(meas_);
+  const LocalSolveInfo second = est.run_step1(meas_, route_);
   EXPECT_FALSE(second.warm_start);
   EXPECT_EQ(second.gauss_newton_iterations,
             cold_info.gauss_newton_iterations);
@@ -243,7 +252,7 @@ TEST_F(LocalEstimatorTest, CheckpointRoundTripPreservesWarmStartExactly) {
   // serialize → restore → re-solve: the decoded checkpoint must drive the
   // identical Gauss-Newton trajectory as the in-memory records.
   LocalEstimator source(generated_.kase.network, d_, 3, {});
-  source.run_step1(meas_);
+  source.run_step1(meas_, route_);
   EstimatorCheckpoint ckpt;
   ckpt.subsystem = 3;
   ckpt.cycle = 1;
@@ -256,8 +265,8 @@ TEST_F(LocalEstimatorTest, CheckpointRoundTripPreservesWarmStartExactly) {
   LocalEstimator from_wire(generated_.kase.network, d_, 3, {});
   from_wire.set_warm_start(decoded.step1_states);
 
-  const LocalSolveInfo a = from_memory.run_step1(meas_);
-  const LocalSolveInfo b = from_wire.run_step1(meas_);
+  const LocalSolveInfo a = from_memory.run_step1(meas_, route_);
+  const LocalSolveInfo b = from_wire.run_step1(meas_, route_);
   EXPECT_TRUE(a.converged);
   EXPECT_TRUE(b.converged);
   EXPECT_EQ(a.gauss_newton_iterations, b.gauss_newton_iterations);
@@ -272,12 +281,12 @@ TEST_F(LocalEstimatorTest, CheckpointRoundTripPreservesWarmStartExactly) {
 
 TEST_F(LocalEstimatorTest, WarmStartRejectsForeignOrPartialRecords) {
   LocalEstimator other(generated_.kase.network, d_, 4, {});
-  other.run_step1(meas_);
+  other.run_step1(meas_, route_);
   LocalEstimator est(generated_.kase.network, d_, 3, {});
   EXPECT_THROW(est.set_warm_start(other.step1_all_states()), InvalidInput);
 
   LocalEstimator self(generated_.kase.network, d_, 3, {});
-  self.run_step1(meas_);
+  self.run_step1(meas_, route_);
   auto partial = self.step1_all_states();
   partial.pop_back();
   EXPECT_THROW(est.set_warm_start(partial), InvalidInput);
@@ -285,7 +294,7 @@ TEST_F(LocalEstimatorTest, WarmStartRejectsForeignOrPartialRecords) {
 
 TEST_F(LocalEstimatorTest, FinalStatesFallBackToStep1) {
   LocalEstimator est(generated_.kase.network, d_, 5, {});
-  est.run_step1(meas_);
+  est.run_step1(meas_, route_);
   const auto finals = est.final_states();
   const auto step1 = est.step1_all_states();
   ASSERT_EQ(finals.size(), step1.size());

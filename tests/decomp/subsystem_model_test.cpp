@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 #include "decomp/sensitivity.hpp"
 #include "grid/meas_generator.hpp"
@@ -130,6 +131,67 @@ TEST_F(SubsystemModelTest, ExtendedModelIncludesOwnBoundaryInjections) {
     }
   }
   EXPECT_GT(boundary_injections, 0);
+}
+
+void expect_same_items(const grid::MeasurementSet& a,
+                       const grid::MeasurementSet& b, const std::string& tag) {
+  ASSERT_EQ(a.size(), b.size()) << tag;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const grid::Measurement& x = a.items[i];
+    const grid::Measurement& y = b.items[i];
+    EXPECT_TRUE(x.type == y.type && x.bus == y.bus && x.branch == y.branch &&
+                x.at_from_side == y.at_from_side && x.value == y.value &&
+                x.sigma == y.sigma)
+        << tag << " item " << i;
+  }
+}
+
+TEST_F(SubsystemModelTest, RouteListsEveryMeasurementUnderItsBusOwner) {
+  const MeasurementRoute route =
+      route_measurements(d_, generated_.kase.network, global_set_);
+  std::vector<int> seen(global_set_.size(), 0);
+  for (int s = 0; s < d_.num_subsystems(); ++s) {
+    const auto list = route.of(s);
+    for (std::size_t k = 0; k < list.size(); ++k) {
+      const std::uint32_t i = list[k];
+      if (k > 0) {
+        EXPECT_LT(list[k - 1], i);
+      }
+      ++seen[i];
+      const grid::BusIndex bus = global_set_.items[i].bus;
+      EXPECT_EQ(d_.subsystem_of_bus[static_cast<std::size_t>(bus)], s);
+    }
+  }
+  for (const int count : seen) EXPECT_EQ(count, 1);
+}
+
+TEST_F(SubsystemModelTest, RoutingRejectsABusOutsideTheNetwork) {
+  grid::MeasurementSet bad = global_set_;
+  bad.items.push_back({grid::MeasType::kVMag,
+                       generated_.kase.network.num_buses(), -1, true, 1.0,
+                       0.01});
+  EXPECT_THROW(route_measurements(d_, generated_.kase.network, bad),
+               InvalidInput);
+}
+
+TEST(MeasurementRoute, RoutedFiltersEqualWholeSetFiltersOnTenThousandBusSplit) {
+  const io::GeneratedCase gc = io::interconnection10k();
+  const grid::Network& net = gc.kase.network;
+  const Decomposition d = decompose(net, gc.subsystem_of_bus);
+  const grid::MeasurementGenerator gen(net, {});
+  const grid::MeasurementSet set =
+      gen.generate_noiseless(grid::GridState(net.num_buses()));
+  const MeasurementRoute route = route_measurements(d, net, set);
+  ASSERT_EQ(route.indices.size(), set.size());
+  for (int s = 0; s < d.num_subsystems(); ++s) {
+    const SubsystemModel local = extract_local(net, d, s);
+    const SubsystemModel ext = extract_extended(net, d, s);
+    expect_same_items(local.filter(set, net),
+                      local.filter(set, net, route.of(s)),
+                      "local " + std::to_string(s));
+    expect_same_items(ext.filter(set, net), ext.filter(set, net, route.of(s)),
+                      "extended " + std::to_string(s));
+  }
 }
 
 TEST_F(SubsystemModelTest, ScatterGatherRoundTrip) {

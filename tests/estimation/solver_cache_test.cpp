@@ -34,20 +34,6 @@ TEST(SolverCache, SecondLookupIsAHitReturningTheSamePlan) {
   EXPECT_EQ(stats.plan_hits, 1u);
 }
 
-TEST(SolverCache, OrderedAndUnorderedPlansAreDistinctEntries) {
-  Rng rng(52);
-  const sparse::Csr a = random_spd(15, rng);
-  SolverCache cache;
-  const auto ordered = cache.plan_for(a, /*ordered=*/true);
-  const auto unordered = cache.plan_for(a, /*ordered=*/false);
-  EXPECT_NE(ordered.get(), unordered.get());
-  EXPECT_TRUE(ordered->ordered());
-  EXPECT_FALSE(unordered->ordered());
-  // Both survive side by side.
-  EXPECT_EQ(cache.plan_for(a, true).get(), ordered.get());
-  EXPECT_EQ(cache.plan_for(a, false).get(), unordered.get());
-}
-
 TEST(SolverCache, InvalidateDropsEverything) {
   Rng rng(53);
   const sparse::Csr a = random_spd(12, rng);

@@ -69,6 +69,7 @@ INSTANTIATE_TEST_SUITE_P(
         std::make_tuple(LinearSolver::kPcg, sparse::PreconditionerKind::kJacobi),
         std::make_tuple(LinearSolver::kPcg, sparse::PreconditionerKind::kSsor),
         std::make_tuple(LinearSolver::kPcg, sparse::PreconditionerKind::kIc0),
+        std::make_tuple(LinearSolver::kPcg, sparse::PreconditionerKind::kLdlt),
         std::make_tuple(LinearSolver::kLdlt, sparse::PreconditionerKind::kNone),
         std::make_tuple(LinearSolver::kDense,
                         sparse::PreconditionerKind::kNone)),
@@ -91,9 +92,46 @@ INSTANTIATE_TEST_SUITE_P(
         case sparse::PreconditionerKind::kIc0:
           name += "_ic0";
           break;
+        case sparse::PreconditionerKind::kLdlt:
+          name += "_ldlt";
+          break;
       }
       return name;
     });
+
+// The default PCG keeps the first iteration's LDLᵀ factor as its
+// preconditioner; it must walk the same Gauss–Newton path as LDLᵀ every
+// iteration and as the paper's per-iteration IC(0).
+TEST(Wls, FirstFactorPreconditionerMatchesDirectAndIc0) {
+  const grid::Network net118 = io::ieee118_dse().kase.network;
+  const io::Case case14 = io::ieee14();
+  for (const grid::Network* net : {&case14.network, &net118}) {
+    const grid::PowerFlowResult pf = grid::solve_power_flow(*net);
+    grid::MeasurementGenerator gen(*net, {});
+    Rng rng(17);
+    const grid::MeasurementSet meas = gen.generate(pf.state, rng);
+
+    const WlsResult by_default = WlsEstimator(*net).estimate(meas);
+    WlsOptions direct_opts;
+    direct_opts.solver = LinearSolver::kLdlt;
+    const WlsResult direct = WlsEstimator(*net, direct_opts).estimate(meas);
+    WlsOptions ic0_opts;
+    ic0_opts.preconditioner = sparse::PreconditionerKind::kIc0;
+    const WlsResult ic0 = WlsEstimator(*net, ic0_opts).estimate(meas);
+
+    const std::string tag = std::to_string(net->num_buses()) + " buses";
+    ASSERT_TRUE(by_default.converged) << tag;
+    EXPECT_EQ(by_default.iterations, direct.iterations) << tag;
+    EXPECT_EQ(by_default.iterations, ic0.iterations) << tag;
+    EXPECT_LT(by_default.inner_iterations, ic0.inner_iterations) << tag;
+    for (const WlsResult* other : {&direct, &ic0}) {
+      EXPECT_LT(grid::max_vm_error(by_default.state, other->state), 1e-9)
+          << tag;
+      EXPECT_LT(grid::max_angle_error(by_default.state, other->state), 1e-9)
+          << tag;
+    }
+  }
+}
 
 TEST(Wls, EstimateErrorScalesWithNoise) {
   const auto d = make_case14_data();

@@ -56,7 +56,8 @@ INSTANTIATE_TEST_SUITE_P(AllKinds, PcgAcrossPreconditioners,
                          ::testing::Values(PreconditionerKind::kNone,
                                            PreconditionerKind::kJacobi,
                                            PreconditionerKind::kSsor,
-                                           PreconditionerKind::kIc0),
+                                           PreconditionerKind::kIc0,
+                                           PreconditionerKind::kLdlt),
                          [](const auto& param_info) {
                            switch (param_info.param) {
                              case PreconditionerKind::kNone:
@@ -67,6 +68,8 @@ INSTANTIATE_TEST_SUITE_P(AllKinds, PcgAcrossPreconditioners,
                                return "ssor";
                              case PreconditionerKind::kIc0:
                                return "ic0";
+                             case PreconditionerKind::kLdlt:
+                               return "ldlt";
                            }
                            return "unknown";
                          });

@@ -116,6 +116,45 @@ TEST(Csr, RowRangeAndColumnSorted) {
   }
 }
 
+TEST(CsrRowBuilder, EqualsFromTripletsBitForBit) {
+  // Rows emitted in order, each with unsorted columns; row 1 repeats a
+  // column (summed in emission order), row 3 is empty.
+  const std::vector<std::vector<Triplet<double>>> rows = {
+      {{0, 4, 0.1}, {0, 0, -2.5}, {0, 2, 1.0 / 3.0}},
+      {{1, 3, 0.7}, {1, 1, 1e-3}, {1, 3, -0.2 / 3.0}, {1, 0, 5.0}},
+      {{2, 2, 4.0}},
+      {},
+      {{4, 1, 2.0 / 7.0}, {4, 4, -1.0}, {4, 0, 0.3}}};
+  CsrRowBuilder<double> builder(5, 16);
+  std::vector<Triplet<double>> all;
+  for (const auto& row : rows) {
+    for (const auto& t : row) {
+      builder.add(t.col, t.value);
+      all.push_back(t);
+    }
+    builder.end_row();
+  }
+  const Csr got = std::move(builder).finish();
+  const Csr want = Csr::from_triplets(5, 5, std::move(all));
+  ASSERT_EQ(got.rows(), want.rows());
+  ASSERT_EQ(got.cols(), want.cols());
+  EXPECT_TRUE(std::equal(got.row_ptr().begin(), got.row_ptr().end(),
+                         want.row_ptr().begin(), want.row_ptr().end()));
+  EXPECT_TRUE(std::equal(got.col_idx().begin(), got.col_idx().end(),
+                         want.col_idx().begin(), want.col_idx().end()));
+  // Bitwise: no tolerance.
+  EXPECT_TRUE(std::equal(got.values().begin(), got.values().end(),
+                         want.values().begin(), want.values().end()));
+  EXPECT_EQ(got.value_at(1, 3), 0.7 + -0.2 / 3.0);
+  EXPECT_EQ(got.nnz(), 10u);
+}
+
+TEST(CsrRowBuilder, RejectsAColumnOutOfRange) {
+  CsrRowBuilder<double> builder(3, 4);
+  EXPECT_THROW(builder.add(3, 1.0), InternalError);
+  EXPECT_THROW(builder.add(-1, 1.0), InternalError);
+}
+
 TEST(CsrComplex, ComplexMultiply) {
   using C = std::complex<double>;
   const CsrComplex m = CsrComplex::from_triplets(

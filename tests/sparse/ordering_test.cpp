@@ -76,7 +76,31 @@ Csr bprime(const grid::Network& net) {
 }
 
 std::size_t amd_fill(const Csr& a) {
-  return SymbolicPlan::analyze(a, /*use_ordering=*/true).factor_nnz();
+  return SymbolicPlan::analyze(a).factor_nnz();
+}
+
+/// Strict-lower factor entries of `a` eliminated in natural order, by dense
+/// symbolic elimination (small matrices only).
+std::size_t natural_order_fill(const Csr& a) {
+  const auto n = static_cast<std::size_t>(a.rows());
+  std::vector<std::vector<bool>> nz(n, std::vector<bool>(n, false));
+  const std::vector<double> dense = a.to_dense();
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      if (dense[i * n + j] != 0.0) nz[i][j] = nz[j][i] = true;
+    }
+  }
+  std::size_t fill = 0;
+  for (std::size_t k = 0; k < n; ++k) {
+    for (std::size_t i = k + 1; i < n; ++i) {
+      if (!nz[i][k]) continue;
+      ++fill;
+      for (std::size_t j = k + 1; j < n; ++j) {
+        if (nz[j][k]) nz[i][j] = true;
+      }
+    }
+  }
+  return fill;
 }
 
 TEST(Amd, ProducesValidPermutation) {
@@ -132,8 +156,7 @@ TEST(Amd, NoFillOnShuffledPath) {
   }
   const Csr path = from_edges(n, e);
   EXPECT_EQ(amd_fill(path), static_cast<std::size_t>(n - 1));
-  EXPECT_GT(SymbolicPlan::analyze(path, /*use_ordering=*/false).factor_nnz(),
-            static_cast<std::size_t>(n - 1));
+  EXPECT_GT(natural_order_fill(path), static_cast<std::size_t>(n - 1));
 }
 
 TEST(Amd, Ieee118BprimeFillBelowRcm) {

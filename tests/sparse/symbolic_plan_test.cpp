@@ -5,7 +5,6 @@
 #include <memory>
 
 #include "sparse/ldlt.hpp"
-#include "sparse/preconditioner.hpp"
 #include "util/rng.hpp"
 
 namespace gridse::sparse {
@@ -97,7 +96,7 @@ TEST(SymbolicPlan, PlanDrivenLdltMatchesFromScratch) {
   const auto x_ref = scratch.solve(b);
 
   const auto plan = std::make_shared<const SymbolicPlan>(
-      SymbolicPlan::analyze(a, /*use_ordering=*/true));
+      SymbolicPlan::analyze(a));
   SparseLdlt planned;
   planned.factorize(a, plan);
   const auto x = planned.solve(b);
@@ -131,34 +130,6 @@ TEST(SymbolicPlan, RefactorizationReusesPlanAcrossValueChanges) {
   }
 }
 
-TEST(SymbolicPlan, UnorderedPlanUsesIdentityPermutation) {
-  Rng rng(23);
-  const Csr a = random_spd(15, rng);
-  const SymbolicPlan plan = SymbolicPlan::analyze(a, /*use_ordering=*/false);
-  EXPECT_FALSE(plan.ordered());
-  for (Index i = 0; i < a.rows(); ++i) {
-    EXPECT_EQ(plan.perm()[static_cast<std::size_t>(i)], i);
-  }
-}
-
-TEST(SymbolicPlan, Ic0FacetMatchesPlainPreconditioner) {
-  Rng rng(24);
-  const Csr a = random_spd(50, rng);
-  const SymbolicPlan plan = SymbolicPlan::analyze(a, /*use_ordering=*/false);
-
-  const Ic0Preconditioner plain(a);
-  const Ic0Preconditioner planned(a, plan);
-  std::vector<double> r(50);
-  for (auto& v : r) v = rng.uniform(-1, 1);
-  std::vector<double> z1(50);
-  std::vector<double> z2(50);
-  plain.apply(r, z1);
-  planned.apply(r, z2);
-  for (std::size_t i = 0; i < r.size(); ++i) {
-    EXPECT_NEAR(z1[i], z2[i], 1e-12);
-  }
-}
-
 TEST(SymbolicPlan, ValueMapGathersPermutedValues) {
   Rng rng(25);
   const Csr a = random_spd(20, rng);
@@ -184,7 +155,7 @@ TEST(SymbolicPlan, ZeroPivotThrowsInNumericKernel) {
   // Pattern factors fine; values make the second pivot exactly zero.
   const Csr a = Csr::from_triplets(2, 2, {{0, 0, 1.0}, {1, 1, 0.0}});
   const auto plan = std::make_shared<const SymbolicPlan>(
-      SymbolicPlan::analyze(a, /*use_ordering=*/false));
+      SymbolicPlan::analyze(a));
   SparseLdlt planned;
   EXPECT_THROW(planned.factorize(a, plan), ConvergenceFailure);
 }

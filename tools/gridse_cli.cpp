@@ -2,7 +2,7 @@
 //
 //   gridse_cli info <case>
 //   gridse_cli se <case> [--noise X] [--seed N] [--solver pcg|ldlt|dense]
-//                        [--precond none|jacobi|ssor|ic0]
+//                        [--precond ldlt|ic0|ssor|jacobi|none]
 //   gridse_cli dse <builtin-case> [--clusters K] [--transport T] [--cycles N]
 //   gridse_cli partition <builtin-case> [--clusters K]
 //
@@ -135,7 +135,7 @@ int cmd_se(const Args& args) {
   const std::string solver = opt_str(args, "solver", "pcg");
   opts.solver = estimation::parse_linear_solver(solver);
   opts.preconditioner =
-      sparse::parse_preconditioner(opt_str(args, "precond", "ic0"));
+      sparse::parse_preconditioner(opt_str(args, "precond", "ldlt"));
 
   const estimation::WlsEstimator estimator(c.network, opts);
   const estimation::WlsResult result = estimator.estimate(meas);
@@ -222,7 +222,7 @@ void usage() {
       "  commands: info | se | dse | partition\n"
       "  cases: ieee14 | ieee118 | wecc37 | <path to case file>\n"
       "  se options:   --noise X --seed N --solver pcg|ldlt|dense "
-      "--precond none|jacobi|ssor|ic0\n"
+      "--precond ldlt|ic0|ssor|jacobi|none\n"
       "  dse options:  --clusters K --transport inproc|medici|direct "
       "--cycles N --rounds R\n"
       "  partition:    --clusters K\n");
