@@ -141,7 +141,6 @@ DseSystem::DseSystem(io::GeneratedCase generated, SystemConfig config)
 
   true_state_ = solve_truth_state(generated_.kase.network, config_.truth_mode,
                                   config_.seed, nullptr, truth_plan_);
-  last_estimate_ = true_state_;
   bus_energized_prev_.assign(
       static_cast<std::size_t>(generated_.kase.network.num_buses()), 1);
 
@@ -209,6 +208,7 @@ CycleReport DseSystem::run_cycle(double time_sec) {
   CycleReport report;
   report.topology.num_subsystems =
       static_cast<int>(decomposition_.subsystems.size());
+  flat_start_.clear();
 
   // --- topology replay (docs/RESILIENCE.md): apply this cycle's switching
   // batch, re-derive islands, then react — repartition past the threshold
@@ -246,6 +246,9 @@ CycleReport DseSystem::run_cycle(double time_sec) {
     OBS_GAUGE_SET("topology.islands",
                   static_cast<double>(islands->num_islands));
     react_to_topology(report, *islands);
+    // The kept subsystem models follow the switching state.
+    config_.dse.plan_registry->sync_branch_status(
+        report.topology.changed_branches, generated_.kase.network);
   }
 
   if (live_topology_ != nullptr || config_.load_profile) {
@@ -341,6 +344,9 @@ CycleReport DseSystem::run_cycle(double time_sec) {
     rctx.cycle = cycle_index_;
     rctx.restore = supervisor_->plan_restore();
   }
+  // Step 1 tracks the previous frame's estimate, unless that frame was
+  // degraded or did not fully converge.
+  const TrackingPrior prior{last_estimate_, flat_start_};
   DseResult rank0_result;
   analysis::Mutex result_mutex{"DseSystem::result_mutex"};
   const auto body = [&](runtime::Communicator& comm) {
@@ -348,7 +354,8 @@ CycleReport DseSystem::run_cycle(double time_sec) {
         driver.run(comm, last_measurements_,
                    report.map_step1.partition.assignment,
                    report.map_step2.partition.assignment,
-                   supervisor_ != nullptr ? &rctx : nullptr);
+                   supervisor_ != nullptr ? &rctx : nullptr,
+                   track_next_cycle_ ? &prior : nullptr);
     if (comm.rank() == 0) {
       analysis::LockGuard lock(result_mutex);
       rank0_result = std::move(r);
@@ -384,10 +391,13 @@ CycleReport DseSystem::run_cycle(double time_sec) {
   report.max_vm_error = grid::max_vm_error(report.dse.state, true_state_);
   report.max_angle_error =
       grid::max_angle_error(report.dse.state, true_state_);
-  if (report.dse.state.vm.size() ==
-      static_cast<std::size_t>(generated_.kase.network.num_buses())) {
+  const bool complete =
+      report.dse.state.num_buses() == generated_.kase.network.num_buses();
+  if (complete) {
     last_estimate_ = report.dse.state;
   }
+  track_next_cycle_ = complete && report.dse.all_converged &&
+                      !report.dse.degraded_mode();
 #if GRIDSE_OBS
   if (sampler_ != nullptr) {
     const std::int64_t this_cycle =
@@ -487,6 +497,11 @@ void DseSystem::react_to_topology(CycleReport& report,
       bus_energized_prev_[b] = live;
     }
   }
+  for (int s = 0; s < m; ++s) {
+    if (touched[static_cast<std::size_t>(s)] != 0) {
+      flat_start_.push_back(s);
+    }
+  }
   if (std::none_of(touched.begin(), touched.end(),
                    [](char t) { return t != 0; })) {
     return;  // quiet cycle: keep every cached plan, skip the re-score
@@ -525,15 +540,25 @@ void DseSystem::react_to_topology(CycleReport& report,
     // anchor pass guarantees every new group still has an angle reference.)
     config_.dse.plan_registry->invalidate_all();
     previous_assignment_.reset();
+    // The touched set named old subsystems; under the new numbering every
+    // subsystem starts flat (or from a reseeded checkpoint below).
+    flat_start_.resize(decomposition_.subsystems.size());
+    std::iota(flat_start_.begin(), flat_start_.end(), 0);
     if (supervisor_ != nullptr) {
       // Reseed the checkpoint store in the new numbering: one synthetic
       // checkpoint per new subsystem, carrying the last combined estimate,
       // so the driver's restore phase warm-starts every estimator instead
       // of shipping checkpoints for subsystem ids that no longer exist.
+      // Before the first estimate there is nothing to carry: the store is
+      // emptied and every estimator starts flat.
       const std::int64_t this_cycle =
           cycle_index_.load(std::memory_order_relaxed);
+      const std::size_t num_seeds =
+          last_estimate_.num_buses() == network.num_buses()
+              ? decomposition_.subsystems.size()
+              : 0;
       std::vector<EstimatorCheckpoint> seeds;
-      for (std::size_t s = 0; s < decomposition_.subsystems.size(); ++s) {
+      for (std::size_t s = 0; s < num_seeds; ++s) {
         EstimatorCheckpoint ckpt;
         ckpt.subsystem = static_cast<std::int32_t>(s);
         ckpt.cycle = this_cycle;

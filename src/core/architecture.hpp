@@ -246,10 +246,17 @@ class DseSystem {
   std::unique_ptr<grid::LiveTopology> live_topology_;
   /// Present iff config_.topology.plan resolved non-empty.
   std::unique_ptr<fault::TopologyReplayHarness> replay_;
-  /// Last combined estimate — the warm prior for angle anchors and for the
-  /// reseeded checkpoints after a repartition. Seeded with the true state
-  /// before the first cycle.
+  /// Last combined estimate — the prior Step 1 tracks from, and the one for
+  /// angle anchors and for the reseeded checkpoints after a repartition.
+  /// Empty before the first cycle.
   grid::GridState last_estimate_;
+  /// Whether the next cycle's Step 1 may start from last_estimate_: the
+  /// cycle that produced it converged everywhere and was not degraded.
+  bool track_next_cycle_ = false;
+  /// This cycle's subsystems whose switching state changed (react_to_
+  /// topology's touched set; all of them after a repartition). Their Step 1
+  /// starts flat, since the prior may hold a restored bus at |V| ≈ 0.
+  std::vector<int> flat_start_;
   /// Previous cycle's per-bus energization, to detect flips (a flip changes
   /// the bus's measurement pattern → its subsystem's plan is invalidated).
   std::vector<char> bus_energized_prev_;

@@ -156,7 +156,8 @@ DseResult DseDriver::run(runtime::Communicator& comm,
                          const grid::MeasurementSet& global_measurements,
                          std::span<const graph::PartId> step1_assignment,
                          std::span<const graph::PartId> step2_assignment,
-                         const DseRecoveryContext* rctx) const {
+                         const DseRecoveryContext* rctx,
+                         const TrackingPrior* prior) const {
   const int m = decomposition_->num_subsystems();
   const int rank = comm.rank();
   GRIDSE_CHECK(static_cast<int>(step1_assignment.size()) == m);
@@ -188,10 +189,11 @@ DseResult DseDriver::run(runtime::Communicator& comm,
   }
 
   // Build estimators for every subsystem this rank touches in either step.
-  // Each subsystem's WLS runs against its registry SolverCache so symbolic
-  // factorization work (ordering, etree, assembly scatter maps) is shared
-  // across Gauss-Newton iterations, both steps, and — with a persistent
-  // registry — across cycles.
+  // Each subsystem's WLS runs on its registry models against its registry
+  // SolverCache, so the extracted models and the symbolic factorization work
+  // (ordering, etree, assembly scatter maps) are shared across Gauss-Newton
+  // iterations, both steps, and — with a persistent registry — across
+  // cycles.
   const std::shared_ptr<PlanRegistry> registry =
       options_.plan_registry != nullptr ? options_.plan_registry
                                         : std::make_shared<PlanRegistry>();
@@ -203,8 +205,11 @@ DseResult DseDriver::run(runtime::Communicator& comm,
     }
     LocalEstimatorOptions opts = options_.local;
     opts.wls.cache = registry->cache_for(s);
-    estimators.emplace(s, std::make_unique<LocalEstimator>(
-                              *network_, *decomposition_, s, std::move(opts)));
+    estimators.emplace(
+        s, std::make_unique<LocalEstimator>(
+               *network_, *decomposition_,
+               registry->models_for(s, *network_, *decomposition_),
+               std::move(opts)));
   }
 
   // One pass routes every meter to the subsystem owning its bus; the
@@ -220,6 +225,7 @@ DseResult DseDriver::run(runtime::Communicator& comm,
   // later recv from a rank the view marks dead is skipped immediately instead
   // of waiting out its own deadline.
   runtime::MembershipView membership;  // empty: everyone presumed alive
+  std::set<int> restored;  // hosted subsystems seeded from a checkpoint
   if (rctx != nullptr) {
     GRIDSE_CHECK_MSG(runtime::checkpoint_tag(m) < (1 << 20),
                      "too many subsystems for the checkpoint tag range");
@@ -236,6 +242,7 @@ DseResult DseDriver::run(runtime::Communicator& comm,
     const auto warm_start = [&](int s, const EstimatorCheckpoint& ckpt) {
       try {
         estimators.at(s)->set_warm_start(ckpt.step1_states);
+        restored.insert(s);
         ++result.recovery.warm_started;
         OBS_COUNTER_ADD("recovery.warm_starts", 1);
       } catch (const InvalidInput&) {
@@ -280,6 +287,20 @@ DseResult DseDriver::run(runtime::Communicator& comm,
   const auto rank_dead = [&](int r) {
     return rctx != nullptr && !membership.alive(r);
   };
+
+  // Tracking: every other hosted Step 1 starts from the previous frame's
+  // estimate, which lies close to this frame's answer.
+  if (prior != nullptr) {
+    for (const int s : hosted1) {
+      if (restored.count(s) > 0 ||
+          std::find(prior->flat_start.begin(), prior->flat_start.end(), s) !=
+              prior->flat_start.end()) {
+        continue;
+      }
+      estimators.at(s)->set_warm_start(prior->state);
+      OBS_COUNTER_ADD("dse.step1.tracking_starts", 1);
+    }
+  }
 
   // --- DSE Step 1 ------------------------------------------------------------
   Timer step1_timer;

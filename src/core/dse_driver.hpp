@@ -34,11 +34,11 @@ struct DseOptions {
   /// measurements re-solves Step 2 with Step-1-derived low-weight priors.
   /// DseSystem overrides it with GRIDSE_EXCHANGE_DEADLINE_MS when set.
   std::chrono::milliseconds exchange_deadline{0};
-  /// Cross-cycle symbolic-plan registry (per-subsystem solver caches). Null
-  /// = a fresh registry per run(), which still shares plans across the
-  /// Gauss-Newton iterations and both steps of that cycle. Long-lived
-  /// callers (DseSystem) pass a persistent registry and invalidate migrated
-  /// subsystems on remap.
+  /// Cross-cycle registry of per-subsystem solver caches and extracted
+  /// models. Null = a fresh registry per run(), which still shares plans
+  /// across the Gauss-Newton iterations and both steps of that cycle.
+  /// Long-lived callers (DseSystem) pass a persistent registry, invalidate
+  /// migrated subsystems on remap and sync switched branches into it.
   std::shared_ptr<PlanRegistry> plan_registry;
   /// Per-cycle SLO thresholds (cycle deadline + phase budgets). Checked on
   /// rank 0 after the cycle completes; violations emit `slo.*` counters and
@@ -62,6 +62,19 @@ struct DseRecoveryContext {
   /// warm-starts from it (orphan migration, rejoin, or plain cross-cycle
   /// tracking).
   std::map<int, EstimatorCheckpoint> restore;
+};
+
+/// Where a frame's Step 1 starts (tracking): the previous frame's combined
+/// estimate, which every rank already holds after that frame's combine, so
+/// nothing extra goes over the wire. A hosted subsystem with no restored
+/// checkpoint starts Gauss-Newton from its buses of `state` instead of a
+/// flat profile — unless it is listed in `flat_start`.
+struct TrackingPrior {
+  /// System-wide estimate, global numbering, covering every bus.
+  const grid::GridState& state;
+  /// Subsystems that still start flat: their switching state changed since
+  /// `state` was estimated, so it may hold a restored bus at |V| ≈ 0.
+  std::span<const int> flat_start;
 };
 
 /// Recovery outputs of one cycle (embedded in DseResult).
@@ -143,11 +156,16 @@ class DseDriver {
   /// membership (heartbeats), dead ranks are skipped without waiting out
   /// exchange deadlines, restore checkpoints warm-start Step 1, and fresh
   /// checkpoints are gathered on rank 0 after the combine.
+  ///
+  /// With a `prior` every other hosted Step 1 starts from the prior (see
+  /// TrackingPrior); a planned checkpoint takes precedence. Without one,
+  /// every Step 1 that restores nothing starts flat.
   DseResult run(runtime::Communicator& comm,
                 const grid::MeasurementSet& global_measurements,
                 std::span<const graph::PartId> step1_assignment,
                 std::span<const graph::PartId> step2_assignment,
-                const DseRecoveryContext* recovery = nullptr) const;
+                const DseRecoveryContext* recovery = nullptr,
+                const TrackingPrior* prior = nullptr) const;
 
   [[nodiscard]] const decomp::Decomposition& decomposition() const {
     return *decomposition_;

@@ -52,14 +52,29 @@ estimation::WlsResult solve_local(const grid::Network& network,
 }  // namespace
 
 LocalEstimator::LocalEstimator(const grid::Network& network,
-                               const decomp::Decomposition& d, int subsystem,
+                               const decomp::Decomposition& d,
+                               decomp::SubsystemModels models,
                                LocalEstimatorOptions options)
     : network_(&network),
       decomposition_(&d),
-      subsystem_(subsystem),
-      options_(options),
-      local_(decomp::extract_local(network, d, subsystem)),
-      extended_(decomp::extract_extended(network, d, subsystem)) {}
+      subsystem_(models.local->subsystem_id),
+      options_(std::move(options)),
+      local_(std::move(models.local)),
+      extended_(std::move(models.extended)) {
+  GRIDSE_CHECK(extended_ != nullptr &&
+               extended_->subsystem_id == subsystem_);
+}
+
+LocalEstimator::LocalEstimator(const grid::Network& network,
+                               const decomp::Decomposition& d, int subsystem,
+                               LocalEstimatorOptions options)
+    : LocalEstimator(
+          network, d,
+          {std::make_shared<const decomp::SubsystemModel>(
+               decomp::extract_local(network, d, subsystem)),
+           std::make_shared<const decomp::SubsystemModel>(
+               decomp::extract_extended(network, d, subsystem))},
+          std::move(options)) {}
 
 LocalEstimator::Reference LocalEstimator::pick_reference(
     const decomp::SubsystemModel& model,
@@ -91,10 +106,10 @@ LocalSolveInfo LocalEstimator::run_step1(
     const decomp::MeasurementRoute& route) {
   Timer timer;
   const grid::MeasurementSet local_set =
-      local_.filter(global_set, *network_, route.of(subsystem_));
-  const Reference ref = pick_reference(local_, local_set);
+      local_->filter(global_set, *network_, route.of(subsystem_));
+  const Reference ref = pick_reference(*local_, local_set);
 
-  grid::GridState initial(local_.network.num_buses());
+  grid::GridState initial(local_->network.num_buses());
   const bool warm = warm_start_.has_value();
   if (warm) {
     // Cross-cycle warm restart: start Gauss-Newton from the restored
@@ -113,7 +128,7 @@ LocalSolveInfo LocalEstimator::run_step1(
     }
   }
   const estimation::WlsResult result = solve_local(
-      local_.network, ref.local_bus, options_, options_.wls, local_set,
+      local_->network, ref.local_bus, options_, options_.wls, local_set,
       initial);
 
   step1_state_ = result.state;
@@ -147,19 +162,19 @@ void LocalEstimator::maybe_condense(const grid::MeasurementSet& local_set,
   std::vector<grid::BusIndex> local_buses;
   local_buses.reserve(global_buses.size());
   for (const grid::BusIndex g : global_buses) {
-    const auto it = local_.local_of_global.find(g);
-    GRIDSE_CHECK(it != local_.local_of_global.end());
+    const auto it = local_->local_of_global.find(g);
+    GRIDSE_CHECK(it != local_->local_of_global.end());
     local_buses.push_back(it->second);
   }
 
-  const grid::StateIndex index(local_.network.num_buses(), ref.local_bus);
+  const grid::StateIndex index(local_->network.num_buses(), ref.local_bus);
   const grid::BoundarySplit split =
       grid::split_boundary_states(index, local_buses);
   try {
     // Gain at the Step-1 solution; its Schur complement onto the boundary
     // block carries this subsystem's full information about the exported
     // states, and diag(S⁻¹) their marginal variances.
-    const grid::MeasurementModel model(local_.network, index);
+    const grid::MeasurementModel model(local_->network, index);
     const sparse::Csr jac = model.jacobian(local_set, *step1_state_);
     const sparse::Csr gain =
         sparse::normal_matrix(jac, local_set.weights());
@@ -191,12 +206,12 @@ void LocalEstimator::maybe_condense(const grid::MeasurementSet& local_set,
 
 grid::GridState LocalEstimator::records_to_local_state(
     const std::vector<BusStateRecord>& records, const char* what) const {
-  grid::GridState state(local_.network.num_buses());
-  std::vector<bool> seen(static_cast<std::size_t>(local_.network.num_buses()),
+  grid::GridState state(local_->network.num_buses());
+  std::vector<bool> seen(static_cast<std::size_t>(local_->network.num_buses()),
                          false);
   for (const BusStateRecord& rec : records) {
-    const auto it = local_.local_of_global.find(rec.bus);
-    if (it == local_.local_of_global.end()) {
+    const auto it = local_->local_of_global.find(rec.bus);
+    if (it == local_->local_of_global.end()) {
       throw InvalidInput(std::string(what) + ": record for bus " +
                          std::to_string(rec.bus) +
                          " which is not in subsystem " +
@@ -228,6 +243,11 @@ void LocalEstimator::set_warm_start(
   warm_start_ = records_to_local_state(records, "set_warm_start");
 }
 
+void LocalEstimator::set_warm_start(const grid::GridState& prior) {
+  GRIDSE_CHECK(prior.num_buses() == network_->num_buses());
+  warm_start_ = local_->gather_state(prior);
+}
+
 LocalSolveInfo LocalEstimator::run_step2(
     const grid::MeasurementSet& global_set,
     const decomp::MeasurementRoute& route,
@@ -237,16 +257,17 @@ LocalSolveInfo LocalEstimator::run_step2(
   Timer timer;
 
   grid::MeasurementSet ext_set =
-      extended_.filter(global_set, *network_, route.of(subsystem_));
-  const Reference ref = pick_reference(extended_, ext_set);
+      extended_->filter(global_set, *network_, route.of(subsystem_));
+  const Reference ref = pick_reference(*extended_, ext_set);
 
   // Initial state: own buses from Step 1; remote buses flat, overwritten
   // below by the received neighbour solutions.
-  grid::GridState initial(extended_.network.num_buses());
-  for (grid::BusIndex l = 0; l < extended_.network.num_buses(); ++l) {
-    const grid::BusIndex g = extended_.global_bus[static_cast<std::size_t>(l)];
-    const auto own_it = local_.local_of_global.find(g);
-    if (own_it != local_.local_of_global.end()) {
+  grid::GridState initial(extended_->network.num_buses());
+  for (grid::BusIndex l = 0; l < extended_->network.num_buses(); ++l) {
+    const grid::BusIndex g =
+        extended_->global_bus[static_cast<std::size_t>(l)];
+    const auto own_it = local_->local_of_global.find(g);
+    if (own_it != local_->local_of_global.end()) {
       initial.theta[static_cast<std::size_t>(l)] =
           step1_state_->theta[static_cast<std::size_t>(own_it->second)];
       initial.vm[static_cast<std::size_t>(l)] =
@@ -265,14 +286,14 @@ LocalSolveInfo LocalEstimator::run_step2(
     return std::clamp(condensed, kCondenseSigmaFloor, kCondenseSigmaCap);
   };
   std::vector<bool> covered(
-      static_cast<std::size_t>(extended_.network.num_buses()), false);
+      static_cast<std::size_t>(extended_->network.num_buses()), false);
   for (const CondensedBoundaryRecord& rec : neighbor_states) {
-    const auto it = extended_.local_of_global.find(rec.bus);
-    if (it == extended_.local_of_global.end()) {
+    const auto it = extended_->local_of_global.find(rec.bus);
+    if (it == extended_->local_of_global.end()) {
       continue;  // a neighbour bus outside this extended model
     }
     const grid::BusIndex l = it->second;
-    if (extended_.own[static_cast<std::size_t>(l)]) {
+    if (extended_->own[static_cast<std::size_t>(l)]) {
       continue;  // own buses keep their own Step-1 estimate
     }
     ext_set.items.push_back({grid::MeasType::kVMag, l, -1, true, rec.vm,
@@ -290,16 +311,16 @@ LocalSolveInfo LocalEstimator::run_step2(
     // low-weight prior taken from the nearest own bus's Step-1 value
     // (multi-source BFS over the extended topology), falling back to a flat
     // profile for any bus not reachable from own territory.
-    const auto n = static_cast<std::size_t>(extended_.network.num_buses());
+    const auto n = static_cast<std::size_t>(extended_->network.num_buses());
     std::vector<std::vector<grid::BusIndex>> adjacent(n);
-    for (const grid::Branch& br : extended_.network.branches()) {
+    for (const grid::Branch& br : extended_->network.branches()) {
       adjacent[static_cast<std::size_t>(br.from)].push_back(br.to);
       adjacent[static_cast<std::size_t>(br.to)].push_back(br.from);
     }
     std::vector<grid::BusIndex> anchor(n, -1);
     std::vector<grid::BusIndex> frontier;
     for (std::size_t l = 0; l < n; ++l) {
-      if (extended_.own[l]) {
+      if (extended_->own[l]) {
         anchor[l] = static_cast<grid::BusIndex>(l);
         frontier.push_back(static_cast<grid::BusIndex>(l));
       }
@@ -314,7 +335,7 @@ LocalSolveInfo LocalEstimator::run_step2(
       }
     }
     for (std::size_t l = 0; l < n; ++l) {
-      if (extended_.own[l] || covered[l]) continue;
+      if (extended_->own[l] || covered[l]) continue;
       const grid::BusIndex a = anchor[l];
       const double vm =
           a >= 0 ? initial.vm[static_cast<std::size_t>(a)] : 1.0;
@@ -335,7 +356,7 @@ LocalSolveInfo LocalEstimator::run_step2(
   wls.regularization = std::max(wls.regularization, kStep2Regularization);
   initial.theta[static_cast<std::size_t>(ref.local_bus)] = ref.angle;
   const estimation::WlsResult result = solve_local(
-      extended_.network, ref.local_bus, options_, wls, ext_set, initial);
+      extended_->network, ref.local_bus, options_, wls, ext_set, initial);
 
   step2_state_ = result.state;
 
@@ -352,9 +373,9 @@ LocalSolveInfo LocalEstimator::run_step2(
 std::vector<BusStateRecord> LocalEstimator::step1_all_states() const {
   GRIDSE_CHECK_MSG(step1_state_.has_value(), "step1 has not run");
   std::vector<BusStateRecord> out;
-  out.reserve(local_.global_bus.size());
-  for (grid::BusIndex l = 0; l < local_.network.num_buses(); ++l) {
-    out.push_back({local_.global_bus[static_cast<std::size_t>(l)],
+  out.reserve(local_->global_bus.size());
+  for (grid::BusIndex l = 0; l < local_->network.num_buses(); ++l) {
+    out.push_back({local_->global_bus[static_cast<std::size_t>(l)],
                    step1_state_->theta[static_cast<std::size_t>(l)],
                    step1_state_->vm[static_cast<std::size_t>(l)]});
   }
@@ -368,7 +389,7 @@ std::vector<CondensedBoundaryRecord> LocalEstimator::boundary_records()
       decomposition_->subsystems[static_cast<std::size_t>(subsystem_)];
   // Step-2 values live in extended numbering, Step-1 values in local.
   const bool refined = step2_state_.has_value();
-  const decomp::SubsystemModel& model = refined ? extended_ : local_;
+  const decomp::SubsystemModel& model = refined ? *extended_ : *local_;
   const grid::GridState& state = refined ? *step2_state_ : *step1_state_;
   std::vector<CondensedBoundaryRecord> out;
   const auto add = [&](grid::BusIndex g) {
@@ -411,8 +432,8 @@ std::vector<BusStateRecord> LocalEstimator::final_states() const {
   reeval.insert(sub.sensitive_internal.begin(), sub.sensitive_internal.end());
   for (BusStateRecord& rec : out) {
     if (reeval.count(rec.bus) == 0) continue;
-    const auto it = extended_.local_of_global.find(rec.bus);
-    GRIDSE_CHECK(it != extended_.local_of_global.end());
+    const auto it = extended_->local_of_global.find(rec.bus);
+    GRIDSE_CHECK(it != extended_->local_of_global.end());
     rec.theta = step2_state_->theta[static_cast<std::size_t>(it->second)];
     rec.vm = step2_state_->vm[static_cast<std::size_t>(it->second)];
   }

@@ -35,15 +35,24 @@ struct LocalSolveInfo {
   double seconds = 0.0;
   double objective = 0.0;
   std::size_t num_measurements = 0;
-  /// Step 1 started from a restored checkpoint instead of a flat profile.
+  /// Step 1 started from a seeded state (a restored checkpoint or the
+  /// previous frame's estimate) instead of a flat profile.
   bool warm_start = false;
 };
 
-/// Runs DSE Step 1 and Step 2 for one subsystem. Owns the extracted local
-/// and extended models; construct once per (decomposition, subsystem) and
-/// reuse across time frames.
+/// Runs DSE Step 1 and Step 2 for one subsystem on its local and extended
+/// models. The models are shared read-only: DseDriver takes them from its
+/// PlanRegistry, which keeps them across time frames.
 class LocalEstimator {
  public:
+  /// Solve on `models` (both non-null; `models.local->subsystem_id` names
+  /// the subsystem).
+  LocalEstimator(const grid::Network& network, const decomp::Decomposition& d,
+                 decomp::SubsystemModels models,
+                 LocalEstimatorOptions options);
+
+  /// Extract subsystem `subsystem`'s models from (network, d) and solve on
+  /// them.
   LocalEstimator(const grid::Network& network, const decomp::Decomposition& d,
                  int subsystem, LocalEstimatorOptions options);
 
@@ -64,6 +73,11 @@ class LocalEstimator {
   /// fewer iterations when the operating point moved only a little since
   /// the checkpoint was taken.
   void set_warm_start(const std::vector<BusStateRecord>& records);
+
+  /// Seed the next run_step1 with this subsystem's buses of `prior`, a
+  /// system-wide state in global numbering covering every bus (tracking:
+  /// the previous frame's combined estimate). One-shot, as above.
+  void set_warm_start(const grid::GridState& prior);
 
   /// Install a Step-1 solution computed on another cluster (re-mapping
   /// redistribution): `records` must cover every bus of this subsystem in
@@ -104,10 +118,10 @@ class LocalEstimator {
   [[nodiscard]] std::vector<BusStateRecord> final_states() const;
 
   [[nodiscard]] const decomp::SubsystemModel& local_model() const {
-    return local_;
+    return *local_;
   }
   [[nodiscard]] const decomp::SubsystemModel& extended_model() const {
-    return extended_;
+    return *extended_;
   }
   [[nodiscard]] int subsystem() const { return subsystem_; }
 
@@ -124,8 +138,8 @@ class LocalEstimator {
   const decomp::Decomposition* decomposition_;
   int subsystem_;
   LocalEstimatorOptions options_;
-  decomp::SubsystemModel local_;
-  decomp::SubsystemModel extended_;
+  std::shared_ptr<const decomp::SubsystemModel> local_;
+  std::shared_ptr<const decomp::SubsystemModel> extended_;
   /// Map a full-coverage record batch into local numbering; throws
   /// InvalidInput on foreign buses or incomplete coverage.
   [[nodiscard]] grid::GridState records_to_local_state(

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
 #include <span>
 
@@ -98,5 +99,12 @@ SubsystemModel extract_local(const grid::Network& network,
 /// boundary buses are always included).
 SubsystemModel extract_extended(const grid::Network& network,
                                 const Decomposition& d, int s);
+
+/// A subsystem's Step-1 local and Step-2 extended models, shared read-only
+/// by the estimators that solve on them.
+struct SubsystemModels {
+  std::shared_ptr<const SubsystemModel> local;
+  std::shared_ptr<const SubsystemModel> extended;
+};
 
 }  // namespace gridse::decomp

@@ -41,10 +41,10 @@ SolutionReport build_solution_report(const grid::Network& network,
   for (std::size_t bi = 0; bi < network.num_branches(); ++bi) {
     const grid::Branch& br = network.branch(bi);
     const grid::BranchAdmittance a = grid::branch_admittance(br);
-    const C vf = std::polar(state.vm[static_cast<std::size_t>(br.from)],
-                            state.theta[static_cast<std::size_t>(br.from)]);
-    const C vt = std::polar(state.vm[static_cast<std::size_t>(br.to)],
-                            state.theta[static_cast<std::size_t>(br.to)]);
+    const C vf = grid::phasor(state.vm[static_cast<std::size_t>(br.from)],
+                              state.theta[static_cast<std::size_t>(br.from)]);
+    const C vt = grid::phasor(state.vm[static_cast<std::size_t>(br.to)],
+                              state.theta[static_cast<std::size_t>(br.to)]);
     const C s_from = vf * std::conj(a.yff * vf + a.yft * vt);
     const C s_to = vt * std::conj(a.ytf * vf + a.ytt * vt);
     BranchFlowEstimate flow;

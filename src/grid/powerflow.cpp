@@ -15,7 +15,7 @@ std::pair<std::vector<double>, std::vector<double>> bus_injections(
   GRIDSE_CHECK(state.theta.size() == n);
   std::vector<C> v(n);
   for (std::size_t i = 0; i < n; ++i) {
-    v[i] = std::polar(state.vm[i], state.theta[i]);
+    v[i] = phasor(state.vm[i], state.theta[i]);
   }
   std::vector<C> iv(n);
   ybus.multiply(v, iv);

@@ -1,5 +1,8 @@
 #pragma once
 
+#include <cmath>
+#include <complex>
+
 #include "grid/network.hpp"
 #include "grid/state.hpp"
 #include "grid/ybus.hpp"
@@ -27,6 +30,13 @@ struct PowerFlowResult {
 /// iterations, so callers can retry with a different start.
 PowerFlowResult solve_power_flow(const Network& network,
                                  const PowerFlowOptions& options = {});
+
+/// The bus voltage phasor vm·(cos θ, sin θ). Unlike std::polar, whose
+/// magnitude must be ≥ 0, it takes any vm: a diverging Newton iterate or
+/// estimate can carry a negative |V|.
+inline std::complex<double> phasor(double vm, double theta) {
+  return {vm * std::cos(theta), vm * std::sin(theta)};
+}
 
 /// Complex power injections S_i = V_i (Y V)*_i for all buses at `state`.
 /// Returns (P, Q) vectors; used by tests to verify power-flow consistency

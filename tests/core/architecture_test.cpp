@@ -142,19 +142,21 @@ TEST(DseSystem, GoldenReplayWithDiurnalLoad) {
                         {-0.10914989705878374, 0.98818910047864261},
                         {-0.11334688475324359, 0.98932335183885856},
                         {-0.063967845129426215, 0.99752321552693057}}});
+  // Cycles 1 and 2 start Step 1 from the previous estimate, except in the
+  // subsystems the replay switched.
   expect_state_golden(rep.dse.state,
-                      {-11.146479414508185,
-                       118.38170924302374,
-                       -688.82276555031706,
-                       7039.9728673673326,
-                       {{0, 1.0408563483969677},
-                        {-0.10962505416020914, 0.98700358165172475},
-                        {-0.14401448675495818, 1.0172242628499428},
-                        {-0.096460877212675031, 0.98932749808621234},
-                        {-0.10093560318089777, 1.0103038684657575},
-                        {-0.10851189094372735, 0.987896110541993},
-                        {-0.11314860021604067, 0.98621373864322293},
-                        {-0.066538829034384628, 0.9961740493491803}}});
+                      {-11.14647941453288,
+                       118.38170924339315,
+                       -688.8227655520036,
+                       7039.9728673897225,
+                       {{0, 1.0408563483992896},
+                        {-0.10962505416013517, 0.98700358165422308},
+                        {-0.14401448675489398, 1.017224262852056},
+                        {-0.096460877212518087, 0.9893274980878427},
+                        {-0.10093560318084163, 1.010303868466901},
+                        {-0.10851189094359082, 0.9878961105444064},
+                        {-0.11314860021611461, 0.98621373864592166},
+                        {-0.066538829033488636, 0.99617404934539022}}});
 }
 
 // A diurnal load moves only B′'s values, so the DC truth analyzes B′ once,

@@ -5,6 +5,8 @@
 #include <thread>
 #include <vector>
 
+#include "decomp/sensitivity.hpp"
+#include "io/synthetic.hpp"
 #include "util/rng.hpp"
 
 namespace gridse::core {
@@ -71,6 +73,34 @@ TEST(PlanRegistry, InvalidateAllForcesReanalysisEverywhere) {
   EXPECT_EQ(registry.stats().subsystems, 2u);
 }
 
+TEST(PlanRegistry, ModelsAreKeptUntilInvalidated) {
+  const io::GeneratedCase gc = io::ieee118_dse();
+  decomp::Decomposition d =
+      decomp::decompose(gc.kase.network, gc.subsystem_of_bus);
+  decomp::analyze_sensitivity(gc.kase.network, d, {});
+  PlanRegistry registry;
+  const auto m0 = registry.models_for(0, gc.kase.network, d);
+  const auto m1 = registry.models_for(1, gc.kase.network, d);
+  ASSERT_NE(m0.local, nullptr);
+  ASSERT_NE(m0.extended, nullptr);
+  EXPECT_EQ(m0.local->subsystem_id, 0);
+  EXPECT_EQ(registry.models_for(0, gc.kase.network, d).local, m0.local);
+  EXPECT_EQ(registry.stats().models, 2u);
+
+  // A migration or a touching switch drops that subsystem's models only.
+  registry.invalidate(0);
+  EXPECT_EQ(registry.stats().models, 1u);
+  EXPECT_NE(registry.models_for(0, gc.kase.network, d).local, m0.local);
+  EXPECT_EQ(registry.models_for(1, gc.kase.network, d).extended,
+            m1.extended);
+
+  // A repartition drops them all.
+  registry.invalidate_all();
+  EXPECT_EQ(registry.stats().models, 0u);
+  EXPECT_NE(registry.models_for(1, gc.kase.network, d).extended,
+            m1.extended);
+}
+
 TEST(PlanRegistry, ConcurrentLookupsAreSafe) {
   // The driver's worker pool hits the registry from every thread hosting a
   // subsystem; under TSan this verifies the locking.
@@ -89,6 +119,29 @@ TEST(PlanRegistry, ConcurrentLookupsAreSafe) {
   }
   for (auto& th : threads) th.join();
   EXPECT_EQ(registry.stats().subsystems, 6u);
+}
+
+TEST(PlanRegistry, ConcurrentModelLookupsAreSafe) {
+  // Ranks hosting the same subsystem in Step 1 and Step 2 may extract its
+  // models at once on its first frame; one copy wins and both get it.
+  const io::GeneratedCase gc = io::ieee118_dse();
+  decomp::Decomposition d =
+      decomp::decompose(gc.kase.network, gc.subsystem_of_bus);
+  decomp::analyze_sensitivity(gc.kase.network, d, {});
+  PlanRegistry registry;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&registry, &gc, &d, t] {
+      for (int i = 0; i < 12; ++i) {
+        const int s = (t + i) % 3;
+        const auto models = registry.models_for(s, gc.kase.network, d);
+        EXPECT_EQ(models.local->subsystem_id, s);
+        if (i % 5 == 4) registry.invalidate(s);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_LE(registry.stats().models, 3u);
 }
 
 }  // namespace

@@ -57,6 +57,21 @@ TEST_F(OutputsTest, FlowsSumToInjections) {
   }
 }
 
+// Negative magnitudes (a diverged estimate) negate every phasor, so each
+// branch flow S = V·conj(I) comes out unchanged.
+TEST_F(OutputsTest, FlowsAcceptNegativeMagnitudes) {
+  grid::GridState negated = pf_.state;
+  for (double& vm : negated.vm) vm = -vm;
+  const SolutionReport report = build_solution_report(kase_.network, negated);
+  ASSERT_EQ(report.flows.size(), report_.flows.size());
+  for (std::size_t i = 0; i < report.flows.size(); ++i) {
+    EXPECT_NEAR(report.flows[i].p_from, report_.flows[i].p_from, 1e-12) << i;
+    EXPECT_NEAR(report.flows[i].q_from, report_.flows[i].q_from, 1e-12) << i;
+    EXPECT_NEAR(report.flows[i].p_to, report_.flows[i].p_to, 1e-12) << i;
+    EXPECT_NEAR(report.flows[i].q_to, report_.flows[i].q_to, 1e-12) << i;
+  }
+}
+
 TEST_F(OutputsTest, LoadingsUseRatings) {
   grid::assign_ratings_from_base_case(kase_.network, 1.5, 0.2);
   const SolutionReport rated =

@@ -54,6 +54,28 @@ TEST(PowerFlow, MismatchIsTinyAtSolution) {
   }
 }
 
+// A diverging Newton iterate can carry |V| < 0. The phasor is then
+// vm·(cos θ, sin θ), and negating every magnitude negates every phasor,
+// which leaves each S = V·conj(YV) unchanged.
+TEST(PowerFlow, InjectionsAcceptNegativeMagnitudes) {
+  const std::complex<double> v = phasor(-0.5, 0.3);
+  EXPECT_EQ(v.real(), -0.5 * std::cos(0.3));
+  EXPECT_EQ(v.imag(), -0.5 * std::sin(0.3));
+
+  const auto c = io::ieee14();
+  const PowerFlowResult r = solve_power_flow(c.network);
+  ASSERT_TRUE(r.converged);
+  GridState negated = r.state;
+  for (double& vm : negated.vm) vm = -vm;
+  const auto ybus = build_ybus(c.network);
+  const auto [p, q] = bus_injections(ybus, r.state);
+  const auto [pn, qn] = bus_injections(ybus, negated);
+  for (std::size_t i = 0; i < p.size(); ++i) {
+    EXPECT_NEAR(pn[i], p[i], 1e-12) << "bus " << i;
+    EXPECT_NEAR(qn[i], q[i], 1e-12) << "bus " << i;
+  }
+}
+
 TEST(PowerFlow, PvBusesHoldSetpointVoltage) {
   const auto c = io::ieee14();
   const PowerFlowResult r = solve_power_flow(c.network);
