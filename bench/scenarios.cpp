@@ -120,7 +120,7 @@ int run() {
       ests.back()->run_step1(s.meas, route);
     }
     const int victim = 4;  // subsystem 5: the best-connected one (Fig. 3)
-    using Records = std::vector<core::CondensedBoundaryRecord>;
+    using Records = std::vector<core::BusStateRecord>;
     const auto boundary_err = [&](const Records& recs) {
       ests[victim]->run_step2(s.meas, route, recs);
       double err = 0.0;

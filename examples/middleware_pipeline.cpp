@@ -94,12 +94,11 @@ int main() {
     // MW_Client_Send(MeDICi, neighbor, step1_solution)
     const auto records = estimator.boundary_records();
     client.send(pipeline_inbound, /*tag=*/1,
-                core::encode_boundary_records(records, /*with_sigmas=*/false));
+                core::encode_boundary_records(records));
 
     // pseudo[neighbor] <- MW_Client_Recv(MeDICi, neighbor)
     const runtime::Message msg = client.recv(runtime::kAnySource, 1);
-    const auto pseudo =
-        core::decode_boundary_records(msg.payload, /*with_sigmas=*/false);
+    const auto pseudo = core::decode_boundary_records(msg.payload);
     std::printf("[SE %d] received %zu pseudo measurements from SE %d via "
                 "MeDICi\n",
                 side, pseudo.size(), msg.source);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <fstream>
 #include <iterator>
+#include <map>
 #include <numeric>
 #include <utility>
 
@@ -348,6 +349,9 @@ CycleReport DseSystem::run_cycle(double time_sec) {
   // degraded or did not fully converge.
   const TrackingPrior prior{last_estimate_, flat_start_};
   DseResult rank0_result;
+  // Every rank's traces, merged per subsystem: Step-1 info from the rank
+  // that ran Step 1, Step-2 info from the rank that ran Step 2.
+  std::map<int, SubsystemTrace> traces;
   analysis::Mutex result_mutex{"DseSystem::result_mutex"};
   const auto body = [&](runtime::Communicator& comm) {
     DseResult r =
@@ -356,8 +360,13 @@ CycleReport DseSystem::run_cycle(double time_sec) {
                    report.map_step2.partition.assignment,
                    supervisor_ != nullptr ? &rctx : nullptr,
                    track_next_cycle_ ? &prior : nullptr);
+    analysis::LockGuard lock(result_mutex);
+    for (const SubsystemTrace& t : r.traces) {
+      SubsystemTrace& merged = traces.try_emplace(t.subsystem, t).first->second;
+      if (t.step1_rank == comm.rank()) merged.step1 = t.step1;
+      if (t.step2_rank == comm.rank()) merged.step2 = t.step2;
+    }
     if (comm.rank() == 0) {
-      analysis::LockGuard lock(result_mutex);
       rank0_result = std::move(r);
     }
   };
@@ -385,19 +394,24 @@ CycleReport DseSystem::run_cycle(double time_sec) {
     }
   }
   report.dse = std::move(rank0_result);
+  report.dse.traces.clear();
+  for (const auto& [s, trace] : traces) {
+    report.dse.traces.push_back(trace);
+  }
   if (supervisor_ != nullptr) {
     supervisor_->absorb(report.dse.recovery, participants);
   }
   report.max_vm_error = grid::max_vm_error(report.dse.state, true_state_);
   report.max_angle_error =
       grid::max_angle_error(report.dse.state, true_state_);
-  const bool complete =
-      report.dse.state.num_buses() == generated_.kase.network.num_buses();
-  if (complete) {
+  // A lost combine frame leaves that rank's buses at the flat default
+  // (θ = 0, |V| = 1); such a state must not become the next cycle's anchors
+  // or reseeded checkpoints.
+  if (report.dse.unresponsive_ranks.empty()) {
     last_estimate_ = report.dse.state;
   }
-  track_next_cycle_ = complete && report.dse.all_converged &&
-                      !report.dse.degraded_mode();
+  track_next_cycle_ =
+      report.dse.all_converged && !report.dse.degraded_mode();
 #if GRIDSE_OBS
   if (sampler_ != nullptr) {
     const std::int64_t this_cycle =

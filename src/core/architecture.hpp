@@ -113,7 +113,9 @@ struct CycleReport {
   mapping::MappingResult map_step1;
   mapping::MappingResult map_step2;
   mapping::RedistributionPlan redistribution;
-  DseResult dse;  ///< rank-0 view (state identical on all ranks)
+  /// Rank 0's view (state identical on all ranks), except `traces`: every
+  /// rank's, merged into one per subsystem, ascending.
+  DseResult dse;
   /// Accuracy vs the true operating state the measurements were drawn from.
   double max_vm_error = 0.0;
   double max_angle_error = 0.0;

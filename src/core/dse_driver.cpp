@@ -382,8 +382,7 @@ DseResult DseDriver::run(runtime::Communicator& comm,
     // Tags repeat across rounds: per-(source rank, tag) FIFO ordering keeps
     // the rounds from mixing.
     Timer round_exchange_timer;
-    const bool condense = options_.local.condense_boundary;
-    std::map<int, std::vector<CondensedBoundaryRecord>> neighbor_records;
+    std::map<int, std::vector<BusStateRecord>> neighbor_records;
     for (const int t : hosted2) {
       neighbor_records[t];  // pre-create: the worker pool must never insert
     }
@@ -392,10 +391,10 @@ DseResult DseDriver::run(runtime::Communicator& comm,
       const Deadline deadline(options_.exchange_deadline);
       for (const int s : hosted2) {
         if (dead_subsystems.count(s) > 0) continue;  // nothing to export
-        const std::vector<CondensedBoundaryRecord> records =
+        const std::vector<BusStateRecord> records =
             estimators.at(s)->boundary_records();
         const std::vector<std::uint8_t> payload =
-            encode_boundary_records(records, condense);
+            encode_boundary_records(records);
         for (const int t : decomposition_->neighbors_of(s)) {
           const graph::PartId dest =
               step2_assignment[static_cast<std::size_t>(t)];
@@ -436,8 +435,8 @@ DseResult DseDriver::run(runtime::Communicator& comm,
           const FrameLoss loss = receive_lossy(
               comm, deadline, rank_dead(src), src, pseudo_tag(s, t, m),
               [&](const std::vector<std::uint8_t>& payload) {
-                const std::vector<CondensedBoundaryRecord> records =
-                    decode_boundary_records(payload, condense);
+                const std::vector<BusStateRecord> records =
+                    decode_boundary_records(payload);
                 auto& sink = neighbor_records[t];
                 sink.insert(sink.end(), records.begin(), records.end());
               });
@@ -649,7 +648,10 @@ DseResult DseDriver::run(runtime::Communicator& comm,
   }
 #endif
 
-  for (const int s : hosted2) {
+  // One trace per subsystem this rank hosted in either step (the estimator
+  // map's keys, ascending): Step-1 info where it ran Step 1 here, Step-2
+  // info where it ran Step 2 here.
+  for (const auto& [s, estimator] : estimators) {
     SubsystemTrace trace;
     trace.subsystem = s;
     trace.step1_rank = step1_assignment[static_cast<std::size_t>(s)];

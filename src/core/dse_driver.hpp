@@ -113,7 +113,9 @@ struct DseResult {
   double total_seconds = 0.0;
   /// Payload bytes this rank sent during the cycle.
   std::size_t bytes_sent = 0;
-  /// Traces of the subsystems this rank hosted in Step 2.
+  /// Traces of the subsystems this rank hosted in either step, ascending
+  /// by subsystem; `step1` is blank where another rank ran Step 1, `step2`
+  /// where another rank ran Step 2 (or it never ran).
   std::vector<SubsystemTrace> traces;
   /// Subsystems (cluster-wide, gathered through the combine) whose Step 2
   /// ran degraded; sorted by subsystem id. Empty on a healthy cycle.

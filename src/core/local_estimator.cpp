@@ -4,11 +4,6 @@
 #include <set>
 
 #include "estimation/robust.hpp"
-#include "grid/boundary.hpp"
-#include "grid/meas_model.hpp"
-#include "obs/obs.hpp"
-#include "sparse/normal_equations.hpp"
-#include "sparse/schur.hpp"
 #include "util/error.hpp"
 #include "util/timer.hpp"
 
@@ -16,7 +11,7 @@ namespace gridse::core {
 namespace {
 
 /// Standard deviation of a neighbour pseudo measurement (|V| and θ) in
-/// Step 2 when its record carries no condensed sigma.
+/// Step 2.
 constexpr double kPseudoSigma = 0.01;
 /// Standard deviation of the low-weight priors substituted for missing
 /// neighbour pseudo measurements in degraded Step 2 (several times looser
@@ -25,11 +20,6 @@ constexpr double kDegradedPriorSigma = 0.05;
 /// Tikhonov regularization for the Step-2 extended system (remote corners
 /// of the extended model can be weakly observed).
 constexpr double kStep2Regularization = 1e-8;
-/// Clamp range for received condensed sigmas: the floor keeps an
-/// over-confident export from overriding real telemetry, the cap keeps a
-/// barely-observed export at least as anchoring as a degraded prior.
-constexpr double kCondenseSigmaFloor = 1e-4;
-constexpr double kCondenseSigmaCap = 0.05;
 
 /// Dispatch one local solve through plain WLS or the Huber M-estimator,
 /// per the options.
@@ -133,7 +123,6 @@ LocalSolveInfo LocalEstimator::run_step1(
 
   step1_state_ = result.state;
   step2_state_.reset();
-  maybe_condense(local_set, ref);
 
   LocalSolveInfo info;
   info.warm_start = warm;
@@ -144,64 +133,6 @@ LocalSolveInfo LocalEstimator::run_step1(
   info.num_measurements = local_set.size();
   info.seconds = timer.seconds();
   return info;
-}
-
-void LocalEstimator::maybe_condense(const grid::MeasurementSet& local_set,
-                                    const Reference& ref) {
-  condensed_.clear();
-  if (!options_.condense_boundary) {
-    return;
-  }
-  // Condense onto the boundary buses only: the interior — including the
-  // sensitive-internal buses the uncondensed exchange ships explicitly — is
-  // exactly what the Schur complement folds into the boundary block, so the
-  // condensed export is strictly smaller than the plain one.
-  const decomp::Subsystem& sub =
-      decomposition_->subsystems[static_cast<std::size_t>(subsystem_)];
-  const std::vector<grid::BusIndex>& global_buses = sub.boundary_buses;
-  std::vector<grid::BusIndex> local_buses;
-  local_buses.reserve(global_buses.size());
-  for (const grid::BusIndex g : global_buses) {
-    const auto it = local_->local_of_global.find(g);
-    GRIDSE_CHECK(it != local_->local_of_global.end());
-    local_buses.push_back(it->second);
-  }
-
-  const grid::StateIndex index(local_->network.num_buses(), ref.local_bus);
-  const grid::BoundarySplit split =
-      grid::split_boundary_states(index, local_buses);
-  try {
-    // Gain at the Step-1 solution; its Schur complement onto the boundary
-    // block carries this subsystem's full information about the exported
-    // states, and diag(S⁻¹) their marginal variances.
-    const grid::MeasurementModel model(local_->network, index);
-    const sparse::Csr jac = model.jacobian(local_set, *step1_state_);
-    const sparse::Csr gain =
-        sparse::normal_matrix(jac, local_set.weights());
-    const sparse::SchurSystem sys =
-        sparse::schur_condense(gain, {}, split.positions,
-                               std::max(options_.wls.regularization, 1e-12));
-    const std::vector<double> sigmas = sparse::schur_marginal_sigmas(sys);
-
-    condensed_.resize(global_buses.size());
-    for (std::size_t i = 0; i < global_buses.size(); ++i) {
-      CondensedBoundaryRecord& rec = condensed_[i];
-      rec.bus = global_buses[i];
-      const std::int32_t ts = split.theta_slot[i];
-      // The reference angle is pinned exactly; export the floor so the
-      // receiver treats it as a firm anchor rather than a default.
-      rec.sigma_theta = ts >= 0 ? sigmas[static_cast<std::size_t>(ts)]
-                                : kCondenseSigmaFloor;
-      rec.sigma_vm =
-          sigmas[static_cast<std::size_t>(split.vm_slot[i])];
-    }
-    OBS_COUNTER_ADD("exchange.condensed_exports", 1);
-  } catch (const ConvergenceFailure&) {
-    // Interior/Schur block not factorable (weakly observed corner): ship
-    // default sigmas instead of failing the cycle.
-    condensed_.clear();
-    OBS_COUNTER_ADD("exchange.condense_fallbacks", 1);
-  }
 }
 
 grid::GridState LocalEstimator::records_to_local_state(
@@ -233,9 +164,6 @@ grid::GridState LocalEstimator::records_to_local_state(
 void LocalEstimator::adopt_step1(const std::vector<BusStateRecord>& records) {
   step1_state_ = records_to_local_state(records, "adopt_step1");
   step2_state_.reset();
-  // An adopted solution arrives without its measurements, so no condensed
-  // sigmas can be computed; exports fall back to default sigmas.
-  condensed_.clear();
 }
 
 void LocalEstimator::set_warm_start(
@@ -251,7 +179,7 @@ void LocalEstimator::set_warm_start(const grid::GridState& prior) {
 LocalSolveInfo LocalEstimator::run_step2(
     const grid::MeasurementSet& global_set,
     const decomp::MeasurementRoute& route,
-    const std::vector<CondensedBoundaryRecord>& neighbor_states,
+    const std::vector<BusStateRecord>& neighbor_states,
     bool fill_missing_with_priors) {
   GRIDSE_CHECK_MSG(step1_state_.has_value(), "run_step2 before run_step1");
   Timer timer;
@@ -277,17 +205,9 @@ LocalSolveInfo LocalEstimator::run_step2(
 
   // Neighbour solutions become pseudo measurements on the extended model
   // (paper §II Step 2), and seed the initial state of the remote buses.
-  // Condensed records carry the exporter's marginal sigmas; clamp them so a
-  // wildly over/under-confident export cannot distort the local solve.
-  const auto pseudo_sigma = [](double condensed) {
-    if (condensed <= 0.0) {
-      return kPseudoSigma;
-    }
-    return std::clamp(condensed, kCondenseSigmaFloor, kCondenseSigmaCap);
-  };
   std::vector<bool> covered(
       static_cast<std::size_t>(extended_->network.num_buses()), false);
-  for (const CondensedBoundaryRecord& rec : neighbor_states) {
+  for (const BusStateRecord& rec : neighbor_states) {
     const auto it = extended_->local_of_global.find(rec.bus);
     if (it == extended_->local_of_global.end()) {
       continue;  // a neighbour bus outside this extended model
@@ -296,10 +216,10 @@ LocalSolveInfo LocalEstimator::run_step2(
     if (extended_->own[static_cast<std::size_t>(l)]) {
       continue;  // own buses keep their own Step-1 estimate
     }
-    ext_set.items.push_back({grid::MeasType::kVMag, l, -1, true, rec.vm,
-                             pseudo_sigma(rec.sigma_vm)});
-    ext_set.items.push_back({grid::MeasType::kVAngle, l, -1, true, rec.theta,
-                             pseudo_sigma(rec.sigma_theta)});
+    ext_set.items.push_back(
+        {grid::MeasType::kVMag, l, -1, true, rec.vm, kPseudoSigma});
+    ext_set.items.push_back(
+        {grid::MeasType::kVAngle, l, -1, true, rec.theta, kPseudoSigma});
     initial.theta[static_cast<std::size_t>(l)] = rec.theta;
     initial.vm[static_cast<std::size_t>(l)] = rec.vm;
     covered[static_cast<std::size_t>(l)] = true;
@@ -382,8 +302,7 @@ std::vector<BusStateRecord> LocalEstimator::step1_all_states() const {
   return out;
 }
 
-std::vector<CondensedBoundaryRecord> LocalEstimator::boundary_records()
-    const {
+std::vector<BusStateRecord> LocalEstimator::boundary_records() const {
   GRIDSE_CHECK_MSG(step1_state_.has_value(), "step1 has not run");
   const decomp::Subsystem& sub =
       decomposition_->subsystems[static_cast<std::size_t>(subsystem_)];
@@ -391,31 +310,15 @@ std::vector<CondensedBoundaryRecord> LocalEstimator::boundary_records()
   const bool refined = step2_state_.has_value();
   const decomp::SubsystemModel& model = refined ? *extended_ : *local_;
   const grid::GridState& state = refined ? *step2_state_ : *step1_state_;
-  std::vector<CondensedBoundaryRecord> out;
+  std::vector<BusStateRecord> out;
   const auto add = [&](grid::BusIndex g) {
     const auto it = model.local_of_global.find(g);
     GRIDSE_CHECK(it != model.local_of_global.end());
     const auto l = static_cast<std::size_t>(it->second);
-    CondensedBoundaryRecord rec;
-    rec.bus = g;
-    rec.theta = state.theta[l];
-    rec.vm = state.vm[l];
-    out.push_back(rec);
+    out.push_back({g, state.theta[l], state.vm[l]});
   };
   for (const grid::BusIndex g : sub.boundary_buses) add(g);
-  if (condensed_.empty()) {
-    for (const grid::BusIndex g : sub.sensitive_internal) add(g);
-    return out;
-  }
-  // Condensed export: the interior information the Schur marginals encode
-  // replaces the explicit sensitive-internal records. Step-2 refinement only
-  // updated theta/vm; the Step-1 sigmas remain this subsystem's confidence.
-  GRIDSE_CHECK(condensed_.size() == out.size());
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    GRIDSE_CHECK(condensed_[i].bus == out[i].bus);
-    out[i].sigma_theta = condensed_[i].sigma_theta;
-    out[i].sigma_vm = condensed_[i].sigma_vm;
-  }
+  for (const grid::BusIndex g : sub.sensitive_internal) add(g);
   return out;
 }
 

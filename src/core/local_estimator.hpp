@@ -16,15 +16,6 @@ struct LocalEstimatorOptions {
   /// WLS: gross errors in one subsystem's telemetry are then bounded before
   /// its solution is exported to neighbours as pseudo measurements.
   bool robust = false;
-  /// After Step 1, Schur-condense the gain matrix onto the boundary states
-  /// and export ONLY boundary records, each carrying its marginal sigma
-  /// sqrt(diag(S⁻¹)). The sensitive-internal records of the plain exchange
-  /// are folded into those marginals, so the condensed payload is smaller
-  /// AND neighbours weight each pseudo measurement by how well this
-  /// subsystem actually observed it (instead of the flat default pseudo
-  /// sigma). DseDriver then ships the condensed wire format in the
-  /// pseudo-measurement exchange instead of plain bus states.
-  bool condense_boundary = false;
 };
 
 /// Outcome of one subsystem step.
@@ -86,10 +77,8 @@ class LocalEstimator {
 
   /// DSE Step 2: re-evaluate on the extended model using own measurements
   /// (selected through `route` as in run_step1) plus neighbour pseudo
-  /// measurements. Requires run_step1 first. Each
-  /// pseudo measurement uses its record's marginal sigma (clamped to a fixed
-  /// range), or the flat default pseudo sigma when the record's sigma is
-  /// non-positive (plain exchange).
+  /// measurements. Requires run_step1 first. Every pseudo measurement (|V|
+  /// and θ of each neighbour record) carries the same fixed pseudo sigma.
   /// With `fill_missing_with_priors` (degraded mode), remote extended buses
   /// not covered by `neighbor_states` get low-weight priors derived from the
   /// nearest own bus's Step-1 solution instead of being left unanchored, so
@@ -97,7 +86,7 @@ class LocalEstimator {
   LocalSolveInfo run_step2(
       const grid::MeasurementSet& global_set,
       const decomp::MeasurementRoute& route,
-      const std::vector<CondensedBoundaryRecord>& neighbor_states,
+      const std::vector<BusStateRecord>& neighbor_states,
       bool fill_missing_with_priors = false);
 
   /// Step-1 solution of this subsystem's own buses, global numbering —
@@ -105,12 +94,9 @@ class LocalEstimator {
   [[nodiscard]] std::vector<BusStateRecord> step1_all_states() const;
 
   /// The pseudo measurements shipped to neighbours, valued from the most
-  /// recent step (Step 2 when it has run, else Step 1). With condensation
-  /// active: boundary-bus records only, each carrying the Schur marginal
-  /// sigmas computed after Step 1. Otherwise (condensation off, or not
-  /// possible after an adopted Step-1 solution or an interior factorization
-  /// failure): boundary then sensitive-internal records with sigma -1.
-  [[nodiscard]] std::vector<CondensedBoundaryRecord> boundary_records() const;
+  /// recent step (Step 2 when it has run, else Step 1): boundary-bus records,
+  /// then sensitive-internal ones.
+  [[nodiscard]] std::vector<BusStateRecord> boundary_records() const;
 
   /// Final per-bus states after Step 2: Step-2 values for boundary +
   /// sensitive buses, Step-1 values elsewhere. Falls back to Step-1
@@ -145,19 +131,9 @@ class LocalEstimator {
   [[nodiscard]] grid::GridState records_to_local_state(
       const std::vector<BusStateRecord>& records, const char* what) const;
 
-  /// Compute condensed-export sigmas from the Step-1 solution (no-op unless
-  /// options_.condense_boundary; failures leave condensed_ empty and the
-  /// exports fall back to default sigmas).
-  void maybe_condense(const grid::MeasurementSet& local_set,
-                      const Reference& ref);
-
   std::optional<grid::GridState> step1_state_;   // local numbering
   std::optional<grid::GridState> step2_state_;   // extended numbering
   std::optional<grid::GridState> warm_start_;    // local numbering, one-shot
-  /// Condensed sigmas for the boundary-bus exports, in boundary_buses
-  /// order (theta/vm unused); empty = export everything with default
-  /// sigmas.
-  std::vector<CondensedBoundaryRecord> condensed_;
 };
 
 }  // namespace gridse::core

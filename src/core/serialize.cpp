@@ -5,36 +5,16 @@
 namespace gridse::core {
 
 std::vector<std::uint8_t> encode_boundary_records(
-    const std::vector<CondensedBoundaryRecord>& records, bool with_sigmas) {
-  if (with_sigmas) {
-    ByteWriter w(16 + records.size() * sizeof(CondensedBoundaryRecord));
-    w.write_vector(records);
-    return w.take();
-  }
-  std::vector<BusStateRecord> plain(records.size());
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    plain[i] = {records[i].bus, records[i].theta, records[i].vm};
-  }
-  ByteWriter w(16 + plain.size() * sizeof(BusStateRecord));
-  w.write_vector(plain);
+    const std::vector<BusStateRecord>& records) {
+  ByteWriter w(16 + records.size() * sizeof(BusStateRecord));
+  w.write_vector(records);
   return w.take();
 }
 
-std::vector<CondensedBoundaryRecord> decode_boundary_records(
-    const std::vector<std::uint8_t>& bytes, bool with_sigmas) {
+std::vector<BusStateRecord> decode_boundary_records(
+    const std::vector<std::uint8_t>& bytes) {
   ByteReader r(bytes);
-  std::vector<CondensedBoundaryRecord> records;
-  if (with_sigmas) {
-    records = r.read_vector<CondensedBoundaryRecord>();
-  } else {
-    const auto plain = r.read_vector<BusStateRecord>();
-    records.resize(plain.size());
-    for (std::size_t i = 0; i < plain.size(); ++i) {
-      records[i].bus = plain[i].bus;
-      records[i].theta = plain[i].theta;
-      records[i].vm = plain[i].vm;
-    }
-  }
+  std::vector<BusStateRecord> records = r.read_vector<BusStateRecord>();
   if (!r.at_end()) {
     throw InvalidInput("decode_boundary_records: trailing bytes in frame");
   }

@@ -9,8 +9,8 @@
 namespace gridse::core {
 
 /// One bus's solved state ("bus voltage, phase angle"), global bus
-/// numbering: the unit of the redistribution, combine and checkpoint
-/// payloads, and the plain wire image of a boundary record.
+/// numbering: the unit of the Step-2 pseudo-measurement exchange and of the
+/// redistribution, combine and checkpoint payloads.
 struct BusStateRecord {
   std::int32_t bus = -1;
   double theta = 0.0;
@@ -18,30 +18,13 @@ struct BusStateRecord {
 };
 static_assert(std::is_trivially_copyable_v<BusStateRecord>);
 
-/// The Step-2 pseudo-measurement exchange unit: a boundary/sensitive bus's
-/// solved state plus the exporting subsystem's marginal confidence in it,
-/// sigma = sqrt(diag(S⁻¹)) of its Schur-condensed boundary system, so the
-/// receiver weights each pseudo measurement by how well the exporter
-/// actually observed that bus. Non-positive sigmas mean "no condensed
-/// confidence — use the configured default pseudo sigma" (the plain
-/// exchange, which ships no sigmas at all).
-struct CondensedBoundaryRecord {
-  std::int32_t bus = -1;
-  double theta = 0.0;
-  double vm = 0.0;
-  double sigma_theta = -1.0;
-  double sigma_vm = -1.0;
-};
-static_assert(std::is_trivially_copyable_v<CondensedBoundaryRecord>);
-
 /// Serialize/deserialize a batch of boundary records (one pseudo-measurement
-/// frame). `with_sigmas` picks the wire width and must match on both ends:
-/// true ships whole 40-byte records; false ships 24-byte BusStateRecord
-/// images and decodes them with sigma -1.
+/// frame): a length prefix and 24-byte BusStateRecord images. Decoding
+/// rejects a truncated frame or one with trailing bytes.
 std::vector<std::uint8_t> encode_boundary_records(
-    const std::vector<CondensedBoundaryRecord>& records, bool with_sigmas);
-std::vector<CondensedBoundaryRecord> decode_boundary_records(
-    const std::vector<std::uint8_t>& bytes, bool with_sigmas);
+    const std::vector<BusStateRecord>& records);
+std::vector<BusStateRecord> decode_boundary_records(
+    const std::vector<std::uint8_t>& bytes);
 
 /// Health record of one subsystem whose Step 2 ran degraded: some neighbour
 /// pseudo-measurements never arrived (re-solved with Step-1 priors), or its

@@ -1,5 +1,6 @@
 #include "io/case_format.hpp"
 
+#include <climits>
 #include <cmath>
 #include <fstream>
 #include <map>
@@ -14,28 +15,14 @@ namespace {
 constexpr double kPi = 3.14159265358979323846;
 
 double parse_double(const std::string& token, int line_no) {
-  std::size_t pos = 0;
-  double v = 0.0;
-  try {
-    v = std::stod(token, &pos);
-  } catch (const std::exception&) {
-    throw InvalidInput("case line " + std::to_string(line_no) +
-                       ": bad number '" + token + "'");
-  }
-  if (pos != token.size()) {
-    throw InvalidInput("case line " + std::to_string(line_no) +
-                       ": bad number '" + token + "'");
-  }
-  return v;
+  return gridse::parse_double("case line " + std::to_string(line_no), token,
+                              "a finite number");
 }
 
 int parse_int(const std::string& token, int line_no) {
-  const double v = parse_double(token, line_no);
-  if (v != std::floor(v)) {
-    throw InvalidInput("case line " + std::to_string(line_no) +
-                       ": expected integer, got '" + token + "'");
-  }
-  return static_cast<int>(v);
+  return static_cast<int>(
+      parse_integer("case line " + std::to_string(line_no), token,
+                    "an integer", INT_MIN, INT_MAX));
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include "io/decomp_format.hpp"
 
+#include <climits>
 #include <fstream>
 #include <sstream>
 
@@ -38,19 +39,11 @@ std::vector<int> parse_decomposition(const std::string& text,
       throw InvalidInput("decomposition line " + std::to_string(line_no) +
                          ": expected 'bus <id> <subsystem>'");
     }
-    int external = 0;
-    int subsystem = 0;
-    try {
-      external = std::stoi(tokens[1]);
-      subsystem = std::stoi(tokens[2]);
-    } catch (const std::exception&) {
-      throw InvalidInput("decomposition line " + std::to_string(line_no) +
-                         ": bad number");
-    }
-    if (subsystem < 0) {
-      throw InvalidInput("decomposition line " + std::to_string(line_no) +
-                         ": subsystem ids must be nonnegative");
-    }
+    const std::string where = "decomposition line " + std::to_string(line_no);
+    const auto external = static_cast<int>(parse_integer(
+        where, tokens[1], "an integer bus id", INT_MIN, INT_MAX));
+    const auto subsystem = static_cast<int>(parse_integer(
+        where, tokens[2], "a nonnegative subsystem id", 0, INT_MAX));
     const grid::BusIndex idx = network.index_of(external);  // throws if unknown
     if (membership[static_cast<std::size_t>(idx)] != -1) {
       throw InvalidInput("decomposition line " + std::to_string(line_no) +

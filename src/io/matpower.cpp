@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <optional>
 #include <sstream>
@@ -96,6 +97,20 @@ double col(const std::vector<double>& row, std::size_t index,
   return row[index];
 }
 
+/// An integer column (bus number, bus type): integral and within int range,
+/// so the conversion below is defined.
+int int_col(const std::vector<double>& row, std::size_t index,
+            const std::string& what) {
+  const double v = col(row, index, what);
+  if (!(v == std::floor(v) &&
+        std::abs(v) <= std::numeric_limits<int>::max())) {
+    throw InvalidInput("matpower: mpc." + what + " column " +
+                       std::to_string(index + 1) + " expects an integer, got " +
+                       std::to_string(v));
+  }
+  return static_cast<int>(v);
+}
+
 }  // namespace
 
 Case parse_matpower(const std::string& text) {
@@ -104,11 +119,8 @@ Case parse_matpower(const std::string& text) {
   Case c;
   c.name = "matpower";
   if (const auto fn = field_text(clean, "baseMVA", /*matrix=*/false)) {
-    try {
-      c.base_mva = std::stod(std::string(trim(*fn)));
-    } catch (const std::exception&) {
-      throw InvalidInput("matpower: bad mpc.baseMVA");
-    }
+    c.base_mva = parse_double("matpower: mpc.baseMVA",
+                              std::string(trim(*fn)), "a finite number");
   } else {
     throw InvalidInput("matpower: missing mpc.baseMVA");
   }
@@ -141,8 +153,8 @@ Case parse_matpower(const std::string& text) {
   // --- buses ------------------------------------------------------------
   for (const auto& row : parse_matrix(*bus_body, "bus")) {
     grid::Bus bus;
-    bus.external_id = static_cast<int>(col(row, 0, "bus"));
-    const int type = static_cast<int>(col(row, 1, "bus"));
+    bus.external_id = int_col(row, 0, "bus");
+    const int type = int_col(row, 1, "bus");
     switch (type) {
       case 1:
         bus.type = grid::BusType::kPQ;
@@ -173,7 +185,7 @@ Case parse_matpower(const std::string& text) {
       if (row.size() > status_col && col(row, status_col, "gen") <= 0.0) {
         continue;  // out of service
       }
-      const int bus_id = static_cast<int>(col(row, 0, "gen"));
+      const int bus_id = int_col(row, 0, "gen");
       const grid::BusIndex idx = c.network.index_of(bus_id);
       c.network.add_generation(idx, col(row, 1, "gen") / c.base_mva,
                                col(row, 2, "gen") / c.base_mva);
@@ -191,8 +203,8 @@ Case parse_matpower(const std::string& text) {
       continue;  // BR_STATUS = 0: out of service
     }
     grid::Branch br;
-    br.from = c.network.index_of(static_cast<int>(col(row, 0, "branch")));
-    br.to = c.network.index_of(static_cast<int>(col(row, 1, "branch")));
+    br.from = c.network.index_of(int_col(row, 0, "branch"));
+    br.to = c.network.index_of(int_col(row, 1, "branch"));
     br.r = col(row, 2, "branch");
     br.x = col(row, 3, "branch");
     br.b_charging = col(row, 4, "branch");

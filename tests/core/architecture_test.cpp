@@ -28,6 +28,24 @@ TEST(DseSystem, FullCycleOnIeee118) {
   EXPECT_LE(rep.map_step1.partition.load_imbalance, 1.05 + 1e-9);
 }
 
+// Each rank traces its own subsystems; the report merges all of them, so a
+// 3-cluster cycle reports all 9 with both steps' info. (A subsystem whose
+// two steps run on different ranks: RemapTracesBothHostsOfAMovedSubsystem.)
+TEST(DseSystem, ReportTracesEverySubsystemOfEveryRank) {
+  DseSystem sys(io::ieee118_dse(), small_config());
+  const CycleReport rep = sys.run_cycle(0.0);
+  ASSERT_TRUE(rep.dse.all_converged);
+  ASSERT_EQ(rep.dse.traces.size(), 9u);
+  for (std::size_t s = 0; s < rep.dse.traces.size(); ++s) {
+    const SubsystemTrace& t = rep.dse.traces[s];
+    EXPECT_EQ(t.subsystem, static_cast<int>(s));
+    EXPECT_EQ(t.step1_rank, rep.map_step1.partition.assignment[s]) << s;
+    EXPECT_EQ(t.step2_rank, rep.map_step2.partition.assignment[s]) << s;
+    EXPECT_GT(t.step1.gauss_newton_iterations, 0) << s;
+    EXPECT_GT(t.step2.gauss_newton_iterations, 0) << s;
+  }
+}
+
 TEST(DseSystem, RepeatedCyclesRemapAdaptively) {
   DseSystem sys(io::ieee118_dse(), small_config());
   CycleReport first = sys.run_cycle(0.0);
@@ -195,7 +213,11 @@ TEST(DseSystem, CycleDeadlineEnvBeatsConfiguredSlo) {
   if (!obs::kEnabled) {
     GTEST_SKIP() << "SLO counters need GRIDSE_OBS";
   }
-  SystemConfig cfg = small_config();
+  // Four Step-2 rounds over MeDICi relays keep a cycle well above the 1 ms
+  // deadline; one in-process tracking cycle can finish inside it on an idle
+  // host.
+  SystemConfig cfg = small_config(Transport::kMedici);
+  cfg.dse.step2_rounds = 4;
   cfg.dse.slo.cycle_deadline = std::chrono::milliseconds{60'000};
   ::setenv("GRIDSE_CYCLE_DEADLINE_MS", "1", 1);
   DseSystem sys(io::ieee118_dse(), cfg);

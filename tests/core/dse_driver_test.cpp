@@ -183,6 +183,35 @@ TEST_F(DseDriverTest, TracesCoverHostedSubsystems) {
   EXPECT_EQ(seen, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7, 8}));
 }
 
+TEST_F(DseDriverTest, RemapTracesBothHostsOfAMovedSubsystem) {
+  const std::vector<graph::PartId> step2 = remapped();
+  const auto results = run_all_ranks(assignment_, step2);
+  const auto trace_on = [&](int rank, int s) -> const SubsystemTrace* {
+    for (const SubsystemTrace& t :
+         results[static_cast<std::size_t>(rank)].traces) {
+      if (t.subsystem == s) return &t;
+    }
+    return nullptr;
+  };
+  int moved = 0;
+  for (int s = 0; s < 9; ++s) {
+    const int host1 = assignment_[static_cast<std::size_t>(s)];
+    const int host2 = step2[static_cast<std::size_t>(s)];
+    const SubsystemTrace* t1 = trace_on(host1, s);
+    const SubsystemTrace* t2 = trace_on(host2, s);
+    ASSERT_NE(t1, nullptr) << s;
+    ASSERT_NE(t2, nullptr) << s;
+    EXPECT_GT(t1->step1.gauss_newton_iterations, 0) << s;
+    EXPECT_GT(t2->step2.gauss_newton_iterations, 0) << s;
+    if (host1 != host2) {
+      ++moved;
+      EXPECT_EQ(t1->step2.gauss_newton_iterations, 0) << s;
+      EXPECT_EQ(t2->step1.gauss_newton_iterations, 0) << s;
+    }
+  }
+  EXPECT_GT(moved, 0);
+}
+
 TEST_F(DseDriverTest, SingleRankDegeneratesToSequentialDse) {
   const std::vector<graph::PartId> all_zero(9, 0);
   DseDriver driver(generated_.kase.network, d_, {});
@@ -320,36 +349,6 @@ TEST_F(DseDriverTest, WeccScaleScenarioConverges) {
   EXPECT_LT(grid::max_angle_error(result.state, wpf.state), 0.03);
 }
 
-TEST_F(DseDriverTest, CondensationShrinksPseudoTrafficAndTracksTruth) {
-  const auto run_with = [&](bool condense) {
-    DseOptions opts;
-    opts.local.condense_boundary = condense;
-    DseDriver driver(generated_.kase.network, d_, opts);
-    runtime::InprocWorld world(3);
-    analysis::Mutex mutex{"dse_driver_test::mutex"};
-    DseResult out;
-    std::size_t total_bytes = 0;
-    world.run([&](runtime::Communicator& c) {
-      DseResult r = driver.run(c, meas_, assignment_, assignment_);
-      analysis::LockGuard lock(mutex);
-      total_bytes += r.bytes_sent;
-      if (c.rank() == 0) out = std::move(r);
-    });
-    return std::make_pair(std::move(out), total_bytes);
-  };
-  const auto [condensed, bytes_condensed] = run_with(true);
-  const auto [plain, bytes_plain] = run_with(false);
-  EXPECT_TRUE(condensed.all_converged);
-  EXPECT_TRUE(plain.all_converged);
-  // The condensed estimate still tracks the truth...
-  EXPECT_LT(grid::max_vm_error(condensed.state, pf_.state), 0.02);
-  EXPECT_LT(grid::max_angle_error(condensed.state, pf_.state), 0.02);
-  // ...while Step 2 ships condensed boundary info only: the
-  // sensitive-internal records of the plain exchange are folded into the
-  // boundary marginals, so the cycle's total traffic drops.
-  EXPECT_LT(bytes_condensed, bytes_plain);
-}
-
 TEST_F(DseDriverTest, SharedPlanRegistryIsReusedAcrossCycles) {
   const auto registry = std::make_shared<PlanRegistry>();
   DseOptions opts;
@@ -394,15 +393,13 @@ TEST_F(DseDriverTest, SharedPlanRegistryIsReusedAcrossCycles) {
   EXPECT_LT(grid::max_vm_error(first_state, third_state), 1e-12);
 }
 
-TEST_F(DseDriverTest, LdltCondensedPlanReuseConverges) {
-  // The LDLT direct solver, the condensed exchange and a persistent plan
-  // registry compose: both cycles converge and track the truth, and the
-  // second one reuses the first one's symbolic plans and reproduces its
-  // estimate.
+TEST_F(DseDriverTest, LdltPlanReuseConverges) {
+  // The LDLT direct solver and a persistent plan registry compose: both
+  // cycles converge and track the truth, and the second one reuses the
+  // first one's symbolic plans and reproduces its estimate.
   const auto registry = std::make_shared<PlanRegistry>();
   DseOptions opts;
   opts.local.wls.solver = estimation::LinearSolver::kLdlt;
-  opts.local.condense_boundary = true;
   opts.plan_registry = registry;
   DseDriver driver(generated_.kase.network, d_, opts);
   std::vector<grid::GridState> states;
@@ -430,8 +427,7 @@ TEST_F(DseDriverTest, LdltCondensedPlanReuseConverges) {
 }
 
 // Golden cycles: estimates, bytes and message counts of the pseudo
-// measurement exchange in its plain and condensed widths, with and without
-// a Step-1 != Step-2 remap.
+// measurement exchange, with and without a Step-1 != Step-2 remap.
 const ExchangeGolden kPlainGolden{
     {{"dse.pseudo.bytes", 3928},
      {"exchange.boundary_bytes", 3928},
@@ -456,34 +452,9 @@ TEST_F(DseDriverTest, GoldenPlainExchange) {
   expect_golden(result, counts, kPlainGolden);
 }
 
-TEST_F(DseDriverTest, GoldenCondensedExchange) {
-  DseOptions opts;
-  opts.local.condense_boundary = true;
-  const auto [result, counts] = run_counted(opts, assignment_);
-  expect_golden(
-      result, counts,
-      {{{"dse.pseudo.bytes", 3152},
-        {"exchange.boundary_bytes", 3152},
-        {"dse.redistribute.bytes", 0},
-        {"dse.combine.bytes", 5814},
-        {"dse.pseudo.messages", 14}},
-       -11.266265408535473,
-       120.18633976187294,
-       -705.33092235008269,
-       7151.9735292386958,
-       {{0, 1.0390779227775595},
-        {-0.1235541953184945, 1.0270612292352232},
-        {-0.13164840063716687, 1.005945839776383},
-        {-0.086405691371424342, 1.0077423609315996},
-        {-0.099671530072157025, 1.0101853552224331},
-        {-0.11161605541088469, 1.0074880871529448},
-        {-0.11414028267768021, 1.0121316242084932},
-        {-0.079384154663830808, 1.0411565803994185}}});
-}
-
 TEST_F(DseDriverTest, GoldenRemappedExchange) {
-  // Plain: an adopted Step-1 solution exports exactly what a local run
-  // would, so only the traffic differs from the unmapped cycle.
+  // An adopted Step-1 solution exports exactly what a local run would, so
+  // only the traffic differs from the unmapped cycle.
   const auto [plain, plain_counts] = run_counted({}, remapped());
   ExchangeGolden plain_golden = kPlainGolden;
   plain_golden.counters = {{"dse.pseudo.bytes", 3952},
@@ -492,37 +463,11 @@ TEST_F(DseDriverTest, GoldenRemappedExchange) {
                            {"dse.combine.bytes", 5814},
                            {"dse.pseudo.messages", 14}};
   expect_golden(plain, plain_counts, plain_golden);
-
-  // Condensed: the two adopted subsystems cannot condense and ship default
-  // (-1) sigmas for all their boundary and sensitive buses inside the
-  // condensed frames.
-  DseOptions opts;
-  opts.local.condense_boundary = true;
-  const auto [condensed, condensed_counts] = run_counted(opts, remapped());
-  expect_golden(
-      condensed, condensed_counts,
-      {{{"dse.pseudo.bytes", 3712},
-        {"exchange.boundary_bytes", 3712},
-        {"dse.redistribute.bytes", 7728},
-        {"dse.combine.bytes", 5814},
-        {"dse.pseudo.messages", 14}},
-       -11.269696406086911,
-       120.1760679813475,
-       -705.557010195472,
-       7151.2867629894336,
-       {{0, 1.0390779227775595},
-        {-0.12358301119731673, 1.0269677426434656},
-        {-0.13164840063716687, 1.005945839776383},
-        {-0.086405691371424342, 1.0077423609315996},
-        {-0.099843930524651625, 1.010186437532353},
-        {-0.11161605541088469, 1.0074880871529448},
-        {-0.11414028267768021, 1.0121316242084932},
-        {-0.079384154663830808, 1.0411565803994185}}});
 }
 
 TEST_F(DseDriverTest, GoldenHuberExchange) {
   // Robust local solves (Huber IRLS at the default threshold): the wire
-  // format is the plain one, only the estimates move.
+  // format is unchanged, only the estimates move.
   DseOptions opts;
   opts.local.robust = true;
   const auto [result, counts] = run_counted(opts, assignment_);

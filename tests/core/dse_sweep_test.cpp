@@ -81,17 +81,26 @@ TEST_P(DseSweep, EndToEndInvariantsHold) {
     EXPECT_LT(grid::max_vm_error(r.state, pf.state), 0.03);
     EXPECT_LT(grid::max_angle_error(r.state, pf.state), 0.05);
   }
-  // traces cover exactly the subsystem set
-  std::vector<int> hosted;
-  for (const DseResult& r : results) {
-    for (const SubsystemTrace& t : r.traces) {
-      hosted.push_back(t.subsystem);
+  // Each rank traces what it hosted in either step: every subsystem's
+  // Step 1 and Step 2 are traced once each, on the rank that ran them.
+  const auto n = static_cast<std::size_t>(sc.subsystems);
+  std::vector<int> step1_traced(n, 0);
+  std::vector<int> step2_traced(n, 0);
+  for (std::size_t rank = 0; rank < results.size(); ++rank) {
+    for (const SubsystemTrace& t : results[rank].traces) {
+      const auto s = static_cast<std::size_t>(t.subsystem);
+      if (t.step1_rank == static_cast<int>(rank)) {
+        ++step1_traced[s];
+        EXPECT_GT(t.step1.gauss_newton_iterations, 0) << s;
+      }
+      if (t.step2_rank == static_cast<int>(rank)) {
+        ++step2_traced[s];
+        EXPECT_GT(t.step2.gauss_newton_iterations, 0) << s;
+      }
     }
   }
-  std::sort(hosted.begin(), hosted.end());
-  for (int s = 0; s < sc.subsystems; ++s) {
-    EXPECT_EQ(hosted[static_cast<std::size_t>(s)], s);
-  }
+  EXPECT_EQ(step1_traced, std::vector<int>(n, 1));
+  EXPECT_EQ(step2_traced, std::vector<int>(n, 1));
 }
 
 INSTANTIATE_TEST_SUITE_P(

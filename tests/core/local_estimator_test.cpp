@@ -80,7 +80,7 @@ TEST_F(LocalEstimatorTest, Step2ImprovesBoundaryAccuracy) {
   // neighbour pseudo measurements must beat Step 1 alone.
   std::vector<std::unique_ptr<LocalEstimator>> estimators;
   // Exports are taken after Step 1 everywhere, before any Step 2 runs.
-  std::vector<std::vector<CondensedBoundaryRecord>> exports;
+  std::vector<std::vector<BusStateRecord>> exports;
   for (int s = 0; s < d_.num_subsystems(); ++s) {
     estimators.push_back(std::make_unique<LocalEstimator>(
         generated_.kase.network, d_, s, LocalEstimatorOptions{}));
@@ -91,7 +91,7 @@ TEST_F(LocalEstimatorTest, Step2ImprovesBoundaryAccuracy) {
   double step2_err = 0.0;
   int boundary_count = 0;
   for (int s = 0; s < d_.num_subsystems(); ++s) {
-    std::vector<CondensedBoundaryRecord> neighbor_states;
+    std::vector<BusStateRecord> neighbor_states;
     for (const int t : d_.neighbors_of(s)) {
       const auto& recs = exports[static_cast<std::size_t>(t)];
       neighbor_states.insert(neighbor_states.end(), recs.begin(), recs.end());
@@ -194,7 +194,7 @@ TEST_F(LocalEstimatorTest, RobustModeBoundsLocalBadData) {
     LocalEstimator est(generated_.kase.network, d_, 2, opts);
     EXPECT_TRUE(est.run_step1(bad, bad_route).converged);
     double err = 0.0;
-    for (const CondensedBoundaryRecord& rec : est.boundary_records()) {
+    for (const BusStateRecord& rec : est.boundary_records()) {
       const auto bi = static_cast<std::size_t>(rec.bus);
       err += std::abs(rec.vm - pf_.state.vm[bi]) +
              std::abs(rec.theta - pf_.state.theta[bi]);

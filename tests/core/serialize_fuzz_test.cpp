@@ -10,16 +10,6 @@
 namespace gridse::core {
 namespace {
 
-std::vector<CondensedBoundaryRecord> sample_records(Rng& rng, int n) {
-  std::vector<CondensedBoundaryRecord> records;
-  for (int i = 0; i < n; ++i) {
-    records.push_back({static_cast<std::int32_t>(rng.uniform_int(0, 500)),
-                       rng.uniform(-1.0, 1.0), rng.uniform(0.8, 1.2),
-                       rng.uniform(1e-4, 0.05), rng.uniform(1e-4, 0.05)});
-  }
-  return records;
-}
-
 std::vector<BusStateRecord> sample_states(Rng& rng, int n) {
   std::vector<BusStateRecord> states;
   for (int i = 0; i < n; ++i) {
@@ -46,21 +36,16 @@ grid::MeasurementSet sample_measurements(Rng& rng, int n) {
 }
 
 TEST(SerializeFuzz, TruncationAlwaysThrowsNeverCrashes) {
-  // Both wire widths of the boundary-record codec (plain and condensed).
-  for (const bool with_sigmas : {false, true}) {
-    Rng rng(909);
-    for (int trial = 0; trial < 50; ++trial) {
-      const auto records =
-          sample_records(rng, static_cast<int>(rng.uniform_int(0, 40)));
-      const auto bytes = encode_boundary_records(records, with_sigmas);
-      for (std::size_t cut = 0; cut < bytes.size(); cut += 3) {
-        const std::vector<std::uint8_t> truncated(bytes.begin(),
-                                                  bytes.begin() + cut);
-        EXPECT_THROW((void)decode_boundary_records(truncated, with_sigmas),
-                     InvalidInput)
-            << "cut at " << cut << " of " << bytes.size()
-            << (with_sigmas ? " (condensed)" : " (plain)");
-      }
+  Rng rng(909);
+  for (int trial = 0; trial < 50; ++trial) {
+    const auto records =
+        sample_states(rng, static_cast<int>(rng.uniform_int(0, 40)));
+    const auto bytes = encode_boundary_records(records);
+    for (std::size_t cut = 0; cut < bytes.size(); cut += 3) {
+      const std::vector<std::uint8_t> truncated(bytes.begin(),
+                                                bytes.begin() + cut);
+      EXPECT_THROW((void)decode_boundary_records(truncated), InvalidInput)
+          << "cut at " << cut << " of " << bytes.size();
     }
   }
 }
@@ -79,21 +64,19 @@ TEST(SerializeFuzz, MeasurementTruncationThrows) {
 TEST(SerializeFuzz, RandomCorruptionThrowsOrDecodesConsistentSizes) {
   // Flipping bytes may corrupt values (undetectable without checksums) but
   // must never crash, loop, or return an impossible structure.
-  for (const bool with_sigmas : {false, true}) {
-    Rng rng(913);
-    for (int trial = 0; trial < 200; ++trial) {
-      const auto records = sample_records(rng, 10);
-      auto bytes = encode_boundary_records(records, with_sigmas);
-      const auto pos = static_cast<std::size_t>(
-          rng.uniform_int(0, static_cast<std::int64_t>(bytes.size()) - 1));
-      bytes[pos] = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
-      try {
-        const auto decoded = decode_boundary_records(bytes, with_sigmas);
-        // If the length prefix survived, the count must match.
-        EXPECT_EQ(decoded.size(), records.size());
-      } catch (const InvalidInput&) {
-        // acceptable: corruption detected
-      }
+  Rng rng(913);
+  for (int trial = 0; trial < 200; ++trial) {
+    const auto records = sample_states(rng, 10);
+    auto bytes = encode_boundary_records(records);
+    const auto pos = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(bytes.size()) - 1));
+    bytes[pos] = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+    try {
+      const auto decoded = decode_boundary_records(bytes);
+      // If the length prefix survived, the count must match.
+      EXPECT_EQ(decoded.size(), records.size());
+    } catch (const InvalidInput&) {
+      // acceptable: corruption detected
     }
   }
 }
@@ -147,8 +130,7 @@ TEST(SerializeFuzz, StateRoundTripRandomized) {
 
 TEST(SerializeFuzz, EmptyPayloadRejectedCleanly) {
   const std::vector<std::uint8_t> empty;
-  EXPECT_THROW((void)decode_boundary_records(empty, false), InvalidInput);
-  EXPECT_THROW((void)decode_boundary_records(empty, true), InvalidInput);
+  EXPECT_THROW((void)decode_boundary_records(empty), InvalidInput);
   EXPECT_THROW((void)decode_checkpoint(empty), InvalidInput);
   EXPECT_THROW((void)decode_measurements(empty), InvalidInput);
   EXPECT_THROW((void)decode_state(empty), InvalidInput);

@@ -8,61 +8,29 @@ namespace gridse::core {
 namespace {
 
 TEST(Serialize, BusStatesRoundTrip) {
-  // Plain width: 24-byte bus states on the wire, sigmas dropped and decoded
-  // as -1 (use the default pseudo sigmas).
-  const std::vector<CondensedBoundaryRecord> records{
-      {0, 0.1, 1.02, 0.5, 0.5}, {17, -0.25, 0.98, -1, -1}, {117, 0.0, 1.0}};
-  const auto bytes = encode_boundary_records(records, /*with_sigmas=*/false);
+  // 24-byte bus states on the wire after the 8-byte length prefix.
+  const std::vector<BusStateRecord> records{
+      {0, 0.1, 1.02}, {17, -0.25, 0.98}, {117, 0.0, 1.0}};
+  const auto bytes = encode_boundary_records(records);
   EXPECT_EQ(bytes.size(), 8 + records.size() * 24);
-  const auto back = decode_boundary_records(bytes, /*with_sigmas=*/false);
+  const auto back = decode_boundary_records(bytes);
   ASSERT_EQ(back.size(), records.size());
   for (std::size_t i = 0; i < records.size(); ++i) {
     EXPECT_EQ(back[i].bus, records[i].bus);
     EXPECT_DOUBLE_EQ(back[i].theta, records[i].theta);
     EXPECT_DOUBLE_EQ(back[i].vm, records[i].vm);
-    EXPECT_DOUBLE_EQ(back[i].sigma_theta, -1.0);
-    EXPECT_DOUBLE_EQ(back[i].sigma_vm, -1.0);
   }
-}
-
-TEST(Serialize, CondensedRecordsRoundTrip) {
-  // Condensed width: whole 40-byte records, sigmas included.
-  const std::vector<CondensedBoundaryRecord> records{
-      {3, 0.1, 1.02, 2e-3, 1e-3}, {40, -0.25, 0.98, -1, -1}};
-  const auto bytes = encode_boundary_records(records, /*with_sigmas=*/true);
-  EXPECT_EQ(bytes.size(), 8 + records.size() * 40);
-  const auto back = decode_boundary_records(bytes, /*with_sigmas=*/true);
-  ASSERT_EQ(back.size(), records.size());
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    EXPECT_EQ(back[i].bus, records[i].bus);
-    EXPECT_DOUBLE_EQ(back[i].theta, records[i].theta);
-    EXPECT_DOUBLE_EQ(back[i].vm, records[i].vm);
-    EXPECT_DOUBLE_EQ(back[i].sigma_theta, records[i].sigma_theta);
-    EXPECT_DOUBLE_EQ(back[i].sigma_vm, records[i].sigma_vm);
-  }
-  // The widths are not interchangeable: a condensed frame read as plain
-  // (or vice versa) fails the length check instead of yielding garbage.
-  EXPECT_THROW(decode_boundary_records(bytes, /*with_sigmas=*/false),
-               InvalidInput);
-  EXPECT_THROW(decode_boundary_records(
-                   encode_boundary_records(records, /*with_sigmas=*/false),
-                   /*with_sigmas=*/true),
-               InvalidInput);
 }
 
 TEST(Serialize, EmptyBusStates) {
-  for (const bool with_sigmas : {false, true}) {
-    const auto bytes = encode_boundary_records({}, with_sigmas);
-    EXPECT_TRUE(decode_boundary_records(bytes, with_sigmas).empty());
-  }
+  const auto bytes = encode_boundary_records({});
+  EXPECT_TRUE(decode_boundary_records(bytes).empty());
 }
 
 TEST(Serialize, BusStatesRejectTrailingGarbage) {
-  for (const bool with_sigmas : {false, true}) {
-    auto bytes = encode_boundary_records({{1, 0.0, 1.0}}, with_sigmas);
-    bytes.push_back(0xff);
-    EXPECT_THROW(decode_boundary_records(bytes, with_sigmas), InvalidInput);
-  }
+  auto bytes = encode_boundary_records({{1, 0.0, 1.0}});
+  bytes.push_back(0xff);
+  EXPECT_THROW(decode_boundary_records(bytes), InvalidInput);
 }
 
 TEST(Serialize, MeasurementsRoundTrip) {
@@ -113,12 +81,9 @@ TEST(Serialize, StateRejectsMismatchedArrays) {
 }
 
 TEST(Serialize, TruncatedFrameRejected) {
-  for (const bool with_sigmas : {false, true}) {
-    const auto bytes = encode_boundary_records(
-        {{1, 0.5, 1.0}, {2, 0.1, 1.0}}, with_sigmas);
-    const std::vector<std::uint8_t> cut(bytes.begin(), bytes.end() - 5);
-    EXPECT_THROW(decode_boundary_records(cut, with_sigmas), InvalidInput);
-  }
+  const auto bytes = encode_boundary_records({{1, 0.5, 1.0}, {2, 0.1, 1.0}});
+  const std::vector<std::uint8_t> cut(bytes.begin(), bytes.end() - 5);
+  EXPECT_THROW(decode_boundary_records(cut), InvalidInput);
 }
 
 TEST(Serialize, CheckpointRoundTrips) {

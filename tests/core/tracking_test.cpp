@@ -23,6 +23,7 @@
 #include "grid/dc_powerflow.hpp"
 #include "grid/meas_generator.hpp"
 #include "grid/powerflow.hpp"
+#include "grid/topology.hpp"
 #include "io/synthetic.hpp"
 #include "obs/metrics.hpp"
 #include "runtime/inproc_comm.hpp"
@@ -290,16 +291,12 @@ TEST(TrackingPrior, CycleAfterADegradedOneStartsFlat) {
   cfg.mapping.num_clusters = 2;
   cfg.dse.exchange_deadline = std::chrono::milliseconds{100};
   DseSystem sys(io::ieee118_dse(), cfg);
-  // Rank 0 traces the subsystems it hosts in Step 2; their Step-1 info is
-  // its own only where it hosted Step 1 too.
+  // The report carries every rank's traces, one per subsystem.
   const auto all = [](const CycleReport& rep, bool warm) {
-    int checked = 0;
+    ASSERT_EQ(rep.dse.traces.size(), 9u);
     for (const SubsystemTrace& t : rep.dse.traces) {
-      if (t.step1_rank != 0) continue;
       EXPECT_EQ(t.step1.warm_start, warm) << t.subsystem;
-      ++checked;
     }
-    EXPECT_GT(checked, 0);
   };
   all(sys.run_cycle(0.0), false);
 
@@ -324,6 +321,101 @@ TEST(TrackingPrior, CycleAfterADegradedOneStartsFlat) {
   EXPECT_FALSE(after.dse.degraded_mode());
   all(after, false);
   all(sys.run_cycle(180.0), true);
+}
+
+// A cycle whose combine lost a rank's frame holds the flat default (θ = 0,
+// |V| = 1) at that rank's buses; the next cycle's topology anchors must read
+// the last complete estimate instead.
+TEST(TrackingPrior, LostCombineFrameKeepsTheLastCompleteEstimate) {
+  if (!fault::kEnabled) {
+    GTEST_SKIP() << "built with GRIDSE_FAULT=OFF";
+  }
+  SystemConfig cfg;
+  cfg.mapping.num_clusters = 2;
+  cfg.truth_mode = TruthMode::kDcLinearized;
+  cfg.topology.repartition_threshold = 0.0;
+  cfg.dse.exchange_deadline = std::chrono::milliseconds{100};
+  DseSystem sys(io::ieee118_dse(), cfg);
+  const CycleReport complete = sys.run_cycle(0.0);
+  ASSERT_TRUE(complete.dse.all_converged);
+
+  // Lose rank 1's combine frame (the combine tag is 2^18 + 2^17).
+  fault::FaultPlan plan;
+  plan.seed = 5;
+  fault::FaultRule rule;
+  rule.site = "mailbox.deliver";
+  rule.source = 1;
+  rule.tag_min = (1 << 18) + (1 << 17);
+  rule.tag_max = rule.tag_min;
+  plan.rules.push_back(rule);
+  fault::install(plan);
+  const CycleReport lossy = sys.run_cycle(60.0);
+  fault::clear();
+  ASSERT_EQ(lossy.dse.unresponsive_ranks, std::vector<int>{1});
+
+  // A breaker inside one of rank 1's subsystems whose opening leaves a
+  // live, unmetered piece of it: that piece gets a θ anchor at the prior
+  // estimate's angle (found with a sentinel prior).
+  const grid::Network& net = sys.network();
+  const std::vector<int>& owner = io::ieee118_dse().subsystem_of_bus;
+  const auto rank1 = [&](grid::BusIndex b) {
+    return lossy.map_step2.partition.assignment[static_cast<std::size_t>(
+               owner[static_cast<std::size_t>(b)])] == 1;
+  };
+  constexpr double kSentinel = 7.0;
+  grid::GridState sentinel(net.num_buses());
+  std::fill(sentinel.theta.begin(), sentinel.theta.end(), kSentinel);
+  std::size_t breaker = net.num_branches();
+  grid::BusIndex anchor_bus = -1;
+  for (std::size_t bi = 0; bi < net.num_branches() && anchor_bus < 0; ++bi) {
+    const grid::Branch& br = net.branch(bi);
+    if (owner[static_cast<std::size_t>(br.from)] !=
+            owner[static_cast<std::size_t>(br.to)] ||
+        !rank1(br.from)) {
+      continue;
+    }
+    grid::Network probe = net;
+    grid::LiveTopology live(probe);
+    live.apply({grid::TopologyEventKind::kBreakerOpen,
+                static_cast<std::int32_t>(bi), -1});
+    const grid::IslandReport islands = live.islands();
+    grid::MeasurementSet set =
+        grid::mask_measurements(probe, islands, sys.last_measurements())
+            .active;
+    const std::size_t before = set.items.size();
+    (void)grid::append_anchor_measurements(probe, islands, owner, sentinel,
+                                           set);
+    for (std::size_t i = before; i < set.items.size(); ++i) {
+      const grid::Measurement& m = set.items[i];
+      if (m.type == grid::MeasType::kVAngle && m.value == kSentinel &&
+          rank1(m.bus)) {
+        breaker = bi;
+        anchor_bus = m.bus;
+        break;
+      }
+    }
+  }
+  ASSERT_GE(anchor_bus, 0) << "no breaker leaves an unmetered live piece";
+  const double lost = lossy.dse.state.theta[static_cast<std::size_t>(
+      anchor_bus)];
+  const double kept = complete.dse.state.theta[static_cast<std::size_t>(
+      anchor_bus)];
+  ASSERT_EQ(lost, 0.0);  // the lost frame's flat default
+  ASSERT_NE(kept, 0.0);
+
+  sys.apply_topology_event({grid::TopologyEventKind::kBreakerOpen,
+                            static_cast<std::int32_t>(breaker), -1});
+  const CycleReport after = sys.run_cycle(120.0);
+  EXPECT_GT(after.topology.anchors_added, 0u);
+  int anchors = 0;
+  for (const grid::Measurement& m : sys.last_measurements().items) {
+    if (m.type == grid::MeasType::kVAngle && m.bus == anchor_bus &&
+        m.sigma == grid::kAnchorSigma) {
+      EXPECT_DOUBLE_EQ(m.value, kept);
+      ++anchors;
+    }
+  }
+  EXPECT_EQ(anchors, 1);
 }
 
 // --- Models kept across frames ----------------------------------------------

@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
 
+#include "../fuzz_mutation.hpp"
 #include "fault/fault.hpp"
 #include "fault/topology_replay.hpp"
 #include "io/synthetic.hpp"
@@ -17,36 +19,11 @@ namespace {
 
 constexpr int kMutationsPerSeed = 400;
 
-/// One seeded mutation of `text`: truncate it, flip one to three bits, or
-/// insert a byte (half the time a JSON-significant one).
+/// The characters that carry JSON's syntax.
+constexpr std::string_view kJsonSignificant = "{}[]\",:.-+eE0123456789";
+
 std::string mutate(const std::string& text, Rng& rng) {
-  std::string out = text;
-  const auto pos = [&](std::size_t size) {
-    return static_cast<std::size_t>(
-        rng.uniform_int(0, static_cast<std::int64_t>(size) - 1));
-  };
-  switch (rng.uniform_int(0, 2)) {
-    case 0:
-      out.resize(pos(out.size()));
-      break;
-    case 1:
-      for (std::int64_t flips = rng.uniform_int(1, 3); flips > 0; --flips) {
-        char& byte = out[pos(out.size())];
-        byte = static_cast<char>(byte ^ (1 << rng.uniform_int(0, 7)));
-      }
-      break;
-    default: {
-      static constexpr char kSignificant[] = "{}[]\",:.-+eE0123456789";
-      const char byte =
-          rng.bernoulli(0.5)
-              ? kSignificant[pos(sizeof kSignificant - 1)]
-              : static_cast<char>(rng.uniform_int(0, 255));
-      out.insert(out.begin() + static_cast<std::ptrdiff_t>(pos(out.size() + 1)),
-                 byte);
-      break;
-    }
-  }
-  return out;
+  return fuzz::mutate(text, rng, kJsonSignificant);
 }
 
 TEST(TopologyReplayPlanFuzz, MutatedPlansThrowOrRoundTrip) {
