@@ -6,6 +6,8 @@
 // and reports the condition-number effect.
 #include <benchmark/benchmark.h>
 
+#include "decomp/decomposition.hpp"
+#include "decomp/subsystem_model.hpp"
 #include "estimation/wls.hpp"
 #include "grid/meas_generator.hpp"
 #include "grid/powerflow.hpp"
@@ -61,6 +63,33 @@ const GainSystem& gain_wecc() {
   return sys;
 }
 
+/// The largest subsystem of the 10k tier (the generator's own split), as
+/// its Step-1 local network. A subsystem without the global slack gets its
+/// first bus as the reference, as its local estimate is anchored there.
+const GainSystem& gain_subsystem10k() {
+  static const GainSystem sys = [] {
+    const io::GeneratedCase gc = io::interconnection10k();
+    const decomp::Decomposition d =
+        decomp::decompose(gc.kase.network, gc.subsystem_of_bus);
+    int largest = 0;
+    for (int s = 1; s < d.num_subsystems(); ++s) {
+      if (d.subsystems[static_cast<std::size_t>(s)].buses.size() >
+          d.subsystems[static_cast<std::size_t>(largest)].buses.size()) {
+        largest = s;
+      }
+    }
+    grid::Network local =
+        decomp::extract_local(gc.kase.network, d, largest).network;
+    bool has_slack = false;
+    for (const grid::Bus& bus : local.buses()) {
+      has_slack = has_slack || bus.type == grid::BusType::kSlack;
+    }
+    if (!has_slack) local.set_bus_type(0, grid::BusType::kSlack, 1.0);
+    return make_gain(local);
+  }();
+  return sys;
+}
+
 void bench_pcg(benchmark::State& state, const GainSystem& sys,
                sparse::PreconditionerKind kind) {
   int iterations = 0;
@@ -86,6 +115,9 @@ void bench_ldlt(benchmark::State& state, const GainSystem& sys) {
   // Fill of the AMD-ordered factor: deterministic for the pattern, so a
   // change means the ordering changed.
   state.counters["factor_nnz"] = static_cast<double>(factor_nnz);
+  // Panels the supernodal kernel runs over (advisory).
+  state.counters["supernodes"] = static_cast<double>(
+      sparse::SymbolicPlan::analyze(sys.gain).supernodes().size());
 }
 
 void BM_Pcg14_None(benchmark::State& s) {
@@ -121,6 +153,9 @@ void BM_PcgWecc_None(benchmark::State& s) {
   bench_pcg(s, gain_wecc(), sparse::PreconditionerKind::kNone);
 }
 void BM_LdltWecc(benchmark::State& s) { bench_ldlt(s, gain_wecc()); }
+void BM_LdltSubsystem10k(benchmark::State& s) {
+  bench_ldlt(s, gain_subsystem10k());
+}
 
 BENCHMARK(BM_Pcg14_None);
 BENCHMARK(BM_Pcg14_Jacobi);
@@ -135,6 +170,7 @@ BENCHMARK(BM_Ldlt118);
 BENCHMARK(BM_PcgWecc_None);
 BENCHMARK(BM_PcgWecc_Ic0);
 BENCHMARK(BM_LdltWecc);
+BENCHMARK(BM_LdltSubsystem10k);
 
 /// Full WLS estimation, PCG (preconditioned by the solve's first LDLt
 /// factor) vs LDLt every iteration, IEEE 118.

@@ -9,12 +9,13 @@
 
 namespace gridse::sparse {
 
-/// Sparse simplicial LDLᵀ factorization of a symmetric matrix (up-looking,
-/// elimination-tree based). It is the direct solver of the solver ablation
+/// Sparse supernodal LDLᵀ factorization of a symmetric matrix (left-looking
+/// over the fundamental supernodes of a SymbolicPlan, dense kernels inside
+/// each supernode's panel). It is the direct solver of the solver ablation
 /// and, through LdltPreconditioner, the default preconditioner of the WLS
-/// PCG. One code path: a SymbolicPlan holds the ordering and the factor
-/// pattern, detail::ldlt_numeric fills the factor and detail::ldlt_solve
-/// applies it.
+/// PCG. One code path: the plan holds the ordering and the supernode
+/// partition with its row structures and panel layout; factorize fills the
+/// panels and solve applies them.
 class SparseLdlt {
  public:
   /// Factor `a` (must be structurally and numerically symmetric) under an
@@ -39,20 +40,42 @@ class SparseLdlt {
   void solve(std::span<const double> b, std::span<double> x);
 
   [[nodiscard]] bool factored() const { return plan_ != nullptr; }
-  [[nodiscard]] std::size_t factor_nnz() const { return lx_.size(); }
+  /// Entries of the strict lower triangle of L (the structural count; the
+  /// panels also hold each diagonal block's unused upper triangle).
+  [[nodiscard]] std::size_t factor_nnz() const {
+    return plan_ ? plan_->factor_nnz() : 0;
+  }
   /// Smallest pivot of D; ≤ 0 means the factored matrix was not positive
   /// definite.
   [[nodiscard]] double min_pivot() const;
 
  private:
-  // L's row indices and values in the plan's column layout (strict lower,
-  // CSC, unit diagonal implicit), and the pivots D.
-  std::vector<Index> li_;
+  /// A factored supernode waiting to update later ones: the next in its
+  /// queue, and its first panel row not yet applied.
+  struct Pending {
+    Index next = -1;
+    Index pos = 0;
+  };
+  /// Workspace of the numeric factorization, reused across calls.
+  struct Scratch {
+    std::vector<Index> relmap;      // row → position in the current panel
+    std::vector<Index> head;        // supernode → first queued descendant
+    std::vector<Pending> pending;   // per supernode
+    std::vector<double> coef;       // two rows of L·D
+    std::vector<double> update;     // two scattered update columns
+  };
+
+  void solve_permuted(std::span<const double> b, std::span<double> x,
+                      std::span<double> work, std::span<double> gather) const;
+
+  // The supernode panels, laid out by the plan: column-major, unit-lower L
+  // with D on the diagonal of each leading square block.
   std::vector<double> lx_;
   std::vector<double> d_;
   std::shared_ptr<const SymbolicPlan> plan_;
-  detail::LdltScratch scratch_;
+  Scratch scratch_;
   std::vector<double> work_;
+  std::vector<double> gather_;
 };
 
 }  // namespace gridse::sparse

@@ -66,7 +66,7 @@ SymbolicPlan SymbolicPlan::analyze(const Csr& a) {
   }
 
   // --- elimination tree and per-column factor counts over B -----------------
-  plan.parent_.assign(static_cast<std::size_t>(n), -1);
+  std::vector<Index> parent(static_cast<std::size_t>(n), -1);
   std::vector<Index> lnz(static_cast<std::size_t>(n), 0);
   std::vector<Index> flag(static_cast<std::size_t>(n), -1);
   for (Index k = 0; k < n; ++k) {
@@ -77,149 +77,101 @@ SymbolicPlan SymbolicPlan::analyze(const Csr& a) {
       Index i = plan.ap_col_[static_cast<std::size_t>(p)];
       if (i >= k) break;
       for (; flag[static_cast<std::size_t>(i)] != k;
-           i = plan.parent_[static_cast<std::size_t>(i)]) {
-        if (plan.parent_[static_cast<std::size_t>(i)] == -1) {
-          plan.parent_[static_cast<std::size_t>(i)] = k;
+           i = parent[static_cast<std::size_t>(i)]) {
+        if (parent[static_cast<std::size_t>(i)] == -1) {
+          parent[static_cast<std::size_t>(i)] = k;
         }
         ++lnz[static_cast<std::size_t>(i)];
         flag[static_cast<std::size_t>(i)] = k;
       }
     }
   }
-  plan.lp_.assign(static_cast<std::size_t>(n) + 1, 0);
-  for (Index k = 0; k < n; ++k) {
-    plan.lp_[static_cast<std::size_t>(k) + 1] =
-        plan.lp_[static_cast<std::size_t>(k)] + lnz[static_cast<std::size_t>(k)];
+  for (const Index c : lnz) plan.factor_nnz_ += static_cast<std::size_t>(c);
+
+  // --- fundamental supernodes -----------------------------------------------
+  // Column j joins j-1's supernode iff j is j-1's parent, j-1 is j's only
+  // child, and j's column is j-1's minus its diagonal row. No relaxed
+  // amalgamation: the panels then hold exactly the structural L.
+  std::vector<Index> children(static_cast<std::size_t>(n), 0);
+  for (Index j = 0; j < n; ++j) {
+    const Index p = parent[static_cast<std::size_t>(j)];
+    if (p >= 0) ++children[static_cast<std::size_t>(p)];
+  }
+  plan.col_super_.resize(static_cast<std::size_t>(n));
+  for (Index j = 0; j < n; ++j) {
+    const auto uj = static_cast<std::size_t>(j);
+    const bool extends = j > 0 && parent[uj - 1] == j &&
+                         children[uj] == 1 && lnz[uj - 1] == lnz[uj] + 1;
+    if (extends) {
+      ++plan.supernodes_.back().width;
+    } else {
+      plan.supernodes_.push_back({j, 1, 0, 0, 0});
+    }
+    plan.col_super_[uj] = static_cast<Index>(plan.supernodes_.size()) - 1;
+  }
+  // Row counts and offsets: the last column's structure is the rows below
+  // the diagonal block.
+  Index row_begin = 0;
+  for (Supernode& sn : plan.supernodes_) {
+    const Index last = sn.first + sn.width - 1;
+    sn.row_begin = row_begin;
+    sn.rows = sn.width + lnz[static_cast<std::size_t>(last)];
+    sn.value_offset = plan.panel_size_;
+    row_begin += sn.rows;
+    plan.panel_size_ +=
+        static_cast<std::size_t>(sn.rows) * static_cast<std::size_t>(sn.width);
+    plan.max_below_ = std::max(plan.max_below_, sn.rows - sn.width);
+  }
+
+  // Row structure of each supernode: its columns, then the union of A's
+  // entries below the diagonal block and its child supernodes' rows beyond
+  // its last column. Children precede parents in column order.
+  const auto ns = plan.supernodes_.size();
+  plan.super_rows_.resize(static_cast<std::size_t>(row_begin));
+  std::vector<Index> child_head(ns, -1);
+  std::vector<Index> child_next(ns, -1);
+  std::fill(flag.begin(), flag.end(), -1);
+  for (std::size_t s = 0; s < ns; ++s) {
+    const Supernode& sn = plan.supernodes_[s];
+    const Index last = sn.first + sn.width - 1;
+    auto out = plan.super_rows_.begin() + sn.row_begin;
+    for (Index j = sn.first; j <= last; ++j) *out++ = j;
+    const auto below_begin = out;
+    const auto add = [&](Index i) {
+      if (i > last && flag[static_cast<std::size_t>(i)] !=
+                          static_cast<Index>(s)) {
+        flag[static_cast<std::size_t>(i)] = static_cast<Index>(s);
+        *out++ = i;
+      }
+    };
+    for (Index j = sn.first; j <= last; ++j) {
+      const Index e = plan.ap_ptr_[static_cast<std::size_t>(j) + 1];
+      for (Index p = e - 1; p >= plan.ap_ptr_[static_cast<std::size_t>(j)];
+           --p) {
+        const Index i = plan.ap_col_[static_cast<std::size_t>(p)];
+        if (i <= last) break;
+        add(i);
+      }
+    }
+    for (Index c = child_head[s]; c >= 0;
+         c = child_next[static_cast<std::size_t>(c)]) {
+      const Supernode& cn = plan.supernodes_[static_cast<std::size_t>(c)];
+      for (Index p = cn.row_begin + cn.width; p < cn.row_begin + cn.rows;
+           ++p) {
+        add(plan.super_rows_[static_cast<std::size_t>(p)]);
+      }
+    }
+    std::sort(below_begin, out);
+    GRIDSE_CHECK(out == plan.super_rows_.begin() + sn.row_begin + sn.rows);
+    const Index up = parent[static_cast<std::size_t>(last)];
+    if (up >= 0) {
+      const auto ps = static_cast<std::size_t>(
+          plan.col_super_[static_cast<std::size_t>(up)]);
+      child_next[s] = child_head[ps];
+      child_head[ps] = static_cast<Index>(s);
+    }
   }
   return plan;
 }
-
-namespace detail {
-
-void LdltScratch::resize(Index n) {
-  const auto un = static_cast<std::size_t>(n);
-  if (y.size() < un) {
-    y.assign(un, 0.0);
-    pattern.resize(un);
-    flag.resize(un);
-    lnz.resize(un);
-  }
-}
-
-void ldlt_numeric(const SymbolicPlan& plan, const Csr& a, std::span<Index> li,
-                  std::span<double> lx, std::span<double> d,
-                  LdltScratch& scratch) {
-  const Index n = plan.dim();
-  GRIDSE_CHECK(a.rows() == n && a.cols() == n);
-  GRIDSE_CHECK(static_cast<std::uint64_t>(a.nnz()) == plan.fingerprint().nnz);
-  GRIDSE_CHECK(li.size() == plan.factor_nnz() && lx.size() == li.size() &&
-               static_cast<Index>(d.size()) == n);
-  scratch.resize(n);
-  const auto ap = plan.permuted_row_ptr();
-  const auto ac = plan.permuted_col_idx();
-  const auto amap = plan.value_map();
-  const auto parent = plan.etree();
-  const auto lp = plan.l_col_ptr();
-  const auto aval = a.values();
-
-  std::span<double> y(scratch.y.data(), static_cast<std::size_t>(n));
-  std::span<Index> pattern(scratch.pattern.data(), static_cast<std::size_t>(n));
-  std::span<Index> flag(scratch.flag.data(), static_cast<std::size_t>(n));
-  std::span<Index> lnz(scratch.lnz.data(), static_cast<std::size_t>(n));
-  std::fill(flag.begin(), flag.end(), -1);
-  std::fill(lnz.begin(), lnz.end(), 0);
-  std::fill(y.begin(), y.end(), 0.0);
-
-  for (Index k = 0; k < n; ++k) {
-    Index top = n;
-    flag[static_cast<std::size_t>(k)] = k;
-    const Index b = ap[static_cast<std::size_t>(k)];
-    const Index e = ap[static_cast<std::size_t>(k) + 1];
-    double akk = 0.0;
-    for (Index p = b; p < e; ++p) {
-      const Index i = ac[static_cast<std::size_t>(p)];
-      if (i > k) break;
-      const double v = aval[static_cast<std::size_t>(
-          amap[static_cast<std::size_t>(p)])];
-      if (i == k) {
-        akk = v;
-        continue;
-      }
-      y[static_cast<std::size_t>(i)] += v;
-      Index len = 0;
-      Index node = i;
-      for (; flag[static_cast<std::size_t>(node)] != k;
-           node = parent[static_cast<std::size_t>(node)]) {
-        pattern[static_cast<std::size_t>(len++)] = node;
-        flag[static_cast<std::size_t>(node)] = k;
-      }
-      while (len > 0) {
-        pattern[static_cast<std::size_t>(--top)] =
-            pattern[static_cast<std::size_t>(--len)];
-      }
-    }
-    d[static_cast<std::size_t>(k)] = akk;
-    for (Index t = top; t < n; ++t) {
-      const Index i = pattern[static_cast<std::size_t>(t)];
-      const double yi = y[static_cast<std::size_t>(i)];
-      y[static_cast<std::size_t>(i)] = 0.0;
-      const Index pb = lp[static_cast<std::size_t>(i)];
-      const Index pe = pb + lnz[static_cast<std::size_t>(i)];
-      for (Index p = pb; p < pe; ++p) {
-        y[static_cast<std::size_t>(li[static_cast<std::size_t>(p)])] -=
-            lx[static_cast<std::size_t>(p)] * yi;
-      }
-      const double lki = yi / d[static_cast<std::size_t>(i)];
-      d[static_cast<std::size_t>(k)] -= lki * yi;
-      li[static_cast<std::size_t>(pe)] = k;
-      lx[static_cast<std::size_t>(pe)] = lki;
-      ++lnz[static_cast<std::size_t>(i)];
-    }
-    if (d[static_cast<std::size_t>(k)] == 0.0) {
-      throw ConvergenceFailure("sparse LDLt: zero pivot at column " +
-                               std::to_string(k));
-    }
-  }
-}
-
-void ldlt_solve(const SymbolicPlan& plan, std::span<const Index> li,
-                std::span<const double> lx, std::span<const double> d,
-                std::span<const double> b, std::span<double> x,
-                std::span<double> work) {
-  const Index n = plan.dim();
-  GRIDSE_CHECK(static_cast<Index>(b.size()) == n &&
-               static_cast<Index>(x.size()) == n &&
-               static_cast<Index>(work.size()) == n);
-  const auto perm = plan.perm();
-  const auto lp = plan.l_col_ptr();
-  for (std::size_t i = 0; i < static_cast<std::size_t>(n); ++i) {
-    work[i] = b[static_cast<std::size_t>(perm[i])];
-  }
-  for (Index j = 0; j < n; ++j) {
-    const double wj = work[static_cast<std::size_t>(j)];
-    for (Index p = lp[static_cast<std::size_t>(j)];
-         p < lp[static_cast<std::size_t>(j) + 1]; ++p) {
-      work[static_cast<std::size_t>(li[static_cast<std::size_t>(p)])] -=
-          lx[static_cast<std::size_t>(p)] * wj;
-    }
-  }
-  for (std::size_t i = 0; i < static_cast<std::size_t>(n); ++i) {
-    work[i] /= d[i];
-  }
-  for (Index j = n - 1; j >= 0; --j) {
-    double wj = work[static_cast<std::size_t>(j)];
-    for (Index p = lp[static_cast<std::size_t>(j)];
-         p < lp[static_cast<std::size_t>(j) + 1]; ++p) {
-      wj -= lx[static_cast<std::size_t>(p)] *
-            work[static_cast<std::size_t>(li[static_cast<std::size_t>(p)])];
-    }
-    work[static_cast<std::size_t>(j)] = wj;
-  }
-  for (std::size_t i = 0; i < static_cast<std::size_t>(n); ++i) {
-    x[static_cast<std::size_t>(perm[i])] = work[i];
-  }
-}
-
-}  // namespace detail
 
 }  // namespace gridse::sparse

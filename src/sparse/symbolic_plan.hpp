@@ -32,15 +32,13 @@ struct PatternFingerprint {
 
 template <typename T>
 PatternFingerprint fingerprint_pattern(const CsrMatrix<T>& a) {
+  // FNV-1a over 32-bit words: one multiply per index, every index hashed.
   constexpr std::uint64_t kOffset = 1469598103934665603ULL;
   constexpr std::uint64_t kPrime = 1099511628211ULL;
   std::uint64_t h = kOffset;
   const auto mix = [&](Index v) {
-    auto u = static_cast<std::uint32_t>(v);
-    for (int b = 0; b < 4; ++b) {
-      h ^= (u >> (8 * b)) & 0xffU;
-      h *= kPrime;
-    }
+    h ^= static_cast<std::uint32_t>(v);
+    h *= kPrime;
   };
   for (const Index v : a.row_ptr()) mix(v);
   for (const Index v : a.col_idx()) mix(v);
@@ -50,10 +48,11 @@ PatternFingerprint fingerprint_pattern(const CsrMatrix<T>& a) {
 /// Everything about factoring a fixed sparsity pattern that does not depend
 /// on the numeric values: the fill-reducing ordering, the symmetrically
 /// permuted pattern with a gather map back into the source value array, and
-/// the elimination tree and LDLᵀ column pointers. Computed once per
-/// (subsystem, topology) and reused across solves and DSE cycles; the
-/// fingerprint is the invalidation token — a topology change alters the
-/// gain pattern, the fingerprint stops matching, and the plan is rebuilt.
+/// the fundamental supernodes of the LDLᵀ factor (from its elimination tree)
+/// with their row structures. Computed once per (subsystem, topology) and
+/// reused across solves and DSE cycles; the fingerprint is the invalidation
+/// token — a topology change alters the gain pattern, the fingerprint stops
+/// matching, and the plan is rebuilt.
 class SymbolicPlan {
  public:
   /// Analyze the pattern of symmetric matrix `a` under an approximate
@@ -80,13 +79,38 @@ class SymbolicPlan {
   /// value_map()[p] is the offset in a.values() holding B's p-th entry, so a
   /// numeric refactorization gathers values without rebuilding triplets.
   [[nodiscard]] std::span<const Index> value_map() const { return ap_map_; }
-  /// Elimination tree over the permuted pattern (-1 = root).
-  [[nodiscard]] std::span<const Index> etree() const { return parent_; }
-  /// Column pointers of the LDLᵀ factor L (strict lower, CSC).
-  [[nodiscard]] std::span<const Index> l_col_ptr() const { return lp_; }
-  [[nodiscard]] std::size_t factor_nnz() const {
-    return lp_.empty() ? 0 : static_cast<std::size_t>(lp_.back());
+  /// Entries of the strict lower triangle of the structural factor L.
+  [[nodiscard]] std::size_t factor_nnz() const { return factor_nnz_; }
+
+  /// One fundamental supernode: a chain of the elimination tree whose
+  /// columns share one row structure below the diagonal block, so its part
+  /// of L is a dense panel. It owns the columns [first, first + width); its
+  /// `rows` row indices start at super_rows()[row_begin] (its own columns,
+  /// then the rows below the diagonal block, increasing); its panel of
+  /// rows × width values starts at `value_offset` in the factor.
+  struct Supernode {
+    Index first = 0;
+    Index width = 0;
+    Index row_begin = 0;
+    Index rows = 0;
+    std::size_t value_offset = 0;
+  };
+  /// The supernodes in column order.
+  [[nodiscard]] std::span<const Supernode> supernodes() const {
+    return supernodes_;
   }
+  [[nodiscard]] std::span<const Index> super_rows() const {
+    return super_rows_;
+  }
+  /// Supernode owning each column.
+  [[nodiscard]] std::span<const Index> col_super() const {
+    return col_super_;
+  }
+  /// Values in all panels (the structural L, the pivots, and each diagonal
+  /// block's unused upper triangle).
+  [[nodiscard]] std::size_t panel_size() const { return panel_size_; }
+  /// Most rows below any diagonal block.
+  [[nodiscard]] Index max_below() const { return max_below_; }
 
  private:
   PatternFingerprint fp_;
@@ -95,38 +119,12 @@ class SymbolicPlan {
   std::vector<Index> ap_ptr_;
   std::vector<Index> ap_col_;
   std::vector<Index> ap_map_;
-  std::vector<Index> parent_;
-  std::vector<Index> lp_;
+  std::size_t factor_nnz_ = 0;
+  std::vector<Supernode> supernodes_;
+  std::vector<Index> super_rows_;
+  std::vector<Index> col_super_;
+  std::size_t panel_size_ = 0;
+  Index max_below_ = 0;
 };
-
-namespace detail {
-
-/// Scratch arrays for the plan-driven numeric LDLᵀ kernel, reusable across
-/// factorizations.
-struct LdltScratch {
-  std::vector<double> y;
-  std::vector<Index> pattern;
-  std::vector<Index> flag;
-  std::vector<Index> lnz;
-
-  void resize(Index n);
-};
-
-/// Numeric up-looking LDLᵀ over a precomputed SymbolicPlan: gathers the
-/// permuted values of `a` through the plan's value map and fills `li`, `lx`
-/// (sized plan.factor_nnz()) and `d` (sized plan.dim()). No allocation.
-/// Throws ConvergenceFailure on a zero pivot.
-void ldlt_numeric(const SymbolicPlan& plan, const Csr& a, std::span<Index> li,
-                  std::span<double> lx, std::span<double> d,
-                  LdltScratch& scratch);
-
-/// Solve A x = b with a factor produced by ldlt_numeric. `work` must have
-/// plan.dim() doubles; b and x may not alias work.
-void ldlt_solve(const SymbolicPlan& plan, std::span<const Index> li,
-                std::span<const double> lx, std::span<const double> d,
-                std::span<const double> b, std::span<double> x,
-                std::span<double> work);
-
-}  // namespace detail
 
 }  // namespace gridse::sparse

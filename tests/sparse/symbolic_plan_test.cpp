@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 
 #include "sparse/ldlt.hpp"
@@ -81,6 +82,27 @@ TEST(PatternFingerprint, PatternChangeBreaksMatch) {
   const SymbolicPlan plan = SymbolicPlan::analyze(a);
   EXPECT_TRUE(plan.matches(a));
   EXPECT_FALSE(plan.matches(grown));
+}
+
+TEST(PatternFingerprint, MovedColumnIndexBreaksMatch) {
+  // Same row pointers and entry count; one column index moves by one.
+  const Csr a = Csr::from_triplets(
+      3, 3, {{0, 0, 1.0}, {0, 1, 1.0}, {1, 1, 1.0}, {2, 2, 1.0}});
+  const Csr moved = Csr::from_triplets(
+      3, 3, {{0, 0, 1.0}, {0, 2, 1.0}, {1, 1, 1.0}, {2, 2, 1.0}});
+  ASSERT_TRUE(std::ranges::equal(a.row_ptr(), moved.row_ptr()));
+  EXPECT_NE(fingerprint_pattern(a), fingerprint_pattern(moved));
+}
+
+TEST(PatternFingerprint, MovedRowBoundaryBreaksMatch) {
+  // Same column indices in the same order and entry count; one entry moves
+  // from the end of row 0 to the start of row 1.
+  const Csr a = Csr::from_triplets(
+      3, 3, {{0, 0, 1.0}, {0, 1, 1.0}, {1, 2, 1.0}, {2, 2, 1.0}});
+  const Csr moved = Csr::from_triplets(
+      3, 3, {{0, 0, 1.0}, {1, 1, 1.0}, {1, 2, 1.0}, {2, 2, 1.0}});
+  ASSERT_TRUE(std::ranges::equal(a.col_idx(), moved.col_idx()));
+  EXPECT_NE(fingerprint_pattern(a), fingerprint_pattern(moved));
 }
 
 TEST(SymbolicPlan, PlanDrivenLdltMatchesFromScratch) {
