@@ -1,10 +1,14 @@
-// Ablation bench (google-benchmark): the linear-solver choice inside the
-// WLS gain-matrix solve — the paper's §IV-C motivates the preconditioned CG
-// ("the condition number of  is significantly lower than that of A, to make
-// the equation converge faster"). Compares PCG preconditioners and the
-// direct LDLt baseline on real gain matrices from the IEEE 14/118 systems,
-// and reports the condition-number effect.
+// Solver bench (google-benchmark): the WLS gain-matrix solve the paper's
+// §IV-C motivates with the preconditioned CG ("the condition number of  is
+// significantly lower than that of A, to make the equation converge
+// faster"). On real gain matrices of the IEEE 14/118 and WECC systems it
+// times the two halves of the shipped solve apart: BM_Ldlt* the LDLt factor
+// of a solve's first gain, BM_Pcg* PCG on a later, moved gain
+// preconditioned by that factor. BM_Wls118_Pcg times a whole estimate, and
+// main() reports the condition-number effect.
 #include <benchmark/benchmark.h>
+
+#include <memory>
 
 #include "decomp/decomposition.hpp"
 #include "decomp/subsystem_model.hpp"
@@ -17,6 +21,7 @@
 #include "sparse/dense.hpp"
 #include "sparse/ldlt.hpp"
 #include "sparse/normal_equations.hpp"
+#include "sparse/preconditioner.hpp"
 #include "sparse/vector_ops.hpp"
 #include "util/rng.hpp"
 
@@ -24,12 +29,18 @@ namespace {
 
 using namespace gridse;
 
+/// The first and a later gain of one WLS solve, and the later one's rhs.
 struct GainSystem {
+  /// The gain at flat start: the one WLS factors on its first iteration.
   sparse::Csr gain;
+  /// The gain at the power-flow state: a nearby gain of the same pattern,
+  /// as WLS solves after its first iteration.
+  sparse::Csr moved_gain;
+  /// Hᵀ W r at the power-flow state.
   std::vector<double> rhs;
 };
 
-/// Build the flat-start WLS gain system for a case.
+/// Build the flat-start and power-flow-state WLS gain systems for a case.
 GainSystem make_gain(const grid::Network& network) {
   const grid::PowerFlowResult pf = grid::solve_power_flow(network);
   grid::MeasurementGenerator gen(network, {});
@@ -37,13 +48,14 @@ GainSystem make_gain(const grid::Network& network) {
   const grid::MeasurementSet set = gen.generate(pf.state, rng);
   const grid::StateIndex index(network.num_buses(), network.slack_bus());
   const grid::MeasurementModel model(network, index);
-  const grid::GridState flat(network.num_buses());
-  const sparse::Csr h = model.jacobian(set, flat);
   const std::vector<double> w = set.weights();
   GainSystem sys;
-  sys.gain = sparse::normal_matrix(h, w);
+  sys.gain = sparse::normal_matrix(
+      model.jacobian(set, grid::GridState(network.num_buses())), w);
+  const sparse::Csr h = model.jacobian(set, pf.state);
+  sys.moved_gain = sparse::normal_matrix(h, w);
   const std::vector<double> r = sparse::subtract(set.values(),
-                                                 model.evaluate(set, flat));
+                                                 model.evaluate(set, pf.state));
   sys.rhs = sparse::normal_rhs(h, w, r);
   return sys;
 }
@@ -90,24 +102,31 @@ const GainSystem& gain_subsystem10k() {
   return sys;
 }
 
-void bench_pcg(benchmark::State& state, const GainSystem& sys,
-               sparse::PreconditionerKind kind) {
+/// PCG on the moved gain, preconditioned by the first gain's LDLt factor.
+void bench_pcg(benchmark::State& state, const GainSystem& sys) {
+  const sparse::LdltPreconditioner precond(sys.gain);
+  sparse::CgOptions opts;
+  opts.tolerance = 1e-12;  // the WLS inner tolerance
   int iterations = 0;
   for (auto _ : state) {
-    const auto precond = sparse::make_preconditioner(kind, sys.gain);
     std::vector<double> x(sys.rhs.size(), 0.0);
-    const sparse::CgReport rep = sparse::pcg(sys.gain, sys.rhs, x, *precond);
+    const sparse::CgReport rep =
+        sparse::pcg(sys.moved_gain, sys.rhs, x, precond, opts);
     iterations = rep.iterations;
     benchmark::DoNotOptimize(x.data());
   }
   state.counters["cg_iters"] = iterations;
 }
 
+/// Numeric LDLt factor and solve over a plan analyzed once, outside the
+/// timed loop, as every caller of a SolverCache plan runs it.
 void bench_ldlt(benchmark::State& state, const GainSystem& sys) {
+  const auto plan = std::make_shared<const sparse::SymbolicPlan>(
+      sparse::SymbolicPlan::analyze(sys.gain));
   std::size_t factor_nnz = 0;
   for (auto _ : state) {
     sparse::SparseLdlt ldlt;
-    ldlt.factorize(sys.gain);
+    ldlt.factorize(sys.gain, plan);
     auto x = ldlt.solve(sys.rhs);
     factor_nnz = ldlt.factor_nnz();
     benchmark::DoNotOptimize(x.data());
@@ -116,65 +135,30 @@ void bench_ldlt(benchmark::State& state, const GainSystem& sys) {
   // change means the ordering changed.
   state.counters["factor_nnz"] = static_cast<double>(factor_nnz);
   // Panels the supernodal kernel runs over (advisory).
-  state.counters["supernodes"] = static_cast<double>(
-      sparse::SymbolicPlan::analyze(sys.gain).supernodes().size());
+  state.counters["supernodes"] = static_cast<double>(plan->supernodes().size());
 }
 
-void BM_Pcg14_None(benchmark::State& s) {
-  bench_pcg(s, gain14(), sparse::PreconditionerKind::kNone);
-}
-void BM_Pcg14_Jacobi(benchmark::State& s) {
-  bench_pcg(s, gain14(), sparse::PreconditionerKind::kJacobi);
-}
-void BM_Pcg14_Ssor(benchmark::State& s) {
-  bench_pcg(s, gain14(), sparse::PreconditionerKind::kSsor);
-}
-void BM_Pcg14_Ic0(benchmark::State& s) {
-  bench_pcg(s, gain14(), sparse::PreconditionerKind::kIc0);
-}
+void BM_Pcg14(benchmark::State& s) { bench_pcg(s, gain14()); }
 void BM_Ldlt14(benchmark::State& s) { bench_ldlt(s, gain14()); }
-void BM_Pcg118_None(benchmark::State& s) {
-  bench_pcg(s, gain118(), sparse::PreconditionerKind::kNone);
-}
-void BM_Pcg118_Jacobi(benchmark::State& s) {
-  bench_pcg(s, gain118(), sparse::PreconditionerKind::kJacobi);
-}
-void BM_Pcg118_Ssor(benchmark::State& s) {
-  bench_pcg(s, gain118(), sparse::PreconditionerKind::kSsor);
-}
-void BM_Pcg118_Ic0(benchmark::State& s) {
-  bench_pcg(s, gain118(), sparse::PreconditionerKind::kIc0);
-}
+void BM_Pcg118(benchmark::State& s) { bench_pcg(s, gain118()); }
 void BM_Ldlt118(benchmark::State& s) { bench_ldlt(s, gain118()); }
-void BM_PcgWecc_Ic0(benchmark::State& s) {
-  bench_pcg(s, gain_wecc(), sparse::PreconditionerKind::kIc0);
-}
-void BM_PcgWecc_None(benchmark::State& s) {
-  bench_pcg(s, gain_wecc(), sparse::PreconditionerKind::kNone);
-}
+void BM_PcgWecc(benchmark::State& s) { bench_pcg(s, gain_wecc()); }
 void BM_LdltWecc(benchmark::State& s) { bench_ldlt(s, gain_wecc()); }
 void BM_LdltSubsystem10k(benchmark::State& s) {
   bench_ldlt(s, gain_subsystem10k());
 }
 
-BENCHMARK(BM_Pcg14_None);
-BENCHMARK(BM_Pcg14_Jacobi);
-BENCHMARK(BM_Pcg14_Ssor);
-BENCHMARK(BM_Pcg14_Ic0);
+BENCHMARK(BM_Pcg14);
 BENCHMARK(BM_Ldlt14);
-BENCHMARK(BM_Pcg118_None);
-BENCHMARK(BM_Pcg118_Jacobi);
-BENCHMARK(BM_Pcg118_Ssor);
-BENCHMARK(BM_Pcg118_Ic0);
+BENCHMARK(BM_Pcg118);
 BENCHMARK(BM_Ldlt118);
-BENCHMARK(BM_PcgWecc_None);
-BENCHMARK(BM_PcgWecc_Ic0);
+BENCHMARK(BM_PcgWecc);
 BENCHMARK(BM_LdltWecc);
 BENCHMARK(BM_LdltSubsystem10k);
 
-/// Full WLS estimation, PCG (preconditioned by the solve's first LDLt
-/// factor) vs LDLt every iteration, IEEE 118.
-void BM_Wls118(benchmark::State& state, estimation::LinearSolver solver) {
+/// Full WLS estimation, IEEE 118: PCG preconditioned by the solve's first
+/// LDLt factor.
+void BM_Wls118_Pcg(benchmark::State& state) {
   static const io::GeneratedCase generated = io::ieee118_dse();
   static const grid::PowerFlowResult pf =
       grid::solve_power_flow(generated.kase.network);
@@ -183,12 +167,10 @@ void BM_Wls118(benchmark::State& state, estimation::LinearSolver solver) {
     Rng rng(5);
     return gen.generate(pf.state, rng);
   }();
-  estimation::WlsOptions opts;
-  opts.solver = solver;
   // One estimator reused across iterations: after the first estimate() its
   // SolverCache holds the symbolic plans, so this measures the
   // repeated-cycle fast path (numeric-only refactorization).
-  const estimation::WlsEstimator est(generated.kase.network, opts);
+  const estimation::WlsEstimator est(generated.kase.network);
   int gn_iters = 0;
   int pcg_iters = 0;
   for (auto _ : state) {
@@ -198,17 +180,10 @@ void BM_Wls118(benchmark::State& state, estimation::LinearSolver solver) {
     benchmark::DoNotOptimize(result.objective);
   }
   state.counters["gn_iters"] = gn_iters;
-  // Inner PCG steps of one estimate (0 for the direct solver).
+  // Inner PCG steps of one estimate.
   state.counters["pcg_iters"] = pcg_iters;
 }
-void BM_Wls118_Pcg(benchmark::State& s) {
-  BM_Wls118(s, estimation::LinearSolver::kPcg);
-}
-void BM_Wls118_Ldlt(benchmark::State& s) {
-  BM_Wls118(s, estimation::LinearSolver::kLdlt);
-}
 BENCHMARK(BM_Wls118_Pcg)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_Wls118_Ldlt)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

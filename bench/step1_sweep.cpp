@@ -1,7 +1,8 @@
 // DSE Step-1 sweep bench (google-benchmark): LocalEstimator::run_step1 over
 // every subsystem of a decomposition, one estimator after another, each
 // against its PlanRegistry SolverCache exactly as DseDriver runs it, so
-// symbolic plans persist across repetitions. Lanes are direct LDLt solves.
+// symbolic plans persist across repetitions. Each lane's WLS runs PCG on
+// the LDLt factor of its first gain, as in the cycle.
 // The deterministic Gauss-Newton iteration counts and subsystem ("lane")
 // counts are exported as counters and gated in CI (tools/bench_gate.py
 // promotes gn_iters / lanes counters to enforced).
@@ -65,7 +66,6 @@ void bench_sequential(benchmark::State& state, const CaseFixture& fx) {
   std::vector<std::unique_ptr<core::LocalEstimator>> ests;
   for (int s = 0; s < fx.d.num_subsystems(); ++s) {
     core::LocalEstimatorOptions opts;
-    opts.wls.solver = estimation::LinearSolver::kLdlt;
     opts.wls.cache = registry.cache_for(s);
     ests.push_back(std::make_unique<core::LocalEstimator>(
         fx.generated.kase.network, fx.d, s, opts));

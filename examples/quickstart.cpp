@@ -37,8 +37,8 @@ int main() {
               static_cast<double>(scan.size()) /
                   (2 * kase.network.num_buses() - 1));
 
-  // 4. Estimate the state with weighted least squares. The default solver is
-  //    the paper's preconditioned conjugate gradient, preconditioned by the
+  // 4. Estimate the state with weighted least squares. The solver is the
+  //    paper's preconditioned conjugate gradient, preconditioned by the
   //    exact LDLT factor of the first Gauss-Newton gain.
   const estimation::WlsEstimator estimator(kase.network);
   const estimation::WlsResult result = estimator.estimate(scan);

@@ -624,13 +624,8 @@ void DseSystem::announce_rejoin(int cluster) {
 estimation::WlsResult DseSystem::centralized_reference() const {
   GRIDSE_CHECK_MSG(!last_measurements_.items.empty(),
                    "run_cycle must run before centralized_reference");
-  // The whole-network gain is solved by LDLᵀ under AMD, the faster
-  // centralized solver on every tier measured (EXPERIMENTS.md), so the DSE
-  // speed-up is taken against the strongest baseline.
-  estimation::WlsOptions options = config_.dse.local.wls;
-  options.solver = estimation::LinearSolver::kLdlt;
   return centralized_estimate(generated_.kase.network, last_measurements_,
-                              options);
+                              config_.dse.local.wls);
 }
 
 }  // namespace gridse::core

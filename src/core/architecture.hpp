@@ -154,8 +154,8 @@ class DseSystem {
   /// combine. Deterministic given the config seed and cycle count.
   CycleReport run_cycle(double time_sec);
 
-  /// The centralized reference on the same measurements as the last cycle,
-  /// solved by sparse LDLᵀ whatever the Step-1 solver.
+  /// The centralized reference on the same measurements as the last cycle:
+  /// one WLS over the whole network, solved by the same PCG as Step 1.
   [[nodiscard]] estimation::WlsResult centralized_reference() const;
 
   /// Cross-cycle recovery controls (require resilience.recovery.enabled;

@@ -12,14 +12,15 @@
 namespace gridse::estimation {
 
 /// Thread-safe store of symbolic solver artifacts keyed on sparsity-pattern
-/// fingerprints: SymbolicPlans for the gain matrix (LDLᵀ ordering and etree)
-/// and NormalAssemblers for the Jacobian pattern. One cache per
-/// (subsystem, model) survives across Gauss–Newton iterations and DSE
-/// cycles; `invalidate()` is the remap/topology-change hook — it
-/// drops everything, so the next solve re-analyzes from scratch and a stale
-/// plan can never be applied to a changed pattern. Even without an explicit
-/// invalidation a pattern change is caught by the fingerprint mismatch; the
-/// explicit hook exists so migrated subsystems also shed the memory.
+/// fingerprints: SymbolicPlans for the gain matrix (AMD ordering, supernode
+/// partition and panel layout) and NormalAssemblers for the Jacobian
+/// pattern. One cache per (subsystem, model) survives across Gauss–Newton
+/// iterations and DSE cycles; `invalidate()` is the remap/topology-change
+/// hook — it drops everything, so the next solve re-analyzes from scratch
+/// and a stale plan can never be applied to a changed pattern. Even without
+/// an explicit invalidation a pattern change is caught by the fingerprint
+/// mismatch; the explicit hook exists so migrated subsystems also shed the
+/// memory.
 class SolverCache {
  public:
   struct Stats {

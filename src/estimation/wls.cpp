@@ -2,11 +2,11 @@
 
 #include <cmath>
 #include <memory>
+#include <optional>
 
 #include "estimation/solver_cache.hpp"
 #include "obs/obs.hpp"
-#include "sparse/dense.hpp"
-#include "sparse/ldlt.hpp"
+#include "sparse/cg.hpp"
 #include "sparse/normal_equations.hpp"
 #include "sparse/vector_ops.hpp"
 #include "util/error.hpp"
@@ -19,13 +19,6 @@ namespace {
 constexpr double kCgTolerance = 1e-12;
 
 }  // namespace
-
-LinearSolver parse_linear_solver(const std::string& name) {
-  if (name == "pcg") return LinearSolver::kPcg;
-  if (name == "ldlt") return LinearSolver::kLdlt;
-  if (name == "dense") return LinearSolver::kDense;
-  throw InvalidInput("unknown linear solver name: " + name);
-}
 
 WlsEstimator::WlsEstimator(const grid::Network& network, WlsOptions options)
     : WlsEstimator(network, network.slack_bus(), options) {}
@@ -60,12 +53,9 @@ WlsResult WlsEstimator::estimate(const grid::MeasurementSet& set,
 
   WlsResult result;
   std::vector<double> x = index.pack(initial);
-  // Hoisted out of the iteration loop: the direct solver's arrays are
-  // resized once and refilled numerically each iteration.
-  sparse::SparseLdlt ldlt;
-  // The PCG preconditioner. An LDLᵀ one is built from the first gain only:
-  // later gains move little, so its exact factor keeps PCG to a few steps.
-  std::unique_ptr<sparse::Preconditioner> precond;
+  // The PCG preconditioner, built from the first gain only: later gains
+  // move little, so its exact factor keeps PCG to a few steps.
+  std::optional<sparse::LdltPreconditioner> precond;
 
   for (int iter = 0; iter < options_.max_iterations; ++iter) {
     const grid::GridState state = index.unpack(x, ref_angle);
@@ -82,45 +72,16 @@ WlsResult WlsEstimator::estimate(const grid::MeasurementSet& set,
     const std::vector<double> rhs = sparse::normal_rhs(jac, weights, r);
 
     std::vector<double> dx(static_cast<std::size_t>(index.size()), 0.0);
-    switch (options_.solver) {
-      case LinearSolver::kPcg: {
-        if (options_.preconditioner == sparse::PreconditionerKind::kLdlt) {
-          if (precond == nullptr) {
-            precond = std::make_unique<sparse::LdltPreconditioner>(
-                gain, cache_->plan_for(gain));
-          }
-        } else {
-          precond = sparse::make_preconditioner(options_.preconditioner, gain);
-        }
-        sparse::CgOptions cg_opts;
-        cg_opts.tolerance = kCgTolerance;
-        const sparse::CgReport rep = sparse::pcg(gain, rhs, dx, *precond, cg_opts);
-        result.inner_iterations += rep.iterations;
-        OBS_COUNTS_OBSERVE("wls.pcg.iterations", rep.iterations);
-        if (!rep.converged) {
-          OBS_COUNTER_ADD("wls.pcg.nonconverged", 1);
-          GRIDSE_WARN << "WLS inner PCG did not converge (rel res "
-                      << rep.relative_residual << ")";
-        }
-        break;
-      }
-      case LinearSolver::kLdlt: {
-        ldlt.factorize(gain, cache_->plan_for(gain));
-        ldlt.solve(rhs, dx);
-        break;
-      }
-      case LinearSolver::kDense: {
-        const auto dense_vals = gain.to_dense();
-        const auto n = static_cast<std::size_t>(gain.rows());
-        sparse::DenseMatrix dm(n, n);
-        for (std::size_t i = 0; i < n; ++i) {
-          for (std::size_t j = 0; j < n; ++j) {
-            dm(i, j) = dense_vals[i * n + j];
-          }
-        }
-        dx = dm.solve_spd(rhs);
-        break;
-      }
+    if (!precond) precond.emplace(gain, cache_->plan_for(gain));
+    sparse::CgOptions cg_opts;
+    cg_opts.tolerance = kCgTolerance;
+    const sparse::CgReport rep = sparse::pcg(gain, rhs, dx, *precond, cg_opts);
+    result.inner_iterations += rep.iterations;
+    OBS_COUNTS_OBSERVE("wls.pcg.iterations", rep.iterations);
+    if (!rep.converged) {
+      OBS_COUNTER_ADD("wls.pcg.nonconverged", 1);
+      GRIDSE_WARN << "WLS inner PCG did not converge (rel res "
+                  << rep.relative_residual << ")";
     }
 
     sparse::axpy(1.0, dx, x);

@@ -1,29 +1,15 @@
 #pragma once
 
 #include <memory>
-#include <string>
 
 #include "grid/meas_model.hpp"
 #include "grid/measurement.hpp"
 #include "grid/network.hpp"
 #include "grid/state.hpp"
-#include "sparse/cg.hpp"
-#include "sparse/preconditioner.hpp"
 
 namespace gridse::estimation {
 
 class SolverCache;
-
-/// Which linear solver handles the normal-equations system G Δx = Hᵀ W r in
-/// each Gauss–Newton iteration.
-enum class LinearSolver {
-  kPcg,   ///< preconditioned conjugate gradient (the paper's solver, §IV-C)
-  kLdlt,  ///< sparse direct LDLᵀ (baseline)
-  kDense  ///< dense Cholesky (reference; tiny systems only)
-};
-
-/// Parse "pcg" | "ldlt" | "dense"; throws InvalidInput otherwise.
-LinearSolver parse_linear_solver(const std::string& name);
 
 struct WlsOptions {
   /// Gauss–Newton stops when max |Δx| falls below this (10⁻⁶ p.u./radians
@@ -31,11 +17,6 @@ struct WlsOptions {
   /// solver's own tolerance on large systems).
   double tolerance = 1e-6;
   int max_iterations = 25;
-  LinearSolver solver = LinearSolver::kPcg;
-  /// PCG preconditioner. The default, kLdlt, is the exact factor of the
-  /// solve's first gain, kept for every later Gauss–Newton iteration; the
-  /// others (kIc0 is the paper's) are rebuilt from each iteration's gain.
-  sparse::PreconditionerKind preconditioner = sparse::PreconditionerKind::kLdlt;
   /// Tikhonov term added to the gain matrix diagonal (0 = none). DSE Step 2
   /// re-evaluation sets this to keep reduced systems well-posed.
   double regularization = 0.0;
@@ -55,14 +36,15 @@ struct WlsResult {
   std::vector<double> residuals;
   /// max |Δx| of the final iteration.
   double final_step = 0.0;
-  /// Total inner (PCG) iterations across the Gauss–Newton loop; 0 for
-  /// direct solvers.
+  /// Total inner (PCG) iterations across the Gauss–Newton loop.
   int inner_iterations = 0;
 };
 
 /// Centralized weighted-least-squares state estimator (Abur & Expósito
 /// formulation, the paper's reference [19]): Gauss–Newton on
-/// min Σ w_i (z_i − h_i(x))², normal equations solved per WlsOptions.
+/// min Σ w_i (z_i − h_i(x))². Each iteration solves the normal equations
+/// G Δx = Hᵀ W r by PCG (the paper's solver, §IV-C), preconditioned by the
+/// LDLᵀ factor of the solve's first gain.
 class WlsEstimator {
  public:
   /// The angle reference defaults to the network's slack bus.

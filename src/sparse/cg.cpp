@@ -8,7 +8,7 @@
 namespace gridse::sparse {
 
 CgReport pcg(const Csr& a, std::span<const double> b, std::span<double> x,
-             const Preconditioner& m, const CgOptions& options) {
+             const LdltPreconditioner& m, const CgOptions& options) {
   GRIDSE_CHECK(a.rows() == a.cols());
   const auto n = static_cast<std::size_t>(a.rows());
   GRIDSE_CHECK(b.size() == n && x.size() == n);
@@ -59,12 +59,6 @@ CgReport pcg(const Csr& a, std::span<const double> b, std::span<double> x,
   report.relative_residual = rel;
   report.converged = rel <= options.tolerance;
   return report;
-}
-
-CgReport cg(const Csr& a, std::span<const double> b, std::span<double> x,
-            const CgOptions& options) {
-  const IdentityPreconditioner identity;
-  return pcg(a, b, x, identity, options);
 }
 
 }  // namespace gridse::sparse

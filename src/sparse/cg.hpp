@@ -1,14 +1,13 @@
 #pragma once
 
 #include <span>
-#include <string>
 
 #include "sparse/csr.hpp"
 #include "sparse/preconditioner.hpp"
 
 namespace gridse::sparse {
 
-/// Options for the (preconditioned) conjugate gradient solver.
+/// Options for the preconditioned conjugate gradient solver.
 struct CgOptions {
   /// Relative residual tolerance: stop when ‖b − Ax‖₂ ≤ tol · ‖b‖₂.
   double tolerance = 1e-10;
@@ -23,14 +22,12 @@ struct CgReport {
   double relative_residual = 0.0;
 };
 
-/// Preconditioned conjugate gradient for SPD `a`. Solution is accumulated in
-/// `x` (its incoming content is the initial guess). This is the solver the
-/// paper's HPC state estimation uses for the gain-matrix system (§IV-C).
+/// Preconditioned conjugate gradient for SPD `a`, preconditioned by the
+/// LDLᵀ factor `m` of `a` or of a nearby matrix of the same dimension.
+/// Solution is accumulated in `x` (its incoming content is the initial
+/// guess). This is the solver the paper's HPC state estimation uses for the
+/// gain-matrix system (§IV-C).
 CgReport pcg(const Csr& a, std::span<const double> b, std::span<double> x,
-             const Preconditioner& m, const CgOptions& options = {});
-
-/// Plain CG (identity preconditioner).
-CgReport cg(const Csr& a, std::span<const double> b, std::span<double> x,
-            const CgOptions& options = {});
+             const LdltPreconditioner& m, const CgOptions& options = {});
 
 }  // namespace gridse::sparse

@@ -11,9 +11,10 @@ namespace gridse::sparse {
 
 /// Sparse supernodal LDLᵀ factorization of a symmetric matrix (left-looking
 /// over the fundamental supernodes of a SymbolicPlan, dense kernels inside
-/// each supernode's panel). It is the direct solver of the solver ablation
-/// and, through LdltPreconditioner, the default preconditioner of the WLS
-/// PCG. One code path: the plan holds the ordering and the supernode
+/// each supernode's panel). Through LdltPreconditioner it is the
+/// preconditioner of the WLS PCG; it also solves the DC truth's B′ system
+/// and the inverse-gain columns of bad-data and confidence analysis.
+/// One code path: the plan holds the ordering and the supernode
 /// partition with its row structures and panel layout; factorize fills the
 /// panels and solve applies them.
 class SparseLdlt {

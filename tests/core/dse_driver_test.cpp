@@ -393,13 +393,12 @@ TEST_F(DseDriverTest, SharedPlanRegistryIsReusedAcrossCycles) {
   EXPECT_LT(grid::max_vm_error(first_state, third_state), 1e-12);
 }
 
-TEST_F(DseDriverTest, LdltPlanReuseConverges) {
-  // The LDLT direct solver and a persistent plan registry compose: both
-  // cycles converge and track the truth, and the second one reuses the
-  // first one's symbolic plans and reproduces its estimate.
+TEST_F(DseDriverTest, PlanReuseConvergesAndTracksTruth) {
+  // The per-solve LDLT preconditioner and a persistent plan registry
+  // compose: both cycles converge and track the truth, and the second one
+  // reuses the first one's symbolic plans and reproduces its estimate.
   const auto registry = std::make_shared<PlanRegistry>();
   DseOptions opts;
-  opts.local.wls.solver = estimation::LinearSolver::kLdlt;
   opts.plan_registry = registry;
   DseDriver driver(generated_.kase.network, d_, opts);
   std::vector<grid::GridState> states;

@@ -25,10 +25,13 @@ Csr random_spd(Index n, Rng& rng) {
   return add_diagonal(normal_matrix(a, w), 0.5);
 }
 
-class PcgAcrossPreconditioners
-    : public ::testing::TestWithParam<PreconditionerKind> {};
+/// The LDLᵀ factor of G + 0.2·I: a nearby SPD matrix of G's pattern, as the
+/// first gain of a WLS solve is to its later ones.
+LdltPreconditioner nearby_factor(const Csr& g) {
+  return LdltPreconditioner(add_diagonal(g, 0.2));
+}
 
-TEST_P(PcgAcrossPreconditioners, SolvesRandomSpdSystems) {
+TEST(Pcg, SolvesRandomSpdSystems) {
   Rng rng(101);
   for (const Index n : {1, 2, 5, 20, 60}) {
     const Csr g = random_spd(n, rng);
@@ -38,11 +41,10 @@ TEST_P(PcgAcrossPreconditioners, SolvesRandomSpdSystems) {
     g.multiply(x_true, b);
 
     std::vector<double> x(static_cast<std::size_t>(n), 0.0);
-    const auto precond = make_preconditioner(GetParam(), g);
     CgOptions opts;
     opts.tolerance = 1e-12;
     opts.max_iterations = 10 * n + 10;
-    const CgReport report = pcg(g, b, x, *precond, opts);
+    const CgReport report = pcg(g, b, x, nearby_factor(g), opts);
     EXPECT_TRUE(report.converged) << "n=" << n;
     for (Index i = 0; i < n; ++i) {
       EXPECT_NEAR(x[static_cast<std::size_t>(i)],
@@ -52,34 +54,12 @@ TEST_P(PcgAcrossPreconditioners, SolvesRandomSpdSystems) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(AllKinds, PcgAcrossPreconditioners,
-                         ::testing::Values(PreconditionerKind::kNone,
-                                           PreconditionerKind::kJacobi,
-                                           PreconditionerKind::kSsor,
-                                           PreconditionerKind::kIc0,
-                                           PreconditionerKind::kLdlt),
-                         [](const auto& param_info) {
-                           switch (param_info.param) {
-                             case PreconditionerKind::kNone:
-                               return "none";
-                             case PreconditionerKind::kJacobi:
-                               return "jacobi";
-                             case PreconditionerKind::kSsor:
-                               return "ssor";
-                             case PreconditionerKind::kIc0:
-                               return "ic0";
-                             case PreconditionerKind::kLdlt:
-                               return "ldlt";
-                           }
-                           return "unknown";
-                         });
-
 TEST(Pcg, ZeroRhsGivesZeroSolution) {
   Rng rng(7);
   const Csr g = random_spd(8, rng);
   std::vector<double> b(8, 0.0);
   std::vector<double> x(8, 5.0);  // nonzero initial guess
-  const CgReport report = cg(g, b, x);
+  const CgReport report = pcg(g, b, x, nearby_factor(g));
   EXPECT_TRUE(report.converged);
   EXPECT_EQ(report.iterations, 0);
   for (const double v : x) EXPECT_DOUBLE_EQ(v, 0.0);
@@ -93,13 +73,13 @@ TEST(Pcg, WarmStartConvergesFaster) {
   std::vector<double> b(40);
   g.multiply(x_true, b);
 
-  const JacobiPreconditioner jac(g);
+  const LdltPreconditioner m = nearby_factor(g);
   std::vector<double> cold(40, 0.0);
-  const auto cold_rep = pcg(g, b, cold, jac);
+  const auto cold_rep = pcg(g, b, cold, m);
 
   std::vector<double> warm = x_true;
   for (auto& v : warm) v += 1e-6;  // near the solution
-  const auto warm_rep = pcg(g, b, warm, jac);
+  const auto warm_rep = pcg(g, b, warm, m);
   EXPECT_LT(warm_rep.iterations, cold_rep.iterations);
 }
 
@@ -111,38 +91,22 @@ TEST(Pcg, IterationCapReportsNotConverged) {
   CgOptions opts;
   opts.tolerance = 1e-14;
   opts.max_iterations = 2;
-  const CgReport report = cg(g, b, x, opts);
+  const CgReport report = pcg(g, b, x, nearby_factor(g), opts);
   EXPECT_FALSE(report.converged);
   EXPECT_EQ(report.iterations, 2);
   EXPECT_GT(report.relative_residual, 0.0);
 }
 
 TEST(Pcg, IndefiniteMatrixThrows) {
-  // [[1, 2], [2, 1]] has a negative eigenvalue; pᵀAp goes nonpositive.
+  // [[1, 2], [2, 1]] has a negative eigenvalue; pᵀAp goes nonpositive. Its
+  // SPD neighbour [[3, 2], [2, 3]] preconditions it.
   const Csr a = Csr::from_triplets(
       2, 2, {{0, 0, 1.0}, {0, 1, 2.0}, {1, 0, 2.0}, {1, 1, 1.0}});
+  const LdltPreconditioner m(add_diagonal(a, 2.0));
+  EXPECT_DOUBLE_EQ(m.shift(), 0.0);
   std::vector<double> b{1.0, -1.0};
   std::vector<double> x(2, 0.0);
-  EXPECT_THROW(cg(a, b, x), InternalError);
-}
-
-TEST(Pcg, PreconditioningReducesIterationsOnIllConditioned) {
-  // Diagonal matrix with a wide spread: Jacobi solves it in O(1) iterations.
-  std::vector<Triplet<double>> t;
-  const Index n = 64;
-  for (Index i = 0; i < n; ++i) {
-    t.push_back({i, i, std::pow(10.0, static_cast<double>(i % 5))});
-  }
-  const Csr g = Csr::from_triplets(n, n, std::move(t));
-  std::vector<double> b(static_cast<std::size_t>(n), 1.0);
-
-  std::vector<double> x0(static_cast<std::size_t>(n), 0.0);
-  const auto plain = cg(g, b, x0);
-  std::vector<double> x1(static_cast<std::size_t>(n), 0.0);
-  const JacobiPreconditioner jac(g);
-  const auto pre = pcg(g, b, x1, jac);
-  EXPECT_TRUE(pre.converged);
-  EXPECT_LT(pre.iterations, plain.iterations);
+  EXPECT_THROW(pcg(a, b, x, m), InternalError);
 }
 
 }  // namespace

@@ -13,8 +13,10 @@
 # The curated subset mirrors the paper's evaluation:
 #   bench_table3_local_overhead   — local DSE overhead rows (Table III)
 #   bench_table4_network_overhead — networked overhead rows (Table IV)
-#   bench_pcg_solvers             — PCG/LDLt solver ablation (§IV-C),
-#                                   emits benchmark JSON
+#   bench_pcg_solvers             — the WLS solve (§IV-C): LDLt factor of
+#                                   a first gain, PCG on a moved gain under
+#                                   it, one IEEE-118 estimate; emits
+#                                   benchmark JSON
 #   bench_step1_sweep             — cached per-subsystem Step-1 sweep,
 #                                   emits benchmark JSON
 #   bench_telemetry_overhead      — per-cycle telemetry sampler cost
@@ -42,7 +44,7 @@ echo "bench_smoke: Table IV network overhead..." >&2
 "${build_dir}/bench/bench_table4_network_overhead" \
   | tee "${out_dir}/table4_network_overhead.txt"
 
-echo "bench_smoke: PCG solver ablation (benchmark JSON)..." >&2
+echo "bench_smoke: PCG/LDLt solver bench (benchmark JSON)..." >&2
 "${build_dir}/bench/bench_pcg_solvers" \
   --benchmark_out="${out_dir}/pcg_benchmarks.json" \
   --benchmark_out_format=json

@@ -1,16 +1,19 @@
 // gridse_cli — command-line front end for the GridSE library.
 //
 //   gridse_cli info <case>
-//   gridse_cli se <case> [--noise X] [--seed N] [--solver pcg|ldlt|dense]
-//                        [--precond ldlt|ic0|ssor|jacobi|none]
+//   gridse_cli se <case> [--noise X] [--seed N]
 //   gridse_cli dse <builtin-case> [--clusters K] [--transport T] [--cycles N]
+//                  [--rounds R] [--decomp FILE]
 //   gridse_cli partition <builtin-case> [--clusters K]
 //
 // <case> is a case-file path or a builtin name: ieee14, ieee118, wecc37.
 // dse/partition need the builtin cases (they carry a decomposition).
+// A flag the command does not read is an error, never silently ignored.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <limits>
 #include <map>
 #include <optional>
@@ -57,6 +60,16 @@ Args parse_args(int argc, char** argv) {
   return args;
 }
 
+/// Reject any flag `a`'s command does not read: a misspelt or retired flag
+/// must not leave the command running on a default.
+void expect_flags(const Args& a, std::initializer_list<std::string> known) {
+  for (const auto& [key, value] : a.options) {
+    if (std::find(known.begin(), known.end(), key) == known.end()) {
+      throw InvalidInput(a.command + ": unknown flag --" + key);
+    }
+  }
+}
+
 double opt_double(const Args& a, const std::string& key, double fallback) {
   const auto it = a.options.find(key);
   return it == a.options.end()
@@ -99,6 +112,7 @@ io::Case resolve_case(const std::string& name, std::uint64_t seed) {
 }
 
 int cmd_info(const Args& args) {
+  expect_flags(args, {});
   const io::Case c = resolve_case(args.target, 0);
   std::printf("case %s: %d buses, %zu branches, base %g MVA\n",
               c.name.c_str(), c.network.num_buses(), c.network.num_branches(),
@@ -123,6 +137,7 @@ int cmd_info(const Args& args) {
 }
 
 int cmd_se(const Args& args) {
+  expect_flags(args, {"noise", "seed"});
   const io::Case c = resolve_case(args.target, 0);
   const grid::PowerFlowResult pf = grid::solve_power_flow(c.network);
   grid::MeasurementPlan plan;
@@ -131,16 +146,10 @@ int cmd_se(const Args& args) {
   Rng rng(static_cast<std::uint64_t>(opt_int(args, "seed", 1)));
   const grid::MeasurementSet meas = gen.generate(pf.state, rng);
 
-  estimation::WlsOptions opts;
-  const std::string solver = opt_str(args, "solver", "pcg");
-  opts.solver = estimation::parse_linear_solver(solver);
-  opts.preconditioner =
-      sparse::parse_preconditioner(opt_str(args, "precond", "ldlt"));
-
-  const estimation::WlsEstimator estimator(c.network, opts);
+  const estimation::WlsEstimator estimator(c.network);
   const estimation::WlsResult result = estimator.estimate(meas);
-  std::printf("WLS (%s): %s, %d iterations (%d inner), J = %.2f\n",
-              solver.c_str(), result.converged ? "converged" : "FAILED",
+  std::printf("WLS: %s, %d iterations (%d inner PCG), J = %.2f\n",
+              result.converged ? "converged" : "FAILED",
               result.iterations, result.inner_iterations, result.objective);
   std::printf("max |V| error %.3e pu, max angle error %.3e rad vs truth\n",
               grid::max_vm_error(result.state, pf.state),
@@ -153,6 +162,7 @@ int cmd_se(const Args& args) {
 }
 
 int cmd_dse(const Args& args) {
+  expect_flags(args, {"clusters", "transport", "rounds", "cycles", "decomp"});
   auto generated = builtin_generated(args.target, 0);
   if (!generated) {
     // A file case works too when a decomposition file accompanies it.
@@ -187,6 +197,7 @@ int cmd_dse(const Args& args) {
 }
 
 int cmd_partition(const Args& args) {
+  expect_flags(args, {"clusters"});
   const auto generated = builtin_generated(args.target, 0);
   if (!generated) {
     std::fprintf(stderr, "partition needs a builtin decomposed case "
@@ -221,10 +232,9 @@ void usage() {
       "usage: gridse_cli <command> <case> [options]\n"
       "  commands: info | se | dse | partition\n"
       "  cases: ieee14 | ieee118 | wecc37 | <path to case file>\n"
-      "  se options:   --noise X --seed N --solver pcg|ldlt|dense "
-      "--precond ldlt|ic0|ssor|jacobi|none\n"
+      "  se options:   --noise X --seed N\n"
       "  dse options:  --clusters K --transport inproc|medici|direct "
-      "--cycles N --rounds R\n"
+      "--cycles N --rounds R --decomp FILE\n"
       "  partition:    --clusters K\n");
 }
 

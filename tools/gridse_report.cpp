@@ -19,15 +19,20 @@
 // Table III/IV rows, and the full metrics-registry snapshot (spans,
 // counters, gauges, histograms) accumulated across all cycles. With
 // --table the human-readable registry dump is also printed to stdout.
+// Any other flag is an error, never silently ignored.
+#include <algorithm>
+#include <array>
 #include <cstdio>
 #include <limits>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/architecture.hpp"
 #include "io/synthetic.hpp"
 #include "obs/metrics.hpp"
+#include "util/error.hpp"
 #include "util/strings.hpp"
 
 namespace {
@@ -40,6 +45,12 @@ struct Args {
   bool bad = false;
 };
 
+/// The valued flags run() reads.
+constexpr std::array<std::string_view, 12> kFlags{
+    "case",          "clusters",          "cycles",       "transport",
+    "rounds",        "out",               "trace-dir",    "telemetry-dir",
+    "recovery",      "kill-cluster",      "kill-cycle",   "cycle-deadline-ms"};
+
 Args parse_args(int argc, char** argv) {
   Args args;
   for (int i = 1; i < argc; ++i) {
@@ -47,7 +58,11 @@ Args parse_args(int argc, char** argv) {
     if (key == "--table") {
       args.table = true;
     } else if (key.rfind("--", 0) == 0 && i + 1 < argc) {
-      args.options[key.substr(2)] = argv[++i];
+      const std::string name = key.substr(2);
+      if (std::find(kFlags.begin(), kFlags.end(), name) == kFlags.end()) {
+        throw InvalidInput("unknown flag " + key);
+      }
+      args.options[name] = argv[++i];
     } else {
       args.bad = true;
     }
@@ -226,12 +241,12 @@ int run(const Args& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Args args = parse_args(argc, argv);
-  if (args.bad) {
-    usage();
-    return 2;
-  }
   try {
+    const Args args = parse_args(argc, argv);
+    if (args.bad) {
+      usage();
+      return 2;
+    }
     return run(args);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
