@@ -8,8 +8,6 @@
 #include <utility>
 
 #include "analysis/debug_sync.hpp"
-#include "decomp/bus_partition.hpp"
-#include "graph/partitioner.hpp"
 #include "grid/dc_powerflow.hpp"
 #include "grid/powerflow.hpp"
 #include "medici/medici_comm.hpp"
@@ -87,6 +85,16 @@ grid::GridState solve_truth_state(
   return state;
 }
 
+/// The preliminary step: decompose along `subsystem_of_bus` and run the
+/// sensitivity analysis, once for the lifetime of the system.
+decomp::Decomposition analyzed_decomposition(
+    const grid::Network& network, const std::vector<int>& subsystem_of_bus,
+    const decomp::SensitivityOptions& options) {
+  decomp::Decomposition d = decomp::decompose(network, subsystem_of_bus);
+  decomp::analyze_sensitivity(network, d, options);
+  return d;
+}
+
 /// Resolve the replay plan text: inline JSON when it starts with '{', else
 /// the contents of the named file.
 fault::TopologyReplayPlan load_replay_plan(const std::string& plan) {
@@ -115,8 +123,9 @@ Transport parse_transport(const std::string& name) {
 DseSystem::DseSystem(io::GeneratedCase generated, SystemConfig config)
     : generated_(std::move(generated)),
       config_(config),
-      decomposition_(decomp::decompose(generated_.kase.network,
-                                       generated_.subsystem_of_bus)),
+      decomposition_(analyzed_decomposition(generated_.kase.network,
+                                            generated_.subsystem_of_bus,
+                                            config_.sensitivity)),
       rng_(config.seed) {
   // Environment overrides win over every configured value.
   config_.resilience = runtime::with_env_overrides(config_.resilience);
@@ -131,9 +140,6 @@ DseSystem::DseSystem(io::GeneratedCase generated, SystemConfig config)
   if (config_.dse.plan_registry == nullptr) {
     config_.dse.plan_registry = std::make_shared<PlanRegistry>();
   }
-
-  decomp::analyze_sensitivity(generated_.kase.network, decomposition_,
-                              config_.sensitivity);
 
   if (config_.resilience.recovery.enabled) {
     supervisor_ = std::make_unique<Supervisor>(config_.mapping.num_clusters,
@@ -207,13 +213,11 @@ DseSystem::~DseSystem() {
 
 CycleReport DseSystem::run_cycle(double time_sec) {
   CycleReport report;
-  report.topology.num_subsystems =
-      static_cast<int>(decomposition_.subsystems.size());
   flat_start_.clear();
 
   // --- topology replay (docs/RESILIENCE.md): apply this cycle's switching
-  // batch, re-derive islands, then react — repartition past the threshold
-  // or selectively invalidate the touched subsystems' solver plans.
+  // batch, re-derive islands, then drop the touched subsystems' solver
+  // plans and models.
   std::optional<grid::IslandReport> islands;
   if (live_topology_ != nullptr) {
     if (replay_ != nullptr) {
@@ -246,7 +250,7 @@ CycleReport DseSystem::run_cycle(double time_sec) {
     report.topology.num_islands = islands->num_islands;
     OBS_GAUGE_SET("topology.islands",
                   static_cast<double>(islands->num_islands));
-    react_to_topology(report, *islands);
+    react_to_topology(report.topology.changed_branches, *islands);
     // The kept subsystem models follow the switching state.
     config_.dse.plan_registry->sync_branch_status(
         report.topology.changed_branches, generated_.kase.network);
@@ -344,6 +348,11 @@ CycleReport DseSystem::run_cycle(double time_sec) {
     rctx.heartbeat.rounds = config_.resilience.recovery.heartbeat_rounds;
     rctx.cycle = cycle_index_;
     rctx.restore = supervisor_->plan_restore();
+    // A touched subsystem starts flat: its checkpoint, like the prior, may
+    // hold a just-restored bus at |V| ≈ 0.
+    for (const int s : flat_start_) {
+      rctx.restore.erase(s);
+    }
   }
   // Step 1 tracks the previous frame's estimate, unless that frame was
   // degraded or did not fully converge.
@@ -406,7 +415,7 @@ CycleReport DseSystem::run_cycle(double time_sec) {
       grid::max_angle_error(report.dse.state, true_state_);
   // A lost combine frame leaves that rank's buses at the flat default
   // (θ = 0, |V| = 1); such a state must not become the next cycle's anchors
-  // or reseeded checkpoints.
+  // or tracking prior.
   if (report.dse.unresponsive_ranks.empty()) {
     last_estimate_ = report.dse.state;
   }
@@ -450,19 +459,6 @@ CycleReport DseSystem::run_cycle(double time_sec) {
   return report;
 }
 
-double DseSystem::decomposition_score() const {
-  const graph::WeightedGraph g =
-      decomp::bus_coupling_graph(generated_.kase.network);
-  std::vector<graph::PartId> assignment;
-  assignment.reserve(generated_.subsystem_of_bus.size());
-  for (const int s : generated_.subsystem_of_bus) {
-    assignment.push_back(static_cast<graph::PartId>(s));
-  }
-  const auto m = static_cast<graph::PartId>(decomposition_.subsystems.size());
-  return graph::evaluate_partition(g, std::move(assignment), m)
-      .expected_gn_iterations;
-}
-
 void DseSystem::ensure_live_topology() {
   if (live_topology_ != nullptr) {
     return;
@@ -475,7 +471,6 @@ void DseSystem::ensure_live_topology() {
   }
   live_topology_ =
       std::make_unique<grid::LiveTopology>(generated_.kase.network);
-  partition_baseline_score_ = decomposition_score();
 }
 
 std::vector<std::size_t> DseSystem::apply_topology_event(
@@ -487,8 +482,9 @@ std::vector<std::size_t> DseSystem::apply_topology_event(
   return changed;
 }
 
-void DseSystem::react_to_topology(CycleReport& report,
-                                  const grid::IslandReport& islands) {
+void DseSystem::react_to_topology(
+    std::span<const std::size_t> changed_branches,
+    const grid::IslandReport& islands) {
   const grid::Network& network = generated_.kase.network;
   const auto n = static_cast<std::size_t>(network.num_buses());
   const auto m = static_cast<int>(decomposition_.subsystems.size());
@@ -496,7 +492,7 @@ void DseSystem::react_to_topology(CycleReport& report,
   // branch's endpoints, plus owners of buses whose energization flipped
   // (the mask/pin rows for those buses appear or disappear).
   std::vector<char> touched(static_cast<std::size_t>(m), 0);
-  for (const std::size_t bi : report.topology.changed_branches) {
+  for (const std::size_t bi : changed_branches) {
     const grid::Branch& br = network.branch(bi);
     touched[static_cast<std::size_t>(
         generated_.subsystem_of_bus[static_cast<std::size_t>(br.from)])] = 1;
@@ -514,97 +510,7 @@ void DseSystem::react_to_topology(CycleReport& report,
   for (int s = 0; s < m; ++s) {
     if (touched[static_cast<std::size_t>(s)] != 0) {
       flat_start_.push_back(s);
-    }
-  }
-  if (std::none_of(touched.begin(), touched.end(),
-                   [](char t) { return t != 0; })) {
-    return;  // quiet cycle: keep every cached plan, skip the re-score
-  }
-
-  const double score = decomposition_score();
-  report.topology.partition_score = score;
-  OBS_GAUGE_SET("topology.partition_score", score);
-  const double threshold = config_.topology.repartition_threshold;
-  if (threshold > 0.0 && partition_baseline_score_ > 0.0 &&
-      score > threshold * partition_baseline_score_) {
-    OBS_SPAN("topology.repartition");
-    graph::PartitionOptions options;
-    options.seed = config_.seed;
-    options.objective = graph::PartitionObjective::kConvergenceAware;
-    int k = m;
-    if (config_.topology.k_min > 0) {  // k_max is then set too
-      // Sweep the subsystem count, but never below the cluster count:
-      // mapping onto more clusters than subsystems is infeasible.
-      const auto k_lo = static_cast<graph::PartId>(
-          std::max(config_.topology.k_min, config_.mapping.num_clusters));
-      const auto k_hi = static_cast<graph::PartId>(
-          std::max(config_.topology.k_max, static_cast<int>(k_lo)));
-      const graph::PartsChoice choice = graph::choose_parts(
-          decomp::bus_coupling_graph(network), options, k_lo, k_hi);
-      k = static_cast<int>(choice.k);
-    }
-    options.k = static_cast<graph::PartId>(k);
-    std::vector<int> assignment = decomp::partition_buses(network, options);
-    decomposition_ = decomp::decompose(network, assignment);
-    generated_.subsystem_of_bus = std::move(assignment);
-    decomp::analyze_sensitivity(network, decomposition_, config_.sensitivity);
-    // Every subsystem id now means something new: cached solver plans and
-    // the Step-2 warm-start assignment are all stale. (PMUs stay where the
-    // original placement put them — they are physical devices — and the
-    // anchor pass guarantees every new group still has an angle reference.)
-    config_.dse.plan_registry->invalidate_all();
-    previous_assignment_.reset();
-    // The touched set named old subsystems; under the new numbering every
-    // subsystem starts flat (or from a reseeded checkpoint below).
-    flat_start_.resize(decomposition_.subsystems.size());
-    std::iota(flat_start_.begin(), flat_start_.end(), 0);
-    if (supervisor_ != nullptr) {
-      // Reseed the checkpoint store in the new numbering: one synthetic
-      // checkpoint per new subsystem, carrying the last combined estimate,
-      // so the driver's restore phase warm-starts every estimator instead
-      // of shipping checkpoints for subsystem ids that no longer exist.
-      // Before the first estimate there is nothing to carry: the store is
-      // emptied and every estimator starts flat.
-      const std::int64_t this_cycle =
-          cycle_index_.load(std::memory_order_relaxed);
-      const std::size_t num_seeds =
-          last_estimate_.num_buses() == network.num_buses()
-              ? decomposition_.subsystems.size()
-              : 0;
-      std::vector<EstimatorCheckpoint> seeds;
-      for (std::size_t s = 0; s < num_seeds; ++s) {
-        EstimatorCheckpoint ckpt;
-        ckpt.subsystem = static_cast<std::int32_t>(s);
-        ckpt.cycle = this_cycle;
-        for (const grid::BusIndex b : decomposition_.subsystems[s].buses) {
-          ckpt.step1_states.push_back(
-              {static_cast<std::int32_t>(b),
-               last_estimate_.theta[static_cast<std::size_t>(b)],
-               last_estimate_.vm[static_cast<std::size_t>(b)]});
-        }
-        seeds.push_back(std::move(ckpt));
-      }
-      supervisor_->reseed_checkpoints(std::move(seeds));
-    } else {
-      OBS_COUNTER_ADD("topology.repartitions", 1);  // else counted there
-    }
-    ++topology_repartitions_;
-    const double old_baseline = partition_baseline_score_;
-    partition_baseline_score_ = decomposition_score();
-    report.topology.partition_score = partition_baseline_score_;
-    report.topology.repartitioned = true;
-    report.topology.num_subsystems =
-        static_cast<int>(decomposition_.subsystems.size());
-    GRIDSE_INFO << "topology: repartitioned into "
-                << decomposition_.subsystems.size() << " subsystems (score "
-                << score << " > " << threshold << " x baseline "
-                << old_baseline << ", now " << partition_baseline_score_
-                << ")";
-  } else {
-    for (int s = 0; s < m; ++s) {
-      if (touched[static_cast<std::size_t>(s)] != 0) {
-        config_.dse.plan_registry->invalidate(s);
-      }
+      config_.dse.plan_registry->invalidate(s);
     }
   }
 }

@@ -4,6 +4,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 
 #include "core/dse_driver.hpp"
@@ -75,13 +76,11 @@ struct SystemConfig {
   /// operating point, so the DSE tracks a moving state — the paper's
   /// real-time tracking setting. Null = static operating point.
   std::function<double(double time_sec)> load_profile;
-  /// Topology-change replay + event-driven repartitioning (see
-  /// docs/RESILIENCE.md, "Topology events & repartitioning"). Resolved
-  /// against GRIDSE_TOPOLOGY_* at construction (env wins); a half-set
-  /// k_min / k_max pair throws InvalidInput. A non-empty plan (inline JSON
-  /// or a file path) enables replay, which requires truth_mode ==
-  /// kDcLinearized: the island-aware DC truth degrades gracefully where the
-  /// AC Newton solve would go singular.
+  /// Topology-change replay (see docs/RESILIENCE.md, "Topology events").
+  /// Resolved against GRIDSE_TOPOLOGY_PLAN at construction (env wins). A
+  /// non-empty plan (inline JSON or a file path) enables replay, which
+  /// requires truth_mode == kDcLinearized: the island-aware DC truth
+  /// degrades gracefully where the AC Newton solve would go singular.
   runtime::TopologyConfig topology;
 };
 
@@ -98,14 +97,9 @@ struct TopologyCycleInfo {
   std::size_t masked_measurements = 0;
   /// Pseudo measurements appended (dead-bus pins + angle anchors).
   std::size_t anchors_added = 0;
-  /// Live expected-GN-iteration score of the decomposition (0 until a
-  /// topology change makes the system re-score it).
-  double partition_score = 0.0;
-  /// True when this cycle re-partitioned the network (score exceeded
-  /// threshold × baseline) — the decomposition object changed identity.
+  /// Always false: the decomposition is fixed at construction. Kept for
+  /// bench/cycle's `topology.repartitions` metric, which reads it.
   bool repartitioned = false;
-  /// Subsystem count after this cycle (repartitioning may change it).
-  int num_subsystems = 0;
 };
 
 /// Everything one DSE cycle produced, from mapping to solution quality.
@@ -130,7 +124,8 @@ struct CycleReport {
 };
 
 /// Facade wiring the whole prototype together: decomposition + sensitivity
-/// analysis (preliminary step), per-frame mapping via the weight model,
+/// analysis (the preliminary step, done once at construction: the
+/// decomposition never changes), per-frame mapping via the weight model,
 /// measurement synthesis, and the distributed run over the chosen
 /// transport. One instance models one deployed system; call run_cycle once
 /// per SCADA time frame.
@@ -192,12 +187,6 @@ class DseSystem {
   [[nodiscard]] std::string replay_log_json() const {
     return replay_ != nullptr ? replay_->log_to_json() : std::string("[]");
   }
-  /// Event-driven repartitions executed so far (counted with or without a
-  /// supervisor).
-  [[nodiscard]] int topology_repartitions() const {
-    return topology_repartitions_;
-  }
-
   [[nodiscard]] const decomp::Decomposition& decomposition() const {
     return decomposition_;
   }
@@ -218,20 +207,18 @@ class DseSystem {
   }
 
  private:
-  /// Re-score the live decomposition, repartition past the threshold (or
-  /// selectively invalidate the touched subsystems' plans), and refresh the
+  /// Collect the subsystems this cycle's switching touched into
+  /// flat_start_, drop their cached plans and models, and refresh the
   /// energization snapshot. Runs once per cycle while topology is active.
-  void react_to_topology(CycleReport& report,
+  void react_to_topology(std::span<const std::size_t> changed_branches,
                          const grid::IslandReport& islands);
-  /// Expected-GN-iteration score of `subsystem_of_bus` on the live
-  /// coupling graph (out-of-service branches at epsilon weight).
-  [[nodiscard]] double decomposition_score() const;
   /// Lazily create live_topology_ (and validate truth_mode).
   void ensure_live_topology();
 
   io::GeneratedCase generated_;
   SystemConfig config_;
-  decomp::Decomposition decomposition_;
+  /// Built and sensitivity-analysed once, in the constructor.
+  const decomp::Decomposition decomposition_;
   grid::GridState true_state_;
   /// The one B′ plan slot every DC truth solve of this system goes through.
   std::shared_ptr<const sparse::SymbolicPlan> truth_plan_;
@@ -249,15 +236,14 @@ class DseSystem {
   /// Present iff config_.topology.plan resolved non-empty.
   std::unique_ptr<fault::TopologyReplayHarness> replay_;
   /// Last combined estimate — the prior Step 1 tracks from, and the one for
-  /// angle anchors and for the reseeded checkpoints after a repartition.
-  /// Empty before the first cycle.
+  /// angle anchors. Empty before the first cycle.
   grid::GridState last_estimate_;
   /// Whether the next cycle's Step 1 may start from last_estimate_: the
   /// cycle that produced it converged everywhere and was not degraded.
   bool track_next_cycle_ = false;
   /// This cycle's subsystems whose switching state changed (react_to_
-  /// topology's touched set; all of them after a repartition). Their Step 1
-  /// starts flat, since the prior may hold a restored bus at |V| ≈ 0.
+  /// topology's touched set). Their Step 1 starts flat, from neither the
+  /// prior nor a checkpoint, since both may hold a restored bus at |V| ≈ 0.
   std::vector<int> flat_start_;
   /// Previous cycle's per-bus energization, to detect flips (a flip changes
   /// the bus's measurement pattern → its subsystem's plan is invalidated).
@@ -265,10 +251,6 @@ class DseSystem {
   /// Branch flips from apply_topology_event, folded into the next cycle's
   /// changed-branch set (so manual events drive the same reaction path).
   std::vector<std::size_t> pending_manual_changes_;
-  /// Expected-GN-iteration score captured at the last (re)partition; the
-  /// repartition trigger compares live scores against this.
-  double partition_baseline_score_ = 0.0;
-  int topology_repartitions_ = 0;
   /// Atomic: the supervisor's alert sink stamps triggers with the current
   /// cycle from whatever thread an operator kill/rejoin lands on.
   std::atomic<std::int64_t> cycle_index_{0};

@@ -70,23 +70,6 @@ void PlanRegistry::invalidate(int subsystem) {
   cache->invalidate();
 }
 
-void PlanRegistry::invalidate_all() {
-  std::vector<std::shared_ptr<estimation::SolverCache>> caches;
-  {
-    analysis::LockGuard lock(mutex_);
-    models_.clear();
-    caches.reserve(caches_.size());
-    for (const auto& [s, cache] : caches_) {
-      caches.push_back(cache);
-    }
-    invalidations_ += caches.size();
-  }
-  OBS_COUNTER_ADD("solver.registry.invalidations", caches.size());
-  for (const auto& cache : caches) {
-    cache->invalidate();
-  }
-}
-
 PlanRegistry::Stats PlanRegistry::stats() const {
   Stats out;
   std::vector<std::shared_ptr<estimation::SolverCache>> caches;

@@ -20,15 +20,15 @@ namespace gridse::core {
 /// DseOptions::plan_registry.
 ///
 /// Invalidation contract: `invalidate(s)` must be called whenever subsystem
-/// s is re-mapped to a different cluster or its topology changes (the
-/// Supervisor's migrated-subsystem list), `invalidate_all()` on a
-/// decomposition change; both drop the plans and the models. Between those,
-/// `sync_branch_status` keeps every kept model on the live switching state.
-/// A missed plan invalidation is still safe — the cached plans are
-/// fingerprint-checked against the actual pattern — but the stale entries
-/// would waste cache slots on a host that no longer solves them. A missed
-/// decomposition invalidation or branch sync is not: the models would
-/// describe a grid that no longer exists.
+/// s is re-mapped to a different cluster (the Supervisor's migrated-
+/// subsystem list) or its topology changes; it drops the plans and the
+/// models. Between those, `sync_branch_status` keeps every kept model on
+/// the live switching state. The decomposition itself never changes, so a
+/// registry serves one decomposition for its whole life. A missed plan
+/// invalidation is still safe — the cached plans are fingerprint-checked
+/// against the actual pattern — but the stale entries would waste cache
+/// slots on a host that no longer solves them. A missed branch sync is
+/// not: the models would describe a grid that no longer exists.
 class PlanRegistry {
  public:
   struct Stats {
@@ -57,9 +57,6 @@ class PlanRegistry {
   /// Drop one subsystem's cached plans and models (subsystem migrated /
   /// topology edited). No-op when the subsystem has neither yet.
   void invalidate(int subsystem);
-
-  /// Drop every subsystem's cached plans and models (decomposition change).
-  void invalidate_all();
 
   [[nodiscard]] Stats stats() const;
 

@@ -101,11 +101,6 @@ std::size_t CheckpointStore::load_spilled() {
   return loaded;
 }
 
-void CheckpointStore::clear() {
-  analysis::LockGuard lock(mutex_);
-  latest_.clear();
-}
-
 Supervisor::Supervisor(int num_clusters, runtime::RecoveryConfig config)
     : config_(std::move(config)),
       states_(static_cast<std::size_t>(std::max(num_clusters, 0)),
@@ -289,26 +284,6 @@ void Supervisor::announce_rejoin(int cluster) {
             OBS_ATTR("ready_epoch",
                      static_cast<int>(
                          rejoin_ready_[static_cast<std::size_t>(cluster)])));
-}
-
-void Supervisor::reseed_checkpoints(
-    std::vector<EstimatorCheckpoint> checkpoints) {
-  store_.clear();
-  for (EstimatorCheckpoint& ckpt : checkpoints) {
-    store_.store(std::move(ckpt));
-  }
-  AlertSink sink;
-  {
-    analysis::LockGuard lock(mutex_);
-    sink = sink_;
-    ++topology_repartitions_;
-  }
-  OBS_COUNTER_ADD("topology.repartitions", 1);
-  OBS_EVENT("topology.repartition",
-            OBS_ATTR("checkpoints", static_cast<int>(checkpoints.size())));
-  if (sink) {
-    sink("topology_repartition", -1);
-  }
 }
 
 runtime::RankState Supervisor::state_of(int cluster) const {

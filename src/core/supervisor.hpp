@@ -46,12 +46,6 @@ class CheckpointStore {
   /// files decoded successfully; corrupt files are skipped.
   std::size_t load_spilled();
 
-  /// Drop every in-memory checkpoint. Spill files are left on disk: a
-  /// subsequent store() at the current cycle out-ranks them newest-wins,
-  /// and load_spilled() remains an explicit opt-in. Used when a topology
-  /// repartition renumbers subsystems, invalidating every stored record.
-  void clear();
-
   [[nodiscard]] std::size_t size() const {
     analysis::LockGuard lock(mutex_);
     return latest_.size();
@@ -112,14 +106,6 @@ class Supervisor {
   /// the new mapping places on it.
   void announce_rejoin(int cluster);
 
-  /// Event-driven repartition: the subsystem numbering just changed, so
-  /// every stored checkpoint describes subsystems that no longer exist.
-  /// Replaces the store wholesale with `checkpoints` — synthetic per-NEW-
-  /// subsystem snapshots of the last combined estimate — counts the
-  /// repartition, and notifies the alert sink ("topology_repartition",
-  /// cluster = -1: the event is system-wide, not tied to one cluster).
-  void reseed_checkpoints(std::vector<EstimatorCheckpoint> checkpoints);
-
   /// Observer of state-machine transitions: invoked with kind
   /// "cluster_dead" or "rejoin" and the affected cluster id, strictly
   /// AFTER mutex_ is released (the sink may do I/O or take its own locks).
@@ -152,11 +138,6 @@ class Supervisor {
     analysis::LockGuard lock(mutex_);
     return rejoins_;
   }
-  /// How many topology-triggered checkpoint reseeds have been absorbed.
-  [[nodiscard]] int topology_repartitions() const {
-    analysis::LockGuard lock(mutex_);
-    return topology_repartitions_;
-  }
   [[nodiscard]] std::int64_t epoch() const {
     analysis::LockGuard lock(mutex_);
     return epoch_;
@@ -187,7 +168,6 @@ class Supervisor {
   std::int64_t epoch_ GRIDSE_GUARDED_BY(mutex_) = 0;
   int remaps_ GRIDSE_GUARDED_BY(mutex_) = 0;
   int rejoins_ GRIDSE_GUARDED_BY(mutex_) = 0;
-  int topology_repartitions_ GRIDSE_GUARDED_BY(mutex_) = 0;
 };
 
 }  // namespace gridse::core

@@ -1,8 +1,6 @@
 #include "fault/topology_replay.hpp"
 
 #include <algorithm>
-#include <cstdlib>
-#include <fstream>
 #include <limits>
 #include <sstream>
 #include <utility>
@@ -259,25 +257,6 @@ std::string TopologyReplayHarness::log_to_json() const {
   }
   out << "]";
   return out.str();
-}
-
-std::optional<TopologyReplayPlan> load_env_replay_plan() {
-  const char* env = std::getenv("GRIDSE_TOPOLOGY_PLAN");
-  if (env == nullptr || *env == '\0') {
-    return std::nullopt;
-  }
-  std::string json(env);
-  if (json.front() != '{') {
-    std::ifstream in(json, std::ios::binary);
-    if (!in) {
-      throw InvalidInput("GRIDSE_TOPOLOGY_PLAN: cannot read plan file " +
-                         json);
-    }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    json = buffer.str();
-  }
-  return TopologyReplayPlan::parse(json);
 }
 
 }  // namespace gridse::fault

@@ -14,7 +14,6 @@
 // update) and compose topology replay with transport faults.
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -111,9 +110,5 @@ class TopologyReplayHarness {
   std::size_t applied_ = 0;
   std::vector<AppliedTopologyEvent> log_;
 };
-
-/// Load the plan named by GRIDSE_TOPOLOGY_PLAN (inline JSON when the value
-/// starts with '{', else a file path). nullopt when the variable is unset.
-std::optional<TopologyReplayPlan> load_env_replay_plan();
 
 }  // namespace gridse::fault

@@ -1,6 +1,5 @@
 #include "graph/partitioner.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <utility>
 #include <vector>
@@ -80,38 +79,6 @@ Partition repartition(const WeightedGraph& g, std::span<const PartId> previous,
     }
   }
   return refined;
-}
-
-PartsChoice choose_parts(const WeightedGraph& g, PartitionOptions base,
-                         PartId k_min, PartId k_max) {
-  if (k_min < 1 || k_min > k_max) {
-    throw InvalidInput("choose_parts: need 1 <= k_min <= k_max");
-  }
-  k_max = std::min(k_max, static_cast<PartId>(g.num_vertices()));
-  if (k_max < k_min) {
-    throw InvalidInput("choose_parts: k_min exceeds the vertex count");
-  }
-  OBS_SPAN("partition.choose_parts");
-  base.objective = PartitionObjective::kConvergenceAware;
-  PartsChoice best;
-  for (PartId k = k_min; k <= k_max; ++k) {
-    base.k = k;
-    Partition p = partition(g, base);
-    const double max_weight =
-        p.part_weights.empty()
-            ? 0.0
-            : *std::max_element(p.part_weights.begin(), p.part_weights.end());
-    const double score = p.expected_gn_iterations * max_weight;
-    if (best.k == 0 || score < best.score) {
-      best.partition = std::move(p);
-      best.k = k;
-      best.score = score;
-    }
-  }
-  OBS_GAUGE_SET("partition.chosen_parts", static_cast<double>(best.k));
-  GRIDSE_DEBUG << "choose_parts: k=" << best.k << " score=" << best.score
-               << " over [" << k_min << "," << k_max << "]";
-  return best;
 }
 
 }  // namespace gridse::graph

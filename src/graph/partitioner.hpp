@@ -56,25 +56,6 @@ Partition partition(const WeightedGraph& g, const PartitionOptions& options);
 Partition repartition(const WeightedGraph& g, std::span<const PartId> previous,
                       const PartitionOptions& options);
 
-/// Result of a subsystem-count sweep (see choose_parts).
-struct PartsChoice {
-  Partition partition;
-  PartId k = 0;
-  /// expected GN iterations × max part weight — total-work proxy: the
-  /// iteration count from the convergence-aware coupling model times the
-  /// per-iteration cost of the heaviest (critical-path) part. Without the
-  /// weight factor k = 1 always wins (no boundary → 1 iteration).
-  double score = 0.0;
-};
-
-/// Sweep the subsystem count k over [k_min, k_max] (k_max clamped to the
-/// vertex count), partitioning each k under the convergence-aware
-/// objective, and return the k with the lowest score; ties break to the
-/// smaller k. Deterministic for fixed (g, options, bounds). Throws
-/// InvalidInput when k_min < 1 or k_min > k_max.
-PartsChoice choose_parts(const WeightedGraph& g, PartitionOptions base,
-                         PartId k_min, PartId k_max);
-
 namespace detail {
 
 /// Provably optimal partition by pruned enumeration (internal; exposed for

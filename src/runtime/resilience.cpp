@@ -1,7 +1,6 @@
 #include "runtime/resilience.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdlib>
 #include <limits>
 
@@ -89,18 +88,6 @@ bool parse_env_flag(const std::string& name, const std::string& raw) {
                      "\"");
 }
 
-double parse_env_double(const std::string& name, const std::string& raw,
-                        double min_value) {
-  char* end = nullptr;
-  const double value = std::strtod(raw.c_str(), &end);
-  if (end == raw.c_str() || *end != '\0' || !std::isfinite(value) ||
-      value < min_value) {
-    throw InvalidInput(name + ": expected a finite number >= " +
-                       std::to_string(min_value) + ", got \"" + raw + "\"");
-  }
-  return value;
-}
-
 ResilienceConfig with_env_overrides(ResilienceConfig base) {
   read_env("GRIDSE_BARRIER_TIMEOUT_MS", base.barrier_timeout, parse_env_ms);
   read_env("GRIDSE_RECOVERY", base.recovery.enabled, parse_env_flag);
@@ -152,26 +139,6 @@ std::chrono::milliseconds exchange_deadline_with_env(
 TopologyConfig with_env_overrides(TopologyConfig base) {
   read_env("GRIDSE_TOPOLOGY_PLAN", base.plan,
            [](const std::string&, const std::string& raw) { return raw; });
-  read_env("GRIDSE_TOPOLOGY_REPARTITION_THRESHOLD",
-           base.repartition_threshold,
-           [](const std::string& name, const std::string& raw) {
-             return parse_env_double(name, raw, 0.0);
-           });
-  read_env("GRIDSE_TOPOLOGY_K_MIN", base.k_min,
-           [](const std::string& name, const std::string& raw) {
-             return parse_env_int(name, raw, 0);
-           });
-  read_env("GRIDSE_TOPOLOGY_K_MAX", base.k_max,
-           [](const std::string& name, const std::string& raw) {
-             return parse_env_int(name, raw, 0);
-           });
-  if ((base.k_min > 0) != (base.k_max > 0)) {
-    throw InvalidInput(
-        "topology k sweep: GRIDSE_TOPOLOGY_K_MIN and GRIDSE_TOPOLOGY_K_MAX "
-        "(topology.k_min / k_max) must be set together, got k_min = " +
-        std::to_string(base.k_min) + ", k_max = " +
-        std::to_string(base.k_max));
-  }
   return base;
 }
 

@@ -88,22 +88,13 @@ struct TelemetryConfig {
   int flight_ring = 16;
 };
 
-/// Topology-change replay and event-driven repartitioning knobs (see
-/// docs/RESILIENCE.md "Topology events & repartitioning"). Plain data so
-/// the config plumbing stays fault/grid-free; DseSystem interprets it.
+/// Topology-change replay (see docs/RESILIENCE.md "Topology events").
+/// Plain data so the config plumbing stays fault/grid-free; DseSystem
+/// interprets it.
 struct TopologyConfig {
   /// Replay plan: inline JSON when it starts with '{', else a file path.
   /// Empty = take GRIDSE_TOPOLOGY_PLAN; both empty = replay off.
   std::string plan;
-  /// Repartition when the live decomposition's expected-GN-iteration score
-  /// exceeds threshold × the score captured at the last (re)partition.
-  /// <= 0 disables event-driven repartitioning.
-  double repartition_threshold = 1.5;
-  /// Subsystem-count sweep bounds handed to graph::choose_parts when a
-  /// repartition triggers; both 0 = keep the current k. Set both or
-  /// neither.
-  int k_min = 0;
-  int k_max = 0;
 };
 
 /// How the transports behave when peers misbehave, plus cross-cycle
@@ -138,9 +129,6 @@ int parse_env_int(const std::string& name, const std::string& raw,
                   int min_value);
 /// Boolean: accepts 0/1/on/off/true/false (case-sensitive, lowercase).
 bool parse_env_flag(const std::string& name, const std::string& raw);
-/// Finite double >= `min_value`.
-double parse_env_double(const std::string& name, const std::string& raw,
-                        double min_value);
 
 /// `base` with environment overrides applied:
 ///   GRIDSE_BARRIER_TIMEOUT_MS                                (ms)
@@ -173,10 +161,6 @@ std::chrono::milliseconds exchange_deadline_with_env(
 
 /// `base` with environment overrides applied:
 ///   GRIDSE_TOPOLOGY_PLAN                         (inline JSON or path)
-///   GRIDSE_TOPOLOGY_REPARTITION_THRESHOLD        (double >= 0; 0 = off)
-///   GRIDSE_TOPOLOGY_K_MIN, GRIDSE_TOPOLOGY_K_MAX (int >= 0; 0 = keep k)
-/// Throws gridse::InvalidInput on unparsable values, and when the resolved
-/// k_min / k_max pair is half set (one positive, the other 0).
 TopologyConfig with_env_overrides(TopologyConfig base);
 
 }  // namespace gridse::runtime

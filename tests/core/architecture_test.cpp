@@ -133,7 +133,6 @@ TEST(DseSystem, GoldenReplayWithDiurnalLoad) {
   cfg.truth_mode = TruthMode::kDcLinearized;
   cfg.topology.plan =
       fault::TopologyReplayPlan::generate(gc.kase.network, 5).to_json();
-  cfg.topology.repartition_threshold = 0.0;
   cfg.load_profile = [](double t) {
     return 1.0 + 0.1 * std::sin(2.0 * M_PI * t / 86400.0);
   };
@@ -230,15 +229,6 @@ TEST(DseSystem, CycleDeadlineEnvBeatsConfiguredSlo) {
     ASSERT_GT(rep.dse.total_seconds, 0.001) << "cycle " << c;
     EXPECT_EQ(missed.value() - before, 1u) << "cycle " << c;
   }
-}
-
-TEST(DseSystem, HalfSetTopologyKSweepRejectedAtConstruction) {
-  SystemConfig cfg = small_config();
-  cfg.topology.k_min = 4;
-  EXPECT_THROW(DseSystem(io::ieee118_dse(), cfg), InvalidInput);
-  cfg.topology.k_min = 0;
-  cfg.topology.k_max = 8;
-  EXPECT_THROW(DseSystem(io::ieee118_dse(), cfg), InvalidInput);
 }
 
 TEST(Transport, ParsesNames) {

@@ -60,19 +60,6 @@ TEST(PlanRegistry, InvalidateUnknownSubsystemIsANoOp) {
   EXPECT_EQ(registry.stats().invalidations, 0u);
 }
 
-TEST(PlanRegistry, InvalidateAllForcesReanalysisEverywhere) {
-  Rng rng(72);
-  const sparse::Csr a = random_spd(10, rng);
-  PlanRegistry registry;
-  const auto p0 = registry.cache_for(0)->plan_for(a);
-  const auto p1 = registry.cache_for(1)->plan_for(a);
-  registry.invalidate_all();
-  EXPECT_NE(registry.cache_for(0)->plan_for(a).get(), p0.get());
-  EXPECT_NE(registry.cache_for(1)->plan_for(a).get(), p1.get());
-  // Caches survive invalidation (only their contents are dropped).
-  EXPECT_EQ(registry.stats().subsystems, 2u);
-}
-
 TEST(PlanRegistry, ModelsAreKeptUntilInvalidated) {
   const io::GeneratedCase gc = io::ieee118_dse();
   decomp::Decomposition d =
@@ -92,12 +79,6 @@ TEST(PlanRegistry, ModelsAreKeptUntilInvalidated) {
   EXPECT_EQ(registry.stats().models, 1u);
   EXPECT_NE(registry.models_for(0, gc.kase.network, d).local, m0.local);
   EXPECT_EQ(registry.models_for(1, gc.kase.network, d).extended,
-            m1.extended);
-
-  // A repartition drops them all.
-  registry.invalidate_all();
-  EXPECT_EQ(registry.stats().models, 0u);
-  EXPECT_NE(registry.models_for(1, gc.kase.network, d).extended,
             m1.extended);
 }
 

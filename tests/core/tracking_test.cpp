@@ -240,47 +240,53 @@ TEST(TrackingPrior, FirstCycleStartsFlatAndTheNextTracks) {
   }
 }
 
+// A subsystem the frame's switching touched starts Step 1 flat: from neither
+// the prior nor, with recovery on, its checkpoint, since either may hold a
+// just-restored bus at |V| ≈ 0. Every other subsystem warm-starts.
 TEST(TrackingPrior, TouchedSubsystemsStartFlat) {
   const io::GeneratedCase gc = io::ieee118_dse();
-  SystemConfig cfg = one_cluster_config();
-  cfg.truth_mode = TruthMode::kDcLinearized;
-  cfg.topology.plan =
-      fault::TopologyReplayPlan::generate(gc.kase.network, 5).to_json();
-  cfg.topology.repartition_threshold = 0.0;
-  DseSystem sys(io::ieee118_dse(), cfg);
-  const grid::Network& net = sys.network();
-  std::vector<char> energized(static_cast<std::size_t>(net.num_buses()), 1);
-  int touched_cycles = 0;
-  for (int c = 0; c < 8; ++c) {
-    const CycleReport rep = sys.run_cycle(c * 60.0);
-    ASSERT_TRUE(rep.dse.all_converged) << c;
-    // The touched set: owners of a switched branch's endpoints and of a
-    // bus whose energization flipped.
-    std::set<int> touched;
-    for (const std::size_t bi : rep.topology.changed_branches) {
-      touched.insert(gc.subsystem_of_bus[static_cast<std::size_t>(
-          net.branch(bi).from)]);
-      touched.insert(
-          gc.subsystem_of_bus[static_cast<std::size_t>(net.branch(bi).to)]);
-    }
-    const grid::IslandReport islands = sys.live_topology()->islands();
-    for (grid::BusIndex b = 0; b < net.num_buses(); ++b) {
-      const char live = islands.bus_energized(b) ? 1 : 0;
-      if (live != energized[static_cast<std::size_t>(b)]) {
-        touched.insert(gc.subsystem_of_bus[static_cast<std::size_t>(b)]);
-        energized[static_cast<std::size_t>(b)] = live;
+  for (const bool recovery : {false, true}) {
+    SCOPED_TRACE(recovery ? "recovery on" : "recovery off");
+    SystemConfig cfg = one_cluster_config();
+    cfg.truth_mode = TruthMode::kDcLinearized;
+    cfg.topology.plan =
+        fault::TopologyReplayPlan::generate(gc.kase.network, 5).to_json();
+    cfg.resilience.recovery.enabled = recovery;
+    DseSystem sys(io::ieee118_dse(), cfg);
+    const grid::Network& net = sys.network();
+    std::vector<char> energized(static_cast<std::size_t>(net.num_buses()), 1);
+    int touched_cycles = 0;
+    for (int c = 0; c < 8; ++c) {
+      const CycleReport rep = sys.run_cycle(c * 60.0);
+      ASSERT_TRUE(rep.dse.all_converged) << c;
+      // The touched set: owners of a switched branch's endpoints and of a
+      // bus whose energization flipped.
+      std::set<int> touched;
+      for (const std::size_t bi : rep.topology.changed_branches) {
+        touched.insert(gc.subsystem_of_bus[static_cast<std::size_t>(
+            net.branch(bi).from)]);
+        touched.insert(
+            gc.subsystem_of_bus[static_cast<std::size_t>(net.branch(bi).to)]);
+      }
+      const grid::IslandReport islands = sys.live_topology()->islands();
+      for (grid::BusIndex b = 0; b < net.num_buses(); ++b) {
+        const char live = islands.bus_energized(b) ? 1 : 0;
+        if (live != energized[static_cast<std::size_t>(b)]) {
+          touched.insert(gc.subsystem_of_bus[static_cast<std::size_t>(b)]);
+          energized[static_cast<std::size_t>(b)] = live;
+        }
+      }
+      if (c > 0 && !touched.empty()) {
+        ++touched_cycles;
+        EXPECT_LT(touched.size(), 9u) << c;
+      }
+      for (const auto& [s, warm] : warm_starts(rep)) {
+        EXPECT_EQ(warm, c > 0 && touched.count(s) == 0)
+            << "cycle " << c << " subsystem " << s;
       }
     }
-    if (c > 0 && !touched.empty()) {
-      ++touched_cycles;
-      EXPECT_LT(touched.size(), 9u) << c;
-    }
-    for (const auto& [s, warm] : warm_starts(rep)) {
-      EXPECT_EQ(warm, c > 0 && touched.count(s) == 0)
-          << "cycle " << c << " subsystem " << s;
-    }
+    EXPECT_GE(touched_cycles, 3);
   }
-  EXPECT_GE(touched_cycles, 3);
 }
 
 TEST(TrackingPrior, CycleAfterADegradedOneStartsFlat) {
@@ -333,7 +339,6 @@ TEST(TrackingPrior, LostCombineFrameKeepsTheLastCompleteEstimate) {
   SystemConfig cfg;
   cfg.mapping.num_clusters = 2;
   cfg.truth_mode = TruthMode::kDcLinearized;
-  cfg.topology.repartition_threshold = 0.0;
   cfg.dse.exchange_deadline = std::chrono::milliseconds{100};
   DseSystem sys(io::ieee118_dse(), cfg);
   const CycleReport complete = sys.run_cycle(0.0);
@@ -449,7 +454,6 @@ TEST(KeptModels, FollowEveryReplayEventBitwise) {
   cfg.truth_mode = TruthMode::kDcLinearized;
   cfg.topology.plan =
       fault::TopologyReplayPlan::generate(gc.kase.network, 5).to_json();
-  cfg.topology.repartition_threshold = 0.0;
   cfg.load_profile = diurnal_load;
   SystemConfig fresh_cfg = cfg;
   const auto kept = std::make_shared<PlanRegistry>();
@@ -467,7 +471,9 @@ TEST(KeptModels, FollowEveryReplayEventBitwise) {
                                   .last_cycle() +
                               2;
   for (int c = 0; c < cycles; ++c) {
-    fresh->invalidate_all();  // the reference re-extracts every frame
+    for (int s = 0; s < m; ++s) {
+      fresh->invalidate(s);  // the reference re-extracts every frame
+    }
     const CycleReport rep = sys.run_cycle(c * 60.0);
     const CycleReport ref = reference.run_cycle(c * 60.0);
     ASSERT_TRUE(rep.dse.all_converged) << c;

@@ -1,8 +1,7 @@
-// Topology events under chaos: the event-driven repartition path (threshold
-// trigger, checkpoint reseed, warm restart) and its composition with a
-// cluster loss landing in the SAME cycle as a topology batch. Mirrors the
-// recovery_chaos suite: recovery_config()-style setup, kill-rank-1 fault
-// plan, GRIDSE_CHAOS_REPORT_DIR health reports for the CI chaos job.
+// Topology events under chaos: a cluster loss landing in the SAME cycle as
+// a topology batch. Mirrors the recovery_chaos suite: recovery_config()-style
+// setup, kill-rank-1 fault plan, GRIDSE_CHAOS_REPORT_DIR health reports for
+// the CI chaos job.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,8 +21,7 @@
 namespace gridse::core {
 namespace {
 
-/// One line outage at cycle 1 — enough to touch subsystems and (with a tiny
-/// threshold) force the repartition path deterministically.
+/// One line outage at cycle 1 — enough to touch subsystems.
 std::string outage_plan_json() {
   fault::TopologyReplayPlan plan;
   plan.seed = 21;
@@ -33,9 +31,7 @@ std::string outage_plan_json() {
 }
 
 /// IEEE-118, three clusters, TCP, recovery on (same tightened heartbeat as
-/// the recovery_chaos suite) plus a topology plan whose threshold forces a
-/// repartition on the first touched cycle: `score > 1e-9 * baseline` holds
-/// for any positive score.
+/// the recovery_chaos suite) plus the one-outage topology plan.
 SystemConfig topo_recovery_config() {
   SystemConfig cfg;
   cfg.truth_mode = TruthMode::kDcLinearized;
@@ -48,7 +44,6 @@ SystemConfig topo_recovery_config() {
   cfg.resilience.recovery.heartbeat_timeout = std::chrono::milliseconds{500};
   cfg.resilience.recovery.heartbeat_rounds = 2;
   cfg.topology.plan = outage_plan_json();
-  cfg.topology.repartition_threshold = 1e-9;
   return cfg;
 }
 
@@ -74,7 +69,7 @@ int max_step1_iterations(const CycleReport& rep, bool warm_only) {
 }
 
 /// Chaos health report with the topology block bench_gate.py reads
-/// informationally (events_applied / repartitions / islands).
+/// informationally (events_applied / islands).
 void write_health_report(const std::string& name, const DseSystem& sys,
                          const CycleReport& degraded_cycle,
                          const CycleReport& final_cycle,
@@ -113,7 +108,6 @@ void write_health_report(const std::string& name, const DseSystem& sys,
        << final_cycle.dse.recovery.checkpoint_bytes << "},\"topology\":{"
        << "\"events_applied\":"
        << (sys.replay() ? sys.replay()->events_applied() : 0)
-       << ",\"repartitions\":" << sys.topology_repartitions()
        << ",\"islands\":" << final_cycle.topology.num_islands
        << "},\"replay\":" << sys.replay_log_json() << "}";
   std::ofstream out(*dir + "/" + name + ".json",
@@ -134,62 +128,6 @@ class TopologyChaosTest : public ::testing::Test {
   void TearDown() override { fault::clear(); }
 };
 
-TEST_F(TopologyChaosTest, ThresholdRepartitionWarmStartsTheSameCycle) {
-  DseSystem sys(io::ieee118_dse(), topo_recovery_config());
-  ASSERT_TRUE(sys.recovery_enabled());
-
-  // Cycle 0: base topology, no events yet, cold start, checkpoints seeded.
-  const CycleReport cold = sys.run_cycle(0.0);
-  EXPECT_TRUE(cold.dse.all_converged);
-  EXPECT_FALSE(cold.topology.repartitioned);
-  const int cold_iters = max_step1_iterations(cold, /*warm_only=*/false);
-  ASSERT_GT(cold_iters, 0);
-
-  // Cycle 1: the outage applies, the score trips the (tiny) threshold, the
-  // system repartitions, reseeds the checkpoint store in the new numbering
-  // — and the SAME cycle's restore phase warm-starts every estimator.
-  const CycleReport repart = sys.run_cycle(60.0);
-  EXPECT_EQ(repart.topology.events_applied, 1);
-  EXPECT_TRUE(repart.topology.repartitioned);
-  EXPECT_GT(repart.topology.partition_score, 0.0);
-  EXPECT_GT(repart.topology.num_subsystems, 0);
-  EXPECT_EQ(sys.topology_repartitions(), 1);
-  EXPECT_EQ(sys.supervisor()->topology_repartitions(), 1);
-  EXPECT_TRUE(repart.dse.all_converged);
-  EXPECT_LT(repart.max_vm_error, 0.05);
-
-  // Warm restart: reseeded checkpoints reached the estimators, and no warm
-  // solve needed more Gauss-Newton iterations than the cold baseline.
-  EXPECT_GT(repart.dse.recovery.warm_started, 0);
-  EXPECT_LE(max_step1_iterations(repart, /*warm_only=*/true), cold_iters);
-
-  // Cycle 2: no further events — no further repartition, still healthy.
-  const CycleReport after = sys.run_cycle(120.0);
-  EXPECT_FALSE(after.topology.repartitioned);
-  EXPECT_EQ(sys.topology_repartitions(), 1);
-  EXPECT_TRUE(after.dse.all_converged);
-}
-
-TEST_F(TopologyChaosTest, RepartitionCountsWithoutSupervisorToo) {
-  // The repartition path must not depend on the recovery layer: with the
-  // supervisor off it still triggers, still converges (flat restart), and
-  // is still counted on the system.
-  SystemConfig cfg;
-  cfg.truth_mode = TruthMode::kDcLinearized;
-  cfg.mapping.num_clusters = 3;
-  cfg.topology.plan = outage_plan_json();
-  cfg.topology.repartition_threshold = 1e-9;
-  DseSystem sys(io::ieee118_dse(), cfg);
-  EXPECT_FALSE(sys.recovery_enabled());
-
-  (void)sys.run_cycle(0.0);
-  const CycleReport repart = sys.run_cycle(60.0);
-  EXPECT_TRUE(repart.topology.repartitioned);
-  EXPECT_EQ(sys.topology_repartitions(), 1);
-  EXPECT_TRUE(repart.dse.all_converged);
-  EXPECT_LT(repart.max_vm_error, 0.05);
-}
-
 TEST_F(TopologyChaosTest, ClusterKillDuringTopologyBatchComposes) {
   DseSystem sys(io::ieee118_dse(), topo_recovery_config());
   ASSERT_TRUE(sys.recovery_enabled());
@@ -201,23 +139,22 @@ TEST_F(TopologyChaosTest, ClusterKillDuringTopologyBatchComposes) {
   const int cold_iters = max_step1_iterations(healthy, /*warm_only=*/false);
 
   // Cycle 1: rank 1 goes silent in the SAME cycle the topology batch
-  // applies and trips the repartition. Both machineries fire: the event is
-  // applied + repartitioned at the cycle top, the heartbeat condemns the
-  // silenced rank mid-run, and the cycle finishes degraded — not failed.
+  // applies. Both machineries fire: the event is applied at the cycle top,
+  // the heartbeat condemns the silenced rank mid-run, and the cycle
+  // finishes degraded — not failed.
   fault::install(kill_rank1_plan());
   const CycleReport killed = sys.run_cycle(60.0);
   const std::uint64_t injected = fault::injected_count();
   fault::clear();
   EXPECT_GT(injected, 0u);
   EXPECT_EQ(killed.topology.events_applied, 1);
-  EXPECT_TRUE(killed.topology.repartitioned);
   EXPECT_TRUE(killed.dse.degraded_mode());
   EXPECT_EQ(killed.dse.unresponsive_ranks, (std::vector<int>{1}));
   const int dead_cluster = killed.participants.at(1);
 
   // Cycle 2: the recovery remap runs over the survivors while the grid is
-  // still in its post-event (repartitioned) shape — the two compose, the
-  // cycle is healthy, and warm solves stay within the cold baseline.
+  // still in its post-event shape — the two compose, the cycle is healthy,
+  // and warm solves stay within the cold baseline.
   const CycleReport remapped = sys.run_cycle(120.0);
   EXPECT_EQ(remapped.participants.size(), 2u);
   EXPECT_TRUE(remapped.dse.all_converged);
@@ -226,7 +163,6 @@ TEST_F(TopologyChaosTest, ClusterKillDuringTopologyBatchComposes) {
   EXPECT_GT(remapped.dse.recovery.warm_started, 0);
   EXPECT_LE(max_step1_iterations(remapped, /*warm_only=*/true), cold_iters);
   EXPECT_EQ(sys.supervisor()->remaps(), 1);
-  EXPECT_EQ(sys.topology_repartitions(), 1);
 
   // Cycle 3: fold the revived cluster back in — full strength again on the
   // post-event topology.

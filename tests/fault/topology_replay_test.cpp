@@ -111,7 +111,6 @@ core::SystemConfig replay_config(std::string plan_json) {
   cfg.truth_mode = core::TruthMode::kDcLinearized;
   cfg.mapping.num_clusters = 3;
   cfg.topology.plan = std::move(plan_json);
-  cfg.topology.repartition_threshold = 0.0;  // replay only, no repartition
   return cfg;
 }
 

@@ -192,55 +192,6 @@ TEST(Repartition, RefinesFromPrevious) {
   EXPECT_LE(migration_count(first.assignment, second.assignment), 20);
 }
 
-TEST(ChooseParts, SweepPicksLowestScoreAndIsDeterministic) {
-  Rng rng(777);
-  const WeightedGraph g = random_connected(60, 1.2, rng);
-  PartitionOptions opts;
-  opts.seed = 9;
-  opts.imbalance_tolerance = 1.3;
-  const PartsChoice choice = choose_parts(g, opts, 2, 6);
-  EXPECT_GE(choice.k, 2);
-  EXPECT_LE(choice.k, 6);
-  EXPECT_GT(choice.score, 0.0);
-  EXPECT_TRUE(is_valid_partition(g, choice.partition.assignment, choice.k));
-
-  // The winner must actually carry the lowest total-work score over the
-  // swept range (ties to the smaller k), under the same objective.
-  PartitionOptions conv = opts;
-  conv.objective = PartitionObjective::kConvergenceAware;
-  for (PartId k = 2; k <= 6; ++k) {
-    const Partition p = partition(g, [&] {
-      PartitionOptions o = conv;
-      o.k = k;
-      return o;
-    }());
-    double max_weight = 0.0;
-    for (const double w : p.part_weights) max_weight = std::max(max_weight, w);
-    const double score = p.expected_gn_iterations * max_weight;
-    if (k < choice.k) {
-      EXPECT_LT(choice.score, score) << "k=" << k;  // strict: ties go low
-    } else {
-      EXPECT_LE(choice.score, score + 1e-12) << "k=" << k;
-    }
-  }
-
-  // Deterministic for fixed inputs.
-  const PartsChoice again = choose_parts(g, opts, 2, 6);
-  EXPECT_EQ(again.k, choice.k);
-  EXPECT_EQ(again.partition.assignment, choice.partition.assignment);
-  EXPECT_DOUBLE_EQ(again.score, choice.score);
-}
-
-TEST(ChooseParts, ClampsAndValidatesBounds) {
-  const WeightedGraph g = paper_graph(false);
-  // k_max beyond the vertex count is clamped to it.
-  const PartsChoice choice = choose_parts(g, {}, 1, 100);
-  EXPECT_GE(choice.k, 1);
-  EXPECT_LE(choice.k, 9);
-  EXPECT_THROW(choose_parts(g, {}, 0, 3), InvalidInput);
-  EXPECT_THROW(choose_parts(g, {}, 5, 4), InvalidInput);
-}
-
 TEST(Repartition, RejectsInvalidPrevious) {
   const WeightedGraph g = paper_graph(false);
   PartitionOptions opts;

@@ -22,8 +22,7 @@ class ResilienceEnvTest : public ::testing::Test {
           "GRIDSE_RECOVERY", "GRIDSE_HEARTBEAT_PERIOD_MS",
           "GRIDSE_HEARTBEAT_TIMEOUT_MS", "GRIDSE_HEARTBEAT_ROUNDS",
           "GRIDSE_REJOIN_EPOCH", "GRIDSE_CHECKPOINT_DIR",
-          "GRIDSE_CYCLE_DEADLINE_MS", "GRIDSE_PHASE_BUDGET_STEP2_MS",
-          "GRIDSE_TOPOLOGY_K_MIN", "GRIDSE_TOPOLOGY_K_MAX"}) {
+          "GRIDSE_CYCLE_DEADLINE_MS", "GRIDSE_PHASE_BUDGET_STEP2_MS"}) {
       ::unsetenv(name);
     }
   }
@@ -154,23 +153,6 @@ TEST_F(ResilienceEnvTest, SloEnvBeatsConfigPerThreshold) {
   EXPECT_EQ(out.step1_budget, std::chrono::milliseconds{40});
   EXPECT_EQ(out.step2_budget, std::chrono::milliseconds{7});
   EXPECT_EQ(out.exchange_budget, std::chrono::milliseconds{0});
-}
-
-TEST_F(ResilienceEnvTest, TopologyKSweepBoundsMustBeSetTogether) {
-  ::setenv("GRIDSE_TOPOLOGY_K_MIN", "4", 1);
-  EXPECT_THROW(with_env_overrides(TopologyConfig{}), InvalidInput);
-  ::setenv("GRIDSE_TOPOLOGY_K_MAX", "8", 1);
-  const TopologyConfig both = with_env_overrides(TopologyConfig{});
-  EXPECT_EQ(both.k_min, 4);
-  EXPECT_EQ(both.k_max, 8);
-  clear();
-  ::setenv("GRIDSE_TOPOLOGY_K_MAX", "8", 1);
-  EXPECT_THROW(with_env_overrides(TopologyConfig{}), InvalidInput);
-  // A configured half pair is rejected the same way.
-  clear();
-  TopologyConfig half;
-  half.k_min = 4;
-  EXPECT_THROW(with_env_overrides(half), InvalidInput);
 }
 
 }  // namespace

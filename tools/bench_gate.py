@@ -19,10 +19,9 @@ with two metric classes:
   exchange.degraded_subsystems, exchange.corrupt_frames) and recovery
   counters (recovery.remaps, recovery.rejoins, recovery.checkpoint_bytes),
   and topology counters/gauges (topology.events_applied,
-  topology.repartitions, topology.masked_measurements,
-  topology.anchors_added, topology.islands, topology.partition_score).
+  topology.masked_measurements, topology.anchors_added, topology.islands).
   Published so a run that limped through on retries, degraded subsystems,
-  a remap epoch, or a topology-event repartition is visible in the merged
+  a remap epoch, or a switching event is visible in the merged
   document, but never gated and never required in the baseline: a healthy
   bench run legitimately reports zeros.
 
@@ -199,18 +198,17 @@ def merge(bench_docs, report):
     for counter in ("exchange.retries", "exchange.degraded_subsystems",
                     "exchange.corrupt_frames", "recovery.remaps",
                     "recovery.rejoins", "recovery.checkpoint_bytes",
-                    "topology.events_applied", "topology.repartitions",
-                    "topology.masked_measurements", "topology.anchors_added"):
+                    "topology.events_applied", "topology.masked_measurements",
+                    "topology.anchors_added"):
         doc["informational"][f"obs.{counter}"] = (
             metrics.get("counters", {}).get(counter, 0))
 
-    # Topology gauges: the island count of the last cycle is a health
+    # Topology gauge: the island count of the last cycle is a health
     # indicator (1 means the system returned to a single energized
     # component), never a regression signal.
-    for gauge in ("topology.islands", "topology.partition_score"):
-        value = metrics.get("gauges", {}).get(gauge)
-        if value is not None:
-            doc["informational"][f"obs.{gauge}"] = value
+    value = metrics.get("gauges", {}).get("topology.islands")
+    if value is not None:
+        doc["informational"]["obs.topology.islands"] = value
 
     for span_name, span in metrics.get("spans", {}).items():
         doc["advisory"][f"obs.span.{span_name}.total_seconds"] = span[
@@ -342,7 +340,6 @@ CHAOS_RECOVERY_REQUIRED = {
 }
 CHAOS_TOPOLOGY_REQUIRED = {
     "events_applied": (int, float),
-    "repartitions": (int, float),
     "islands": (int, float),
 }
 
@@ -440,7 +437,6 @@ def validate_chaos_reports(paths):
         topology = doc.get("topology", {})
         if topology:
             suffix += (f" topology(events={topology.get('events_applied')},"
-                       f" repartitions={topology.get('repartitions')},"
                        f" islands={topology.get('islands')})")
         print(f"bench_gate: [ok] {path}: test={doc['test']} "
               f"injected={doc['injected']:g} degraded={len(doc['degraded'])}"
