@@ -46,12 +46,12 @@ namespace {
 /// `islands` (topology replay, DC only) each island gets its own reference
 /// and de-energized buses are pinned to |V| = 0, θ = 0; the jitter stream
 /// draws for every PQ bus regardless of energization, so restoring the base
-/// topology returns the exact pre-event truth. `plan` is the caller's B′
-/// plan slot, reused while B′'s pattern is unchanged.
-grid::GridState solve_truth_state(
-    const grid::Network& network, TruthMode mode, std::uint64_t seed,
-    const grid::IslandReport* islands,
-    std::shared_ptr<const sparse::SymbolicPlan>& plan) {
+/// topology returns the exact pre-event truth. `bprime` is the caller's B′
+/// slot: its factor is reused while B′ is unchanged.
+grid::GridState solve_truth_state(const grid::Network& network,
+                                  TruthMode mode, std::uint64_t seed,
+                                  const grid::IslandReport* islands,
+                                  grid::BprimeFactor& bprime) {
   if (mode == TruthMode::kAcPowerFlow) {
     GRIDSE_CHECK(islands == nullptr);
     const grid::PowerFlowResult pf = grid::solve_power_flow(network);
@@ -64,10 +64,10 @@ grid::GridState solve_truth_state(
   grid::GridState state(network.num_buses());
   if (islands != nullptr) {
     state.theta =
-        grid::solve_dc_power_flow_islands(network, *islands, plan).theta;
+        grid::solve_dc_power_flow_islands(network, *islands, bprime).theta;
   } else {
     const std::optional<grid::DcPowerFlow> dc =
-        grid::solve_dc_power_flow(network, plan);
+        grid::solve_dc_power_flow(network, bprime);
     if (!dc) {
       throw ConvergenceFailure("DseSystem: DC power flow is singular");
     }
@@ -147,7 +147,7 @@ DseSystem::DseSystem(io::GeneratedCase generated, SystemConfig config)
   }
 
   true_state_ = solve_truth_state(generated_.kase.network, config_.truth_mode,
-                                  config_.seed, nullptr, truth_plan_);
+                                  config_.seed, nullptr, truth_bprime_);
   bus_energized_prev_.assign(
       static_cast<std::size_t>(generated_.kase.network.num_buses()), 1);
 
@@ -268,7 +268,7 @@ CycleReport DseSystem::run_cycle(double time_sec) {
     }
     true_state_ = solve_truth_state(
         scaled ? *scaled : generated_.kase.network, config_.truth_mode,
-        config_.seed, islands ? &*islands : nullptr, truth_plan_);
+        config_.seed, islands ? &*islands : nullptr, truth_bprime_);
   }
   last_measurements_ = generator_->generate(true_state_, rng_, time_sec);
   if (live_topology_ != nullptr) {

@@ -341,7 +341,7 @@ DseResult DseDriver::run(runtime::Communicator& comm,
       ByteWriter w;
       w.write_vector(estimators.at(s)->step1_all_states());
       w.write_vector(encode_measurements(estimators.at(s)->local_model().filter(
-          global_measurements, *network_, route.of(s))));
+          global_measurements, route.of(s))));
       auto payload = w.take();
       OBS_COUNTER_ADD("dse.redistribute.messages", 1);
       OBS_COUNTER_ADD("dse.redistribute.bytes", payload.size());

@@ -22,20 +22,22 @@ constexpr double kDegradedPriorSigma = 0.05;
 constexpr double kStep2Regularization = 1e-8;
 
 /// Dispatch one local solve through plain WLS or the Huber M-estimator,
-/// per the options.
-estimation::WlsResult solve_local(const grid::Network& network,
+/// per the options, on `model`'s network and its kept Ybus.
+estimation::WlsResult solve_local(const decomp::SubsystemModel& model,
                                   grid::BusIndex reference,
                                   const LocalEstimatorOptions& options,
                                   const estimation::WlsOptions& wls_opts,
                                   const grid::MeasurementSet& set,
                                   const grid::GridState& initial) {
   if (!options.robust) {
-    const estimation::WlsEstimator estimator(network, reference, wls_opts);
+    const estimation::WlsEstimator estimator(model.network, reference,
+                                             wls_opts, model.ybus);
     return estimator.estimate(set, initial);
   }
   estimation::RobustOptions ropts;
   ropts.wls = wls_opts;
-  const estimation::HuberEstimator estimator(network, reference, ropts);
+  const estimation::HuberEstimator estimator(model.network, reference, ropts,
+                                             model.ybus);
   return estimator.estimate(set, initial).wls;
 }
 
@@ -70,11 +72,8 @@ LocalEstimator::Reference LocalEstimator::pick_reference(
     const decomp::SubsystemModel& model,
     const grid::MeasurementSet& local_set) const {
   // Global slack inside this subsystem anchors the reference at angle 0.
-  const grid::BusIndex global_slack = network_->slack_bus();
-  const auto it = model.local_of_global.find(global_slack);
-  if (it != model.local_of_global.end() &&
-      model.own[static_cast<std::size_t>(it->second)]) {
-    return {it->second, 0.0};
+  if (model.own_slack >= 0) {
+    return {model.own_slack, 0.0};
   }
   // Otherwise the first PMU (kVAngle) measurement pins the local reference
   // to a globally synchronized angle — the role synchronized phasors play in
@@ -96,7 +95,7 @@ LocalSolveInfo LocalEstimator::run_step1(
     const decomp::MeasurementRoute& route) {
   Timer timer;
   const grid::MeasurementSet local_set =
-      local_->filter(global_set, *network_, route.of(subsystem_));
+      local_->filter(global_set, route.of(subsystem_));
   const Reference ref = pick_reference(*local_, local_set);
 
   grid::GridState initial(local_->network.num_buses());
@@ -118,8 +117,7 @@ LocalSolveInfo LocalEstimator::run_step1(
     }
   }
   const estimation::WlsResult result = solve_local(
-      local_->network, ref.local_bus, options_, options_.wls, local_set,
-      initial);
+      *local_, ref.local_bus, options_, options_.wls, local_set, initial);
 
   step1_state_ = result.state;
   step2_state_.reset();
@@ -141,16 +139,16 @@ grid::GridState LocalEstimator::records_to_local_state(
   std::vector<bool> seen(static_cast<std::size_t>(local_->network.num_buses()),
                          false);
   for (const BusStateRecord& rec : records) {
-    const auto it = local_->local_of_global.find(rec.bus);
-    if (it == local_->local_of_global.end()) {
+    const grid::BusIndex l = local_->local_of_global.find(rec.bus);
+    if (l < 0) {
       throw InvalidInput(std::string(what) + ": record for bus " +
                          std::to_string(rec.bus) +
                          " which is not in subsystem " +
                          std::to_string(subsystem_));
     }
-    state.theta[static_cast<std::size_t>(it->second)] = rec.theta;
-    state.vm[static_cast<std::size_t>(it->second)] = rec.vm;
-    seen[static_cast<std::size_t>(it->second)] = true;
+    state.theta[static_cast<std::size_t>(l)] = rec.theta;
+    state.vm[static_cast<std::size_t>(l)] = rec.vm;
+    seen[static_cast<std::size_t>(l)] = true;
   }
   for (const bool s : seen) {
     if (!s) {
@@ -185,7 +183,7 @@ LocalSolveInfo LocalEstimator::run_step2(
   Timer timer;
 
   grid::MeasurementSet ext_set =
-      extended_->filter(global_set, *network_, route.of(subsystem_));
+      extended_->filter(global_set, route.of(subsystem_));
   const Reference ref = pick_reference(*extended_, ext_set);
 
   // Initial state: own buses from Step 1; remote buses flat, overwritten
@@ -194,12 +192,12 @@ LocalSolveInfo LocalEstimator::run_step2(
   for (grid::BusIndex l = 0; l < extended_->network.num_buses(); ++l) {
     const grid::BusIndex g =
         extended_->global_bus[static_cast<std::size_t>(l)];
-    const auto own_it = local_->local_of_global.find(g);
-    if (own_it != local_->local_of_global.end()) {
+    const grid::BusIndex own = local_->local_of_global.find(g);
+    if (own >= 0) {
       initial.theta[static_cast<std::size_t>(l)] =
-          step1_state_->theta[static_cast<std::size_t>(own_it->second)];
+          step1_state_->theta[static_cast<std::size_t>(own)];
       initial.vm[static_cast<std::size_t>(l)] =
-          step1_state_->vm[static_cast<std::size_t>(own_it->second)];
+          step1_state_->vm[static_cast<std::size_t>(own)];
     }
   }
 
@@ -208,11 +206,10 @@ LocalSolveInfo LocalEstimator::run_step2(
   std::vector<bool> covered(
       static_cast<std::size_t>(extended_->network.num_buses()), false);
   for (const BusStateRecord& rec : neighbor_states) {
-    const auto it = extended_->local_of_global.find(rec.bus);
-    if (it == extended_->local_of_global.end()) {
+    const grid::BusIndex l = extended_->local_of_global.find(rec.bus);
+    if (l < 0) {
       continue;  // a neighbour bus outside this extended model
     }
-    const grid::BusIndex l = it->second;
     if (extended_->own[static_cast<std::size_t>(l)]) {
       continue;  // own buses keep their own Step-1 estimate
     }
@@ -276,7 +273,7 @@ LocalSolveInfo LocalEstimator::run_step2(
   wls.regularization = std::max(wls.regularization, kStep2Regularization);
   initial.theta[static_cast<std::size_t>(ref.local_bus)] = ref.angle;
   const estimation::WlsResult result = solve_local(
-      extended_->network, ref.local_bus, options_, wls, ext_set, initial);
+      *extended_, ref.local_bus, options_, wls, ext_set, initial);
 
   step2_state_ = result.state;
 
@@ -312,10 +309,10 @@ std::vector<BusStateRecord> LocalEstimator::boundary_records() const {
   const grid::GridState& state = refined ? *step2_state_ : *step1_state_;
   std::vector<BusStateRecord> out;
   const auto add = [&](grid::BusIndex g) {
-    const auto it = model.local_of_global.find(g);
-    GRIDSE_CHECK(it != model.local_of_global.end());
-    const auto l = static_cast<std::size_t>(it->second);
-    out.push_back({g, state.theta[l], state.vm[l]});
+    const grid::BusIndex l = model.local_of_global.find(g);
+    GRIDSE_CHECK(l >= 0);
+    out.push_back({g, state.theta[static_cast<std::size_t>(l)],
+                   state.vm[static_cast<std::size_t>(l)]});
   };
   for (const grid::BusIndex g : sub.boundary_buses) add(g);
   for (const grid::BusIndex g : sub.sensitive_internal) add(g);
@@ -335,10 +332,10 @@ std::vector<BusStateRecord> LocalEstimator::final_states() const {
   reeval.insert(sub.sensitive_internal.begin(), sub.sensitive_internal.end());
   for (BusStateRecord& rec : out) {
     if (reeval.count(rec.bus) == 0) continue;
-    const auto it = extended_->local_of_global.find(rec.bus);
-    GRIDSE_CHECK(it != extended_->local_of_global.end());
-    rec.theta = step2_state_->theta[static_cast<std::size_t>(it->second)];
-    rec.vm = step2_state_->vm[static_cast<std::size_t>(it->second)];
+    const grid::BusIndex l = extended_->local_of_global.find(rec.bus);
+    GRIDSE_CHECK(l >= 0);
+    rec.theta = step2_state_->theta[static_cast<std::size_t>(l)];
+    rec.vm = step2_state_->vm[static_cast<std::size_t>(l)];
   }
   return out;
 }

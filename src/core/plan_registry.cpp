@@ -41,16 +41,8 @@ void PlanRegistry::sync_branch_status(std::span<const std::size_t> changed,
                                       const grid::Network& network) {
   analysis::LockGuard lock(mutex_);
   for (auto& [s, models] : models_) {
-    for (decomp::SubsystemModel* model :
-         {models.local.get(), models.extended.get()}) {
-      for (const std::size_t bi : changed) {
-        const auto it = model->local_branch_of_global.find(bi);
-        if (it != model->local_branch_of_global.end()) {
-          model->network.set_branch_in_service(it->second,
-                                               network.branch_in_service(bi));
-        }
-      }
-    }
+    models.local->sync_branch_status(changed, network);
+    models.extended->sync_branch_status(changed, network);
   }
 }
 

@@ -49,8 +49,9 @@ class PlanRegistry {
 
   /// Follow the switching state: copy `network`'s in_service status of each
   /// branch in `changed` into every kept model containing that branch — the
-  /// owners' local and extended models and the neighbours' extended ones.
-  /// Patches in place, so call it between frames, never while a driver runs.
+  /// owners' local and extended models and the neighbours' extended ones —
+  /// with its Ybus (SubsystemModel::sync_branch_status). Patches in place,
+  /// so call it between frames, never while a driver runs.
   void sync_branch_status(std::span<const std::size_t> changed,
                           const grid::Network& network);
 

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <set>
 
+#include "grid/ybus.hpp"
 #include "util/error.hpp"
 
 namespace gridse::decomp {
@@ -16,71 +17,96 @@ SubsystemModel build_model(const grid::Network& network,
   SubsystemModel m;
   m.subsystem_id = subsystem_id;
 
+  std::vector<std::pair<std::int32_t, std::int32_t>> bus_entries;
+  bus_entries.reserve(own_buses.size() + remote_buses.size());
   const auto add_bus = [&](grid::BusIndex g, bool is_own) {
     grid::Bus bus = network.bus(g);
+    const bool slack = bus.type == grid::BusType::kSlack;
     const grid::BusIndex local = m.network.add_bus(std::move(bus));
     m.global_bus.push_back(g);
-    m.local_of_global[g] = local;
+    bus_entries.emplace_back(g, local);
     m.own.push_back(is_own);
+    if (is_own && slack) m.own_slack = local;
   };
   for (const grid::BusIndex g : own_buses) add_bus(g, true);
   for (const grid::BusIndex g : remote_buses) add_bus(g, false);
+  m.local_of_global = IndexMap(std::move(bus_entries));
 
   // Include every branch whose both endpoints are in the model.
+  std::vector<std::pair<std::int32_t, std::int32_t>> branch_entries;
   for (std::size_t bi = 0; bi < network.num_branches(); ++bi) {
     const grid::Branch& br = network.branch(bi);
-    const auto fit = m.local_of_global.find(br.from);
-    const auto tit = m.local_of_global.find(br.to);
-    if (fit == m.local_of_global.end() || tit == m.local_of_global.end()) {
+    const grid::BusIndex from = m.local_of_global.find(br.from);
+    const grid::BusIndex to = m.local_of_global.find(br.to);
+    if (from < 0 || to < 0) {
       continue;
     }
     grid::Branch local = br;
-    local.from = fit->second;
-    local.to = tit->second;
-    m.local_branch_of_global[bi] = m.global_branch.size();
+    local.from = from;
+    local.to = to;
+    branch_entries.emplace_back(static_cast<std::int32_t>(bi),
+                                static_cast<std::int32_t>(
+                                    m.global_branch.size()));
     m.global_branch.push_back(bi);
     m.network.add_branch(local);
   }
+  m.local_branch_of_global = IndexMap(std::move(branch_entries));
+
+  m.injection_exact.resize(m.global_bus.size());
+  for (std::size_t l = 0; l < m.global_bus.size(); ++l) {
+    const auto& at = network.branches_at(m.global_bus[l]);
+    m.injection_exact[l] =
+        std::all_of(at.begin(), at.end(), [&](std::size_t bi) {
+          return m.local_branch_of_global.contains(
+              static_cast<std::int32_t>(bi));
+        });
+  }
+  m.ybus = grid::build_ybus(m.network);
   return m;
 }
 
 }  // namespace
 
+IndexMap::IndexMap(std::vector<std::pair<std::int32_t, std::int32_t>> entries)
+    : entries_(std::move(entries)) {
+  std::sort(entries_.begin(), entries_.end());
+}
+
+std::int32_t IndexMap::find(std::int32_t key) const {
+  const auto it = std::lower_bound(
+      entries_.begin(), entries_.end(), key,
+      [](const auto& entry, std::int32_t k) { return entry.first < k; });
+  return it != entries_.end() && it->first == key ? it->second : -1;
+}
+
 std::optional<grid::Measurement> SubsystemModel::remap(
-    const grid::Measurement& g, const grid::Network& global_network) const {
+    const grid::Measurement& g) const {
   grid::Measurement local = g;
-  const auto bus_it = local_of_global.find(g.bus);
-  if (bus_it == local_of_global.end()) {
-    return std::nullopt;
-  }
+  const grid::BusIndex bus = local_of_global.find(g.bus);
   // Meters live with the subsystem that owns the metered bus.
-  if (!own[static_cast<std::size_t>(bus_it->second)]) {
+  if (bus < 0 || !own[static_cast<std::size_t>(bus)]) {
     return std::nullopt;
   }
-  local.bus = bus_it->second;
+  local.bus = bus;
 
   switch (g.type) {
     case grid::MeasType::kPFlow:
     case grid::MeasType::kQFlow: {
-      const auto br_it = local_branch_of_global.find(
-          static_cast<std::size_t>(g.branch));
-      if (br_it == local_branch_of_global.end()) {
+      const std::int32_t branch = local_branch_of_global.find(g.branch);
+      if (branch < 0) {
         return std::nullopt;
       }
-      local.branch = static_cast<std::int32_t>(br_it->second);
+      local.branch = branch;
       return local;
     }
     case grid::MeasType::kPInjection:
-    case grid::MeasType::kQInjection: {
+    case grid::MeasType::kQInjection:
       // The injection function sums over every incident branch; it is only
       // correct when all of them are present in the model.
-      for (const std::size_t bi : global_network.branches_at(g.bus)) {
-        if (local_branch_of_global.count(bi) == 0) {
-          return std::nullopt;
-        }
+      if (!injection_exact[static_cast<std::size_t>(bus)]) {
+        return std::nullopt;
       }
       return local;
-    }
     case grid::MeasType::kVMag:
     case grid::MeasType::kVAngle:
       return local;
@@ -89,12 +115,11 @@ std::optional<grid::Measurement> SubsystemModel::remap(
 }
 
 grid::MeasurementSet SubsystemModel::filter(
-    const grid::MeasurementSet& global_set,
-    const grid::Network& global_network) const {
+    const grid::MeasurementSet& global_set) const {
   grid::MeasurementSet out;
   out.timestamp = global_set.timestamp;
   for (const grid::Measurement& g : global_set.items) {
-    if (auto local = remap(g, global_network)) {
+    if (auto local = remap(g)) {
       out.items.push_back(*local);
     }
   }
@@ -103,16 +128,34 @@ grid::MeasurementSet SubsystemModel::filter(
 
 grid::MeasurementSet SubsystemModel::filter(
     const grid::MeasurementSet& global_set,
-    const grid::Network& global_network,
     std::span<const std::uint32_t> indices) const {
   grid::MeasurementSet out;
   out.timestamp = global_set.timestamp;
+  out.items.reserve(indices.size());
   for (const std::uint32_t i : indices) {
-    if (auto local = remap(global_set.items[i], global_network)) {
+    if (auto local = remap(global_set.items[i])) {
       out.items.push_back(*local);
     }
   }
   return out;
+}
+
+void SubsystemModel::sync_branch_status(std::span<const std::size_t> changed,
+                                        const grid::Network& live) {
+  bool flipped = false;
+  for (const std::size_t bi : changed) {
+    const std::int32_t local =
+        local_branch_of_global.find(static_cast<std::int32_t>(bi));
+    if (local < 0) continue;
+    const bool in_service = live.branch_in_service(bi);
+    const auto lu = static_cast<std::size_t>(local);
+    if (network.branch_in_service(lu) == in_service) continue;
+    network.set_branch_in_service(lu, in_service);
+    flipped = true;
+  }
+  // A rebuild rather than an in-place patch: the matrix stays exactly what
+  // build_ybus makes of the switched network.
+  if (flipped) ybus = grid::build_ybus(network);
 }
 
 std::span<const std::uint32_t> MeasurementRoute::of(int s) const {

@@ -1,17 +1,36 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
 #include <span>
+#include <utility>
+#include <vector>
 
 #include "decomp/decomposition.hpp"
 #include "grid/measurement.hpp"
 #include "grid/network.hpp"
 #include "grid/state.hpp"
+#include "sparse/csr.hpp"
 
 namespace gridse::decomp {
+
+/// Flat global → local index map: (key, value) pairs sorted by key and
+/// searched by bisection. A subsystem model's maps hold a few hundred
+/// entries, which one contiguous array serves better than a node-based map.
+class IndexMap {
+ public:
+  IndexMap() = default;
+  /// From (key, value) pairs with distinct keys, in any order.
+  explicit IndexMap(std::vector<std::pair<std::int32_t, std::int32_t>> entries);
+
+  /// The value at `key`, or -1 when absent.
+  [[nodiscard]] std::int32_t find(std::int32_t key) const;
+  [[nodiscard]] bool contains(std::int32_t key) const { return find(key) >= 0; }
+
+ private:
+  std::vector<std::pair<std::int32_t, std::int32_t>> entries_;
+};
 
 /// A subsystem-scoped network extracted from the interconnection, with the
 /// index maps needed to shuttle measurements and states between global and
@@ -20,20 +39,32 @@ namespace gridse::decomp {
 ///  - extended (DSE Step 2): additionally the tie lines, the neighbouring
 ///    subsystems' boundary + sensitive-internal buses, and the remote
 ///    branches among those included remote buses.
+/// Everything here is per topology: extracted once, then kept on the live
+/// switching state by sync_branch_status.
 struct SubsystemModel {
   int subsystem_id = 0;
   grid::Network network;
+  /// build_ybus(network) at its current switching state: the admittance
+  /// matrix every estimator on this model borrows.
+  sparse::CsrComplex ybus;
   /// local bus index -> global bus index.
   std::vector<grid::BusIndex> global_bus;
-  /// global bus index -> local bus index (absent = not in model).
-  std::map<grid::BusIndex, grid::BusIndex> local_of_global;
+  /// global bus index -> local bus index (-1 = not in model).
+  IndexMap local_of_global;
   /// local branch index -> global branch index.
   std::vector<std::size_t> global_branch;
-  /// global branch index -> local branch index.
-  std::map<std::size_t, std::size_t> local_branch_of_global;
+  /// global branch index -> local branch index (-1 = not in model).
+  IndexMap local_branch_of_global;
   /// own[local bus] = true when the bus belongs to this subsystem (false for
   /// remote buses pulled into an extended model).
   std::vector<bool> own;
+  /// injection_exact[local bus] = true when every branch at the bus in the
+  /// interconnection is in the model, so an injection there evaluates
+  /// exactly on it.
+  std::vector<bool> injection_exact;
+  /// Local index of the interconnection's slack bus when this model owns
+  /// it, else -1.
+  grid::BusIndex own_slack = -1;
 
   /// Translate one global-numbered measurement into local numbering.
   /// Returns nullopt when the measurement cannot be evaluated on this model:
@@ -41,23 +72,26 @@ struct SubsystemModel {
   /// injection at a bus with incident branches outside the model (its h(x)
   /// would be wrong).
   [[nodiscard]] std::optional<grid::Measurement> remap(
-      const grid::Measurement& global_meas,
-      const grid::Network& global_network) const;
+      const grid::Measurement& global_meas) const;
 
   /// Filter and remap a whole global measurement set: the reference the
   /// routed overload below must equal. The estimators filter only their
   /// routed list.
   [[nodiscard]] grid::MeasurementSet filter(
-      const grid::MeasurementSet& global_set,
-      const grid::Network& global_network) const;
+      const grid::MeasurementSet& global_set) const;
 
   /// Filter and remap only the items of `global_set` at `indices` (this
   /// subsystem's MeasurementRoute list); equal to the whole-set filter,
   /// since remap keeps only meters on own buses.
   [[nodiscard]] grid::MeasurementSet filter(
       const grid::MeasurementSet& global_set,
-      const grid::Network& global_network,
       std::span<const std::uint32_t> indices) const;
+
+  /// Follow the switching state: copy `live`'s in_service status of each
+  /// global branch in `changed` that this model contains, and rebuild the
+  /// Ybus when any of them flipped.
+  void sync_branch_status(std::span<const std::size_t> changed,
+                          const grid::Network& live);
 
   /// Scatter a local state into a global state (only this model's buses are
   /// touched; optionally own buses only).

@@ -37,14 +37,22 @@ bool connected_with(const Network& network, std::span<const char> in_service) {
   return count == n;
 }
 
-/// B′ over susceptances 1/x (taps and charging ignored in DC), assembled
-/// straight into CSR: each row gathers its terms in branch order, is
-/// insertion-sorted by column (stable), and sums its duplicates — the
-/// diagonal and parallel branches — in that order.
+}  // namespace
+
+namespace detail {
+
+// Assembled straight into CSR: each row gathers its terms in branch order,
+// is insertion-sorted by column (stable), and sums its duplicates — the
+// diagonal and parallel branches — in that order.
 sparse::Csr assemble_bprime(const Network& network,
                             std::span<const std::int32_t> reduced,
-                            std::span<const char> in_bprime,
-                            sparse::Index dim) {
+                            std::span<const char> in_bprime) {
+  GRIDSE_CHECK(reduced.size() ==
+                   static_cast<std::size_t>(network.num_buses()) &&
+               in_bprime.size() == network.num_branches());
+  const auto dim = static_cast<sparse::Index>(
+      std::count_if(reduced.begin(), reduced.end(),
+                    [](std::int32_t r) { return r >= 0; }));
   const auto row_of = [&](BusIndex b) {
     return reduced[static_cast<std::size_t>(b)];
   };
@@ -113,36 +121,22 @@ sparse::Csr assemble_bprime(const Network& network,
                                  std::move(val));
 }
 
-}  // namespace
-
-namespace detail {
-
-std::vector<double> solve_bprime_angles(
-    const Network& network, std::span<const std::int32_t> reduced,
-    std::span<const char> in_bprime,
-    std::shared_ptr<const sparse::SymbolicPlan>& plan) {
+std::vector<double> bprime_angles(const Network& network,
+                                  std::span<const std::int32_t> reduced,
+                                  const BprimeFactor& slot) {
   const BusIndex n = network.num_buses();
-  GRIDSE_CHECK(reduced.size() == static_cast<std::size_t>(n) &&
-               in_bprime.size() == network.num_branches());
-  const auto dim = static_cast<sparse::Index>(
-      std::count_if(reduced.begin(), reduced.end(),
-                    [](std::int32_t r) { return r >= 0; }));
-  const sparse::Csr bprime = assemble_bprime(network, reduced, in_bprime, dim);
-  std::vector<double> p(static_cast<std::size_t>(dim), 0.0);
+  GRIDSE_CHECK(reduced.size() == static_cast<std::size_t>(n));
+  std::vector<double> p(
+      static_cast<std::size_t>(std::count_if(
+          reduced.begin(), reduced.end(), [](std::int32_t r) { return r >= 0; })),
+      0.0);
   for (BusIndex i = 0; i < n; ++i) {
     const std::int32_t ri = reduced[static_cast<std::size_t>(i)];
     if (ri >= 0) {
       p[static_cast<std::size_t>(ri)] = network.scheduled_injection(i).first;
     }
   }
-
-  if (plan == nullptr || !plan->matches(bprime)) {
-    plan = std::make_shared<const sparse::SymbolicPlan>(
-        sparse::SymbolicPlan::analyze(bprime));
-  }
-  sparse::SparseLdlt ldlt;
-  ldlt.factorize(bprime, plan);
-  const std::vector<double> theta_reduced = ldlt.solve(p);
+  const std::vector<double> theta_reduced = slot.solve(p);
 
   std::vector<double> theta(static_cast<std::size_t>(n), 0.0);
   for (BusIndex i = 0; i < n; ++i) {
@@ -157,25 +151,37 @@ std::vector<double> solve_bprime_angles(
 
 }  // namespace detail
 
-std::optional<DcPowerFlow> solve_dc_power_flow(
-    const Network& network, const std::vector<std::size_t>& outaged) {
-  std::shared_ptr<const sparse::SymbolicPlan> plan;
-  return solve_dc_power_flow(network, plan, outaged);
+bool BprimeFactor::holds(const sparse::Csr& bprime) const {
+  return plan_ != nullptr && bprime.rows() == bprime_.rows() &&
+         std::ranges::equal(bprime.row_ptr(), bprime_.row_ptr()) &&
+         std::ranges::equal(bprime.col_idx(), bprime_.col_idx()) &&
+         std::ranges::equal(bprime.values(), bprime_.values());
+}
+
+void BprimeFactor::factor(sparse::Csr bprime) {
+  if (plan_ == nullptr || !plan_->matches(bprime)) {
+    plan_ = std::make_shared<const sparse::SymbolicPlan>(
+        sparse::SymbolicPlan::analyze(bprime));
+  }
+  bprime_ = std::move(bprime);
+  ldlt_.factorize(bprime_, plan_);
+  ++factorizations_;
 }
 
 std::optional<DcPowerFlow> solve_dc_power_flow(
-    const Network& network, std::shared_ptr<const sparse::SymbolicPlan>& plan,
+    const Network& network, const std::vector<std::size_t>& outaged) {
+  BprimeFactor slot;
+  return solve_dc_power_flow(network, slot, outaged);
+}
+
+std::optional<DcPowerFlow> solve_dc_power_flow(
+    const Network& network, BprimeFactor& slot,
     const std::vector<std::size_t>& outaged) {
-  network.validate();
   std::vector<char> in_service(network.num_branches(), 1);
   for (const std::size_t bi : outaged) {
     GRIDSE_CHECK_MSG(bi < network.num_branches(),
                      "outaged branch index out of range");
     in_service[bi] = 0;
-  }
-  // validate() proved the full network connected; only outages can split it.
-  if (!outaged.empty() && !connected_with(network, in_service)) {
-    return std::nullopt;
   }
 
   // Reduced index: all buses except the slack.
@@ -187,8 +193,21 @@ std::optional<DcPowerFlow> solve_dc_power_flow(
     if (i != slack) reduced[static_cast<std::size_t>(i)] = next++;
   }
 
+  sparse::Csr bprime = detail::assemble_bprime(network, reduced, in_service);
+  const bool refactor = !slot.holds(bprime);
+  if (refactor) {
+    network.validate();
+  }
+  // validate() proved the full network connected; only outages can split it.
+  if (!outaged.empty() && !connected_with(network, in_service)) {
+    return std::nullopt;
+  }
+  if (refactor) {
+    slot.factor(std::move(bprime));
+  }
+
   DcPowerFlow result;
-  result.theta = detail::solve_bprime_angles(network, reduced, in_service, plan);
+  result.theta = detail::bprime_angles(network, reduced, slot);
   result.flows.assign(network.num_branches(), 0.0);
   for (std::size_t bi = 0; bi < network.num_branches(); ++bi) {
     if (in_service[bi] == 0) continue;

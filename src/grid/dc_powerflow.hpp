@@ -1,11 +1,14 @@
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <span>
 #include <vector>
 
 #include "grid/network.hpp"
+#include "sparse/csr.hpp"
+#include "sparse/ldlt.hpp"
 #include "sparse/symbolic_plan.hpp"
 
 namespace gridse::grid {
@@ -21,6 +24,41 @@ struct DcPowerFlow {
   std::vector<double> flows;
 };
 
+/// A caller-owned slot for the B′ solve of a DC truth re-solved every
+/// frame: the symbolic plan, the factored B′ and its LDLᵀ factor. A solve
+/// whose assembled B′ equals the factored one in pattern and values — a
+/// frame where only loads moved — reuses the factor and pays two triangular
+/// solves; changed values refactor over the plan, and a changed pattern
+/// (switching that moves an island boundary) re-analyzes the plan first.
+class BprimeFactor {
+ public:
+  /// True when the slot holds a factor of exactly `bprime`.
+  [[nodiscard]] bool holds(const sparse::Csr& bprime) const;
+
+  /// Factor `bprime`, re-analyzing the plan only when the pattern changed.
+  void factor(sparse::Csr bprime);
+
+  /// Solve B′ x = b with the held factor.
+  [[nodiscard]] std::vector<double> solve(std::span<const double> b) const {
+    return ldlt_.solve(b);
+  }
+
+  [[nodiscard]] const std::shared_ptr<const sparse::SymbolicPlan>& plan()
+      const {
+    return plan_;
+  }
+  /// Numeric factorizations run through this slot.
+  [[nodiscard]] std::uint64_t factorizations() const {
+    return factorizations_;
+  }
+
+ private:
+  std::shared_ptr<const sparse::SymbolicPlan> plan_;
+  sparse::Csr bprime_;
+  sparse::SparseLdlt ldlt_;
+  std::uint64_t factorizations_ = 0;
+};
+
 /// Solve the DC power flow B'θ = P with the given branch subset removed.
 /// `outaged` lists branch indices treated as out of service. Returns
 /// nullopt when the outage islands the network (no unique solution).
@@ -28,25 +66,28 @@ struct DcPowerFlow {
 std::optional<DcPowerFlow> solve_dc_power_flow(
     const Network& network, const std::vector<std::size_t>& outaged = {});
 
-/// As above, with a caller-owned slot for B′'s symbolic plan: the plan in
-/// `plan` is reused while its fingerprint matches B′'s pattern, and a new
-/// one is analyzed (and stored) otherwise. A caller that solves the same
-/// topology every frame then pays only for the numeric factor.
+/// As above, through the caller's B′ slot. `network.validate()` runs only
+/// when the slot refactors: it checks structure alone (one slack, connected
+/// ignoring switching), which a slot still holding this B′ has passed.
 std::optional<DcPowerFlow> solve_dc_power_flow(
-    const Network& network, std::shared_ptr<const sparse::SymbolicPlan>& plan,
+    const Network& network, BprimeFactor& slot,
     const std::vector<std::size_t>& outaged = {});
 
 namespace detail {
 
-/// Bus angles from B′θ = P. B′ spans the branches with `in_bprime[bi]`
-/// set and the buses with `reduced[b] >= 0` (their B′ row); the others —
-/// reference and dead buses — get θ = 0. P is the scheduled active
-/// injection. The plan in `plan` is reused while it matches B′'s pattern;
-/// otherwise a new one is analyzed and stored there.
-std::vector<double> solve_bprime_angles(
-    const Network& network, std::span<const std::int32_t> reduced,
-    std::span<const char> in_bprime,
-    std::shared_ptr<const sparse::SymbolicPlan>& plan);
+/// B′ over the branches with `in_bprime[bi]` set and the buses with
+/// `reduced[b] >= 0` (their B′ row), susceptances 1/x (taps and charging
+/// ignored in DC).
+sparse::Csr assemble_bprime(const Network& network,
+                            std::span<const std::int32_t> reduced,
+                            std::span<const char> in_bprime);
+
+/// Bus angles from B′θ = P with the B′ `slot` holds (assembled over
+/// `reduced`): the reference and dead buses — `reduced[b] < 0` — get
+/// θ = 0. P is the scheduled active injection.
+std::vector<double> bprime_angles(const Network& network,
+                                  std::span<const std::int32_t> reduced,
+                                  const BprimeFactor& slot);
 
 }  // namespace detail
 

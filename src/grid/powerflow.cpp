@@ -81,6 +81,12 @@ PowerFlowResult solve_power_flow(const Network& network,
     return ybus.value_at(i, j).imag();
   };
 
+  // Jacobian, dense (the power-flow substrate is only exercised on
+  // case-study-sized networks; the estimator's solve path is the sparse
+  // one). One matrix for the whole solve, factored in place each
+  // iteration: two fresh n×n allocations per iteration cost page faults
+  // whenever the allocator serves them by mmap.
+  sparse::DenseMatrix jac(dim, dim);
   for (int iter = 0; iter < options.max_iterations; ++iter) {
     const auto [p_calc, q_calc] = bus_injections(ybus, st);
 
@@ -111,10 +117,7 @@ PowerFlowResult solve_power_flow(const Network& network,
       throw ConvergenceFailure("power flow diverged (non-finite mismatch)");
     }
 
-    // Jacobian, dense (the power-flow substrate is only exercised on
-    // case-study-sized networks; the estimator's solve path is the sparse
-    // one).
-    sparse::DenseMatrix jac(dim, dim);
+    jac.set_zero();
     for (BusIndex i = 0; i < n; ++i) {
       const std::size_t iu = static_cast<std::size_t>(i);
       const double vi = st.vm[iu];
@@ -178,7 +181,7 @@ PowerFlowResult solve_power_flow(const Network& network,
       }
     }
 
-    const std::vector<double> dx = jac.solve_lu(mismatch);
+    const std::vector<double> dx = jac.solve_lu_in_place(mismatch);
     for (std::size_t i = 0; i < na; ++i) {
       st.theta[static_cast<std::size_t>(ang_buses[i])] += dx[i];
     }

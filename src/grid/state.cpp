@@ -25,16 +25,23 @@ std::int32_t StateIndex::vm_index(BusIndex bus) const {
 
 GridState StateIndex::unpack(std::span<const double> x,
                              double reference_angle) const {
+  GridState s;
+  unpack(x, reference_angle, s);
+  return s;
+}
+
+void StateIndex::unpack(std::span<const double> x, double reference_angle,
+                        GridState& out) const {
   GRIDSE_CHECK(static_cast<std::int32_t>(x.size()) == size());
-  GridState s(num_buses_);
+  out.theta.resize(static_cast<std::size_t>(num_buses_));
+  out.vm.resize(static_cast<std::size_t>(num_buses_));
   for (BusIndex b = 0; b < num_buses_; ++b) {
     const auto ti = theta_index(b);
-    s.theta[static_cast<std::size_t>(b)] =
+    out.theta[static_cast<std::size_t>(b)] =
         ti < 0 ? reference_angle : x[static_cast<std::size_t>(ti)];
-    s.vm[static_cast<std::size_t>(b)] =
+    out.vm[static_cast<std::size_t>(b)] =
         x[static_cast<std::size_t>(vm_index(b))];
   }
-  return s;
 }
 
 std::vector<double> StateIndex::pack(const GridState& state) const {

@@ -51,6 +51,10 @@ class StateIndex {
   [[nodiscard]] GridState unpack(std::span<const double> x,
                                  double reference_angle = 0.0) const;
 
+  /// As above, into `out` (resized to num_buses()).
+  void unpack(std::span<const double> x, double reference_angle,
+              GridState& out) const;
+
   /// Flatten a GridState into x (drops the reference angle).
   [[nodiscard]] std::vector<double> pack(const GridState& state) const;
 

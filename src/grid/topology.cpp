@@ -371,13 +371,13 @@ std::size_t append_anchor_measurements(const Network& network,
 
 DcPowerFlow solve_dc_power_flow_islands(const Network& network,
                                         const IslandReport& islands) {
-  std::shared_ptr<const sparse::SymbolicPlan> plan;
-  return solve_dc_power_flow_islands(network, islands, plan);
+  BprimeFactor slot;
+  return solve_dc_power_flow_islands(network, islands, slot);
 }
 
-DcPowerFlow solve_dc_power_flow_islands(
-    const Network& network, const IslandReport& islands,
-    std::shared_ptr<const sparse::SymbolicPlan>& plan) {
+DcPowerFlow solve_dc_power_flow_islands(const Network& network,
+                                        const IslandReport& islands,
+                                        BprimeFactor& slot) {
   const BusIndex n = network.num_buses();
   GRIDSE_CHECK(islands.island_of_bus.size() == static_cast<std::size_t>(n));
 
@@ -405,7 +405,9 @@ DcPowerFlow solve_dc_power_flow_islands(
   result.theta.assign(static_cast<std::size_t>(n), 0.0);
   result.flows.assign(network.num_branches(), 0.0);
   if (next > 0) {
-    result.theta = detail::solve_bprime_angles(network, red, live, plan);
+    sparse::Csr bprime = detail::assemble_bprime(network, red, live);
+    if (!slot.holds(bprime)) slot.factor(std::move(bprime));
+    result.theta = detail::bprime_angles(network, red, slot);
   }
   for (std::size_t bi = 0; bi < network.num_branches(); ++bi) {
     if (live[bi] == 0) continue;

@@ -164,12 +164,11 @@ std::size_t append_anchor_measurements(const Network& network,
 [[nodiscard]] DcPowerFlow solve_dc_power_flow_islands(
     const Network& network, const IslandReport& islands);
 
-/// As above, reusing the reduced B′'s symbolic plan from the caller-owned
-/// `plan` slot while its pattern is unchanged. Switching that moves an
-/// island boundary changes the pattern, and only then is a new plan
-/// analyzed.
+/// As above, through the caller's B′ slot: the factor is reused while the
+/// reduced B′ is unchanged, refactored when switching changes its values,
+/// and its plan re-analyzed only when switching moves an island boundary
+/// (a changed pattern).
 [[nodiscard]] DcPowerFlow solve_dc_power_flow_islands(
-    const Network& network, const IslandReport& islands,
-    std::shared_ptr<const sparse::SymbolicPlan>& plan);
+    const Network& network, const IslandReport& islands, BprimeFactor& slot);
 
 }  // namespace gridse::grid

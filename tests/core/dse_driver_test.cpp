@@ -253,7 +253,7 @@ TEST_F(DseDriverTest, RedistributionShipsStep1StatesAndLocalMeasurements) {
       8 + moved.local_model().global_bus.size() * sizeof(BusStateRecord);
   const std::size_t meas_bytes =
       8 + encode_measurements(
-              moved.local_model().filter(meas_, generated_.kase.network))
+              moved.local_model().filter(meas_))
               .size();
   EXPECT_EQ(states_bytes + meas_bytes, 3800u);
   if (obs::kEnabled) {

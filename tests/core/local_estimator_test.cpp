@@ -180,8 +180,7 @@ TEST_F(LocalEstimatorTest, RobustModeBoundsLocalBadData) {
   for (std::size_t i = 0; i < bad.items.size(); ++i) {
     const grid::Measurement& m = bad.items[i];
     if (m.type == grid::MeasType::kPFlow &&
-        local.local_branch_of_global.count(static_cast<std::size_t>(m.branch)) >
-            0) {
+        local.local_branch_of_global.contains(m.branch)) {
       victim = i;
       break;
     }

@@ -435,12 +435,18 @@ void expect_same_branch_status(const decomp::SubsystemModel& kept,
         << "cycle " << cycle << " subsystem " << kept.subsystem_id
         << " branch " << kept.global_branch[l];
   }
+  // The kept Ybus is exactly a fresh extraction's, bit for bit.
+  EXPECT_TRUE(std::ranges::equal(kept.ybus.row_ptr(), fresh.ybus.row_ptr()) &&
+              std::ranges::equal(kept.ybus.col_idx(), fresh.ybus.col_idx()) &&
+              std::ranges::equal(kept.ybus.values(), fresh.ybus.values()))
+      << "cycle " << cycle << " subsystem " << kept.subsystem_id;
 }
 
 bool holds_any(const decomp::SubsystemModel& model,
                const std::vector<std::size_t>& branches) {
   return std::any_of(branches.begin(), branches.end(), [&](std::size_t bi) {
-    return model.local_branch_of_global.count(bi) > 0;
+    return model.local_branch_of_global.contains(
+        static_cast<std::int32_t>(bi));
   });
 }
 

@@ -16,7 +16,7 @@ namespace {
 void expect_index_roundtrip(const SubsystemModel& m) {
   for (grid::BusIndex l = 0; l < m.network.num_buses(); ++l) {
     const grid::BusIndex g = m.global_bus[static_cast<std::size_t>(l)];
-    EXPECT_EQ(m.local_of_global.at(g), l);
+    EXPECT_EQ(m.local_of_global.find(g), l);
   }
 }
 
@@ -67,7 +67,8 @@ TEST_F(SubsystemModelTest, ExtendedModelAddsNeighborBusesAndTies) {
     // every tie line of s must be present in the extended model
     const Subsystem& sub = d_.subsystems[static_cast<std::size_t>(s)];
     for (const std::size_t tie : sub.tie_branches) {
-      EXPECT_TRUE(ext.local_branch_of_global.count(tie) > 0)
+      EXPECT_TRUE(ext.local_branch_of_global.contains(
+          static_cast<std::int32_t>(tie)))
           << "subsystem " << s << " tie " << tie;
     }
   }
@@ -75,7 +76,7 @@ TEST_F(SubsystemModelTest, ExtendedModelAddsNeighborBusesAndTies) {
 
 TEST_F(SubsystemModelTest, FilterKeepsOnlyEvaluableMeasurements) {
   const SubsystemModel m = extract_local(generated_.kase.network, d_, 2);
-  const grid::MeasurementSet local = m.filter(global_set_, generated_.kase.network);
+  const grid::MeasurementSet local = m.filter(global_set_);
   EXPECT_GT(local.size(), 0u);
   grid::validate_measurements(m.network, local);
   // no measurement may reference a bus outside the model
@@ -88,7 +89,7 @@ TEST_F(SubsystemModelTest, FilteredInjectionValuesMatchLocalModel) {
   // The h(x) of a filtered injection on the local network must equal the
   // global measurement value (that is what remap() guarantees).
   const SubsystemModel m = extract_local(generated_.kase.network, d_, 4);
-  const grid::MeasurementSet local = m.filter(global_set_, generated_.kase.network);
+  const grid::MeasurementSet local = m.filter(global_set_);
   const grid::GridState local_state = m.gather_state(pf_.state);
   const grid::StateIndex idx(m.network.num_buses(), 0);
   const grid::MeasurementModel model(m.network, idx);
@@ -102,7 +103,7 @@ TEST_F(SubsystemModelTest, FilteredInjectionValuesMatchLocalModel) {
 TEST_F(SubsystemModelTest, BoundaryInjectionsExcludedFromLocalModel) {
   const int s = 0;
   const SubsystemModel m = extract_local(generated_.kase.network, d_, s);
-  const grid::MeasurementSet local = m.filter(global_set_, generated_.kase.network);
+  const grid::MeasurementSet local = m.filter(global_set_);
   const Subsystem& sub = d_.subsystems[static_cast<std::size_t>(s)];
   const std::set<grid::BusIndex> boundary(sub.boundary_buses.begin(),
                                           sub.boundary_buses.end());
@@ -119,7 +120,7 @@ TEST_F(SubsystemModelTest, BoundaryInjectionsExcludedFromLocalModel) {
 TEST_F(SubsystemModelTest, ExtendedModelIncludesOwnBoundaryInjections) {
   const int s = 0;
   const SubsystemModel ext = extract_extended(generated_.kase.network, d_, s);
-  const grid::MeasurementSet set = ext.filter(global_set_, generated_.kase.network);
+  const grid::MeasurementSet set = ext.filter(global_set_);
   const Subsystem& sub = d_.subsystems[static_cast<std::size_t>(s)];
   int boundary_injections = 0;
   for (const grid::Measurement& meas : set.items) {
@@ -186,10 +187,9 @@ TEST(MeasurementRoute, RoutedFiltersEqualWholeSetFiltersOnTenThousandBusSplit) {
   for (int s = 0; s < d.num_subsystems(); ++s) {
     const SubsystemModel local = extract_local(net, d, s);
     const SubsystemModel ext = extract_extended(net, d, s);
-    expect_same_items(local.filter(set, net),
-                      local.filter(set, net, route.of(s)),
+    expect_same_items(local.filter(set), local.filter(set, route.of(s)),
                       "local " + std::to_string(s));
-    expect_same_items(ext.filter(set, net), ext.filter(set, net, route.of(s)),
+    expect_same_items(ext.filter(set), ext.filter(set, route.of(s)),
                       "extended " + std::to_string(s));
   }
 }

@@ -97,28 +97,58 @@ TEST(DcPowerFlow, MultipleOutagesSupported) {
 }
 
 TEST(DcPowerFlow, PlanSlotReusedWhileBprimePatternHolds) {
-  // The slot keeps B′'s plan across solves of the same topology, whatever
-  // the injections; an outage changes the pattern and brings a new plan.
+  // The slot keeps B′'s plan and factor across solves of the same topology,
+  // whatever the injections: a load-scaled solve reuses the factor and
+  // returns exactly a fresh solve's angles. An outage changes B′ and forces
+  // a refactor, over a new plan since the pattern changed.
   auto c = io::ieee14();
-  std::shared_ptr<const sparse::SymbolicPlan> plan;
-  const auto base = solve_dc_power_flow(c.network, plan);
+  BprimeFactor slot;
+  const auto base = solve_dc_power_flow(c.network, slot);
   ASSERT_TRUE(base.has_value());
-  ASSERT_NE(plan, nullptr);
-  const auto analyzed = plan;
+  ASSERT_NE(slot.plan(), nullptr);
+  EXPECT_EQ(slot.factorizations(), 1u);
+  const auto analyzed = slot.plan();
 
   c.network.scale_loads(1.1);
-  const auto scaled = solve_dc_power_flow(c.network, plan);
+  const auto scaled = solve_dc_power_flow(c.network, slot);
   ASSERT_TRUE(scaled.has_value());
-  EXPECT_EQ(plan, analyzed);
+  EXPECT_EQ(slot.plan(), analyzed);
+  EXPECT_EQ(slot.factorizations(), 1u);
   const auto fresh = solve_dc_power_flow(c.network);
   ASSERT_TRUE(fresh.has_value());
   for (std::size_t i = 0; i < fresh->theta.size(); ++i) {
-    EXPECT_NEAR(scaled->theta[i], fresh->theta[i], 1e-12);
+    EXPECT_EQ(scaled->theta[i], fresh->theta[i]) << i;
   }
 
   // Branch 2 (2-3) joins two non-slack buses, so B′ loses an off-diagonal.
-  ASSERT_TRUE(solve_dc_power_flow(c.network, plan, {2}).has_value());
-  EXPECT_NE(plan->fingerprint(), analyzed->fingerprint());
+  ASSERT_TRUE(solve_dc_power_flow(c.network, slot, {2}).has_value());
+  EXPECT_EQ(slot.factorizations(), 2u);
+  EXPECT_NE(slot.plan()->fingerprint(), analyzed->fingerprint());
+}
+
+TEST(DcPowerFlow, FactorSlotRefactorsWhenOnlyBprimeValuesChange) {
+  // A reactance change keeps B′'s pattern: the slot refactors over the
+  // plan it has, and the angles equal a fresh solve's.
+  auto c = io::ieee14();
+  BprimeFactor slot;
+  ASSERT_TRUE(solve_dc_power_flow(c.network, slot).has_value());
+  const auto analyzed = slot.plan();
+  Network changed;
+  for (BusIndex i = 0; i < c.network.num_buses(); ++i) {
+    changed.add_bus(c.network.bus(i));
+  }
+  for (std::size_t bi = 0; bi < c.network.num_branches(); ++bi) {
+    Branch br = c.network.branch(bi);
+    if (bi == 2) br.x *= 1.5;
+    changed.add_branch(br);
+  }
+  const auto reused = solve_dc_power_flow(changed, slot);
+  ASSERT_TRUE(reused.has_value());
+  EXPECT_EQ(slot.factorizations(), 2u);
+  EXPECT_EQ(slot.plan(), analyzed);
+  const auto fresh = solve_dc_power_flow(changed);
+  ASSERT_TRUE(fresh.has_value());
+  EXPECT_EQ(reused->theta, fresh->theta);
 }
 
 TEST(DcPowerFlow, OutOfRangeOutageThrows) {

@@ -321,13 +321,14 @@ TEST(IslandDcPowerFlowTest, MatchesPlainDcWhenConnectedAndZeroesDeadIslands) {
 
 TEST(IslandDcPowerFlowTest, PlanSlotReanalyzesOnlyWhenSwitchingChangesBprime) {
   Network net = ieee118();
-  std::shared_ptr<const sparse::SymbolicPlan> plan;
+  BprimeFactor slot;
   const IslandReport connected = find_islands(net);
-  const DcPowerFlow first = solve_dc_power_flow_islands(net, connected, plan);
-  ASSERT_NE(plan, nullptr);
-  const auto analyzed = plan;
-  (void)solve_dc_power_flow_islands(net, connected, plan);
-  EXPECT_EQ(plan, analyzed);
+  const DcPowerFlow first = solve_dc_power_flow_islands(net, connected, slot);
+  ASSERT_NE(slot.plan(), nullptr);
+  const auto analyzed = slot.plan();
+  (void)solve_dc_power_flow_islands(net, connected, slot);
+  EXPECT_EQ(slot.plan(), analyzed);
+  EXPECT_EQ(slot.factorizations(), 1u);
 
   // Isolating a PQ bus drops its row from the reduced B′: a new plan, whose
   // solve matches a slot-less one.
@@ -338,8 +339,9 @@ TEST(IslandDcPowerFlowTest, PlanSlotReanalyzesOnlyWhenSwitchingChangesBprime) {
   }
   live.apply({TopologyEventKind::kBusSplit, -1, pq});
   const IslandReport split = find_islands(net);
-  const DcPowerFlow cached = solve_dc_power_flow_islands(net, split, plan);
-  EXPECT_NE(plan, analyzed);
+  const DcPowerFlow cached = solve_dc_power_flow_islands(net, split, slot);
+  EXPECT_NE(slot.plan(), analyzed);
+  EXPECT_EQ(slot.factorizations(), 2u);
   const DcPowerFlow fresh = solve_dc_power_flow_islands(net, split);
   for (std::size_t i = 0; i < fresh.theta.size(); ++i) {
     EXPECT_EQ(cached.theta[i], fresh.theta[i]);
