@@ -96,7 +96,7 @@ TEST(Dense, LuSolveGeneralMatrix) {
     for (auto& v : x_true) v = rng.uniform(-2, 2);
     std::vector<double> b(n);
     a.multiply(x_true, b);
-    const auto x = a.solve_lu(b);
+    const auto x = a.solve_lu_in_place(b);
     for (std::size_t i = 0; i < n; ++i) {
       EXPECT_NEAR(x[i], x_true[i], 1e-9);
     }
@@ -110,7 +110,7 @@ TEST(Dense, LuSolveNeedsPivoting) {
   a(0, 1) = 1;
   a(1, 0) = 1;
   a(1, 1) = 0;
-  const auto x = a.solve_lu(std::vector<double>{3, 4});
+  const auto x = a.solve_lu_in_place(std::vector<double>{3, 4});
   EXPECT_NEAR(x[0], 4.0, 1e-12);
   EXPECT_NEAR(x[1], 3.0, 1e-12);
 }
@@ -121,7 +121,7 @@ TEST(Dense, LuRejectsSingular) {
   a(0, 1) = 2;
   a(1, 0) = 2;
   a(1, 1) = 4;
-  EXPECT_THROW(a.solve_lu(std::vector<double>{1, 1}), ConvergenceFailure);
+  EXPECT_THROW(a.solve_lu_in_place(std::vector<double>{1, 1}), ConvergenceFailure);
 }
 
 TEST(Dense, ConditionEstimateIdentityIsOne) {
