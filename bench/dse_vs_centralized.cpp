@@ -6,7 +6,6 @@
 #include "analysis/debug_sync.hpp"
 #include "bench_util.hpp"
 #include "core/architecture.hpp"
-#include "core/hierarchical.hpp"
 #include "runtime/inproc_comm.hpp"
 #include "grid/powerflow.hpp"
 #include "util/strings.hpp"
@@ -153,57 +152,6 @@ int run() {
     bench::print_table(robust_table);
   }
 
-  // --- hierarchical vs peer-to-peer ------------------------------------------
-  {
-    const io::GeneratedCase generated = io::ieee118_dse();
-    decomp::Decomposition d = decomp::decompose(generated.kase.network,
-                                                generated.subsystem_of_bus);
-    decomp::analyze_sensitivity(generated.kase.network, d, {});
-    const grid::PowerFlowResult pf =
-        grid::solve_power_flow(generated.kase.network);
-    grid::MeasurementPlan plan;
-    for (const decomp::Subsystem& s : d.subsystems) {
-      plan.pmu_buses.push_back(s.buses.front());
-    }
-    grid::MeasurementGenerator gen(generated.kase.network, plan);
-    Rng rng(7);
-    const grid::MeasurementSet meas = gen.generate(pf.state, rng);
-    const std::vector<graph::PartId> assignment{0, 0, 0, 1, 1, 1, 2, 2, 2};
-
-    core::HierarchicalDriver hier(generated.kase.network, d);
-    runtime::InprocWorld world(3);
-    analysis::Mutex mutex{"dse_vs_centralized::mutex"};
-    core::HierarchicalResult hres;
-    world.run([&](runtime::Communicator& c) {
-      core::HierarchicalResult r = hier.run(c, meas, assignment);
-      if (c.rank() == 0) {
-        analysis::LockGuard lock(mutex);
-        hres = std::move(r);
-      }
-    });
-    TextTable modes({"structure", "max |V| err", "time (ms)", "bytes"});
-    modes.add_row({"hierarchical (coordinator)",
-                   strfmt("%.2e", grid::max_vm_error(hres.state, pf.state)),
-                   strfmt("%.1f", hres.total_seconds * 1e3),
-                   std::to_string(hres.bytes_sent)});
-    core::DseDriver dse(generated.kase.network, d, {});
-    core::DseResult dres;
-    runtime::InprocWorld world2(3);
-    world2.run([&](runtime::Communicator& c) {
-      core::DseResult r = dse.run(c, meas, assignment, assignment);
-      if (c.rank() == 0) {
-        analysis::LockGuard lock(mutex);
-        dres = std::move(r);
-      }
-    });
-    modes.add_row({"peer-to-peer DSE",
-                   strfmt("%.2e", grid::max_vm_error(dres.state, pf.state)),
-                   strfmt("%.1f", dres.total_seconds * 1e3),
-                   std::to_string(dres.bytes_sent)});
-    std::printf("Hierarchical vs decentralized structure (both supported by "
-                "the architecture, §IV-A):\n");
-    bench::print_table(modes);
-  }
   return 0;
 }
 

@@ -24,7 +24,6 @@
 #include "sparse/dense.hpp"
 #include "sparse/ldlt.hpp"
 #include "sparse/normal_equations.hpp"
-#include "sparse/preconditioner.hpp"
 #include "sparse/vector_ops.hpp"
 #include "util/rng.hpp"
 
@@ -107,7 +106,10 @@ const GainSystem& gain_subsystem10k() {
 
 /// PCG on the moved gain, preconditioned by the first gain's LDLt factor.
 void bench_pcg(benchmark::State& state, const GainSystem& sys) {
-  const sparse::LdltPreconditioner precond(sys.gain);
+  sparse::SparseLdlt precond;
+  precond.factorize_with_shift(sys.gain,
+                               std::make_shared<const sparse::SymbolicPlan>(
+                                   sparse::SymbolicPlan::analyze(sys.gain)));
   sparse::CgOptions opts;
   opts.tolerance = 1e-12;  // the WLS inner tolerance
   int iterations = 0;

@@ -5,14 +5,25 @@
 //
 //   $ ./examples/dse_ieee118 [num_cycles]
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
 
 #include "core/architecture.hpp"
+#include "util/error.hpp"
 #include "util/strings.hpp"
 
 int main(int argc, char** argv) {
   using namespace gridse;
-  const int cycles = argc > 1 ? std::atoi(argv[1]) : 3;
+  int cycles = 3;
+  if (argc > 1) {
+    try {
+      cycles = static_cast<int>(
+          parse_integer("num_cycles", argv[1], "a positive integer", 1,
+                        std::numeric_limits<int>::max()));
+    } catch (const InvalidInput& e) {
+      std::fprintf(stderr, "error: %s\n", e.what());
+      return 1;
+    }
+  }
 
   core::SystemConfig config;
   config.mapping.num_clusters = 3;          // Nwiceb, Catamount, Chinook

@@ -7,13 +7,25 @@
 //   $ ./examples/timeseries_tracking [num_frames]
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
 
 #include "core/architecture.hpp"
+#include "util/error.hpp"
+#include "util/strings.hpp"
 
 int main(int argc, char** argv) {
   using namespace gridse;
-  const int frames = argc > 1 ? std::atoi(argv[1]) : 8;
+  int frames = 8;
+  if (argc > 1) {
+    try {
+      frames = static_cast<int>(
+          parse_integer("num_frames", argv[1], "a positive integer", 1,
+                        std::numeric_limits<int>::max()));
+    } catch (const InvalidInput& e) {
+      std::fprintf(stderr, "error: %s\n", e.what());
+      return 1;
+    }
+  }
 
   core::SystemConfig config;
   config.mapping.num_clusters = 3;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
-#include <optional>
 #include <utility>
 
 #include "estimation/solver_cache.hpp"
@@ -85,9 +84,9 @@ WlsResult WlsEstimator::estimate(const grid::MeasurementSet& set,
   std::vector<double> rhs(dim);
   std::vector<double> dx(dim);
   sparse::Csr gain;
-  // The PCG preconditioner, built from the first gain only: later gains
-  // move little, so its exact factor keeps PCG to a few steps.
-  std::optional<sparse::LdltPreconditioner> precond;
+  // The PCG preconditioner, the LDLᵀ factor of the first gain only: later
+  // gains move little, so it keeps PCG to a few steps.
+  sparse::SparseLdlt factor;
 
   for (int iter = 0; iter < options_.max_iterations; ++iter) {
     index.unpack(x, ref_angle, state);
@@ -104,10 +103,10 @@ WlsResult WlsEstimator::estimate(const grid::MeasurementSet& set,
     }
 
     std::fill(dx.begin(), dx.end(), 0.0);
-    if (!precond) precond.emplace(gain, cache_->plan_for(gain));
+    if (iter == 0) factor.factorize_with_shift(gain, cache_->plan_for(gain));
     sparse::CgOptions cg_opts;
     cg_opts.tolerance = kCgTolerance;
-    const sparse::CgReport rep = sparse::pcg(gain, rhs, dx, *precond, cg_opts);
+    const sparse::CgReport rep = sparse::pcg(gain, rhs, dx, factor, cg_opts);
     result.inner_iterations += rep.iterations;
     OBS_COUNTS_OBSERVE("wls.pcg.iterations", rep.iterations);
     if (!rep.converged) {

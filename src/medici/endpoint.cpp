@@ -26,17 +26,9 @@ EndpointUrl parse_endpoint(const std::string& url) {
     throw InvalidInput("endpoint url missing host:port: " + url);
   }
   e.host = rest.substr(0, colon);
-  const std::string port_str = rest.substr(colon + 1);
-  int port = 0;
-  try {
-    port = std::stoi(port_str);
-  } catch (const std::exception&) {
-    throw InvalidInput("endpoint url has bad port: " + url);
-  }
-  if (port < 0 || port > 65535) {
-    throw InvalidInput("endpoint url port out of range: " + url);
-  }
-  e.port = static_cast<std::uint16_t>(port);
+  e.port = static_cast<std::uint16_t>(
+      parse_integer("endpoint url " + url, rest.substr(colon + 1),
+                    "a port in [0, 65535]", 0, 65535));
   return e;
 }
 

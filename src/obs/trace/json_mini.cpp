@@ -1,6 +1,7 @@
 #include "obs/trace/json_mini.hpp"
 
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -228,7 +229,14 @@ class Parser {
     Value v;
     v.type = Value::Type::kNumber;
     v.text = std::string(input_.substr(start, pos_ - start));
-    v.number = std::strtod(v.text.c_str(), nullptr);
+    // The scan takes any run of number characters; "0.5.5", "-" or "1e"
+    // must not read as their longest valid prefix.
+    char* end = nullptr;
+    v.number = std::strtod(v.text.c_str(), &end);
+    if (end != v.text.c_str() + v.text.size() || !std::isfinite(v.number)) {
+      pos_ = start;
+      fail("bad number \"" + v.text + "\"");
+    }
     return v;
   }
 

@@ -8,7 +8,7 @@
 namespace gridse::sparse {
 
 CgReport pcg(const Csr& a, std::span<const double> b, std::span<double> x,
-             const LdltPreconditioner& m, const CgOptions& options) {
+             SparseLdlt& m, const CgOptions& options) {
   GRIDSE_CHECK(a.rows() == a.cols());
   const auto n = static_cast<std::size_t>(a.rows());
   GRIDSE_CHECK(b.size() == n && x.size() == n);
@@ -34,7 +34,7 @@ CgReport pcg(const Csr& a, std::span<const double> b, std::span<double> x,
   for (std::size_t i = 0; i < n; ++i) {
     r[i] = b[i] - r[i];
   }
-  m.apply(r, z);
+  m.solve(r, z);
   copy(z, p);
   double rz = dot(r, z);
 
@@ -46,7 +46,7 @@ CgReport pcg(const Csr& a, std::span<const double> b, std::span<double> x,
     const double alpha = rz / p_ap;
     axpy(alpha, p, x);
     axpy(-alpha, ap, r);
-    m.apply(r, z);
+    m.solve(r, z);
     const double rz_new = dot(r, z);
     const double beta = rz_new / rz;
     for (std::size_t i = 0; i < n; ++i) {

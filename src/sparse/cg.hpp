@@ -3,7 +3,7 @@
 #include <span>
 
 #include "sparse/csr.hpp"
-#include "sparse/preconditioner.hpp"
+#include "sparse/ldlt.hpp"
 
 namespace gridse::sparse {
 
@@ -23,11 +23,12 @@ struct CgReport {
 };
 
 /// Preconditioned conjugate gradient for SPD `a`, preconditioned by the
-/// LDLᵀ factor `m` of `a` or of a nearby matrix of the same dimension.
-/// Solution is accumulated in `x` (its incoming content is the initial
-/// guess). This is the solver the paper's HPC state estimation uses for the
-/// gain-matrix system (§IV-C).
+/// LDLᵀ factor `m` of `a` or of a nearby matrix of the same dimension
+/// (`m` solves in its own work space, so one factor serves one PCG at a
+/// time). Solution is accumulated in `x` (its incoming content is the
+/// initial guess). This is the solver the paper's HPC state estimation
+/// uses for the gain-matrix system (§IV-C).
 CgReport pcg(const Csr& a, std::span<const double> b, std::span<double> x,
-             const LdltPreconditioner& m, const CgOptions& options = {});
+             SparseLdlt& m, const CgOptions& options = {});
 
 }  // namespace gridse::sparse

@@ -1,10 +1,13 @@
 #include "sparse/ldlt.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <string>
 
+#include "sparse/normal_equations.hpp"
 #include "util/error.hpp"
+#include "util/logging.hpp"
 
 namespace gridse::sparse {
 namespace {
@@ -352,6 +355,44 @@ void SparseLdlt::factorize(const Csr& a,
       link(static_cast<Index>(s));
     }
   }
+}
+
+double SparseLdlt::factorize_with_shift(
+    const Csr& a, std::shared_ptr<const SymbolicPlan> plan) {
+  GRIDSE_CHECK(a.rows() == a.cols());
+  double max_diag = 0.0;
+  for (const double d : a.diagonal()) {
+    max_diag = std::max(max_diag, std::abs(d));
+  }
+  double shift = 0.0;
+  for (int attempt = 0; attempt < 12; ++attempt) {
+    try {
+      if (shift == 0.0) {
+        factorize(a, plan);
+      } else {
+        // Rare path. A gain carries a structural diagonal, so the shifted
+        // matrix keeps its pattern and the plan; otherwise analyze afresh.
+        const Csr shifted = add_diagonal(a, shift);
+        if (shifted.nnz() == a.nnz()) {
+          factorize(shifted, plan);
+        } else {
+          factorize(shifted);
+        }
+      }
+      if (min_pivot() > 0.0) {
+        if (shift > 0.0) {
+          GRIDSE_DEBUG << "LDLt preconditioner: succeeded with diagonal shift "
+                       << shift;
+        }
+        return shift;
+      }
+    } catch (const ConvergenceFailure&) {
+      // exact zero pivot: retry with a larger shift
+    }
+    shift = (shift == 0.0) ? 1e-8 * max_diag : shift * 10.0;
+  }
+  throw ConvergenceFailure(
+      "LDLt preconditioner factorization failed even with large shift");
 }
 
 void SparseLdlt::solve_permuted(std::span<const double> b,

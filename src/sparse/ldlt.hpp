@@ -11,9 +11,10 @@ namespace gridse::sparse {
 
 /// Sparse supernodal LDLᵀ factorization of a symmetric matrix (left-looking
 /// over the fundamental supernodes of a SymbolicPlan, dense kernels inside
-/// each supernode's panel). Through LdltPreconditioner it is the
-/// preconditioner of the WLS PCG; it also solves the DC truth's B′ system
-/// and the inverse-gain columns of bad-data and confidence analysis.
+/// each supernode's panel). The factor of a solve's first gain is the
+/// preconditioner of the WLS PCG (paper §IV-C: "pre-multiplying the inverse
+/// of a pre-conditioner matrix P"); it also solves the DC truth's B′ system
+/// and the inverse-gain columns of bad-data analysis.
 /// One code path: the plan holds the ordering and the supernode
 /// partition with its row structures and panel layout; factorize fills the
 /// panels and solve applies them.
@@ -32,6 +33,15 @@ class SparseLdlt {
   /// SolverCache's — job). This is the hot path of repeated Gauss–Newton
   /// iterations on a fixed topology.
   void factorize(const Csr& a, std::shared_ptr<const SymbolicPlan> plan);
+
+  /// factorize(a, plan) into a positive definite factor, for use as a PCG
+  /// preconditioner: a pivot ≤ 0 (a singular or indefinite A) is retried on
+  /// A + shift·I with a shift that starts at 1e-8·max|diag(A)| and grows
+  /// tenfold, at most 12 attempts. The shifted factor still preconditions
+  /// the unshifted system. Returns the shift it needed (0 when A factored
+  /// cleanly); throws `ConvergenceFailure` when every attempt fails.
+  double factorize_with_shift(const Csr& a,
+                              std::shared_ptr<const SymbolicPlan> plan);
 
   /// Solve A x = b with the current factorization.
   [[nodiscard]] std::vector<double> solve(std::span<const double> b) const;

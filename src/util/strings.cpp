@@ -1,5 +1,6 @@
 #include "util/strings.hpp"
 
+#include <cctype>
 #include <cerrno>
 #include <cmath>
 #include <cstdarg>
@@ -44,6 +45,13 @@ namespace {
                      "\"");
 }
 
+/// strtoll/strtod skip leading whitespace and take a '+' sign; a number
+/// here starts with its first digit, '-' or '.'.
+bool starts_bare(const std::string& raw) {
+  return !raw.empty() && raw[0] != '+' &&
+         std::isspace(static_cast<unsigned char>(raw[0])) == 0;
+}
+
 }  // namespace
 
 long long parse_integer(const std::string& name, const std::string& raw,
@@ -52,8 +60,8 @@ long long parse_integer(const std::string& name, const std::string& raw,
   char* end = nullptr;
   errno = 0;
   const long long value = std::strtoll(raw.c_str(), &end, 10);
-  if (end == raw.c_str() || *end != '\0' || errno == ERANGE ||
-      value < min_value || value > max_value) {
+  if (!starts_bare(raw) || end == raw.c_str() || *end != '\0' ||
+      errno == ERANGE || value < min_value || value > max_value) {
     reject_number(name, raw, expectation);
   }
   return value;
@@ -64,8 +72,8 @@ double parse_double(const std::string& name, const std::string& raw,
   char* end = nullptr;
   errno = 0;
   const double value = std::strtod(raw.c_str(), &end);
-  if (end == raw.c_str() || *end != '\0' || errno == ERANGE ||
-      !std::isfinite(value)) {
+  if (!starts_bare(raw) || end == raw.c_str() || *end != '\0' ||
+      errno == ERANGE || !std::isfinite(value)) {
     reject_number(name, raw, expectation);
   }
   return value;

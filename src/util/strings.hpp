@@ -20,7 +20,8 @@ bool starts_with(std::string_view s, std::string_view prefix);
 /// Strict number parsing for flags and environment overrides: all of `raw`
 /// must be one base-10 integer (or one finite floating-point number) within
 /// range, or InvalidInput "<name>: expected <expectation>, got "<raw>"" is
-/// thrown — "3x" never silently reads as 3.
+/// thrown — "3x" never silently reads as 3, and neither " 3" nor "+3" is
+/// taken.
 long long parse_integer(
     const std::string& name, const std::string& raw, const char* expectation,
     long long min_value = std::numeric_limits<long long>::min(),

@@ -83,14 +83,19 @@ TEST_F(FaultPlanTest, RejectsMalformedPlans) {
       FaultPlan::parse(
           R"({"rules": [{"site": "wire.write", "delay_ms": -5}]})"),
       InvalidInput);
-  // Integer fields are never truncated, wrapped or clamped, and no field
-  // can spell the kAnyValue wildcard.
+  // Integer fields are never truncated, wrapped or clamped, no field can
+  // spell the kAnyValue wildcard, and a number token never reads as its
+  // longest valid prefix ("0.5.5" as 0.5, "-" as 0, "1e" as 1).
   for (const char* bad :
        {R"({"seed": -5, "rules": []})", R"({"seed": 1.5, "rules": []})",
         R"({"rules": [{"site": "wire.write", "after": 2.7}]})",
         R"({"rules": [{"site": "wire.write", "delay_ms": 1e300}]})",
         R"({"rules": [{"site": "wire.write", "tag": 4294967296}]})",
-        R"({"rules": [{"site": "wire.write", "source": -2147483648}]})"}) {
+        R"({"rules": [{"site": "wire.write", "source": -2147483648}]})",
+        R"({"rules": [{"site": "wire.write", "probability": 0.5.5}]})",
+        R"({"rules": [{"site": "wire.write", "probability": -}]})",
+        R"({"rules": [{"site": "wire.write", "probability": 1e}]})",
+        R"({"rules": [{"site": "wire.write", "probability": 0.3-0.1}]})"}) {
     EXPECT_THROW(FaultPlan::parse(bad), InvalidInput) << bad;
   }
 }

@@ -35,6 +35,9 @@ TEST(Endpoint, RejectsMalformedUrls) {
   EXPECT_THROW(parse_endpoint("tcp://host:"), InvalidInput);
   EXPECT_THROW(parse_endpoint("tcp://host:notaport"), InvalidInput);
   EXPECT_THROW(parse_endpoint("tcp://host:99999"), InvalidInput);
+  EXPECT_THROW(parse_endpoint("tcp://127.0.0.1:80abc"), InvalidInput);
+  EXPECT_THROW(parse_endpoint("tcp://127.0.0.1: 80"), InvalidInput);
+  EXPECT_THROW(parse_endpoint("tcp://127.0.0.1:+80"), InvalidInput);
 }
 
 TEST(Endpoint, EphemeralGivesDistinctFreePorts) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "sparse/normal_equations.hpp"
 #include "sparse/vector_ops.hpp"
 #include "util/rng.hpp"
@@ -27,8 +29,13 @@ Csr random_spd(Index n, Rng& rng) {
 
 /// The LDLᵀ factor of G + 0.2·I: a nearby SPD matrix of G's pattern, as the
 /// first gain of a WLS solve is to its later ones.
-LdltPreconditioner nearby_factor(const Csr& g) {
-  return LdltPreconditioner(add_diagonal(g, 0.2));
+SparseLdlt nearby_factor(const Csr& g) {
+  const Csr nearby = add_diagonal(g, 0.2);
+  SparseLdlt m;
+  m.factorize_with_shift(
+      nearby,
+      std::make_shared<const SymbolicPlan>(SymbolicPlan::analyze(nearby)));
+  return m;
 }
 
 TEST(Pcg, SolvesRandomSpdSystems) {
@@ -44,7 +51,8 @@ TEST(Pcg, SolvesRandomSpdSystems) {
     CgOptions opts;
     opts.tolerance = 1e-12;
     opts.max_iterations = 10 * n + 10;
-    const CgReport report = pcg(g, b, x, nearby_factor(g), opts);
+    SparseLdlt m = nearby_factor(g);
+    const CgReport report = pcg(g, b, x, m, opts);
     EXPECT_TRUE(report.converged) << "n=" << n;
     for (Index i = 0; i < n; ++i) {
       EXPECT_NEAR(x[static_cast<std::size_t>(i)],
@@ -59,7 +67,8 @@ TEST(Pcg, ZeroRhsGivesZeroSolution) {
   const Csr g = random_spd(8, rng);
   std::vector<double> b(8, 0.0);
   std::vector<double> x(8, 5.0);  // nonzero initial guess
-  const CgReport report = pcg(g, b, x, nearby_factor(g));
+  SparseLdlt m = nearby_factor(g);
+  const CgReport report = pcg(g, b, x, m);
   EXPECT_TRUE(report.converged);
   EXPECT_EQ(report.iterations, 0);
   for (const double v : x) EXPECT_DOUBLE_EQ(v, 0.0);
@@ -73,7 +82,7 @@ TEST(Pcg, WarmStartConvergesFaster) {
   std::vector<double> b(40);
   g.multiply(x_true, b);
 
-  const LdltPreconditioner m = nearby_factor(g);
+  SparseLdlt m = nearby_factor(g);
   std::vector<double> cold(40, 0.0);
   const auto cold_rep = pcg(g, b, cold, m);
 
@@ -91,7 +100,8 @@ TEST(Pcg, IterationCapReportsNotConverged) {
   CgOptions opts;
   opts.tolerance = 1e-14;
   opts.max_iterations = 2;
-  const CgReport report = pcg(g, b, x, nearby_factor(g), opts);
+  SparseLdlt m = nearby_factor(g);
+  const CgReport report = pcg(g, b, x, m, opts);
   EXPECT_FALSE(report.converged);
   EXPECT_EQ(report.iterations, 2);
   EXPECT_GT(report.relative_residual, 0.0);
@@ -102,8 +112,12 @@ TEST(Pcg, IndefiniteMatrixThrows) {
   // SPD neighbour [[3, 2], [2, 3]] preconditions it.
   const Csr a = Csr::from_triplets(
       2, 2, {{0, 0, 1.0}, {0, 1, 2.0}, {1, 0, 2.0}, {1, 1, 1.0}});
-  const LdltPreconditioner m(add_diagonal(a, 2.0));
-  EXPECT_DOUBLE_EQ(m.shift(), 0.0);
+  const Csr neighbour = add_diagonal(a, 2.0);
+  SparseLdlt m;
+  EXPECT_DOUBLE_EQ(
+      m.factorize_with_shift(neighbour, std::make_shared<const SymbolicPlan>(
+                                            SymbolicPlan::analyze(neighbour))),
+      0.0);
   std::vector<double> b{1.0, -1.0};
   std::vector<double> x(2, 0.0);
   EXPECT_THROW(pcg(a, b, x, m), InternalError);

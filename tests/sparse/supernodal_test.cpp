@@ -22,7 +22,6 @@
 #include "sparse/dense.hpp"
 #include "sparse/ldlt.hpp"
 #include "sparse/normal_equations.hpp"
-#include "sparse/preconditioner.hpp"
 #include "util/rng.hpp"
 
 namespace gridse::sparse {
@@ -371,8 +370,8 @@ TEST(SupernodalLdlt, ZeroPivotInsideWideSupernodeThrows) {
   SparseLdlt ldlt;
   EXPECT_THROW(ldlt.factorize(a, plan), ConvergenceFailure);
 
-  const LdltPreconditioner precond(a, plan);
-  EXPECT_GT(precond.shift(), 0.0);
+  SparseLdlt precond;
+  EXPECT_GT(precond.factorize_with_shift(a, plan), 0.0);
 }
 
 TEST(SupernodalLdlt, NegativePivotInsideWideSupernodeShowsInMinPivot) {
@@ -381,11 +380,14 @@ TEST(SupernodalLdlt, NegativePivotInsideWideSupernodeShowsInMinPivot) {
   ldlt.factorize(a);
   EXPECT_EQ(ldlt.min_pivot(), -2.0);
 
-  const LdltPreconditioner precond(a);
-  EXPECT_GT(precond.shift(), 0.0);
+  SparseLdlt precond;
+  EXPECT_GT(precond.factorize_with_shift(
+                a, std::make_shared<const SymbolicPlan>(
+                       SymbolicPlan::analyze(a))),
+            0.0);
   std::vector<double> r(70, 1.0);
   std::vector<double> z(70, 0.0);
-  precond.apply(r, z);
+  precond.solve(r, z);
   for (const double v : z) EXPECT_TRUE(std::isfinite(v));
 }
 

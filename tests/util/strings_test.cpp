@@ -55,7 +55,7 @@ TEST(FormatBytes, PicksHumanUnits) {
 TEST(ParseInteger, AcceptsWholeIntegersOnly) {
   EXPECT_EQ(parse_integer("--clusters", "3", "an integer"), 3);
   EXPECT_EQ(parse_integer("--clusters", "-12", "an integer"), -12);
-  for (const char* bad : {"", "3x", "x3", "3.5", "3 "}) {
+  for (const char* bad : {"", "3x", "x3", "3.5", "3 ", " 3", "+3"}) {
     EXPECT_THROW(parse_integer("--clusters", bad, "an integer"), InvalidInput)
         << '"' << bad << '"';
   }
@@ -78,7 +78,8 @@ TEST(ParseInteger, EnforcesBoundsAndNamesTheFlag) {
 TEST(ParseDouble, AcceptsWholeFiniteNumbersOnly) {
   EXPECT_DOUBLE_EQ(parse_double("--noise", "1.5", "a number"), 1.5);
   EXPECT_DOUBLE_EQ(parse_double("--noise", "2e-3", "a number"), 2e-3);
-  for (const char* bad : {"", "1.0abc", "abc", "nan", "inf", "1e999"}) {
+  for (const char* bad : {"", "1.0abc", "abc", "nan", "inf", "1e999", " 1.5",
+                          "+1.5"}) {
     EXPECT_THROW(parse_double("--noise", bad, "a number"), InvalidInput)
         << '"' << bad << '"';
   }

@@ -38,6 +38,10 @@ clang-tidy enforces, because they are *project* conventions:
                    same literal name under two different instrument kinds in
                    one file is also flagged — the registry would race the
                    types at runtime.  Tests are exempt (toy names).
+  orphan-module    a src/**/X.hpp that no file in src/, tools/, bench/ or
+                   examples/ includes, other than its own X.cpp.  A module
+                   only its tests call is a cost, not a feature: delete it,
+                   or suppress it with the reason it stays.
 
 Suppressions (tools/gridse_check_suppressions.txt by default):
   each non-comment line is `<rule> <path-glob> [reason...]`; a finding whose
@@ -50,7 +54,9 @@ Self-test (--self-test): runs every rule over the marker-annotated corpus in
   tests/analysis/check_corpus/ and verifies each rule both fires where a
   `(EXPECT: <rule>)` marker says it must and is suppressed where an
   `(EXPECT-SUPPRESSED: <rule>)` marker plus the corpus suppression file says
-  it must, with zero stray findings.  Registered in ctest as
+  it must, with zero stray findings.  The tree-level rules (the fault-site
+  manifest, orphan-module) are self-tested directly: the real tree is clean
+  and a synthetic violation fires.  Registered in ctest as
   gridse_check_selftest.
 
 Exit status: 0 clean (or all findings suppressed), 1 findings, 2 usage/IO.
@@ -65,6 +71,7 @@ import json
 import os
 import re
 import sys
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -75,7 +82,11 @@ RULES = (
     "locked-requires",
     "guarded-field",
     "metric-name",
+    "orphan-module",
 )
+# Rules checked over the whole tree rather than line by line; the corpus
+# markers cannot cover them.
+TREE_RULES = ("orphan-module",)
 
 # Directories scanned in a tree run, relative to the repo root.
 SCAN_DIRS = ("src", "tests", "bench", "tools", "examples")
@@ -148,6 +159,10 @@ METRIC_KIND = {
 ALLOW_RE = re.compile(r"gridse-check:\s*allow\(\s*([\w-]+)\s*\)")
 EXPECT_RE = re.compile(r"EXPECT(-SUPPRESSED)?:\s*([\w-]+)")
 CHECK_PATH_RE = re.compile(r"//\s*CHECK-PATH:\s*(\S+)")
+INCLUDE_RE = re.compile(r'^\s*#\s*include\s*"([^"]+)"', re.M)
+# The directories whose includes make a src/ header live: the library
+# itself and the programs built on it, not the tests.
+MODULE_USER_DIRS = ("src", "tools", "bench", "examples")
 
 
 @dataclass(frozen=True)
@@ -349,6 +364,36 @@ def check_fault_manifest(root: Path) -> list[Finding]:
     return findings
 
 
+def check_orphan_modules(root: Path) -> list[Finding]:
+    src = root / "src"
+    included_by: dict[Path, set[Path]] = {}
+    for d in MODULE_USER_DIRS:
+        base = root / d
+        if not base.is_dir():
+            continue
+        for path in base.rglob("*"):
+            if path.suffix not in SOURCE_SUFFIXES or not path.is_file():
+                continue
+            text = path.read_text(encoding="utf-8", errors="replace")
+            for inc in INCLUDE_RE.findall(text):
+                # Includes resolve against -I src or the including file's
+                # own directory.
+                for target in (src / inc, path.parent / inc):
+                    included_by.setdefault(target.resolve(), set()).add(path)
+    findings = []
+    for header in sorted(src.rglob("*.hpp")):
+        own = header.with_suffix(".cpp")
+        users = included_by.get(header.resolve(), set()) - {own}
+        if not users:
+            rel = header.relative_to(root).as_posix()
+            findings.append(Finding(
+                rel, 1, "orphan-module",
+                "no file in src/, tools/, bench/ or examples/ includes this "
+                "header (its own .cpp aside); delete the module or suppress "
+                "it with the reason it stays"))
+    return findings
+
+
 def load_suppressions(path: Path) -> list[tuple[str, str, str]]:
     """Return [(rule, glob, reason)]; tolerate a missing file."""
     entries = []
@@ -431,6 +476,7 @@ def run_tree(root: Path, build_dir: Path | None, supp_path: Path,
                                errors="replace").splitlines()
         findings.extend(check_file(rel, lines))
     findings.extend(check_fault_manifest(root))
+    findings.extend(check_orphan_modules(root))
 
     suppressions = load_suppressions(supp_path)
     active, suppressed, unused = split_suppressed(findings, suppressions)
@@ -468,7 +514,8 @@ def run_self_test(root: Path) -> int:
         return 2
     suppressions = load_suppressions(corpus / "suppressions.txt")
     failures = []
-    seen_expected: dict[str, int] = {r: 0 for r in RULES}
+    seen_expected: dict[str, int] = {r: 0 for r in RULES
+                                     if r not in TREE_RULES}
     for path in sorted(corpus.glob("*.cc")):
         lines = path.read_text(encoding="utf-8").splitlines()
         virtual = path.relative_to(root).as_posix()
@@ -533,6 +580,31 @@ def run_self_test(root: Path) -> int:
     if not fired:
         failures.append("manifest: rule did not fire when the manifest "
                         "drifted from fault::kKnownSites")
+
+    # orphan-module: the real tree is clean under its suppressions, and in
+    # a synthetic tree exactly the header only its own .cpp and a test
+    # include fires.
+    tree_supp = load_suppressions(root / "tools" /
+                                  "gridse_check_suppressions.txt")
+    active, _, _ = split_suppressed(check_orphan_modules(root), tree_supp)
+    for f in active:
+        failures.append(f"orphan-module: real tree has an unsuppressed "
+                        f"orphan: {f.path}")
+    with tempfile.TemporaryDirectory() as tmp:
+        synthetic = Path(tmp)
+        for rel, text in {
+                "src/m/used.hpp": "",
+                "src/m/used.cpp": '#include "m/used.hpp"\n',
+                "src/m/lonely.hpp": '#include "used.hpp"\n',
+                "src/m/lonely.cpp": '#include "m/lonely.hpp"\n',
+                "tests/m/lonely_test.cpp": '#include "m/lonely.hpp"\n',
+                "tools/cli.cpp": '#include "m/used.hpp"\n'}.items():
+            (synthetic / rel).parent.mkdir(parents=True, exist_ok=True)
+            (synthetic / rel).write_text(text, encoding="utf-8")
+        fired = [f.path for f in check_orphan_modules(synthetic)]
+    if fired != ["src/m/lonely.hpp"]:
+        failures.append(f"orphan-module: synthetic tree gave {fired}, "
+                        "expected exactly src/m/lonely.hpp")
     for msg in failures:
         print(f"gridse_check self-test: FAIL: {msg}", file=sys.stderr)
     if failures:
