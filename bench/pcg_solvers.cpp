@@ -14,6 +14,7 @@
 #include <memory>
 
 #include "decomp/decomposition.hpp"
+#include "decomp/sensitivity.hpp"
 #include "decomp/subsystem_model.hpp"
 #include "estimation/wls.hpp"
 #include "grid/meas_generator.hpp"
@@ -168,7 +169,9 @@ void BM_GnStepSubsystem10k(benchmark::State& state) {
   static const Step step = [] {
     const io::GeneratedCase gc = io::interconnection10k();
     const grid::Network& net = gc.kase.network;
-    const decomp::Decomposition d = decomp::decompose(net, gc.subsystem_of_bus);
+    // Sensitivity-analyzed, as DseSystem builds its decomposition.
+    decomp::Decomposition d = decomp::decompose(net, gc.subsystem_of_bus);
+    decomp::analyze_sensitivity(net, d, {});
     Step out;
     for (int s = 0; s < d.num_subsystems(); ++s) {
       decomp::SubsystemModel ext = decomp::extract_extended(net, d, s);
@@ -205,7 +208,7 @@ void BM_GnStepSubsystem10k(benchmark::State& state) {
   for (auto _ : state) {
     kernel.linearize(step.at, h);
     for (std::size_t i = 0; i < wr.size(); ++i) wr[i] = w[i] * (z[i] - h[i]);
-    assembler.assemble(kernel.jacobian(), w, 0.0, gain);
+    assembler.assemble(kernel.jacobian(), w, gain);
     kernel.jacobian().multiply_transpose(wr, rhs);
     benchmark::DoNotOptimize(rhs.data());
     benchmark::DoNotOptimize(gain.values().data());
@@ -214,6 +217,10 @@ void BM_GnStepSubsystem10k(benchmark::State& state) {
   // change means the kernel's pattern rule changed.
   state.counters["jac_nnz"] = static_cast<double>(kernel.jacobian().nnz());
   state.counters["rows"] = static_cast<double>(step.set.size());
+  // The largest Step-2 model's size: pulling remote buses beyond the tie
+  // lines' far ends into extended models grows it.
+  state.counters["model_buses"] =
+      static_cast<double>(step.ext.global_bus.size());
 }
 BENCHMARK(BM_GnStepSubsystem10k);
 

@@ -251,9 +251,6 @@ CycleReport DseSystem::run_cycle(double time_sec) {
     OBS_GAUGE_SET("topology.islands",
                   static_cast<double>(islands->num_islands));
     react_to_topology(report.topology.changed_branches, *islands);
-    // The kept subsystem models follow the switching state.
-    config_.dse.plan_registry->sync_branch_status(
-        report.topology.changed_branches, generated_.kase.network);
   }
 
   if (live_topology_ != nullptr || config_.load_profile) {
@@ -385,19 +382,15 @@ CycleReport DseSystem::run_cycle(double time_sec) {
       world.run(body);
       break;
     }
-    case Transport::kMedici: {
-      medici::MediciWorld world(k, medici::TransportMode::kViaMiddleware,
-                                medici::unshaped_model(),
-                                medici::unshaped_model(),
-                                config_.resilience);
-      world.run(body);
-      break;
-    }
+    case Transport::kMedici:
     case Transport::kMediciDirect: {
-      medici::MediciWorld world(k, medici::TransportMode::kDirectTcp,
-                                medici::medici_relay_model(),
-                                medici::unshaped_model(),
-                                config_.resilience);
+      medici::MediciWorld world(
+          k,
+          config_.transport == Transport::kMedici
+              ? medici::TransportMode::kViaMiddleware
+              : medici::TransportMode::kDirectTcp,
+          medici::unshaped_model(), medici::unshaped_model(),
+          config_.resilience);
       world.run(body);
       break;
     }

@@ -1,6 +1,5 @@
 #include "core/local_estimator.hpp"
 
-#include <algorithm>
 #include <set>
 
 #include "estimation/robust.hpp"
@@ -17,9 +16,6 @@ constexpr double kPseudoSigma = 0.01;
 /// neighbour pseudo measurements in degraded Step 2 (several times looser
 /// than kPseudoSigma so real data always dominates).
 constexpr double kDegradedPriorSigma = 0.05;
-/// Tikhonov regularization for the Step-2 extended system (remote corners
-/// of the extended model can be weakly observed).
-constexpr double kStep2Regularization = 1e-8;
 
 /// Dispatch one local solve through plain WLS or the Huber M-estimator,
 /// per the options, on `model`'s network and its kept Ybus.
@@ -225,39 +221,25 @@ LocalSolveInfo LocalEstimator::run_step2(
   if (fill_missing_with_priors) {
     // Degraded mode: remote buses whose neighbour never reported would leave
     // the extended system unobservable. Anchor each of them with a
-    // low-weight prior taken from the nearest own bus's Step-1 value
-    // (multi-source BFS over the extended topology), falling back to a flat
-    // profile for any bus not reachable from own territory.
+    // low-weight prior taken from the Step-1 value of its lowest-numbered
+    // own neighbour; every remote bus is the far end of an own tie line.
     const auto n = static_cast<std::size_t>(extended_->network.num_buses());
-    std::vector<std::vector<grid::BusIndex>> adjacent(n);
-    for (const grid::Branch& br : extended_->network.branches()) {
-      adjacent[static_cast<std::size_t>(br.from)].push_back(br.to);
-      adjacent[static_cast<std::size_t>(br.to)].push_back(br.from);
-    }
     std::vector<grid::BusIndex> anchor(n, -1);
-    std::vector<grid::BusIndex> frontier;
-    for (std::size_t l = 0; l < n; ++l) {
-      if (extended_->own[l]) {
-        anchor[l] = static_cast<grid::BusIndex>(l);
-        frontier.push_back(static_cast<grid::BusIndex>(l));
+    for (const grid::Branch& br : extended_->network.branches()) {
+      const bool from_own = extended_->own[static_cast<std::size_t>(br.from)];
+      if (from_own == extended_->own[static_cast<std::size_t>(br.to)]) {
+        continue;  // internal branch
       }
-    }
-    for (std::size_t head = 0; head < frontier.size(); ++head) {
-      const grid::BusIndex u = frontier[head];
-      for (const grid::BusIndex v : adjacent[static_cast<std::size_t>(u)]) {
-        if (anchor[static_cast<std::size_t>(v)] >= 0) continue;
-        anchor[static_cast<std::size_t>(v)] =
-            anchor[static_cast<std::size_t>(u)];
-        frontier.push_back(v);
-      }
+      const grid::BusIndex own = from_own ? br.from : br.to;
+      grid::BusIndex& a =
+          anchor[static_cast<std::size_t>(from_own ? br.to : br.from)];
+      if (a < 0 || own < a) a = own;
     }
     for (std::size_t l = 0; l < n; ++l) {
       if (extended_->own[l] || covered[l]) continue;
-      const grid::BusIndex a = anchor[l];
-      const double vm =
-          a >= 0 ? initial.vm[static_cast<std::size_t>(a)] : 1.0;
-      const double theta =
-          a >= 0 ? initial.theta[static_cast<std::size_t>(a)] : ref.angle;
+      const auto a = static_cast<std::size_t>(anchor[l]);
+      const double vm = initial.vm[a];
+      const double theta = initial.theta[a];
       ext_set.items.push_back({grid::MeasType::kVMag,
                                static_cast<grid::BusIndex>(l), -1, true, vm,
                                kDegradedPriorSigma});
@@ -269,11 +251,9 @@ LocalSolveInfo LocalEstimator::run_step2(
     }
   }
 
-  estimation::WlsOptions wls = options_.wls;
-  wls.regularization = std::max(wls.regularization, kStep2Regularization);
   initial.theta[static_cast<std::size_t>(ref.local_bus)] = ref.angle;
   const estimation::WlsResult result = solve_local(
-      *extended_, ref.local_bus, options_, wls, ext_set, initial);
+      *extended_, ref.local_bus, options_, options_.wls, ext_set, initial);
 
   step2_state_ = result.state;
 

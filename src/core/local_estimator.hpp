@@ -8,8 +8,7 @@
 
 namespace gridse::core {
 
-/// Per-subsystem estimation configuration (shared by the distributed and
-/// hierarchical drivers).
+/// Per-subsystem estimation configuration, shared by Step 1 and Step 2.
 struct LocalEstimatorOptions {
   estimation::WlsOptions wls;
   /// Use the Huber M-estimator (IRLS) for the local solves instead of plain
@@ -80,8 +79,8 @@ class LocalEstimator {
   /// measurements. Requires run_step1 first. Every pseudo measurement (|V|
   /// and θ of each neighbour record) carries the same fixed pseudo sigma.
   /// With `fill_missing_with_priors` (degraded mode), remote extended buses
-  /// not covered by `neighbor_states` get low-weight priors derived from the
-  /// nearest own bus's Step-1 solution instead of being left unanchored, so
+  /// not covered by `neighbor_states` get low-weight priors derived from an
+  /// adjacent own bus's Step-1 solution instead of being left unanchored, so
   /// the extended solve stays observable when a neighbour never reported.
   LocalSolveInfo run_step2(
       const grid::MeasurementSet& global_set,

@@ -21,29 +21,20 @@ decomp::SubsystemModels PlanRegistry::models_for(
     analysis::LockGuard lock(mutex_);
     const auto it = models_.find(subsystem);
     if (it != models_.end()) {
-      return {it->second.local, it->second.extended};
+      return it->second;
     }
   }
   // Extract outside the lock, so ranks building different subsystems do not
   // queue behind each other. Two ranks hosting the same subsystem may both
   // extract on its first frame; the first insert wins and the copies are
   // equal.
-  Models fresh{std::make_shared<decomp::SubsystemModel>(
-                   decomp::extract_local(network, d, subsystem)),
-               std::make_shared<decomp::SubsystemModel>(
-                   decomp::extract_extended(network, d, subsystem))};
+  decomp::SubsystemModels fresh{
+      std::make_shared<const decomp::SubsystemModel>(
+          decomp::extract_local(network, d, subsystem)),
+      std::make_shared<const decomp::SubsystemModel>(
+          decomp::extract_extended(network, d, subsystem))};
   analysis::LockGuard lock(mutex_);
-  const auto it = models_.emplace(subsystem, std::move(fresh)).first;
-  return {it->second.local, it->second.extended};
-}
-
-void PlanRegistry::sync_branch_status(std::span<const std::size_t> changed,
-                                      const grid::Network& network) {
-  analysis::LockGuard lock(mutex_);
-  for (auto& [s, models] : models_) {
-    models.local->sync_branch_status(changed, network);
-    models.extended->sync_branch_status(changed, network);
-  }
+  return models_.emplace(subsystem, std::move(fresh)).first->second;
 }
 
 void PlanRegistry::invalidate(int subsystem) {

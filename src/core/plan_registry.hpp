@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <span>
 
 #include "analysis/debug_sync.hpp"
 #include "analysis/thread_annotations.hpp"
@@ -22,13 +21,14 @@ namespace gridse::core {
 /// Invalidation contract: `invalidate(s)` must be called whenever subsystem
 /// s is re-mapped to a different cluster (the Supervisor's migrated-
 /// subsystem list) or its topology changes; it drops the plans and the
-/// models. Between those, `sync_branch_status` keeps every kept model on
-/// the live switching state. The decomposition itself never changes, so a
-/// registry serves one decomposition for its whole life. A missed plan
-/// invalidation is still safe — the cached plans are fingerprint-checked
-/// against the actual pattern — but the stale entries would waste cache
-/// slots on a host that no longer solves them. A missed branch sync is
-/// not: the models would describe a grid that no longer exists.
+/// models. A kept model is immutable: every one of its branches has an end
+/// that s owns, so a switch of any of them touches s and re-extracts the
+/// model. The decomposition itself never changes, so a registry serves one
+/// decomposition for its whole life. A missed plan invalidation is still
+/// safe — the cached plans are fingerprint-checked against the actual
+/// pattern — but the stale entries would waste cache slots on a host that
+/// no longer solves them. A missed model invalidation is not: the models
+/// would describe a grid that no longer exists.
 class PlanRegistry {
  public:
   struct Stats {
@@ -47,14 +47,6 @@ class PlanRegistry {
                                      const grid::Network& network,
                                      const decomp::Decomposition& d);
 
-  /// Follow the switching state: copy `network`'s in_service status of each
-  /// branch in `changed` into every kept model containing that branch — the
-  /// owners' local and extended models and the neighbours' extended ones —
-  /// with its Ybus (SubsystemModel::sync_branch_status). Patches in place,
-  /// so call it between frames, never while a driver runs.
-  void sync_branch_status(std::span<const std::size_t> changed,
-                          const grid::Network& network);
-
   /// Drop one subsystem's cached plans and models (subsystem migrated /
   /// topology edited). No-op when the subsystem has neither yet.
   void invalidate(int subsystem);
@@ -62,15 +54,10 @@ class PlanRegistry {
   [[nodiscard]] Stats stats() const;
 
  private:
-  struct Models {
-    std::shared_ptr<decomp::SubsystemModel> local;
-    std::shared_ptr<decomp::SubsystemModel> extended;
-  };
-
   mutable analysis::Mutex mutex_{"core::PlanRegistry"};
   std::map<int, std::shared_ptr<estimation::SolverCache>> caches_
       GRIDSE_GUARDED_BY(mutex_);
-  std::map<int, Models> models_ GRIDSE_GUARDED_BY(mutex_);
+  std::map<int, decomp::SubsystemModels> models_ GRIDSE_GUARDED_BY(mutex_);
   std::uint64_t invalidations_ GRIDSE_GUARDED_BY(mutex_) = 0;
 };
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <set>
 
 #include "grid/ybus.hpp"
 #include "util/error.hpp"
@@ -32,13 +31,16 @@ SubsystemModel build_model(const grid::Network& network,
   for (const grid::BusIndex g : remote_buses) add_bus(g, false);
   m.local_of_global = IndexMap(std::move(bus_entries));
 
-  // Include every branch whose both endpoints are in the model.
+  // Include every branch with both endpoints in the model and at least one
+  // of them own: remote buses couple to the state only through own buses.
   std::vector<std::pair<std::int32_t, std::int32_t>> branch_entries;
   for (std::size_t bi = 0; bi < network.num_branches(); ++bi) {
     const grid::Branch& br = network.branch(bi);
     const grid::BusIndex from = m.local_of_global.find(br.from);
     const grid::BusIndex to = m.local_of_global.find(br.to);
-    if (from < 0 || to < 0) {
+    if (from < 0 || to < 0 ||
+        (!m.own[static_cast<std::size_t>(from)] &&
+         !m.own[static_cast<std::size_t>(to)])) {
       continue;
     }
     grid::Branch local = br;
@@ -140,24 +142,6 @@ grid::MeasurementSet SubsystemModel::filter(
   return out;
 }
 
-void SubsystemModel::sync_branch_status(std::span<const std::size_t> changed,
-                                        const grid::Network& live) {
-  bool flipped = false;
-  for (const std::size_t bi : changed) {
-    const std::int32_t local =
-        local_branch_of_global.find(static_cast<std::int32_t>(bi));
-    if (local < 0) continue;
-    const bool in_service = live.branch_in_service(bi);
-    const auto lu = static_cast<std::size_t>(local);
-    if (network.branch_in_service(lu) == in_service) continue;
-    network.set_branch_in_service(lu, in_service);
-    flipped = true;
-  }
-  // A rebuild rather than an in-place patch: the matrix stays exactly what
-  // build_ybus makes of the switched network.
-  if (flipped) ybus = grid::build_ybus(network);
-}
-
 std::span<const std::uint32_t> MeasurementRoute::of(int s) const {
   GRIDSE_CHECK(s >= 0 && static_cast<std::size_t>(s) + 1 < offsets.size());
   const auto b = offsets[static_cast<std::size_t>(s)];
@@ -195,20 +179,6 @@ MeasurementRoute route_measurements(const Decomposition& d,
   return route;
 }
 
-void SubsystemModel::scatter_state(const grid::GridState& local_state,
-                                   grid::GridState& global_state,
-                                   bool own_buses_only) const {
-  GRIDSE_CHECK(local_state.num_buses() == network.num_buses());
-  for (grid::BusIndex l = 0; l < network.num_buses(); ++l) {
-    if (own_buses_only && !own[static_cast<std::size_t>(l)]) continue;
-    const grid::BusIndex g = global_bus[static_cast<std::size_t>(l)];
-    global_state.theta[static_cast<std::size_t>(g)] =
-        local_state.theta[static_cast<std::size_t>(l)];
-    global_state.vm[static_cast<std::size_t>(g)] =
-        local_state.vm[static_cast<std::size_t>(l)];
-  }
-}
-
 grid::GridState SubsystemModel::gather_state(
     const grid::GridState& global_state) const {
   grid::GridState local(network.num_buses());
@@ -233,14 +203,17 @@ SubsystemModel extract_extended(const grid::Network& network,
                                 const Decomposition& d, int s) {
   GRIDSE_CHECK(s >= 0 && s < d.num_subsystems());
   const Subsystem& sub = d.subsystems[static_cast<std::size_t>(s)];
-  std::set<grid::BusIndex> remote;
-  for (const int nbr : d.neighbors_of(s)) {
-    const Subsystem& nsub = d.subsystems[static_cast<std::size_t>(nbr)];
-    for (const grid::BusIndex b : nsub.boundary_buses) remote.insert(b);
-    for (const grid::BusIndex b : nsub.sensitive_internal) remote.insert(b);
+  std::vector<grid::BusIndex> remote;
+  remote.reserve(sub.tie_branches.size());
+  for (const std::size_t bi : sub.tie_branches) {
+    const grid::Branch& br = network.branch(bi);
+    remote.push_back(d.subsystem_of_bus[static_cast<std::size_t>(br.from)] == s
+                         ? br.to
+                         : br.from);
   }
-  return build_model(network, sub.buses,
-                     {remote.begin(), remote.end()}, s);
+  std::sort(remote.begin(), remote.end());
+  remote.erase(std::unique(remote.begin(), remote.end()), remote.end());
+  return build_model(network, sub.buses, remote, s);
 }
 
 }  // namespace gridse::decomp

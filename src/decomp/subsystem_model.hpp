@@ -36,16 +36,16 @@ class IndexMap {
 /// index maps needed to shuttle measurements and states between global and
 /// local numbering. Used in two flavours:
 ///  - local  (DSE Step 1): the subsystem's own buses and internal branches;
-///  - extended (DSE Step 2): additionally the tie lines, the neighbouring
-///    subsystems' boundary + sensitive-internal buses, and the remote
-///    branches among those included remote buses.
-/// Everything here is per topology: extracted once, then kept on the live
-/// switching state by sync_branch_status.
+///  - extended (DSE Step 2): additionally the subsystem's tie lines and
+///    their far-end buses, the only remote buses its own meters reach.
+/// Every branch of either model has an own endpoint, so a switch of any of
+/// them touches this subsystem. The model is immutable after extraction:
+/// a topology change re-extracts it.
 struct SubsystemModel {
   int subsystem_id = 0;
   grid::Network network;
-  /// build_ybus(network) at its current switching state: the admittance
-  /// matrix every estimator on this model borrows.
+  /// build_ybus(network) at extraction: the admittance matrix every
+  /// estimator on this model borrows.
   sparse::CsrComplex ybus;
   /// local bus index -> global bus index.
   std::vector<grid::BusIndex> global_bus;
@@ -87,18 +87,6 @@ struct SubsystemModel {
       const grid::MeasurementSet& global_set,
       std::span<const std::uint32_t> indices) const;
 
-  /// Follow the switching state: copy `live`'s in_service status of each
-  /// global branch in `changed` that this model contains, and rebuild the
-  /// Ybus when any of them flipped.
-  void sync_branch_status(std::span<const std::size_t> changed,
-                          const grid::Network& live);
-
-  /// Scatter a local state into a global state (only this model's buses are
-  /// touched; optionally own buses only).
-  void scatter_state(const grid::GridState& local_state,
-                     grid::GridState& global_state,
-                     bool own_buses_only = true) const;
-
   /// Gather the model's buses from a global state into a local state.
   [[nodiscard]] grid::GridState gather_state(
       const grid::GridState& global_state) const;
@@ -128,9 +116,9 @@ MeasurementRoute route_measurements(const Decomposition& d,
 SubsystemModel extract_local(const grid::Network& network,
                              const Decomposition& d, int s);
 
-/// Extract the Step-2 extended model of subsystem `s` (requires
-/// analyze_sensitivity to have populated sensitive_internal for neighbours;
-/// boundary buses are always included).
+/// Extract the Step-2 extended model of subsystem `s`: its own buses plus
+/// the far end of each of its tie lines, with its internal branches and
+/// tie lines.
 SubsystemModel extract_extended(const grid::Network& network,
                                 const Decomposition& d, int s);
 

@@ -97,9 +97,9 @@ WlsResult WlsEstimator::estimate(const grid::MeasurementSet& set,
     }
     jac.multiply_transpose(wr, rhs);
     if (iter == 0) {
-      gain = assembler->assemble(jac, weights, options_.regularization);
+      gain = assembler->assemble(jac, weights);
     } else {
-      assembler->assemble(jac, weights, options_.regularization, gain);
+      assembler->assemble(jac, weights, gain);
     }
 
     std::fill(dx.begin(), dx.end(), 0.0);

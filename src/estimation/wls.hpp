@@ -17,9 +17,6 @@ struct WlsOptions {
   /// solver's own tolerance on large systems).
   double tolerance = 1e-6;
   int max_iterations = 25;
-  /// Tikhonov term added to the gain matrix diagonal (0 = none). DSE Step 2
-  /// re-evaluation sets this to keep reduced systems well-posed.
-  double regularization = 0.0;
   /// Symbolic-artifact cache shared across estimators (per subsystem in the
   /// DSE driver). When null the estimator creates a private cache, so
   /// repeated estimate() calls on one estimator still reuse symbolic work.

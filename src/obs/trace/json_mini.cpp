@@ -1,6 +1,7 @@
 #include "obs/trace/json_mini.hpp"
 
 #include <cctype>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -259,10 +260,22 @@ const Value* Value::find(const std::string& key) const {
 }
 
 std::uint64_t Value::as_u64() const {
-  if (type != Type::kNumber || text.empty() || text[0] == '-') {
+  if (type != Type::kNumber) {
     return 0;
   }
-  return std::strtoull(text.c_str(), nullptr, 10);
+  // strtoull would read "1e3" as 1, "2.7" as 2 and wrap "-5"; only a plain
+  // decimal integer that fits is an id or a timestamp.
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long value =
+      std::isdigit(static_cast<unsigned char>(text[0])) != 0
+          ? std::strtoull(text.c_str(), &end, 10)
+          : 0;
+  if (end != text.c_str() + text.size() || errno == ERANGE) {
+    throw InvalidInput("json: \"" + text +
+                       "\" is not an unsigned 64-bit integer");
+  }
+  return value;
 }
 
 Value parse(std::string_view input) { return Parser(input).run(); }

@@ -29,8 +29,9 @@ struct Value {
   [[nodiscard]] bool is_string() const { return type == Type::kString; }
   [[nodiscard]] bool is_number() const { return type == Type::kNumber; }
 
-  /// Exact unsigned 64-bit read of a numeric token (strtoull on the raw
-  /// text); 0 for non-numbers or negative values.
+  /// Exact unsigned 64-bit read of a numeric token; 0 for non-numbers.
+  /// Throws gridse::InvalidInput when the token is not a plain decimal
+  /// integer ("-5", "2.7", "1e3") or does not fit in 64 bits.
   [[nodiscard]] std::uint64_t as_u64() const;
 };
 

@@ -49,8 +49,8 @@ NormalAssembler NormalAssembler::analyze(const Csr& h) {
   out.dim_ = h.cols();
 
   // Pattern of G: the union of the outer products plus a full structural
-  // diagonal (explicit zeros keep one pattern for regularized and plain
-  // assemblies).
+  // diagonal (explicit zeros), so a diagonally shifted gain keeps the
+  // pattern and its cached factorization plan.
   std::vector<Triplet<double>> triplets;
   const auto col = h.col_idx();
   for (Index r = 0; r < h.rows(); ++r) {
@@ -87,29 +87,25 @@ NormalAssembler NormalAssembler::analyze(const Csr& h) {
       }
     }
   }
-  out.diag_pos_.resize(static_cast<std::size_t>(out.dim_));
-  for (Index i = 0; i < out.dim_; ++i) {
-    out.diag_pos_[static_cast<std::size_t>(i)] = slot_of(i, i);
-  }
   return out;
 }
 
-Csr NormalAssembler::assemble(const Csr& h, std::span<const double> weights,
-                              double alpha) const {
+Csr NormalAssembler::assemble(const Csr& h,
+                              std::span<const double> weights) const {
   std::vector<double> gvals(g_col_.size());
-  fill(h, weights, alpha, gvals);
+  fill(h, weights, gvals);
   return Csr::from_parts(dim_, dim_, g_ptr_, g_col_, std::move(gvals));
 }
 
 void NormalAssembler::assemble(const Csr& h, std::span<const double> weights,
-                               double alpha, Csr& g) const {
+                               Csr& g) const {
   GRIDSE_CHECK_MSG(g.rows() == dim_ && g.nnz() == g_col_.size(),
                    "NormalAssembler: G is not this assembler's pattern");
-  fill(h, weights, alpha, g.mutable_values());
+  fill(h, weights, g.mutable_values());
 }
 
 void NormalAssembler::fill(const Csr& h, std::span<const double> weights,
-                           double alpha, std::span<double> gvals) const {
+                           std::span<double> gvals) const {
   GRIDSE_CHECK(static_cast<Index>(weights.size()) == h.rows());
   GRIDSE_CHECK_MSG(h.cols() == dim_ &&
                        static_cast<std::uint64_t>(h.nnz()) == fp_.nnz,
@@ -126,11 +122,6 @@ void NormalAssembler::fill(const Csr& h, std::span<const double> weights,
         gvals[static_cast<std::size_t>(target_[t++])] +=
             wi * val[static_cast<std::size_t>(j)];
       }
-    }
-  }
-  if (alpha != 0.0) {
-    for (const Index p : diag_pos_) {
-      gvals[static_cast<std::size_t>(p)] += alpha;
     }
   }
 }

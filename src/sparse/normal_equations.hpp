@@ -17,8 +17,8 @@ Csr normal_matrix(const Csr& h, std::span<const double> weights);
 std::vector<double> normal_rhs(const Csr& h, std::span<const double> weights,
                                std::span<const double> residual);
 
-/// G' = G + alpha I. Used to regularize Step-2 re-evaluation systems where
-/// pseudo-measurements may leave near-unobservable corners.
+/// G' = G + alpha I, on G's pattern plus a full diagonal: the shifted gain
+/// SparseLdlt::factorize_with_shift retries with when a pivot breaks down.
 Csr add_diagonal(const Csr& g, double alpha);
 
 /// Symbolic reuse for the gain assembly: the pattern of G = Hᵀ W H is fixed
@@ -29,8 +29,8 @@ Csr add_diagonal(const Csr& g, double alpha);
 /// Gauss–Newton step of an unchanged topology.
 ///
 /// The assembled G always carries a structural diagonal (explicit zeros
-/// where H leaves a column untouched), so `alpha`-regularized and plain
-/// assemblies share one pattern.
+/// where H leaves a column untouched), so the diagonal shift the LDLᵀ
+/// breakdown retry adds (add_diagonal) keeps the gain on its cached plan.
 class NormalAssembler {
  public:
   [[nodiscard]] static NormalAssembler analyze(const Csr& h);
@@ -41,19 +41,18 @@ class NormalAssembler {
     return fingerprint_pattern(h) == fp_;
   }
 
-  /// G = Hᵀ W H + alpha I. `h` must match the analyzed pattern (cheap
-  /// size/nnz checks applied).
-  [[nodiscard]] Csr assemble(const Csr& h, std::span<const double> weights,
-                             double alpha = 0.0) const;
+  /// G = Hᵀ W H. `h` must match the analyzed pattern (cheap size/nnz
+  /// checks applied).
+  [[nodiscard]] Csr assemble(const Csr& h,
+                             std::span<const double> weights) const;
 
   /// As above, refilling the values of `g` — an earlier assemble() of this
   /// assembler — in place.
-  void assemble(const Csr& h, std::span<const double> weights, double alpha,
-                Csr& g) const;
+  void assemble(const Csr& h, std::span<const double> weights, Csr& g) const;
 
  private:
   /// G's values into `gvals` (size nnz(G)), overwriting them.
-  void fill(const Csr& h, std::span<const double> weights, double alpha,
+  void fill(const Csr& h, std::span<const double> weights,
             std::span<double> gvals) const;
 
   PatternFingerprint fp_;
@@ -63,8 +62,6 @@ class NormalAssembler {
   /// Value slot in G for each (row, i, j) pair of the outer-product loop,
   /// in iteration order.
   std::vector<Index> target_;
-  /// Value slot of G(i, i) for each state i (for the alpha term).
-  std::vector<Index> diag_pos_;
 };
 
 }  // namespace gridse::sparse

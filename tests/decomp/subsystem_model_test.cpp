@@ -5,6 +5,7 @@
 #include <set>
 #include <string>
 
+#include "decomp/bus_partition.hpp"
 #include "decomp/sensitivity.hpp"
 #include "grid/meas_generator.hpp"
 #include "grid/powerflow.hpp"
@@ -194,33 +195,76 @@ TEST(MeasurementRoute, RoutedFiltersEqualWholeSetFiltersOnTenThousandBusSplit) {
   }
 }
 
-TEST_F(SubsystemModelTest, ScatterGatherRoundTrip) {
-  const SubsystemModel m = extract_local(generated_.kase.network, d_, 3);
+TEST_F(SubsystemModelTest, GatherReadsTheModelBuses) {
+  const SubsystemModel m = extract_extended(generated_.kase.network, d_, 3);
   const grid::GridState local = m.gather_state(pf_.state);
-  grid::GridState global(generated_.kase.network.num_buses());
-  m.scatter_state(local, global);
-  for (const grid::BusIndex g : m.global_bus) {
-    EXPECT_DOUBLE_EQ(global.theta[static_cast<std::size_t>(g)],
-                     pf_.state.theta[static_cast<std::size_t>(g)]);
-    EXPECT_DOUBLE_EQ(global.vm[static_cast<std::size_t>(g)],
-                     pf_.state.vm[static_cast<std::size_t>(g)]);
+  ASSERT_EQ(local.num_buses(), m.network.num_buses());
+  for (grid::BusIndex l = 0; l < m.network.num_buses(); ++l) {
+    const auto g = static_cast<std::size_t>(
+        m.global_bus[static_cast<std::size_t>(l)]);
+    EXPECT_EQ(local.theta[static_cast<std::size_t>(l)], pf_.state.theta[g]);
+    EXPECT_EQ(local.vm[static_cast<std::size_t>(l)], pf_.state.vm[g]);
   }
 }
 
-TEST_F(SubsystemModelTest, ScatterOwnOnlySkipsRemoteBuses) {
-  const SubsystemModel ext = extract_extended(generated_.kase.network, d_, 1);
-  grid::GridState local(ext.network.num_buses());
-  for (auto& v : local.vm) v = 9.0;  // sentinel
-  grid::GridState global(generated_.kase.network.num_buses());
-  ext.scatter_state(local, global, /*own_buses_only=*/true);
-  for (grid::BusIndex l = 0; l < ext.network.num_buses(); ++l) {
-    const grid::BusIndex g = ext.global_bus[static_cast<std::size_t>(l)];
-    if (ext.own[static_cast<std::size_t>(l)]) {
-      EXPECT_DOUBLE_EQ(global.vm[static_cast<std::size_t>(g)], 9.0);
-    } else {
-      EXPECT_DOUBLE_EQ(global.vm[static_cast<std::size_t>(g)], 1.0);
+/// Every branch of subsystem s's local and extended models has an end that
+/// s owns, the extended model holds exactly s's internal branches and tie
+/// lines, and its remote buses are exactly the tie lines' far ends.
+void expect_models_end_at_own_buses(const grid::Network& net,
+                                    const Decomposition& d,
+                                    const std::string& tag) {
+  for (int s = 0; s < d.num_subsystems(); ++s) {
+    const Subsystem& sub = d.subsystems[static_cast<std::size_t>(s)];
+    const auto owned = [&](const SubsystemModel& m, grid::BusIndex l) {
+      const auto g = m.global_bus[static_cast<std::size_t>(l)];
+      return d.subsystem_of_bus[static_cast<std::size_t>(g)] == s;
+    };
+    const SubsystemModel local = extract_local(net, d, s);
+    const SubsystemModel ext = extract_extended(net, d, s);
+    for (const SubsystemModel* m : {&local, &ext}) {
+      for (const grid::Branch& br : m->network.branches()) {
+        EXPECT_TRUE(owned(*m, br.from) || owned(*m, br.to))
+            << tag << " subsystem " << s;
+      }
     }
+    EXPECT_EQ(ext.network.num_branches(),
+              sub.internal_branches.size() + sub.tie_branches.size())
+        << tag << " subsystem " << s;
+
+    std::set<grid::BusIndex> far_ends;
+    for (const std::size_t tie : sub.tie_branches) {
+      const grid::Branch& br = net.branch(tie);
+      far_ends.insert(
+          d.subsystem_of_bus[static_cast<std::size_t>(br.from)] == s
+              ? br.to
+              : br.from);
+    }
+    std::set<grid::BusIndex> remote;
+    for (grid::BusIndex l = 0; l < ext.network.num_buses(); ++l) {
+      if (!owned(ext, l)) {
+        remote.insert(ext.global_bus[static_cast<std::size_t>(l)]);
+      }
+    }
+    EXPECT_EQ(remote, far_ends) << tag << " subsystem " << s;
   }
+}
+
+TEST_F(SubsystemModelTest, ModelsEndAtOwnBusesOnThePaperSplit) {
+  expect_models_end_at_own_buses(generated_.kase.network, d_, "ieee118");
+}
+
+TEST(SubsystemModel, ModelsEndAtOwnBusesOnThe10kBenchSplit) {
+  // The split the 10k frame benchmark solves: the convergence-aware bus
+  // partitioner at seed 7, with sensitive buses analyzed as DseSystem does.
+  io::GeneratedCase gc = io::interconnection10k();
+  graph::PartitionOptions popts;
+  popts.k = 32;
+  popts.seed = 7;
+  popts.objective = graph::PartitionObjective::kConvergenceAware;
+  gc.subsystem_of_bus = partition_buses(gc.kase.network, popts);
+  Decomposition d = decompose(gc.kase.network, gc.subsystem_of_bus);
+  analyze_sensitivity(gc.kase.network, d, {});
+  expect_models_end_at_own_buses(gc.kase.network, d, "10k");
 }
 
 }  // namespace

@@ -83,7 +83,7 @@ TEST(SolverCache, FifoEvictionBoundsTheEntryCount) {
 
 TEST(SolverCache, AssemblerProducesTheNormalMatrix) {
   // A rectangular "Jacobian": the cached assembler must reproduce
-  // normal_matrix + add_diagonal exactly.
+  // normal_matrix exactly.
   Rng rng(56);
   std::vector<sparse::Triplet<double>> t;
   const sparse::Index rows = 12;
@@ -103,9 +103,8 @@ TEST(SolverCache, AssemblerProducesTheNormalMatrix) {
   SolverCache cache;
   const auto assembler = cache.assembler_for(h);
   ASSERT_TRUE(assembler->matches(h));
-  const sparse::Csr got = assembler->assemble(h, w, 0.125);
-  const sparse::Csr want =
-      sparse::add_diagonal(sparse::normal_matrix(h, w), 0.125);
+  const sparse::Csr got = assembler->assemble(h, w);
+  const sparse::Csr want = sparse::normal_matrix(h, w);
   for (sparse::Index i = 0; i < cols; ++i) {
     for (sparse::Index j = 0; j < cols; ++j) {
       EXPECT_NEAR(got.value_at(i, j), want.value_at(i, j), 1e-12)

@@ -208,14 +208,5 @@ TEST(Wls, Ieee118ScaleSolves) {
   EXPECT_LT(grid::max_vm_error(r.state, pf.state), 0.01);
 }
 
-TEST(Wls, RegularizationKeepsNearSingularSolvable) {
-  const auto d = make_case14_data();
-  WlsOptions opts;
-  opts.regularization = 1e-6;
-  WlsEstimator est(d.kase.network, opts);
-  const WlsResult r = est.estimate(d.noisy);
-  EXPECT_TRUE(r.converged);
-}
-
 }  // namespace
 }  // namespace gridse::estimation

@@ -18,6 +18,7 @@
 #include "obs/obs.hpp"
 #include "obs/trace/collector.hpp"
 #include "obs/trace/event_log.hpp"
+#include "obs/trace/json_mini.hpp"
 #include "medici/medici_comm.hpp"
 #include "runtime/inproc_comm.hpp"
 
@@ -211,6 +212,18 @@ TEST(TraceGoldenTest, Ieee118TwoClusterRun) {
   EXPECT_TRUE(validate_chrome_trace(merged).empty());
 #endif
   std::filesystem::remove_all(dir);
+}
+
+TEST(JsonMiniTest, AsU64ReadsOnlyPlainUnsignedIntegers) {
+  const jsonm::Value doc = jsonm::parse(
+      R"({"id":18446744073709551615,"ts":0,"exp":1e3,"frac":2.7,)"
+      R"("neg":-5,"big":18446744073709551616,"name":"x"})");
+  EXPECT_EQ(doc.find("id")->as_u64(), 18446744073709551615ull);
+  EXPECT_EQ(doc.find("ts")->as_u64(), 0u);
+  EXPECT_EQ(doc.find("name")->as_u64(), 0u);  // not a number
+  for (const char* key : {"exp", "frac", "neg", "big"}) {
+    EXPECT_THROW((void)doc.find(key)->as_u64(), InvalidInput) << key;
+  }
 }
 
 TEST(EventLogTest, DropsOldestWhenFullAndCountsDrops) {

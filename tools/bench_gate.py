@@ -7,9 +7,10 @@ gridse_report. Output: one merged document (schema "gridse-bench-ci/1")
 with two metric classes:
 
 * "enforced" — deterministic given the seeded inputs: solver iteration
-  counts, lane counts, and exchange byte counts. Any benchmark counter
-  whose name ends in "_iters", "_bytes", or "_lanes" (or is exactly
-  "lanes") is promoted to this class automatically. A growth beyond
+  counts, lane counts, exchange byte counts and model sizes. Any benchmark
+  counter whose name ends in "_iters", "_bytes", "_lanes" or "_nnz" (or is
+  exactly "lanes" or "model_buses") is promoted to this class
+  automatically. A growth beyond
   --tolerance (default 25%) over the committed BENCH_baseline.json fails
   the job; these moving means the algorithm changed, not that the runner
   was busy.
@@ -68,10 +69,10 @@ def load(path):
 
 
 #: Benchmark counters promoted from advisory to enforced: anything ending
-#: in one of these suffixes (or named exactly "lanes") is deterministic
-#: given the seeded inputs, so drift means an algorithm change.
+#: in one of these suffixes (or named exactly "lanes" or "model_buses") is
+#: deterministic given the seeded inputs, so drift means an algorithm change.
 ENFORCED_COUNTER_SUFFIXES = ("_iters", "_bytes", "_lanes", "_nnz")
-ENFORCED_COUNTER_NAMES = ("lanes",)
+ENFORCED_COUNTER_NAMES = ("lanes", "model_buses")
 
 
 def is_enforced_counter(key):
