@@ -6,11 +6,13 @@
 // of a solve's first gain, BM_Pcg* PCG on a later, moved gain
 // preconditioned by that factor. BM_GnStepSubsystem10k times the
 // measurement half of one Gauss–Newton step (h, H, gain, rhs) on a 10k
-// subsystem model, BM_Wls118_Pcg a whole estimate, and main() reports the
+// subsystem model, BM_Wls118_Pcg a whole estimate, BM_AcTruth118 the
+// ieee118 AC truth's Newton–Krylov power flow, and main() reports the
 // condition-number effect.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
 
 #include "decomp/decomposition.hpp"
@@ -260,6 +262,30 @@ void BM_Wls118_Pcg(benchmark::State& state) {
   state.counters["pcg_iters"] = pcg_iters;
 }
 BENCHMARK(BM_Wls118_Pcg)->Unit(benchmark::kMillisecond);
+
+/// The AC truth of one ieee118_dse frame: the Newton–Krylov power flow from
+/// a flat start through a warm slot, whose B′ and B″ factors every
+/// iteration reuses, as DseSystem's per-frame truth does.
+void BM_AcTruth118(benchmark::State& state) {
+  static const io::GeneratedCase generated = io::ieee118_dse();
+  const grid::Network& network = generated.kase.network;
+  grid::PowerFlowFactors slot;
+  (void)grid::solve_power_flow(network, slot);
+  int newton_iters = 0;
+  std::uint64_t gmres_iters = 0;
+  for (auto _ : state) {
+    const std::uint64_t before = slot.gmres_iterations();
+    const grid::PowerFlowResult pf = grid::solve_power_flow(network, slot);
+    newton_iters = pf.iterations;
+    gmres_iters = slot.gmres_iterations() - before;
+    benchmark::DoNotOptimize(pf.state.vm.data());
+  }
+  // Newton steps and GMRES iterations of one solve: deterministic, so a
+  // change means the step, the preconditioner or the GMRES stop changed.
+  state.counters["newton_iters"] = newton_iters;
+  state.counters["gmres_iters"] = static_cast<double>(gmres_iters);
+}
+BENCHMARK(BM_AcTruth118)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

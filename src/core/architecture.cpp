@@ -47,14 +47,17 @@ namespace {
 /// and de-energized buses are pinned to |V| = 0, θ = 0; the jitter stream
 /// draws for every PQ bus regardless of energization, so restoring the base
 /// topology returns the exact pre-event truth. `bprime` is the caller's B′
-/// slot: its factor is reused while B′ is unchanged.
+/// slot and `decoupled` its AC truth's B′/B″ slot: their factors are reused
+/// while the matrices are unchanged.
 grid::GridState solve_truth_state(const grid::Network& network,
                                   TruthMode mode, std::uint64_t seed,
                                   const grid::IslandReport* islands,
-                                  grid::BprimeFactor& bprime) {
+                                  grid::BprimeFactor& bprime,
+                                  grid::PowerFlowFactors& decoupled) {
   if (mode == TruthMode::kAcPowerFlow) {
     GRIDSE_CHECK(islands == nullptr);
-    const grid::PowerFlowResult pf = grid::solve_power_flow(network);
+    const grid::PowerFlowResult pf =
+        grid::solve_power_flow(network, decoupled);
     if (!pf.converged) {
       throw ConvergenceFailure("DseSystem: power flow for the true state did "
                                "not converge");
@@ -147,7 +150,8 @@ DseSystem::DseSystem(io::GeneratedCase generated, SystemConfig config)
   }
 
   true_state_ = solve_truth_state(generated_.kase.network, config_.truth_mode,
-                                  config_.seed, nullptr, truth_bprime_);
+                                  config_.seed, nullptr, truth_bprime_,
+                                  truth_decoupled_);
   bus_energized_prev_.assign(
       static_cast<std::size_t>(generated_.kase.network.num_buses()), 1);
 
@@ -265,7 +269,8 @@ CycleReport DseSystem::run_cycle(double time_sec) {
     }
     true_state_ = solve_truth_state(
         scaled ? *scaled : generated_.kase.network, config_.truth_mode,
-        config_.seed, islands ? &*islands : nullptr, truth_bprime_);
+        config_.seed, islands ? &*islands : nullptr, truth_bprime_,
+        truth_decoupled_);
   }
   last_measurements_ = generator_->generate(true_state_, rng_, time_sec);
   if (live_topology_ != nullptr) {

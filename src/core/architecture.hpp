@@ -11,6 +11,7 @@
 #include "core/supervisor.hpp"
 #include "decomp/sensitivity.hpp"
 #include "fault/topology_replay.hpp"
+#include "grid/powerflow.hpp"
 #include "grid/topology.hpp"
 #include "io/synthetic.hpp"
 #include "mapping/mapper.hpp"
@@ -202,6 +203,11 @@ class DseSystem {
   [[nodiscard]] const grid::BprimeFactor& truth_bprime() const {
     return truth_bprime_;
   }
+  /// The AC truth's B′ and B″ slot, refactored only on frames whose Ybus
+  /// differs from the factored one (never under DC truth).
+  [[nodiscard]] const grid::PowerFlowFactors& truth_decoupled() const {
+    return truth_decoupled_;
+  }
   [[nodiscard]] const grid::MeasurementSet& last_measurements() const {
     return last_measurements_;
   }
@@ -222,6 +228,8 @@ class DseSystem {
   grid::GridState true_state_;
   /// The one B′ slot every DC truth solve of this system goes through.
   grid::BprimeFactor truth_bprime_;
+  /// The one B′/B″ slot every AC truth solve of this system goes through.
+  grid::PowerFlowFactors truth_decoupled_;
   std::unique_ptr<grid::MeasurementGenerator> generator_;
   Rng rng_;
   grid::MeasurementSet last_measurements_;

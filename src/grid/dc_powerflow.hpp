@@ -25,11 +25,12 @@ struct DcPowerFlow {
 };
 
 /// A caller-owned slot for the B′ solve of a DC truth re-solved every
-/// frame: the symbolic plan, the factored B′ and its LDLᵀ factor. A solve
-/// whose assembled B′ equals the factored one in pattern and values — a
-/// frame where only loads moved — reuses the factor and pays two triangular
-/// solves; changed values refactor over the plan, and a changed pattern
-/// (switching that moves an island boundary) re-analyzes the plan first.
+/// frame (and for the AC truth's B′ and B″, PowerFlowFactors): the symbolic
+/// plan, the factored matrix and its LDLᵀ factor. A solve whose assembled
+/// matrix equals the factored one in pattern and values — a frame where
+/// only loads moved — reuses the factor and pays two triangular solves;
+/// changed values refactor over the plan, and a changed pattern (switching
+/// that moves an island boundary) re-analyzes the plan first.
 class BprimeFactor {
  public:
   /// True when the slot holds a factor of exactly `bprime`.
@@ -41,6 +42,11 @@ class BprimeFactor {
   /// Solve B′ x = b with the held factor.
   [[nodiscard]] std::vector<double> solve(std::span<const double> b) const {
     return ldlt_.solve(b);
+  }
+
+  /// As above, into `x` without allocating: one solve at a time.
+  void solve(std::span<const double> b, std::span<double> x) {
+    ldlt_.solve(b, x);
   }
 
   [[nodiscard]] const std::shared_ptr<const sparse::SymbolicPlan>& plan()

@@ -2,10 +2,13 @@
 
 #include <cmath>
 #include <complex>
+#include <cstdint>
 
+#include "grid/dc_powerflow.hpp"
 #include "grid/network.hpp"
 #include "grid/state.hpp"
 #include "grid/ybus.hpp"
+#include "sparse/gmres.hpp"
 
 namespace gridse::grid {
 
@@ -22,12 +25,54 @@ struct PowerFlowResult {
   double max_mismatch = 0.0;
 };
 
-/// Full-Newton AC power flow in polar coordinates. Produces the "true"
+/// A caller-owned slot for an AC power flow re-solved every frame: the
+/// fast-decoupled B′ and B″ factors (Stott & Alsaç 1974) that precondition
+/// each Newton step, and the GMRES workspace. Both matrices are read off
+/// Ybus, so a frame where only loads moved reuses both factors; a changed
+/// Ybus refactors the matrix it changed.
+class PowerFlowFactors {
+ public:
+  /// B′ = −Im Ybus over the non-slack buses.
+  [[nodiscard]] const BprimeFactor& bprime() const { return bprime_; }
+  /// B″ = −Im Ybus over the PQ buses.
+  [[nodiscard]] const BprimeFactor& bdoubleprime() const {
+    return bdoubleprime_;
+  }
+  /// GMRES iterations of every solve run through this slot.
+  [[nodiscard]] std::uint64_t gmres_iterations() const {
+    return gmres_iterations_;
+  }
+
+ private:
+  friend PowerFlowResult solve_power_flow(const Network& network,
+                                          PowerFlowFactors& slot,
+                                          const PowerFlowOptions& options);
+
+  BprimeFactor bprime_;
+  BprimeFactor bdoubleprime_;
+  sparse::GmresWorkspace gmres_;
+  std::uint64_t gmres_iterations_ = 0;
+};
+
+/// Newton AC power flow in polar coordinates. Produces the "true"
 /// operating state that the measurement generator samples from; mirrors the
 /// role of the real grid + SCADA in the paper's testbed.
+/// Sparse Newton–Krylov: the mismatch and the Jacobian come from a
+/// MeasurementKernel over one P injection per non-slack bus and one Q
+/// injection per PQ bus (the estimator's h(x)), and each Newton correction
+/// is solved by GMRES right-preconditioned by the block diagonal of the
+/// slot's B′ and B″ factors (Flueck & Chiang 1998).
 /// Throws ConvergenceFailure when the iteration diverges numerically (NaN),
-/// but returns converged=false (not a throw) when it merely runs out of
-/// iterations, so callers can retry with a different start.
+/// but returns converged=false (not a throw) when it runs out of Newton
+/// iterations or a GMRES solve misses its tolerance, so callers can retry
+/// with a different start. The result's iterations and max_mismatch are
+/// those of the returned state. `network.validate()` runs only when the
+/// slot refactors.
+PowerFlowResult solve_power_flow(const Network& network,
+                                 PowerFlowFactors& slot,
+                                 const PowerFlowOptions& options = {});
+
+/// As above, through a temporary slot.
 PowerFlowResult solve_power_flow(const Network& network,
                                  const PowerFlowOptions& options = {});
 
@@ -39,8 +84,9 @@ inline std::complex<double> phasor(double vm, double theta) {
 }
 
 /// Complex power injections S_i = V_i (Y V)*_i for all buses at `state`.
-/// Returns (P, Q) vectors; used by tests to verify power-flow consistency
-/// and by the measurement model as the injection reference.
+/// Returns (P, Q) vectors, from the phasor product rather than the
+/// MeasurementKernel's polar sums: tests check power-flow consistency with
+/// it.
 std::pair<std::vector<double>, std::vector<double>> bus_injections(
     const sparse::CsrComplex& ybus, const GridState& state);
 

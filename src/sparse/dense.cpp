@@ -94,59 +94,6 @@ std::vector<double> DenseMatrix::solve_spd(std::span<const double> b) const {
   return x;
 }
 
-std::vector<double> DenseMatrix::solve_lu_in_place(std::span<const double> b) {
-  GRIDSE_CHECK(rows_ == cols_ && b.size() == rows_);
-  const std::size_t n = rows_;
-  DenseMatrix& a = *this;
-  std::vector<std::size_t> perm(n);
-  for (std::size_t i = 0; i < n; ++i) perm[i] = i;
-
-  for (std::size_t k = 0; k < n; ++k) {
-    std::size_t pivot = k;
-    double best = std::abs(a(k, k));
-    for (std::size_t i = k + 1; i < n; ++i) {
-      if (std::abs(a(i, k)) > best) {
-        best = std::abs(a(i, k));
-        pivot = i;
-      }
-    }
-    if (best == 0.0) {
-      throw ConvergenceFailure("dense LU: singular matrix at column " +
-                               std::to_string(k));
-    }
-    if (pivot != k) {
-      std::swap(perm[pivot], perm[k]);
-      for (std::size_t c = 0; c < n; ++c) {
-        std::swap(a(pivot, c), a(k, c));
-      }
-    }
-    for (std::size_t i = k + 1; i < n; ++i) {
-      a(i, k) /= a(k, k);
-      const double f = a(i, k);
-      if (f == 0.0) continue;
-      for (std::size_t c = k + 1; c < n; ++c) {
-        a(i, c) -= f * a(k, c);
-      }
-    }
-  }
-
-  std::vector<double> x(n);
-  for (std::size_t i = 0; i < n; ++i) x[i] = b[perm[i]];
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t k = 0; k < i; ++k) {
-      x[i] -= a(i, k) * x[k];
-    }
-  }
-  for (std::size_t ii = n; ii > 0; --ii) {
-    const std::size_t i = ii - 1;
-    for (std::size_t k = i + 1; k < n; ++k) {
-      x[i] -= a(i, k) * x[k];
-    }
-    x[i] /= a(i, i);
-  }
-  return x;
-}
-
 double DenseMatrix::condition_estimate_spd(int iterations) const {
   GRIDSE_CHECK(rows_ == cols_ && rows_ > 0);
   const std::size_t n = rows_;

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <span>
 #include <vector>
@@ -39,15 +38,6 @@ class DenseMatrix {
 
   /// Solve A x = b for SPD A via Cholesky (A untouched; returns x).
   [[nodiscard]] std::vector<double> solve_spd(std::span<const double> b) const;
-
-  /// Solve A x = b for general square A via partial-pivoting LU, factoring
-  /// this matrix in place: it holds the LU factors afterwards (copy it
-  /// first to keep A).
-  [[nodiscard]] std::vector<double> solve_lu_in_place(
-      std::span<const double> b);
-
-  /// Set every entry to zero, keeping the storage.
-  void set_zero() { std::fill(data_.begin(), data_.end(), 0.0); }
 
   /// Largest and smallest eigenvalue estimates of an SPD matrix by power
   /// iteration (on A and on A⁻¹ via solve); used to report condition numbers

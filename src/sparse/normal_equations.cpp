@@ -47,43 +47,90 @@ NormalAssembler NormalAssembler::analyze(const Csr& h) {
   NormalAssembler out;
   out.fp_ = fingerprint_pattern(h);
   out.dim_ = h.cols();
-
-  // Pattern of G: the union of the outer products plus a full structural
-  // diagonal (explicit zeros), so a diagonally shifted gain keeps the
-  // pattern and its cached factorization plan.
-  std::vector<Triplet<double>> triplets;
+  const auto ix = [](Index i) { return static_cast<std::size_t>(i); };
+  const std::size_t dim = ix(out.dim_);
+  const std::size_t rows = ix(h.rows());
+  const auto ptr = h.row_ptr();
   const auto col = h.col_idx();
-  for (Index r = 0; r < h.rows(); ++r) {
-    const auto [b, e] = h.row_range(r);
-    for (Index i = b; i < e; ++i) {
-      for (Index j = b; j < e; ++j) {
-        triplets.push_back({col[static_cast<std::size_t>(i)],
-                            col[static_cast<std::size_t>(j)], 0.0});
+
+  // Hᵀ as entry indices: for each column, the H entries in it (entry and
+  // row), in row order.
+  std::vector<Index> t_ptr(dim + 1, 0);
+  for (const Index c : col) ++t_ptr[ix(c) + 1];
+  for (std::size_t c = 0; c < dim; ++c) t_ptr[c + 1] += t_ptr[c];
+  std::vector<Index> t_entry(col.size());
+  std::vector<Index> t_row(col.size());
+  {
+    std::vector<Index> next(t_ptr.begin(), t_ptr.end() - 1);
+    for (std::size_t r = 0; r < rows; ++r) {
+      for (Index k = ptr[r]; k < ptr[r + 1]; ++k) {
+        const std::size_t slot = ix(next[ix(col[ix(k)])]++);
+        t_entry[slot] = k;
+        t_row[slot] = static_cast<Index>(r);
       }
     }
   }
-  for (Index i = 0; i < out.dim_; ++i) {
-    triplets.push_back({i, i, 0.0});
-  }
-  const Csr g = Csr::from_triplets(out.dim_, out.dim_, std::move(triplets));
-  out.g_ptr_.assign(g.row_ptr().begin(), g.row_ptr().end());
-  out.g_col_.assign(g.col_idx().begin(), g.col_idx().end());
 
-  const auto slot_of = [&](Index gr, Index gc) {
-    const Index b = out.g_ptr_[static_cast<std::size_t>(gr)];
-    const Index e = out.g_ptr_[static_cast<std::size_t>(gr) + 1];
-    const auto* first = out.g_col_.data() + b;
-    const auto* last = out.g_col_.data() + e;
-    const auto* it = std::lower_bound(first, last, gc);
-    GRIDSE_CHECK(it != last && *it == gc);
-    return static_cast<Index>(b + (it - first));
-  };
-  for (Index r = 0; r < h.rows(); ++r) {
-    const auto [b, e] = h.row_range(r);
-    for (Index i = b; i < e; ++i) {
-      for (Index j = b; j < e; ++j) {
-        out.target_.push_back(slot_of(col[static_cast<std::size_t>(i)],
-                                      col[static_cast<std::size_t>(j)]));
+  // Pattern of G: row c is c itself (a full structural diagonal, explicit
+  // zeros where H leaves a column untouched, so a diagonally shifted gain
+  // keeps the pattern and its cached factorization plan) plus every column
+  // of every H row touching c, gathered unsorted under a marker. G's
+  // pattern is symmetric, so one counting-sort transpose sorts its rows.
+  std::vector<Index> mark(dim, -1);
+  std::vector<Index> u_ptr(dim + 1, 0);
+  std::vector<Index> u_col;
+  u_col.reserve(dim + col.size());
+  for (std::size_t c = 0; c < dim; ++c) {
+    const auto ci = static_cast<Index>(c);
+    mark[c] = ci;
+    u_col.push_back(ci);
+    for (Index t = t_ptr[c]; t < t_ptr[c + 1]; ++t) {
+      const std::size_t r = ix(t_row[ix(t)]);
+      for (Index k = ptr[r]; k < ptr[r + 1]; ++k) {
+        const Index j = col[ix(k)];
+        if (mark[ix(j)] != ci) {
+          mark[ix(j)] = ci;
+          u_col.push_back(j);
+        }
+      }
+    }
+    u_ptr[c + 1] = static_cast<Index>(u_col.size());
+  }
+  out.g_ptr_.assign(dim + 1, 0);
+  for (const Index j : u_col) ++out.g_ptr_[ix(j) + 1];
+  for (std::size_t c = 0; c < dim; ++c) out.g_ptr_[c + 1] += out.g_ptr_[c];
+  out.g_col_.resize(u_col.size());
+  {
+    std::vector<Index> next(out.g_ptr_.begin(), out.g_ptr_.end() - 1);
+    for (std::size_t c = 0; c < dim; ++c) {
+      for (Index p = u_ptr[c]; p < u_ptr[c + 1]; ++p) {
+        out.g_col_[ix(next[ix(u_col[ix(p)])]++)] = static_cast<Index>(c);
+      }
+    }
+  }
+
+  // Targets, in the (row, i, j) order fill() walks, G row by G row: the
+  // row's slots go under the marker once, and each H entry (r, i) in that
+  // column writes the slots of its row's (i, j) pairs.
+  std::vector<std::size_t> t_start(rows + 1, 0);
+  for (std::size_t r = 0; r < rows; ++r) {
+    const std::size_t len = ix(ptr[r + 1] - ptr[r]);
+    t_start[r + 1] = t_start[r] + len * len;
+  }
+  out.target_.resize(t_start[rows]);
+  std::vector<Index>& slot_of = mark;
+  for (std::size_t gi = 0; gi < dim; ++gi) {
+    for (Index p = out.g_ptr_[gi]; p < out.g_ptr_[gi + 1]; ++p) {
+      slot_of[ix(out.g_col_[ix(p)])] = p;
+    }
+    for (Index t = t_ptr[gi]; t < t_ptr[gi + 1]; ++t) {
+      const std::size_t r = ix(t_row[ix(t)]);
+      const Index b = ptr[r];
+      const std::size_t len = ix(ptr[r + 1] - b);
+      Index* dst =
+          out.target_.data() + t_start[r] + ix(t_entry[ix(t)] - b) * len;
+      for (Index j = b; j < ptr[r + 1]; ++j) {
+        *dst++ = slot_of[ix(col[ix(j)])];
       }
     }
   }

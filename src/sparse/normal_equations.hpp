@@ -41,6 +41,10 @@ class NormalAssembler {
     return fingerprint_pattern(h) == fp_;
   }
 
+  /// G's value slot of each (row, i, j) term of the outer-product
+  /// accumulation Σ_row w h_iᵀ h_j, in the order assemble() adds them.
+  [[nodiscard]] std::span<const Index> targets() const { return target_; }
+
   /// G = Hᵀ W H. `h` must match the analyzed pattern (cheap size/nnz
   /// checks applied).
   [[nodiscard]] Csr assemble(const Csr& h,

@@ -210,6 +210,32 @@ TEST(DseSystem, DcTruthReusesOneBprimePlanAcrossFrames) {
   }
 }
 
+// The AC truth's slot, likewise: a diurnal load leaves Ybus, and with it
+// B′ and B″, unchanged, so each is factored once, at construction, and every
+// frame's Newton–Krylov solve reuses both factors. Each frame's truth equals
+// a slot-less solve of the frame's scaled network.
+TEST(DseSystem, AcTruthFactorsBprimeAndBdoubleprimeOnce) {
+  SystemConfig cfg = small_config();
+  cfg.load_profile = [](double t) {
+    return 1.0 + 0.1 * std::sin(2.0 * M_PI * t / 86400.0);
+  };
+  DseSystem sys(io::ieee118_dse(), cfg);
+  EXPECT_EQ(sys.truth_bprime().plan(), nullptr);
+  for (int c = 0; c < 5; ++c) {
+    const double t = c * 3600.0;
+    EXPECT_TRUE(sys.run_cycle(t).dse.all_converged) << c;
+    EXPECT_EQ(sys.truth_decoupled().bprime().factorizations(), 1u) << c;
+    EXPECT_EQ(sys.truth_decoupled().bdoubleprime().factorizations(), 1u) << c;
+
+    grid::Network scaled = sys.network();
+    scaled.scale_loads(cfg.load_profile(t));
+    const grid::PowerFlowResult fresh = grid::solve_power_flow(scaled);
+    ASSERT_TRUE(fresh.converged);
+    EXPECT_EQ(sys.true_state().theta, fresh.state.theta) << c;
+    EXPECT_EQ(sys.true_state().vm, fresh.state.vm) << c;
+  }
+}
+
 // The environment beats the configured SLO: a 60 s configured cycle
 // deadline overridden by GRIDSE_CYCLE_DEADLINE_MS=1 is missed every cycle.
 TEST(DseSystem, CycleDeadlineEnvBeatsConfiguredSlo) {

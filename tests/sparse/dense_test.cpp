@@ -82,48 +82,6 @@ TEST(Dense, CholeskyRejectsIndefinite) {
   EXPECT_THROW(a.solve_spd(std::vector<double>{1, 1}), ConvergenceFailure);
 }
 
-TEST(Dense, LuSolveGeneralMatrix) {
-  Rng rng(7);
-  for (const std::size_t n : {1u, 3u, 10u, 40u}) {
-    DenseMatrix a(n, n);
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = 0; j < n; ++j) {
-        a(i, j) = rng.uniform(-1, 1);
-      }
-      a(i, i) += 3.0;  // diagonally dominant: well-conditioned, nonsymmetric
-    }
-    std::vector<double> x_true(n);
-    for (auto& v : x_true) v = rng.uniform(-2, 2);
-    std::vector<double> b(n);
-    a.multiply(x_true, b);
-    const auto x = a.solve_lu_in_place(b);
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_NEAR(x[i], x_true[i], 1e-9);
-    }
-  }
-}
-
-TEST(Dense, LuSolveNeedsPivoting) {
-  // Zero on the diagonal: fails without partial pivoting.
-  DenseMatrix a(2, 2);
-  a(0, 0) = 0;
-  a(0, 1) = 1;
-  a(1, 0) = 1;
-  a(1, 1) = 0;
-  const auto x = a.solve_lu_in_place(std::vector<double>{3, 4});
-  EXPECT_NEAR(x[0], 4.0, 1e-12);
-  EXPECT_NEAR(x[1], 3.0, 1e-12);
-}
-
-TEST(Dense, LuRejectsSingular) {
-  DenseMatrix a(2, 2);
-  a(0, 0) = 1;
-  a(0, 1) = 2;
-  a(1, 0) = 2;
-  a(1, 1) = 4;
-  EXPECT_THROW(a.solve_lu_in_place(std::vector<double>{1, 1}), ConvergenceFailure);
-}
-
 TEST(Dense, ConditionEstimateIdentityIsOne) {
   DenseMatrix id(5, 5);
   for (std::size_t i = 0; i < 5; ++i) id(i, i) = 1.0;

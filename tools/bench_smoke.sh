@@ -15,8 +15,9 @@
 #   bench_table4_network_overhead — networked overhead rows (Table IV)
 #   bench_pcg_solvers             — the WLS solve (§IV-C): LDLt factor of
 #                                   a first gain, PCG on a moved gain under
-#                                   it, one IEEE-118 estimate; emits
-#                                   benchmark JSON
+#                                   it, one IEEE-118 estimate, and the
+#                                   IEEE-118 AC truth's Newton–Krylov power
+#                                   flow; emits benchmark JSON
 #   bench_step1_sweep             — cached per-subsystem Step-1 sweep,
 #                                   emits benchmark JSON
 #   bench_telemetry_overhead      — per-cycle telemetry sampler cost
