@@ -6,6 +6,7 @@
 #include "analysis/debug_sync.hpp"
 #include "bench_util.hpp"
 #include "core/architecture.hpp"
+#include "decomp/sensitivity.hpp"
 #include "runtime/inproc_comm.hpp"
 #include "grid/powerflow.hpp"
 #include "util/strings.hpp"

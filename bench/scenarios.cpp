@@ -1,6 +1,6 @@
 // Scenario bench: the testing scenarios of Bose et al. (the paper's related
 // work [6]) that §III says this architecture accommodates:
-//   (a) the TYPE of data communicated between estimators,
+//   (a) the buses that adopt Step-2 values (the sensitivity hop count),
 //   (b) FAILURE at the network connection,
 //   (c) the PARTITION of the network topology (decomposition granularity).
 
@@ -78,18 +78,21 @@ Outcome run_dse(const Scenario& s, int clusters) {
 
 int run() {
   bench::print_header(
-      "Scenario sweep — data types, link failure, decomposition granularity",
+      "Scenario sweep — Step-2 buses, link failure, decomposition granularity",
       "The testing scenarios of the paper's related work [6], exercised on\n"
       "this architecture.");
 
-  // --- (a) type of data communicated ----------------------------------------
+  // --- (a) buses that adopt Step-2 values -----------------------------------
+  // The exchange always ships the tie-line ends each neighbour's extended
+  // model holds, so the bytes column reads the same in every row; the
+  // sensitivity hop count decides which own buses take their Step-2 values.
   {
-    TextTable t({"data exchanged in Step 2", "max |V| err", "max angle err",
-                 "bytes"});
+    TextTable t({"buses adopting Step-2 values", "max |V| err",
+                 "max angle err", "bytes"});
     // boundary + sensitive internal (hops=1, the paper's configuration)
     const Scenario full = make_scenario(io::ieee118_dse(), 1, 5);
     const Outcome of = run_dse(full, 3);
-    t.add_row({"boundary + sensitive internal (paper)",
+    t.add_row({"boundary + 1-hop sensitive (paper)",
                strfmt("%.2e", of.vm_err), strfmt("%.2e", of.angle_err),
                std::to_string(of.bytes)});
     // boundary only (hops=0: no sensitive internal buses)
@@ -97,12 +100,13 @@ int run() {
     const Outcome ot = run_dse(thin, 3);
     t.add_row({"boundary buses only", strfmt("%.2e", ot.vm_err),
                strfmt("%.2e", ot.angle_err), std::to_string(ot.bytes)});
-    // two-hop sensitivity (richer exchange)
+    // two-hop sensitivity
     const Scenario rich = make_scenario(io::ieee118_dse(), 2, 5);
     const Outcome orich = run_dse(rich, 3);
     t.add_row({"boundary + 2-hop sensitive", strfmt("%.2e", orich.vm_err),
                strfmt("%.2e", orich.angle_err), std::to_string(orich.bytes)});
-    std::printf("(a) Data communicated between estimators:\n");
+    std::printf("(a) Buses that take their Step-2 values (the exchange "
+                "ships tie-line ends in every row):\n");
     bench::print_table(t);
   }
 
@@ -133,7 +137,7 @@ int run() {
     Records all_records;
     for (const int nbr : s.d.neighbors_of(victim)) {
       const auto recs =
-          ests[static_cast<std::size_t>(nbr)]->boundary_records();
+          ests[static_cast<std::size_t>(nbr)]->boundary_records(victim);
       all_records.insert(all_records.end(), recs.begin(), recs.end());
     }
     TextTable t({"links up", "subsystem-5 max |V| err"});
@@ -144,7 +148,7 @@ int run() {
       for (const int nbr : s.d.neighbors_of(victim)) {
         if (nbr == lost) continue;
         const auto recs =
-            ests[static_cast<std::size_t>(nbr)]->boundary_records();
+            ests[static_cast<std::size_t>(nbr)]->boundary_records(victim);
         partial.insert(partial.end(), recs.begin(), recs.end());
       }
       t.add_row({"link to subsystem " + std::to_string(lost + 1) + " DOWN",

@@ -91,8 +91,9 @@ int main() {
                 side, step1.converged ? "converged" : "FAILED",
                 step1.num_measurements, step1.gauss_newton_iterations);
 
-    // MW_Client_Send(MeDICi, neighbor, step1_solution)
-    const auto records = estimator.boundary_records();
+    // MW_Client_Send(MeDICi, neighbor, step1_solution): the states at the
+    // tie-line ends, the own buses the neighbour's extended model holds
+    const auto records = estimator.boundary_records(1 - side);
     client.send(pipeline_inbound, /*tag=*/1,
                 core::encode_boundary_records(records));
 

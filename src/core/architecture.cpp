@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "analysis/debug_sync.hpp"
+#include "decomp/sensitivity.hpp"
 #include "grid/dc_powerflow.hpp"
 #include "grid/powerflow.hpp"
 #include "medici/medici_comm.hpp"
@@ -89,12 +90,11 @@ grid::GridState solve_truth_state(const grid::Network& network,
 }
 
 /// The preliminary step: decompose along `subsystem_of_bus` and run the
-/// sensitivity analysis, once for the lifetime of the system.
+/// one-hop sensitivity analysis, once for the lifetime of the system.
 decomp::Decomposition analyzed_decomposition(
-    const grid::Network& network, const std::vector<int>& subsystem_of_bus,
-    const decomp::SensitivityOptions& options) {
+    const grid::Network& network, const std::vector<int>& subsystem_of_bus) {
   decomp::Decomposition d = decomp::decompose(network, subsystem_of_bus);
-  decomp::analyze_sensitivity(network, d, options);
+  decomp::analyze_sensitivity(network, d);
   return d;
 }
 
@@ -127,8 +127,7 @@ DseSystem::DseSystem(io::GeneratedCase generated, SystemConfig config)
     : generated_(std::move(generated)),
       config_(config),
       decomposition_(analyzed_decomposition(generated_.kase.network,
-                                            generated_.subsystem_of_bus,
-                                            config_.sensitivity)),
+                                            generated_.subsystem_of_bus)),
       rng_(config.seed) {
   // Environment overrides win over every configured value.
   config_.resilience = runtime::with_env_overrides(config_.resilience);

@@ -9,7 +9,6 @@
 
 #include "core/dse_driver.hpp"
 #include "core/supervisor.hpp"
-#include "decomp/sensitivity.hpp"
 #include "fault/topology_replay.hpp"
 #include "grid/powerflow.hpp"
 #include "grid/topology.hpp"
@@ -48,7 +47,6 @@ enum class TruthMode { kAcPowerFlow, kDcLinearized };
 struct SystemConfig {
   mapping::MappingOptions mapping;          ///< clusters, balance tolerance
   mapping::WeightModelParams weight_model;  ///< Expressions (1)–(5)
-  decomp::SensitivityOptions sensitivity;   ///< preliminary-step analysis
   /// DSE options. dse.exchange_deadline and the dse.slo thresholds are
   /// resolved against GRIDSE_EXCHANGE_DEADLINE_MS, GRIDSE_CYCLE_DEADLINE_MS
   /// and GRIDSE_PHASE_BUDGET_*_MS at construction (env wins).

@@ -332,9 +332,8 @@ DseResult DseDriver::run(runtime::Communicator& comm,
   {
     OBS_SPAN("dse.exchange.redistribute");
     const Deadline deadline(options_.exchange_deadline);
-    // Ship Step-1 solutions (plus the raw boundary/sensitive measurements
-    // the new host will need) for subsystems that move clusters between
-    // steps.
+    // Ship Step-1 solutions (plus the raw measurements the new host will
+    // need) for subsystems that move clusters between steps.
     for (const int s : hosted1) {
       const graph::PartId dest = step2_assignment[static_cast<std::size_t>(s)];
       if (dest == rank) continue;
@@ -371,14 +370,14 @@ DseResult DseDriver::run(runtime::Communicator& comm,
   result.exchange_seconds = exchange_timer.seconds();
 
   // --- Step-2 exchange/re-evaluation rounds ----------------------------------
-  // Round 0 ships the Step-1 boundary/sensitive solutions (the paper's
-  // prototype); further rounds re-exchange the re-evaluated values, bounded
-  // in usefulness by the decomposition diameter (§II).
+  // Round 0 ships the Step-1 solutions at the tie-line ends; further rounds
+  // re-exchange the re-evaluated values, bounded in usefulness by the
+  // decomposition diameter (§II).
   std::map<int, LocalSolveInfo> step2_info;
   for (int round = 0; round < std::max(1, options_.step2_rounds); ++round) {
     // Peer-to-peer pseudo measurements: the Step-2 owner of each subsystem
-    // sends its boundary/sensitive solution to the Step-2 owners of all its
-    // neighbours (Fig. 6: MW_Client_Send / MW_Client_Recv per neighbour).
+    // sends each neighbour's Step-2 owner its states at their tie lines
+    // (Fig. 6: MW_Client_Send / MW_Client_Recv per neighbour).
     // Tags repeat across rounds: per-(source rank, tag) FIFO ordering keeps
     // the rounds from mixing.
     Timer round_exchange_timer;
@@ -391,21 +390,20 @@ DseResult DseDriver::run(runtime::Communicator& comm,
       const Deadline deadline(options_.exchange_deadline);
       for (const int s : hosted2) {
         if (dead_subsystems.count(s) > 0) continue;  // nothing to export
-        const std::vector<BusStateRecord> records =
-            estimators.at(s)->boundary_records();
-        const std::vector<std::uint8_t> payload =
-            encode_boundary_records(records);
         for (const int t : decomposition_->neighbors_of(s)) {
+          const std::vector<BusStateRecord> records =
+              estimators.at(s)->boundary_records(t);
           const graph::PartId dest =
               step2_assignment[static_cast<std::size_t>(t)];
           if (dest == rank) {
             auto& sink = neighbor_records[t];
             sink.insert(sink.end(), records.begin(), records.end());
           } else {
+            auto payload = encode_boundary_records(records);
             OBS_COUNTER_ADD("dse.pseudo.messages", 1);
             OBS_COUNTER_ADD("dse.pseudo.bytes", payload.size());
             OBS_COUNTER_ADD("exchange.boundary_bytes", payload.size());
-            comm.send(dest, pseudo_tag(s, t, m), payload);
+            comm.send(dest, pseudo_tag(s, t, m), std::move(payload));
           }
         }
       }
@@ -421,7 +419,9 @@ DseResult DseDriver::run(runtime::Communicator& comm,
         obs::Histogram& fanin_hist = obs::MetricsRegistry::global().histogram(
             "exchange.fanin_wait_seconds.subsystem." + std::to_string(t));
 #endif
-        for (const int s : decomposition_->neighbors_of(t)) {
+        for (const decomp::TieEnds& tie :
+             decomposition_->subsystems[static_cast<std::size_t>(t)].ties) {
+          const int s = tie.neighbor;
           const graph::PartId src =
               step2_assignment[static_cast<std::size_t>(s)];
           if (src == rank) {
@@ -437,6 +437,13 @@ DseResult DseDriver::run(runtime::Communicator& comm,
               [&](const std::vector<std::uint8_t>& payload) {
                 const std::vector<BusStateRecord> records =
                     decode_boundary_records(payload);
+                // Exactly the buses of s that t's extended model holds.
+                if (!std::ranges::equal(records, tie.far, {},
+                                        &BusStateRecord::bus)) {
+                  throw InvalidInput("pseudo frame " + std::to_string(s) +
+                                     " -> " + std::to_string(t) +
+                                     ": not their tie-line ends");
+                }
                 auto& sink = neighbor_records[t];
                 sink.insert(sink.end(), records.begin(), records.end());
               });

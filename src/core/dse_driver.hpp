@@ -133,14 +133,16 @@ struct DseResult {
 };
 
 /// The distributed state estimation driver (paper §II algorithm + §IV-C
-/// deployment): Step 1 locally per subsystem, peer-to-peer exchange of
-/// boundary/sensitive solutions through the communicator, Step 2
+/// deployment): Step 1 locally per subsystem, peer-to-peer exchange of the
+/// solutions at the tie-line ends through the communicator, Step 2
 /// re-evaluation, and an allgather-style final combine. Transport-agnostic:
 /// run it over InprocWorld or MediciWorld communicators.
 class DseDriver {
  public:
-  /// `decomposition` must already carry sensitivity analysis results (or
-  /// empty sensitive sets to exchange boundary buses only).
+  /// `decomposition` comes from decomp::decompose: its tie-end table sets
+  /// what each subsystem ships to each neighbour, its sensitive sets (empty
+  /// without decomp::analyze_sensitivity) which own buses join the boundary
+  /// in taking Step-2 values in the combine.
   DseDriver(const grid::Network& network,
             const decomp::Decomposition& decomposition, DseOptions options);
 

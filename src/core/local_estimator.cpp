@@ -203,12 +203,8 @@ LocalSolveInfo LocalEstimator::run_step2(
       static_cast<std::size_t>(extended_->network.num_buses()), false);
   for (const BusStateRecord& rec : neighbor_states) {
     const grid::BusIndex l = extended_->local_of_global.find(rec.bus);
-    if (l < 0) {
-      continue;  // a neighbour bus outside this extended model
-    }
-    if (extended_->own[static_cast<std::size_t>(l)]) {
-      continue;  // own buses keep their own Step-1 estimate
-    }
+    GRIDSE_CHECK_MSG(l >= 0 && !extended_->own[static_cast<std::size_t>(l)],
+                     "pseudo measurement not at a remote bus");
     ext_set.items.push_back(
         {grid::MeasType::kVMag, l, -1, true, rec.vm, kPseudoSigma});
     ext_set.items.push_back(
@@ -279,23 +275,23 @@ std::vector<BusStateRecord> LocalEstimator::step1_all_states() const {
   return out;
 }
 
-std::vector<BusStateRecord> LocalEstimator::boundary_records() const {
+std::vector<BusStateRecord> LocalEstimator::boundary_records(
+    int neighbor) const {
   GRIDSE_CHECK_MSG(step1_state_.has_value(), "step1 has not run");
-  const decomp::Subsystem& sub =
-      decomposition_->subsystems[static_cast<std::size_t>(subsystem_)];
+  const decomp::TieEnds& tie =
+      decomposition_->subsystems[static_cast<std::size_t>(subsystem_)]
+          .ties_to(neighbor);
   // Step-2 values live in extended numbering, Step-1 values in local.
   const bool refined = step2_state_.has_value();
   const decomp::SubsystemModel& model = refined ? *extended_ : *local_;
   const grid::GridState& state = refined ? *step2_state_ : *step1_state_;
   std::vector<BusStateRecord> out;
-  const auto add = [&](grid::BusIndex g) {
+  for (const grid::BusIndex g : tie.own) {
     const grid::BusIndex l = model.local_of_global.find(g);
     GRIDSE_CHECK(l >= 0);
     out.push_back({g, state.theta[static_cast<std::size_t>(l)],
                    state.vm[static_cast<std::size_t>(l)]});
-  };
-  for (const grid::BusIndex g : sub.boundary_buses) add(g);
-  for (const grid::BusIndex g : sub.sensitive_internal) add(g);
+  }
   return out;
 }
 

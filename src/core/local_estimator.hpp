@@ -76,8 +76,10 @@ class LocalEstimator {
 
   /// DSE Step 2: re-evaluate on the extended model using own measurements
   /// (selected through `route` as in run_step1) plus neighbour pseudo
-  /// measurements. Requires run_step1 first. Every pseudo measurement (|V|
-  /// and θ of each neighbour record) carries the same fixed pseudo sigma.
+  /// measurements: the neighbours' boundary_records toward this subsystem,
+  /// each at a remote bus of the extended model (checked). Requires
+  /// run_step1 first. Every pseudo measurement (|V| and θ of each neighbour
+  /// record) carries the same fixed pseudo sigma.
   /// With `fill_missing_with_priors` (degraded mode), remote extended buses
   /// not covered by `neighbor_states` get low-weight priors derived from an
   /// adjacent own bus's Step-1 solution instead of being left unanchored, so
@@ -92,10 +94,11 @@ class LocalEstimator {
   /// all buses (for the final combine).
   [[nodiscard]] std::vector<BusStateRecord> step1_all_states() const;
 
-  /// The pseudo measurements shipped to neighbours, valued from the most
-  /// recent step (Step 2 when it has run, else Step 1): boundary-bus records,
-  /// then sensitive-internal ones.
-  [[nodiscard]] std::vector<BusStateRecord> boundary_records() const;
+  /// The pseudo measurements shipped to `neighbor`: this subsystem's ends
+  /// of their tie lines (decomp::TieEnds::own), valued from the most recent
+  /// step (Step 2 when it has run, else Step 1).
+  [[nodiscard]] std::vector<BusStateRecord> boundary_records(
+      int neighbor) const;
 
   /// Final per-bus states after Step 2: Step-2 values for boundary +
   /// sensitive buses, Step-1 values elsewhere. Falls back to Step-1

@@ -1,6 +1,7 @@
 #include "decomp/decomposition.hpp"
 
 #include <algorithm>
+#include <map>
 #include <queue>
 #include <set>
 
@@ -8,21 +9,31 @@
 
 namespace gridse::decomp {
 
+const TieEnds& Subsystem::ties_to(int neighbor) const {
+  const auto it = std::lower_bound(
+      ties.begin(), ties.end(), neighbor,
+      [](const TieEnds& t, int n) { return t.neighbor < n; });
+  GRIDSE_CHECK_MSG(it != ties.end() && it->neighbor == neighbor,
+                   "subsystems are not neighbours");
+  return *it;
+}
+
 std::vector<std::pair<int, int>> Decomposition::neighbor_pairs() const {
-  std::set<std::pair<int, int>> pairs;
-  for (const auto& [a, b] : tie_subsystem_pairs) {
-    pairs.insert(std::minmax(a, b));
+  std::vector<std::pair<int, int>> pairs;
+  for (const Subsystem& s : subsystems) {
+    for (const TieEnds& t : s.ties) {
+      if (s.id < t.neighbor) pairs.emplace_back(s.id, t.neighbor);
+    }
   }
-  return {pairs.begin(), pairs.end()};
+  return pairs;
 }
 
 std::vector<int> Decomposition::neighbors_of(int s) const {
-  std::set<int> out;
-  for (const auto& [a, b] : tie_subsystem_pairs) {
-    if (a == s) out.insert(b);
-    if (b == s) out.insert(a);
+  std::vector<int> out;
+  for (const TieEnds& t : subsystems[static_cast<std::size_t>(s)].ties) {
+    out.push_back(t.neighbor);
   }
-  return {out.begin(), out.end()};
+  return out;
 }
 
 graph::WeightedGraph Decomposition::decomposition_graph() const {
@@ -80,7 +91,9 @@ Decomposition decompose(const grid::Network& network,
     }
   }
 
-  std::vector<std::set<grid::BusIndex>> boundary(static_cast<std::size_t>(m));
+  // Per subsystem and neighbour, the own and far ends of their tie lines.
+  using Ends = std::pair<std::set<grid::BusIndex>, std::set<grid::BusIndex>>;
+  std::vector<std::map<int, Ends>> ends(static_cast<std::size_t>(m));
   for (std::size_t bi = 0; bi < network.num_branches(); ++bi) {
     const grid::Branch& br = network.branch(bi);
     const int sf = subsystem_of_bus[static_cast<std::size_t>(br.from)];
@@ -89,17 +102,22 @@ Decomposition decompose(const grid::Network& network,
       d.subsystems[static_cast<std::size_t>(sf)].internal_branches.push_back(bi);
     } else {
       d.tie_lines.push_back(bi);
-      d.tie_subsystem_pairs.emplace_back(sf, st);
-      d.subsystems[static_cast<std::size_t>(sf)].tie_branches.push_back(bi);
-      d.subsystems[static_cast<std::size_t>(st)].tie_branches.push_back(bi);
-      boundary[static_cast<std::size_t>(sf)].insert(br.from);
-      boundary[static_cast<std::size_t>(st)].insert(br.to);
+      auto& [from_own, from_far] = ends[static_cast<std::size_t>(sf)][st];
+      from_own.insert(br.from);
+      from_far.insert(br.to);
+      auto& [to_own, to_far] = ends[static_cast<std::size_t>(st)][sf];
+      to_own.insert(br.to);
+      to_far.insert(br.from);
     }
   }
-  for (int s = 0; s < m; ++s) {
-    d.subsystems[static_cast<std::size_t>(s)].boundary_buses.assign(
-        boundary[static_cast<std::size_t>(s)].begin(),
-        boundary[static_cast<std::size_t>(s)].end());
+  for (Subsystem& sub : d.subsystems) {
+    std::set<grid::BusIndex> boundary;
+    for (const auto& [t, e] : ends[static_cast<std::size_t>(sub.id)]) {
+      sub.ties.push_back({t, {e.first.begin(), e.first.end()},
+                          {e.second.begin(), e.second.end()}});
+      boundary.insert(e.first.begin(), e.first.end());
+    }
+    sub.boundary_buses.assign(boundary.begin(), boundary.end());
   }
 
   // Internal connectivity check per subsystem (a disconnected subsystem

@@ -8,6 +8,15 @@
 
 namespace gridse::decomp {
 
+/// The tie lines joining a subsystem to one neighbour, by their two ends,
+/// each list ascending. In DSE Step 2 the subsystem ships its states at
+/// `own` to `neighbor`, and `far` are remote buses of its extended model.
+struct TieEnds {
+  int neighbor = 0;
+  std::vector<grid::BusIndex> own;  ///< a subsequence of boundary_buses
+  std::vector<grid::BusIndex> far;
+};
+
 /// One subsystem of a power-system decomposition (paper §II, preliminary
 /// step): a balancing-authority-sized slice of the interconnection.
 struct Subsystem {
@@ -21,8 +30,11 @@ struct Subsystem {
   std::vector<grid::BusIndex> sensitive_internal;
   /// Global branch indices fully inside this subsystem.
   std::vector<std::size_t> internal_branches;
-  /// Global branch indices of incident tie lines.
-  std::vector<std::size_t> tie_branches;
+  /// Tie-line ends per neighbour, ascending by neighbour id.
+  std::vector<TieEnds> ties;
+
+  /// The entry of `ties` for `neighbor`, which must be a neighbour.
+  [[nodiscard]] const TieEnds& ties_to(int neighbor) const;
 
   /// gs(s) of the paper: |boundary| + |sensitive internal|.
   [[nodiscard]] int gs() const {
@@ -37,9 +49,6 @@ struct Decomposition {
   std::vector<int> subsystem_of_bus;
   /// All tie-line branch indices (branches crossing subsystems).
   std::vector<std::size_t> tie_lines;
-  /// Subsystem pair (from-side, to-side) of each tie line, parallel to
-  /// `tie_lines`.
-  std::vector<std::pair<int, int>> tie_subsystem_pairs;
 
   [[nodiscard]] int num_subsystems() const {
     return static_cast<int>(subsystems.size());
@@ -48,7 +57,7 @@ struct Decomposition {
   /// Neighbouring subsystem pairs (i < j) connected by at least one tie.
   [[nodiscard]] std::vector<std::pair<int, int>> neighbor_pairs() const;
 
-  /// Neighbour ids of subsystem s.
+  /// Neighbour ids of subsystem s, ascending.
   [[nodiscard]] std::vector<int> neighbors_of(int s) const;
 
   /// The decomposition graph of §IV-B1: one vertex per subsystem (weight =

@@ -1,8 +1,6 @@
 #include "decomp/sensitivity.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <complex>
 #include <map>
 #include <queue>
 #include <set>
@@ -14,22 +12,13 @@ namespace gridse::decomp {
 void analyze_sensitivity(const grid::Network& network, Decomposition& d,
                          const SensitivityOptions& options) {
   GRIDSE_CHECK_MSG(options.hops >= 0, "sensitivity hops must be nonnegative");
-  GRIDSE_CHECK_MSG(options.coupling_floor >= 0.0 && options.coupling_floor <= 1.0,
-                   "coupling_floor must be in [0,1]");
   for (Subsystem& s : d.subsystems) {
     s.sensitive_internal.clear();
-    if (options.hops == 0 || s.boundary_buses.empty()) {
-      continue;
-    }
     const std::set<grid::BusIndex> members(s.buses.begin(), s.buses.end());
-    const std::set<grid::BusIndex> boundary(s.boundary_buses.begin(),
-                                            s.boundary_buses.end());
 
-    // BFS (over internal branches only) outward from the boundary set,
-    // accumulating each reached bus's electrical coupling toward the
-    // boundary side.
+    // BFS (over internal branches only) outward from the boundary set, which
+    // starts at depth 0.
     std::map<grid::BusIndex, int> depth;
-    std::map<grid::BusIndex, double> coupling;
     std::queue<grid::BusIndex> q;
     for (const grid::BusIndex b : s.boundary_buses) {
       depth[b] = 0;
@@ -42,26 +31,10 @@ void analyze_sensitivity(const grid::Network& network, Decomposition& d,
       for (const std::size_t bi : network.branches_at(u)) {
         const grid::Branch& br = network.branch(bi);
         const grid::BusIndex v = (br.from == u) ? br.to : br.from;
-        if (members.count(v) == 0 || boundary.count(v) > 0) continue;
-        const double y = std::abs(1.0 / std::complex<double>(br.r, br.x));
-        if (depth.count(v) == 0) {
-          depth[v] = depth[u] + 1;
-          q.push(v);
-        }
-        if (depth[v] == depth[u] + 1) {
-          coupling[v] += y;
-        }
-      }
-    }
-
-    double max_coupling = 0.0;
-    for (const auto& [bus, c] : coupling) {
-      max_coupling = std::max(max_coupling, c);
-    }
-    for (const auto& [bus, c] : coupling) {
-      if (options.coupling_floor == 0.0 ||
-          c >= options.coupling_floor * max_coupling) {
-        s.sensitive_internal.push_back(bus);
+        if (members.count(v) == 0 || depth.count(v) > 0) continue;
+        depth[v] = depth[u] + 1;
+        q.push(v);
+        s.sensitive_internal.push_back(v);
       }
     }
     std::sort(s.sensitive_internal.begin(), s.sensitive_internal.end());

@@ -9,18 +9,15 @@ namespace gridse::decomp {
 /// analysis is usually performed to determine the sensitive internal buses …
 /// carried out off-line, once for a given graph topology").
 struct SensitivityOptions {
-  /// Internal buses within this many hops of a boundary bus are candidates.
+  /// Internal buses within this many hops of a boundary bus are sensitive.
   int hops = 1;
-  /// Keep only candidates whose electrical coupling to the boundary (sum of
-  /// |series admittance| along incident candidate branches) is at least this
-  /// fraction of the strongest candidate's coupling. 0 keeps all candidates.
-  double coupling_floor = 0.0;
 };
 
 /// Fill in `sensitive_internal` for every subsystem of `d`: the internal
 /// (non-boundary) buses whose state is materially affected by neighbouring
-/// subsystems, i.e. those electrically close to the boundary. These buses'
-/// solutions are shipped to neighbours as pseudo measurements in DSE Step 2.
+/// subsystems, i.e. those within `hops` internal branches of the boundary.
+/// With the boundary buses they take their Step-2 values in the DSE
+/// combine, and they count in gs().
 void analyze_sensitivity(const grid::Network& network, Decomposition& d,
                          const SensitivityOptions& options = {});
 

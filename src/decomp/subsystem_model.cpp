@@ -203,16 +203,12 @@ SubsystemModel extract_extended(const grid::Network& network,
                                 const Decomposition& d, int s) {
   GRIDSE_CHECK(s >= 0 && s < d.num_subsystems());
   const Subsystem& sub = d.subsystems[static_cast<std::size_t>(s)];
+  // Far ends of different neighbours are distinct buses.
   std::vector<grid::BusIndex> remote;
-  remote.reserve(sub.tie_branches.size());
-  for (const std::size_t bi : sub.tie_branches) {
-    const grid::Branch& br = network.branch(bi);
-    remote.push_back(d.subsystem_of_bus[static_cast<std::size_t>(br.from)] == s
-                         ? br.to
-                         : br.from);
+  for (const TieEnds& tie : sub.ties) {
+    remote.insert(remote.end(), tie.far.begin(), tie.far.end());
   }
   std::sort(remote.begin(), remote.end());
-  remote.erase(std::unique(remote.begin(), remote.end()), remote.end());
   return build_model(network, sub.buses, remote, s);
 }
 

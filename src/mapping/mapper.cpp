@@ -66,7 +66,6 @@ MappingResult ClusterMapper::map_before_step1(
   popts.k = options_.num_clusters;
   popts.imbalance_tolerance = options_.imbalance_tolerance;
   popts.seed = options_.seed;
-  popts.objective = options_.objective;
   result.partition =
       (previous != nullptr)
           ? graph::repartition(result.weighted_graph, *previous, popts)
@@ -91,7 +90,6 @@ MappingResult ClusterMapper::map_before_step2(
   popts.k = options_.num_clusters;
   popts.imbalance_tolerance = options_.imbalance_tolerance;
   popts.seed = options_.seed;
-  popts.objective = options_.objective;
   result.partition = graph::repartition(result.weighted_graph, step1, popts);
   return result;
 }

@@ -17,10 +17,6 @@ struct MappingOptions {
   /// gs(s1)+gs(s2) (the paper's case study does: "we use the upper bound of
   /// the size of the pseudo measurements").
   bool edge_upper_bound = true;
-  /// Partition objective forwarded to the graph partitioner: classic edge
-  /// cut, or the convergence-aware boundary-coupling score (arXiv
-  /// 2104.04320) that trades cut for fewer expected GN iterations.
-  graph::PartitionObjective objective = graph::PartitionObjective::kEdgeCut;
 };
 
 /// A subsystem→cluster mapping plus the weighted graph it was computed on.

@@ -60,6 +60,7 @@ CgReport gmres(const Csr& a, std::span<const double> b, std::span<double> x,
   double beta = residual_into_v0();
   double rel = beta / b_norm;
   while (rel > tolerance && report.iterations < max_iter) {
+    const double cycle_start = beta;
     scale(1.0 / beta, v(0));
     std::fill(g.begin(), g.end(), 0.0);
     g[0] = beta;
@@ -113,6 +114,8 @@ CgReport gmres(const Csr& a, std::span<const double> b, std::span<double> x,
     axpy(1.0, work.work, x);
     beta = residual_into_v0();
     rel = beta / b_norm;
+    // A stalled cycle: the next would restart from the same residual.
+    if (beta >= cycle_start) break;
   }
   report.relative_residual = rel;
   report.converged = rel <= tolerance;

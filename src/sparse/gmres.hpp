@@ -26,7 +26,8 @@ struct GmresWorkspace {
 };
 
 /// Right-preconditioned restarted GMRES(50) for a general square `a`
-/// (Saad & Schultz 1986), stopped when ‖b − Ax‖₂ ≤ tolerance · ‖b‖₂ or
+/// (Saad & Schultz 1986), stopped when ‖b − Ax‖₂ ≤ tolerance · ‖b‖₂, after
+/// a cycle that leaves ‖b − Ax‖₂ no smaller than it began (a stall), or
 /// after one Arnoldi step per unknown over all cycles. Each cycle minimizes
 /// ‖b − A M⁻¹u‖ over the Krylov space of A M⁻¹ by Arnoldi with modified
 /// Gram–Schmidt and Givens rotations, then adds M⁻¹u to `x` (its incoming

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <map>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -47,6 +50,41 @@ void expect_golden(const DseResult& r, const WireCounts& counts,
   expect_state_golden(r.state, {g.sum_theta, g.sum_vm, g.weighted_theta,
                                 g.weighted_vm, g.samples});
 }
+
+/// Forwards to `inner`, but appends one record for bus `extra` to every
+/// frame sent under `tag`.
+class ExtraRecordComm : public runtime::Communicator {
+ public:
+  ExtraRecordComm(runtime::Communicator& inner, int tag, grid::BusIndex extra)
+      : inner_(inner), tag_(tag), extra_(extra) {}
+
+  [[nodiscard]] int rank() const override { return inner_.rank(); }
+  [[nodiscard]] int size() const override { return inner_.size(); }
+  void send(int dest, int tag, std::vector<std::uint8_t> payload) override {
+    if (tag == tag_) {
+      std::vector<BusStateRecord> records = decode_boundary_records(payload);
+      records.push_back({extra_, 0.0, 1.0});
+      payload = encode_boundary_records(records);
+    }
+    inner_.send(dest, tag, std::move(payload));
+  }
+  runtime::Message recv(int source, int tag) override {
+    return inner_.recv(source, tag);
+  }
+  std::optional<runtime::Message> recv_for(
+      int source, int tag, std::chrono::milliseconds timeout) override {
+    return inner_.recv_for(source, tag, timeout);
+  }
+  void barrier() override { inner_.barrier(); }
+  [[nodiscard]] std::size_t bytes_sent() const override {
+    return inner_.bytes_sent();
+  }
+
+ private:
+  runtime::Communicator& inner_;
+  int tag_;
+  grid::BusIndex extra_;
+};
 
 class DseDriverTest : public ::testing::Test {
  protected:
@@ -428,10 +466,12 @@ TEST_F(DseDriverTest, PlanReuseConvergesAndTracksTruth) {
 }
 
 // Golden cycles: estimates, bytes and message counts of the pseudo
-// measurement exchange, with and without a Step-1 != Step-2 remap.
+// measurement exchange, with and without a Step-1 != Step-2 remap. Each of
+// the 14 cross-rank pseudo frames is 8 + 24 bytes per tie-line end it
+// carries: 27 ends in all, under either assignment.
 const ExchangeGolden kPlainGolden{
-    {{"dse.pseudo.bytes", 3928},
-     {"exchange.boundary_bytes", 3928},
+    {{"dse.pseudo.bytes", 760},
+     {"exchange.boundary_bytes", 760},
      {"dse.redistribute.bytes", 0},
      {"dse.combine.bytes", 5814},
      {"dse.pseudo.messages", 14}},
@@ -458,8 +498,8 @@ TEST_F(DseDriverTest, GoldenRemappedExchange) {
   // only the traffic differs from the unmapped cycle.
   const auto [plain, plain_counts] = run_counted({}, remapped());
   ExchangeGolden plain_golden = kPlainGolden;
-  plain_golden.counters = {{"dse.pseudo.bytes", 3952},
-                           {"exchange.boundary_bytes", 3952},
+  plain_golden.counters = {{"dse.pseudo.bytes", 760},
+                           {"exchange.boundary_bytes", 760},
                            {"dse.redistribute.bytes", 7728},
                            {"dse.combine.bytes", 5814},
                            {"dse.pseudo.messages", 14}};
@@ -486,6 +526,65 @@ TEST_F(DseDriverTest, GoldenHuberExchange) {
                   {-0.1114480218861475, 1.0087330691059249},
                   {-0.11407471908634585, 1.0127495891885985},
                   {-0.079389391450393268, 1.0413095634723946}}});
+}
+
+TEST_F(DseDriverTest, OneStrayPseudoRecordDegradesTheReceiver) {
+  // A pseudo frame from s to t (on another rank) that carries one record
+  // besides their tie-line ends: a bus of s that t does not model, or one
+  // of t's own buses. Either is counted as a corrupt frame, t lists s as
+  // missing and solves Step 2 on priors, and the cycle finishes.
+  const int s = 0;
+  int t = -1;
+  for (const decomp::TieEnds& tie : d_.subsystems[0].ties) {
+    if (assignment_[static_cast<std::size_t>(tie.neighbor)] !=
+        assignment_[0]) {
+      t = tie.neighbor;
+      break;
+    }
+  }
+  ASSERT_GE(t, 0);
+  const std::vector<grid::BusIndex>& tie_ends =
+      d_.subsystems[0].ties_to(t).own;
+  grid::BusIndex unmodelled = -1;
+  for (const grid::BusIndex b : d_.subsystems[0].buses) {
+    if (!std::binary_search(tie_ends.begin(), tie_ends.end(), b)) {
+      unmodelled = b;
+      break;
+    }
+  }
+  ASSERT_GE(unmodelled, 0);
+  const grid::BusIndex receivers_own =
+      d_.subsystems[static_cast<std::size_t>(t)].buses.front();
+  // The driver's tag layout: pseudo frames use 16 + from * m + to.
+  const int tag = 16 + s * d_.num_subsystems() + t;
+
+  DseDriver driver(generated_.kase.network, d_, {});
+  for (const grid::BusIndex extra : {unmodelled, receivers_own}) {
+    obs::Counter& corrupt =
+        obs::MetricsRegistry::global().counter("exchange.corrupt_frames");
+    const std::uint64_t corrupt_before = corrupt.value();
+    std::vector<DseResult> results(3);
+    analysis::Mutex mutex{"dse_driver_test::mutex"};
+    runtime::InprocWorld world(3);
+    world.run([&](runtime::Communicator& c) {
+      ExtraRecordComm tampering(c, tag, extra);
+      DseResult r = driver.run(tampering, meas_, assignment_, assignment_);
+      analysis::LockGuard lock(mutex);
+      results[static_cast<std::size_t>(c.rank())] = std::move(r);
+    });
+    if (obs::kEnabled) {
+      EXPECT_EQ(corrupt.value() - corrupt_before, 1u) << "bus " << extra;
+    }
+    for (const DseResult& r : results) {
+      ASSERT_EQ(r.degraded.size(), 1u) << "bus " << extra;
+      EXPECT_EQ(r.degraded[0].subsystem, t);
+      EXPECT_EQ(r.degraded[0].missing_neighbors,
+                std::vector<std::int32_t>{s});
+      EXPECT_FALSE(r.degraded[0].missing_redistribution);
+      EXPECT_TRUE(r.unresponsive_ranks.empty());
+      EXPECT_LT(grid::max_vm_error(r.state, pf_.state), 0.02);
+    }
+  }
 }
 
 TEST_F(DseDriverTest, ExchangeVolumeIsSmall) {

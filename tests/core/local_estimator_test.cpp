@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+
 #include "decomp/sensitivity.hpp"
 #include "util/error.hpp"
 #include "grid/meas_generator.hpp"
@@ -63,11 +66,23 @@ TEST_F(LocalEstimatorTest, Step1ConvergesOnEverySubsystem) {
   }
 }
 
-TEST_F(LocalEstimatorTest, BoundaryStatesCoverGsBuses) {
+TEST_F(LocalEstimatorTest, BoundaryRecordsAreTheOwnTieEnds) {
   LocalEstimator est(generated_.kase.network, d_, 2, {});
   est.run_step1(meas_, route_);
-  const auto records = est.boundary_records();
-  EXPECT_EQ(static_cast<int>(records.size()), d_.subsystems[2].gs());
+  const decomp::Subsystem& sub = d_.subsystems[2];
+  std::set<grid::BusIndex> shipped;
+  for (const decomp::TieEnds& tie : sub.ties) {
+    std::vector<grid::BusIndex> buses;
+    for (const BusStateRecord& rec : est.boundary_records(tie.neighbor)) {
+      buses.push_back(rec.bus);
+    }
+    EXPECT_EQ(buses, tie.own) << "neighbour " << tie.neighbor;
+    shipped.insert(buses.begin(), buses.end());
+  }
+  // Every boundary bus goes to some neighbour; no sensitive bus goes out.
+  EXPECT_EQ(std::vector<grid::BusIndex>(shipped.begin(), shipped.end()),
+            sub.boundary_buses);
+  EXPECT_THROW((void)est.boundary_records(2), InternalError);
 }
 
 TEST_F(LocalEstimatorTest, Step2RequiresStep1) {
@@ -75,27 +90,55 @@ TEST_F(LocalEstimatorTest, Step2RequiresStep1) {
   EXPECT_THROW(est.run_step2(meas_, route_, {}), InternalError);
 }
 
+TEST_F(LocalEstimatorTest, Step2RejectsRecordsOffTheRemoteBuses) {
+  LocalEstimator est(generated_.kase.network, d_, 2, {});
+  est.run_step1(meas_, route_);
+  const decomp::TieEnds& tie = d_.subsystems[2].ties.front();
+  // An own bus, and a bus of the neighbour off the tie lines.
+  const grid::BusIndex own = tie.own.front();
+  grid::BusIndex off_tie = -1;
+  for (const grid::BusIndex b :
+       d_.subsystems[static_cast<std::size_t>(tie.neighbor)].buses) {
+    if (!std::binary_search(tie.far.begin(), tie.far.end(), b)) {
+      off_tie = b;
+      break;
+    }
+  }
+  ASSERT_GE(off_tie, 0);
+  for (const grid::BusIndex bus : {own, off_tie}) {
+    const std::vector<BusStateRecord> records = {{bus, 0.0, 1.0}};
+    EXPECT_THROW(est.run_step2(meas_, route_, records), InternalError)
+        << "bus " << bus;
+  }
+}
+
 TEST_F(LocalEstimatorTest, Step2ImprovesBoundaryAccuracy) {
   // Aggregate over all subsystems: boundary-bus error after Step 2 with
   // neighbour pseudo measurements must beat Step 1 alone.
   std::vector<std::unique_ptr<LocalEstimator>> estimators;
-  // Exports are taken after Step 1 everywhere, before any Step 2 runs.
-  std::vector<std::vector<BusStateRecord>> exports;
+  // Exports are taken after Step 1 everywhere, before any Step 2 runs:
+  // imports[s] gathers what every neighbour ships to s.
+  std::vector<std::vector<BusStateRecord>> imports(
+      static_cast<std::size_t>(d_.num_subsystems()));
   for (int s = 0; s < d_.num_subsystems(); ++s) {
     estimators.push_back(std::make_unique<LocalEstimator>(
         generated_.kase.network, d_, s, LocalEstimatorOptions{}));
     estimators.back()->run_step1(meas_, route_);
-    exports.push_back(estimators.back()->boundary_records());
+  }
+  for (int s = 0; s < d_.num_subsystems(); ++s) {
+    for (const int t : d_.neighbors_of(s)) {
+      const auto recs =
+          estimators[static_cast<std::size_t>(t)]->boundary_records(s);
+      auto& sink = imports[static_cast<std::size_t>(s)];
+      sink.insert(sink.end(), recs.begin(), recs.end());
+    }
   }
   double step1_err = 0.0;
   double step2_err = 0.0;
   int boundary_count = 0;
   for (int s = 0; s < d_.num_subsystems(); ++s) {
-    std::vector<BusStateRecord> neighbor_states;
-    for (const int t : d_.neighbors_of(s)) {
-      const auto& recs = exports[static_cast<std::size_t>(t)];
-      neighbor_states.insert(neighbor_states.end(), recs.begin(), recs.end());
-    }
+    const std::vector<BusStateRecord>& neighbor_states =
+        imports[static_cast<std::size_t>(s)];
     const LocalSolveInfo info =
         estimators[static_cast<std::size_t>(s)]->run_step2(
             meas_, route_, neighbor_states);
@@ -193,10 +236,12 @@ TEST_F(LocalEstimatorTest, RobustModeBoundsLocalBadData) {
     LocalEstimator est(generated_.kase.network, d_, 2, opts);
     EXPECT_TRUE(est.run_step1(bad, bad_route).converged);
     double err = 0.0;
-    for (const BusStateRecord& rec : est.boundary_records()) {
-      const auto bi = static_cast<std::size_t>(rec.bus);
-      err += std::abs(rec.vm - pf_.state.vm[bi]) +
-             std::abs(rec.theta - pf_.state.theta[bi]);
+    for (const int t : d_.neighbors_of(2)) {
+      for (const BusStateRecord& rec : est.boundary_records(t)) {
+        const auto bi = static_cast<std::size_t>(rec.bus);
+        err += std::abs(rec.vm - pf_.state.vm[bi]) +
+               std::abs(rec.theta - pf_.state.theta[bi]);
+      }
     }
     return err;
   };

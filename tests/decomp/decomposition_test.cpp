@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "io/synthetic.hpp"
@@ -33,12 +34,24 @@ TEST_F(DecompositionTest, SubsystemsPartitionTheBuses) {
 }
 
 TEST_F(DecompositionTest, TieLinesCrossSubsystems) {
-  for (std::size_t i = 0; i < d_.tie_lines.size(); ++i) {
-    const grid::Branch& br = generated_.kase.network.branch(d_.tie_lines[i]);
+  const auto lists = [](const std::vector<grid::BusIndex>& v,
+                        grid::BusIndex b) {
+    return std::binary_search(v.begin(), v.end(), b);
+  };
+  for (const std::size_t bi : d_.tie_lines) {
+    const grid::Branch& br = generated_.kase.network.branch(bi);
     const int sf = d_.subsystem_of_bus[static_cast<std::size_t>(br.from)];
     const int st = d_.subsystem_of_bus[static_cast<std::size_t>(br.to)];
-    EXPECT_NE(sf, st);
-    EXPECT_EQ(d_.tie_subsystem_pairs[i], std::make_pair(sf, st));
+    ASSERT_NE(sf, st);
+    // Both sides' tie-end tables hold the line's two ends.
+    const TieEnds& from_side =
+        d_.subsystems[static_cast<std::size_t>(sf)].ties_to(st);
+    const TieEnds& to_side =
+        d_.subsystems[static_cast<std::size_t>(st)].ties_to(sf);
+    EXPECT_TRUE(lists(from_side.own, br.from) && lists(from_side.far, br.to))
+        << "branch " << bi;
+    EXPECT_TRUE(lists(to_side.own, br.to) && lists(to_side.far, br.from))
+        << "branch " << bi;
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <string>
 
@@ -19,6 +20,20 @@ void expect_index_roundtrip(const SubsystemModel& m) {
     const grid::BusIndex g = m.global_bus[static_cast<std::size_t>(l)];
     EXPECT_EQ(m.local_of_global.find(g), l);
   }
+}
+
+/// The tie lines of subsystem s, from the decomposition's tie-line list.
+std::vector<std::size_t> tie_branches_of(const grid::Network& net,
+                                         const Decomposition& d, int s) {
+  std::vector<std::size_t> out;
+  for (const std::size_t bi : d.tie_lines) {
+    const grid::Branch& br = net.branch(bi);
+    if (d.subsystem_of_bus[static_cast<std::size_t>(br.from)] == s ||
+        d.subsystem_of_bus[static_cast<std::size_t>(br.to)] == s) {
+      out.push_back(bi);
+    }
+  }
+  return out;
 }
 
 class SubsystemModelTest : public ::testing::Test {
@@ -66,8 +81,8 @@ TEST_F(SubsystemModelTest, ExtendedModelAddsNeighborBusesAndTies) {
     EXPECT_GT(ext.network.num_buses(), local.network.num_buses());
     EXPECT_GT(ext.network.num_branches(), local.network.num_branches());
     // every tie line of s must be present in the extended model
-    const Subsystem& sub = d_.subsystems[static_cast<std::size_t>(s)];
-    for (const std::size_t tie : sub.tie_branches) {
+    for (const std::size_t tie :
+         tie_branches_of(generated_.kase.network, d_, s)) {
       EXPECT_TRUE(ext.local_branch_of_global.contains(
           static_cast<std::int32_t>(tie)))
           << "subsystem " << s << " tie " << tie;
@@ -227,12 +242,13 @@ void expect_models_end_at_own_buses(const grid::Network& net,
             << tag << " subsystem " << s;
       }
     }
+    const std::vector<std::size_t> ties = tie_branches_of(net, d, s);
     EXPECT_EQ(ext.network.num_branches(),
-              sub.internal_branches.size() + sub.tie_branches.size())
+              sub.internal_branches.size() + ties.size())
         << tag << " subsystem " << s;
 
     std::set<grid::BusIndex> far_ends;
-    for (const std::size_t tie : sub.tie_branches) {
+    for (const std::size_t tie : ties) {
       const grid::Branch& br = net.branch(tie);
       far_ends.insert(
           d.subsystem_of_bus[static_cast<std::size_t>(br.from)] == s
@@ -247,6 +263,48 @@ void expect_models_end_at_own_buses(const grid::Network& net,
     }
     EXPECT_EQ(remote, far_ends) << tag << " subsystem " << s;
   }
+}
+
+/// The tie-end table read from both sides: what s lists as its own ends
+/// toward t is what t lists as its far ends toward s, and t's far ends,
+/// over all its neighbours, are its extended model's remote buses, each
+/// once.
+void expect_tie_table_contract(const grid::Network& net, const Decomposition& d,
+                               const std::string& tag) {
+  for (const Subsystem& sub : d.subsystems) {
+    std::vector<grid::BusIndex> far_ends;
+    int last_neighbor = -1;
+    for (const TieEnds& tie : sub.ties) {
+      EXPECT_GT(tie.neighbor, last_neighbor) << tag << " subsystem " << sub.id;
+      last_neighbor = tie.neighbor;
+      const Subsystem& other =
+          d.subsystems[static_cast<std::size_t>(tie.neighbor)];
+      EXPECT_EQ(tie.own, other.ties_to(sub.id).far)
+          << tag << " " << sub.id << " -> " << tie.neighbor;
+      EXPECT_TRUE(std::includes(sub.boundary_buses.begin(),
+                                sub.boundary_buses.end(), tie.own.begin(),
+                                tie.own.end()))
+          << tag << " subsystem " << sub.id;
+      far_ends.insert(far_ends.end(), tie.far.begin(), tie.far.end());
+    }
+    std::sort(far_ends.begin(), far_ends.end());
+    const SubsystemModel ext = extract_extended(net, d, sub.id);
+    std::vector<grid::BusIndex> remote;
+    for (grid::BusIndex l = 0; l < ext.network.num_buses(); ++l) {
+      if (!ext.own[static_cast<std::size_t>(l)]) {
+        remote.push_back(ext.global_bus[static_cast<std::size_t>(l)]);
+      }
+    }
+    // Sorted on both sides, so equality also rules out a repeated bus.
+    std::sort(remote.begin(), remote.end());
+    EXPECT_EQ(std::adjacent_find(remote.begin(), remote.end()), remote.end())
+        << tag << " subsystem " << sub.id;
+    EXPECT_EQ(far_ends, remote) << tag << " subsystem " << sub.id;
+  }
+}
+
+TEST_F(SubsystemModelTest, TieTableAgreesFromBothEndsOnThePaperSplit) {
+  expect_tie_table_contract(generated_.kase.network, d_, "ieee118");
 }
 
 TEST_F(SubsystemModelTest, ModelsEndAtOwnBusesOnThePaperSplit) {
@@ -265,6 +323,17 @@ TEST(SubsystemModel, ModelsEndAtOwnBusesOnThe10kBenchSplit) {
   Decomposition d = decompose(gc.kase.network, gc.subsystem_of_bus);
   analyze_sensitivity(gc.kase.network, d, {});
   expect_models_end_at_own_buses(gc.kase.network, d, "10k");
+}
+
+TEST(SubsystemModel, TieTableAgreesFromBothEndsOnThe10kBenchSplit) {
+  io::GeneratedCase gc = io::interconnection10k();
+  graph::PartitionOptions popts;
+  popts.k = 32;
+  popts.seed = 7;
+  popts.objective = graph::PartitionObjective::kConvergenceAware;
+  gc.subsystem_of_bus = partition_buses(gc.kase.network, popts);
+  const Decomposition d = decompose(gc.kase.network, gc.subsystem_of_bus);
+  expect_tie_table_contract(gc.kase.network, d, "10k");
 }
 
 }  // namespace

@@ -304,9 +304,10 @@ TEST_F(ChaosDseTest, DelayedFanInCompletesUndegraded) {
 }
 
 TEST_F(ChaosDseTest, CorruptedFramesNeverDesyncTheExchange) {
-  // Bit-flips hit payloads on the wire; a flipped bus index is rejected or
-  // ignored, a flipped double perturbs one pseudo measurement. Either way
-  // the run completes and the schedule reproduces per seed.
+  // Bit-flips hit payloads on the wire; a flipped bus index is rejected
+  // (the receiver degrades), a flipped double perturbs one pseudo
+  // measurement. Either way the run completes and the schedule reproduces
+  // per seed.
   fault::FaultPlan plan;
   plan.seed = 23;
   plan.rules.push_back({.site = "wire.write",

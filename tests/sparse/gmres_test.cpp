@@ -136,9 +136,9 @@ TEST(Gmres, ZeroRhsGivesZero) {
 
 // The cyclic shift A e_i = e_{i+1 mod n} with b = e_0 is GMRES's classic
 // stagnation case: no Krylov space of dimension below n contains a better
-// iterate than x = 0, so restarted GMRES makes no progress and stops at its
-// cap of one step per unknown.
-TEST(Gmres, IterationCapReportsNotConverged) {
+// iterate than x = 0, so the first 50-vector cycle adds an exactly zero
+// update and the stall ends the solve there instead of at the cap.
+TEST(Gmres, StalledCycleEndsTheSolve) {
   constexpr Index n = 60;
   std::vector<Triplet<double>> t;
   for (Index c = 0; c < n; ++c) t.push_back({(c + 1) % n, c, 1.0});
@@ -149,8 +149,30 @@ TEST(Gmres, IterationCapReportsNotConverged) {
   std::vector<double> x(n, 0.0);
   const CgReport rep = gmres(a, b, x, kIdentity, work, 1e-12);
   EXPECT_FALSE(rep.converged);
+  EXPECT_EQ(rep.iterations, 50);
+  EXPECT_EQ(rep.relative_residual, 1.0);
+  for (const double v : x) EXPECT_EQ(v, 0.0);
+}
+
+// A diagonal system with 60 distinct eigenvalues spread over [1, 1e4] at
+// tolerance 0: the first 50-vector cycle shrinks the residual, so no stall
+// stops it, and the second runs into the cap of one Arnoldi step per
+// unknown.
+TEST(Gmres, IterationCapReportsNotConverged) {
+  constexpr Index n = 60;
+  std::vector<Triplet<double>> t;
+  for (Index i = 0; i < n; ++i) {
+    t.push_back({i, i, std::pow(10.0, 4.0 * i / (n - 1))});
+  }
+  const Csr a = Csr::from_triplets(n, n, std::move(t));
+  const std::vector<double> b(n, 1.0);
+  GmresWorkspace work;
+  std::vector<double> x(n, 0.0);
+  const CgReport rep = gmres(a, b, x, kIdentity, work, 0.0);
+  EXPECT_FALSE(rep.converged);
   EXPECT_EQ(rep.iterations, n);
-  EXPECT_NEAR(rep.relative_residual, 1.0, 1e-12);
+  EXPECT_GT(rep.relative_residual, 0.0);
+  EXPECT_LT(rep.relative_residual, 1e-3);
 }
 
 }  // namespace

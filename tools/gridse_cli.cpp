@@ -20,6 +20,7 @@
 #include <string>
 
 #include "core/architecture.hpp"
+#include "decomp/sensitivity.hpp"
 #include "estimation/bad_data.hpp"
 #include "grid/powerflow.hpp"
 #include "io/case14.hpp"
