@@ -19,6 +19,13 @@ namespace {
 /// Relative tolerance for the inner PCG solve.
 constexpr double kCgTolerance = 1e-12;
 
+/// Gauss–Newton stops after a step whose decrement δ = Δxᵀ Hᵀ W r is at most
+/// this many χ² units. δ is Δxᵀ G Δx, the step's squared length in the
+/// metric of the estimate's covariance G⁻¹, and the drop in Σ w r² that the
+/// step predicts. Near the solution Gauss–Newton contracts quadratically in
+/// these units, so the step not taken is far below one standard deviation.
+constexpr double kDecrementBound = 1.0;
+
 }  // namespace
 
 WlsEstimator::WlsEstimator(const grid::Network& network, WlsOptions options)
@@ -115,13 +122,13 @@ WlsResult WlsEstimator::estimate(const grid::MeasurementSet& set,
                   << rep.relative_residual << ")";
     }
 
+    result.final_decrement = sparse::dot(dx, rhs);
     sparse::axpy(1.0, dx, x);
-    result.final_step = sparse::norm_inf(dx);
     result.iterations = iter + 1;
-    if (!std::isfinite(result.final_step)) {
+    if (!std::isfinite(result.final_decrement)) {
       throw ConvergenceFailure("WLS diverged (non-finite step)");
     }
-    if (result.final_step < options_.tolerance) {
+    if (result.final_decrement <= kDecrementBound) {
       result.converged = true;
       break;
     }
@@ -137,7 +144,8 @@ WlsResult WlsEstimator::estimate(const grid::MeasurementSet& set,
   }
   if (!result.converged) {
     GRIDSE_WARN << "WLS did not converge in " << options_.max_iterations
-                << " iterations (last step " << result.final_step << ")";
+                << " iterations (last decrement " << result.final_decrement
+                << ")";
   }
   return result;
 }

@@ -12,10 +12,6 @@ namespace gridse::estimation {
 class SolverCache;
 
 struct WlsOptions {
-  /// Gauss–Newton stops when max |Δx| falls below this (10⁻⁶ p.u./radians
-  /// is far below measurement noise; tighter values fight the inner
-  /// solver's own tolerance on large systems).
-  double tolerance = 1e-6;
   int max_iterations = 25;
   /// Symbolic-artifact cache shared across estimators (per subsystem in the
   /// DSE driver). When null the estimator creates a private cache, so
@@ -31,8 +27,10 @@ struct WlsResult {
   double objective = 0.0;
   /// Residuals z − h(x̂) at the solution, in measurement order.
   std::vector<double> residuals;
-  /// max |Δx| of the final iteration.
-  double final_step = 0.0;
+  /// Newton decrement δ = Δxᵀ Hᵀ W r of the final iteration: the step's
+  /// squared length in the estimate's own covariance metric G⁻¹, in χ²
+  /// units. A converged solve's last δ is at most 1.
+  double final_decrement = 0.0;
   /// Total inner (PCG) iterations across the Gauss–Newton loop.
   int inner_iterations = 0;
 };
@@ -43,7 +41,9 @@ struct WlsResult {
 /// G Δx = Hᵀ W r by PCG (the paper's solver, §IV-C), preconditioned by the
 /// LDLᵀ factor of the solve's first gain. A solve compiles its measurement
 /// set once (grid::MeasurementKernel), so every iteration refills h, H, G
-/// and Hᵀ W r in place on one fixed pattern.
+/// and Hᵀ W r in place on one fixed pattern. Gauss–Newton stops after the
+/// first step whose decrement δ = Δxᵀ Hᵀ W r is at most one χ² unit: a step
+/// no longer than one standard deviation of the estimate.
 class WlsEstimator {
  public:
   /// The angle reference defaults to the network's slack bus.

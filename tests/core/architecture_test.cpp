@@ -162,18 +162,18 @@ TEST(DseSystem, GoldenReplayWithDiurnalLoad) {
   // Cycles 1 and 2 start Step 1 from the previous estimate, except in the
   // subsystems the replay switched.
   expect_state_golden(rep.dse.state,
-                      {-11.14647941453288,
-                       118.38170924339315,
-                       -688.8227655520036,
-                       7039.9728673897225,
-                       {{0, 1.0408563483992896},
-                        {-0.10962505416013517, 0.98700358165422308},
-                        {-0.14401448675489398, 1.017224262852056},
-                        {-0.096460877212518087, 0.9893274980878427},
-                        {-0.10093560318084163, 1.010303868466901},
-                        {-0.10851189094359082, 0.9878961105444064},
-                        {-0.11314860021611461, 0.98621373864592166},
-                        {-0.066538829033488636, 0.99617404934539022}}});
+                      {-11.14647946342418,
+                       118.38170897440159,
+                       -688.82276884515602,
+                       7039.9728655320969,
+                       {{0, 1.0408563477854749},
+                        {-0.10962505415882831, 0.98700358171540825},
+                        {-0.14401448688722665, 1.0172242561640941},
+                        {-0.096460877211917137, 0.98932749777209761},
+                        {-0.10093560321563076, 1.0103038674340374},
+                        {-0.10851189090498452, 0.98789611205842287},
+                        {-0.11314860021742769, 0.98621373862644901},
+                        {-0.06653883064694581, 0.99617406348286364}}});
 }
 
 // A diurnal load moves only the injections P, never B′, so the DC truth

@@ -137,10 +137,17 @@ Frame run_frame(const DseDriver& driver, const TrackingCase& c,
   return out;
 }
 
+/// How far apart two Gauss–Newton stops on the same meters may leave a
+/// state. Each stop lands within (x̂ − x*)ᵀ G (x̂ − x*) ≤ 1e-5 of the tight
+/// solve x* (Wls.StopLandsNearTheTightSolve), so within √1e-5 standard
+/// deviations of the estimate in every state. No state's σ exceeds 0.01, the
+/// loosest meter's and the Step-2 pseudo meters' σ.
+const double kStopAgreement = 2.0 * std::sqrt(1e-5) * 0.01;
+
 /// Five frames under a load profile, flat-started and tracked side by side
-/// on the same measurements: the estimates agree within 1e-9, and every
-/// tracked frame after the first spends strictly fewer Step-1 Gauss-Newton
-/// iterations.
+/// on the same measurements: the estimates agree within kStopAgreement, and
+/// every tracked frame after the first spends strictly fewer Step-1
+/// Gauss-Newton iterations.
 void expect_tracking_matches_flat_start(TrackingCase c) {
   decomp::analyze_sensitivity(c.generated.kase.network, c.d, {});
   grid::MeasurementPlan plan;
@@ -179,7 +186,7 @@ void expect_tracking_matches_flat_start(TrackingCase c) {
                                     tracked.state.theta[b]),
                            std::abs(flat.state.vm[b] - tracked.state.vm[b])});
     }
-    EXPECT_LE(max_diff, 1e-9) << "frame " << f;
+    EXPECT_LE(max_diff, kStopAgreement) << "frame " << f;
     EXPECT_EQ(flat.warm_starts, 0) << f;
     if (f == 0) {
       EXPECT_EQ(tracked.warm_starts, 0);
