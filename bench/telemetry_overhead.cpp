@@ -62,7 +62,7 @@ void BM_cycle_telemetry(benchmark::State& state) {
   const fs::path dir = fs::temp_directory_path() / "gridse_telemetry_bench";
   fs::remove_all(dir);
   obs::MetricsRegistry registry;
-  obs::TelemetryOptions options;
+  runtime::TelemetryConfig options;
   options.dir = dir.string();
   obs::TelemetrySampler sampler(options, registry);
   std::int64_t cycle = 0;

@@ -3,13 +3,10 @@
 // scenario (37 uneven subsystems, ~600 buses) and measures how the
 // architecture scales as HPC clusters are added, against the centralized
 // estimator on the same frame.
-#include <mutex>
-
 #include "bench_util.hpp"
 #include "core/architecture.hpp"
-#include "decomp/bus_partition.hpp"
-#include "grid/powerflow.hpp"
-#include "runtime/inproc_comm.hpp"
+#include "decomp/decomposition.hpp"
+#include "grid/state.hpp"
 #include "util/strings.hpp"
 #include "util/timer.hpp"
 
@@ -94,76 +91,6 @@ int run() {
               "iteration, §II):\n");
   bench::print_table(rounds_table);
 
-  // Scale tier: one full estimation cycle on the 10k-bus hierarchical
-  // interconnection, decomposed at the bus level by the convergence-aware
-  // partitioner and run with the DC-linearized truth (the AC Newton truth
-  // is the bottleneck at this size, not the DSE itself).
-  {
-    bench::print_header(
-        "Scale tier — 10k-bus hierarchical interconnection, end to end",
-        "partition_buses (k=32, convergence-aware) -> decompose -> one DSE\n"
-        "cycle over 4 clusters with DC-linearized truth.");
-    io::GeneratedCase gc = bench::load_case("10k");
-    graph::PartitionOptions popts;
-    popts.k = 32;
-    popts.seed = 7;
-    popts.objective = graph::PartitionObjective::kConvergenceAware;
-    Timer part_timer;
-    gc.subsystem_of_bus = decomp::partition_buses(gc.kase.network, popts);
-    const double part_ms = part_timer.millis();
-    const int buses = gc.kase.network.num_buses();
-
-    core::SystemConfig cfg;
-    cfg.truth_mode = core::TruthMode::kDcLinearized;
-    cfg.mapping.num_clusters = 4;
-    cfg.dse.workers_per_cluster = 4;
-    core::DseSystem sys(std::move(gc), cfg);
-    Timer cycle_timer;
-    const core::CycleReport rep = sys.run_cycle(0.0);
-    const double cycle_ms = cycle_timer.millis();
-    std::printf("10k tier: %d buses, partition %.1f ms, cycle %.1f ms "
-                "(step1 %.1f / exchange %.1f / step2 %.1f), converged=%s, "
-                "max |V| err %.2e\n",
-                buses, part_ms, cycle_ms, rep.dse.step1_seconds * 1e3,
-                rep.dse.exchange_seconds * 1e3, rep.dse.step2_seconds * 1e3,
-                rep.dse.all_converged ? "yes" : "NO", rep.max_vm_error);
-    if (!rep.dse.all_converged) return 1;
-  }
-
-  // 30k tier: same full-cycle pipeline one size up, with a wider partition
-  // sweep. This is the largest tier exercised end to end in CI; 100k stays
-  // partition-only (partitioner_scaling bench).
-  {
-    bench::print_header(
-        "Scale tier — 30k-bus hierarchical interconnection, end to end",
-        "partition_buses (k=48, convergence-aware) -> decompose -> one DSE\n"
-        "cycle over 8 clusters with DC-linearized truth.");
-    io::GeneratedCase gc = bench::load_case("30k");
-    graph::PartitionOptions popts;
-    popts.k = 48;
-    popts.seed = 7;
-    popts.objective = graph::PartitionObjective::kConvergenceAware;
-    Timer part_timer;
-    gc.subsystem_of_bus = decomp::partition_buses(gc.kase.network, popts);
-    const double part_ms = part_timer.millis();
-    const int buses = gc.kase.network.num_buses();
-
-    core::SystemConfig cfg;
-    cfg.truth_mode = core::TruthMode::kDcLinearized;
-    cfg.mapping.num_clusters = 8;
-    cfg.dse.workers_per_cluster = 4;
-    core::DseSystem sys(std::move(gc), cfg);
-    Timer cycle_timer;
-    const core::CycleReport rep = sys.run_cycle(0.0);
-    const double cycle_ms = cycle_timer.millis();
-    std::printf("30k tier: %d buses, partition %.1f ms, cycle %.1f ms "
-                "(step1 %.1f / exchange %.1f / step2 %.1f), converged=%s, "
-                "max |V| err %.2e\n",
-                buses, part_ms, cycle_ms, rep.dse.step1_seconds * 1e3,
-                rep.dse.exchange_seconds * 1e3, rep.dse.step2_seconds * 1e3,
-                rep.dse.all_converged ? "yes" : "NO", rep.max_vm_error);
-    if (!rep.dse.all_converged) return 1;
-  }
   return 0;
 }
 

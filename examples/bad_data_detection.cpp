@@ -4,10 +4,10 @@
 // state re-estimated (Abur & Exposito, the paper's reference [19]).
 //
 //   $ ./examples/bad_data_detection
+#include <cstdint>
 #include <cstdio>
 
 #include "estimation/bad_data.hpp"
-#include "estimation/observability.hpp"
 #include "estimation/wls.hpp"
 #include "grid/meas_generator.hpp"
 #include "grid/powerflow.hpp"
@@ -25,12 +25,11 @@ int main() {
 
   const estimation::WlsEstimator estimator(kase.network);
 
-  // observability sanity check before estimating
-  const estimation::ObservabilityReport obs = estimation::check_observability(
-      estimator.model(), scan);
-  std::printf("observability: %s (m=%d, n=%d, redundancy %.2f)\n",
-              obs.observable ? "observable" : "NOT OBSERVABLE",
-              obs.num_measurements, obs.num_states, obs.redundancy);
+  // measurement redundancy: m meters against n states
+  const std::size_t m = scan.items.size();
+  const std::int32_t n = estimator.model().state_index().size();
+  std::printf("measurements: m=%zu, n=%d, redundancy %.2f\n", m, n,
+              static_cast<double>(m) / n);
 
   // corrupt one measurement with a gross error (sensor failure)
   const std::size_t victim = 12;
@@ -43,8 +42,8 @@ int main() {
 
   // detect
   const estimation::WlsResult suspect = estimator.estimate(scan);
-  const estimation::ChiSquareTest chi = estimation::chi_square_test(
-      suspect, estimator.model().state_index().size());
+  const estimation::ChiSquareTest chi =
+      estimation::chi_square_test(suspect, n);
   std::printf("chi-square: J = %.1f vs threshold %.1f -> %s\n", chi.objective,
               chi.threshold,
               chi.suspect_bad_data ? "BAD DATA SUSPECTED" : "clean");

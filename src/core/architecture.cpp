@@ -66,17 +66,10 @@ grid::GridState solve_truth_state(const grid::Network& network,
     return pf.state;
   }
   grid::GridState state(network.num_buses());
-  if (islands != nullptr) {
-    state.theta =
-        grid::solve_dc_power_flow_islands(network, *islands, bprime).theta;
-  } else {
-    const std::optional<grid::DcPowerFlow> dc =
-        grid::solve_dc_power_flow(network, bprime);
-    if (!dc) {
-      throw ConvergenceFailure("DseSystem: DC power flow is singular");
-    }
-    state.theta = dc->theta;
-  }
+  state.theta =
+      islands != nullptr
+          ? grid::solve_dc_power_flow_islands(network, *islands, bprime)
+          : grid::solve_dc_power_flow(network, bprime);
   Rng jitter(seed ^ 0xdc0ull);
   for (grid::BusIndex b = 0; b < network.num_buses(); ++b) {
     const grid::Bus& bus = network.bus(b);
@@ -173,12 +166,7 @@ DseSystem::DseSystem(io::GeneratedCase generated, SystemConfig config)
 
 #if GRIDSE_OBS
   if (!config_.telemetry.dir.empty()) {
-    obs::TelemetryOptions topt;
-    topt.dir = config_.telemetry.dir;
-    topt.sample_period = config_.telemetry.sample_period;
-    topt.flight_ring =
-        static_cast<std::size_t>(std::max(config_.telemetry.flight_ring, 1));
-    sampler_ = std::make_unique<obs::TelemetrySampler>(std::move(topt));
+    sampler_ = std::make_unique<obs::TelemetrySampler>(config_.telemetry);
     if (supervisor_ != nullptr) {
       // Death/rejoin transitions arm the flight recorder; the flush itself
       // happens at the next cycle boundary so the triggering cycle's record
@@ -344,9 +332,7 @@ CycleReport DseSystem::run_cycle(double time_sec) {
   DseDriver driver(generated_.kase.network, decomposition_, config_.dse);
   DseRecoveryContext rctx;
   if (supervisor_ != nullptr) {
-    rctx.heartbeat.period = config_.resilience.recovery.heartbeat_period;
-    rctx.heartbeat.timeout = config_.resilience.recovery.heartbeat_timeout;
-    rctx.heartbeat.rounds = config_.resilience.recovery.heartbeat_rounds;
+    rctx.heartbeat = config_.resilience.recovery.heartbeat;
     rctx.cycle = cycle_index_;
     rctx.restore = supervisor_->plan_restore();
     // A touched subsystem starts flat: its checkpoint, like the prior, may

@@ -37,8 +37,8 @@ struct DseOptions {
   /// Cross-cycle registry of per-subsystem solver caches and extracted
   /// models. Null = a fresh registry per run(), which still shares plans
   /// across the Gauss-Newton iterations and both steps of that cycle.
-  /// Long-lived callers (DseSystem) pass a persistent registry, invalidate
-  /// migrated subsystems on remap and sync switched branches into it.
+  /// Long-lived callers (DseSystem) pass a persistent registry and
+  /// invalidate the subsystems a remap migrates or a switch touches.
   std::shared_ptr<PlanRegistry> plan_registry;
   /// Per-cycle SLO thresholds (cycle deadline + phase budgets). Checked on
   /// rank 0 after the cycle completes; violations emit `slo.*` counters and

@@ -1,8 +1,6 @@
 #include "grid/dc_powerflow.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <queue>
 #include <utility>
 
 #include "sparse/csr.hpp"
@@ -10,35 +8,6 @@
 #include "util/error.hpp"
 
 namespace gridse::grid {
-namespace {
-
-bool connected_with(const Network& network, std::span<const char> in_service) {
-  const BusIndex n = network.num_buses();
-  if (n <= 1) return true;
-  std::vector<bool> seen(static_cast<std::size_t>(n), false);
-  std::queue<BusIndex> q;
-  q.push(0);
-  seen[0] = true;
-  BusIndex count = 1;
-  while (!q.empty()) {
-    const BusIndex u = q.front();
-    q.pop();
-    for (const std::size_t bi : network.branches_at(u)) {
-      if (in_service[bi] == 0) continue;
-      const Branch& br = network.branch(bi);
-      const BusIndex v = (br.from == u) ? br.to : br.from;
-      if (!seen[static_cast<std::size_t>(v)]) {
-        seen[static_cast<std::size_t>(v)] = true;
-        ++count;
-        q.push(v);
-      }
-    }
-  }
-  return count == n;
-}
-
-}  // namespace
-
 namespace detail {
 
 // Assembled straight into CSR: each row gathers its terms in branch order,
@@ -168,22 +137,13 @@ void BprimeFactor::factor(sparse::Csr bprime) {
   ++factorizations_;
 }
 
-std::optional<DcPowerFlow> solve_dc_power_flow(
-    const Network& network, const std::vector<std::size_t>& outaged) {
+std::vector<double> solve_dc_power_flow(const Network& network) {
   BprimeFactor slot;
-  return solve_dc_power_flow(network, slot, outaged);
+  return solve_dc_power_flow(network, slot);
 }
 
-std::optional<DcPowerFlow> solve_dc_power_flow(
-    const Network& network, BprimeFactor& slot,
-    const std::vector<std::size_t>& outaged) {
-  std::vector<char> in_service(network.num_branches(), 1);
-  for (const std::size_t bi : outaged) {
-    GRIDSE_CHECK_MSG(bi < network.num_branches(),
-                     "outaged branch index out of range");
-    in_service[bi] = 0;
-  }
-
+std::vector<double> solve_dc_power_flow(const Network& network,
+                                        BprimeFactor& slot) {
   // Reduced index: all buses except the slack.
   const BusIndex n = network.num_buses();
   const BusIndex slack = network.slack_bus();
@@ -193,43 +153,13 @@ std::optional<DcPowerFlow> solve_dc_power_flow(
     if (i != slack) reduced[static_cast<std::size_t>(i)] = next++;
   }
 
-  sparse::Csr bprime = detail::assemble_bprime(network, reduced, in_service);
-  const bool refactor = !slot.holds(bprime);
-  if (refactor) {
+  const std::vector<char> every_branch(network.num_branches(), 1);
+  sparse::Csr bprime = detail::assemble_bprime(network, reduced, every_branch);
+  if (!slot.holds(bprime)) {
     network.validate();
-  }
-  // validate() proved the full network connected; only outages can split it.
-  if (!outaged.empty() && !connected_with(network, in_service)) {
-    return std::nullopt;
-  }
-  if (refactor) {
     slot.factor(std::move(bprime));
   }
-
-  DcPowerFlow result;
-  result.theta = detail::bprime_angles(network, reduced, slot);
-  result.flows.assign(network.num_branches(), 0.0);
-  for (std::size_t bi = 0; bi < network.num_branches(); ++bi) {
-    if (in_service[bi] == 0) continue;
-    const Branch& br = network.branch(bi);
-    result.flows[bi] =
-        (result.theta[static_cast<std::size_t>(br.from)] -
-         result.theta[static_cast<std::size_t>(br.to)]) /
-        br.x;
-  }
-  return result;
-}
-
-DcPowerFlow assign_ratings_from_base_case(Network& network, double margin,
-                                          double min_rating) {
-  GRIDSE_CHECK_MSG(margin > 1.0, "rating margin must exceed 1");
-  const auto base = solve_dc_power_flow(network);
-  GRIDSE_CHECK_MSG(base.has_value(), "base case must be connected");
-  for (std::size_t bi = 0; bi < network.num_branches(); ++bi) {
-    network.set_branch_rating(
-        bi, std::max(min_rating, margin * std::abs(base->flows[bi])));
-  }
-  return *base;
+  return detail::bprime_angles(network, reduced, slot);
 }
 
 }  // namespace gridse::grid

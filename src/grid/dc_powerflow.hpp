@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -12,17 +11,6 @@
 #include "sparse/symbolic_plan.hpp"
 
 namespace gridse::grid {
-
-/// DC (linearized, lossless) power-flow solution: bus angles and branch
-/// active flows. The workhorse of contingency screening (paper reference
-/// [2] runs "massive contingency analysis" on HPC clusters; the estimated
-/// state from DSE is its input).
-struct DcPowerFlow {
-  std::vector<double> theta;  ///< bus angles, radians (slack = 0)
-  /// Active flow on each branch, from -> to, p.u. Entries for outaged
-  /// branches are 0.
-  std::vector<double> flows;
-};
 
 /// A caller-owned slot for the B′ solve of a DC truth re-solved every
 /// frame (and for the AC truth's B′ and B″, PowerFlowFactors): the symbolic
@@ -65,19 +53,18 @@ class BprimeFactor {
   std::uint64_t factorizations_ = 0;
 };
 
-/// Solve the DC power flow B'θ = P with the given branch subset removed.
-/// `outaged` lists branch indices treated as out of service. Returns
-/// nullopt when the outage islands the network (no unique solution).
-/// Injections come from the network's scheduled values; the slack balances.
-std::optional<DcPowerFlow> solve_dc_power_flow(
-    const Network& network, const std::vector<std::size_t>& outaged = {});
+/// Solve the DC (linearized, lossless) power flow B′θ = P over every branch,
+/// switching status ignored (solve_dc_power_flow_islands solves the live
+/// network), and return the bus angles in radians (slack = 0). P is the
+/// scheduled active injection; the slack balances. `network.validate()`
+/// proves the network connected, so B′ is nonsingular.
+[[nodiscard]] std::vector<double> solve_dc_power_flow(const Network& network);
 
 /// As above, through the caller's B′ slot. `network.validate()` runs only
 /// when the slot refactors: it checks structure alone (one slack, connected
 /// ignoring switching), which a slot still holding this B′ has passed.
-std::optional<DcPowerFlow> solve_dc_power_flow(
-    const Network& network, BprimeFactor& slot,
-    const std::vector<std::size_t>& outaged = {});
+[[nodiscard]] std::vector<double> solve_dc_power_flow(const Network& network,
+                                                      BprimeFactor& slot);
 
 namespace detail {
 
@@ -96,13 +83,5 @@ std::vector<double> bprime_angles(const Network& network,
                                   const BprimeFactor& slot);
 
 }  // namespace detail
-
-/// Assign thermal ratings to every branch: `margin` times the absolute
-/// base-case DC flow, floored at `min_rating` so lightly loaded branches
-/// don't alarm on any redistribution. Mutates the network's branch ratings
-/// and returns the base-case solution.
-DcPowerFlow assign_ratings_from_base_case(Network& network,
-                                          double margin = 1.3,
-                                          double min_rating = 0.2);
 
 }  // namespace gridse::grid

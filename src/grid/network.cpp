@@ -61,12 +61,6 @@ void Network::scale_loads(double factor) {
   }
 }
 
-void Network::set_branch_rating(std::size_t i, double rating) {
-  GRIDSE_CHECK(i < branches_.size());
-  GRIDSE_CHECK_MSG(rating >= 0.0, "branch rating must be nonnegative");
-  branches_[i].rating = rating;
-}
-
 void Network::set_branch_in_service(std::size_t i, bool in_service) {
   GRIDSE_CHECK(i < branches_.size());
   branches_[i].in_service = in_service;

@@ -39,7 +39,6 @@ struct Branch {
   double b_charging = 0.0;   ///< total line charging susceptance
   double tap = 1.0;          ///< off-nominal turns ratio (1.0 = plain line)
   double phase_shift = 0.0;  ///< phase-shifter angle, radians
-  double rating = 0.0;       ///< thermal flow limit, p.u. (0 = unlimited)
   /// Live switching status. Out-of-service branches stay in the structural
   /// model (indices, incidence lists and the Ybus pattern are stable across
   /// switching) but carry no admittance and no flow.
@@ -68,9 +67,6 @@ class Network {
   /// Re-type bus i (slack/PV/PQ) with a voltage setpoint; used by the
   /// synthetic case builders.
   void set_bus_type(BusIndex i, BusType type, double v_setpoint);
-
-  /// Set the thermal rating of branch i (p.u. flow; 0 = unlimited).
-  void set_branch_rating(std::size_t i, double rating);
 
   /// Flip the live switching status of branch i. The structural model is
   /// untouched: `connected()`/`validate()` still reason over all branches,

@@ -83,12 +83,10 @@ PowerFlowResult solve_power_flow(const Network& network,
   PowerFlowResult result;
   result.state = GridState(n);
   GridState& st = result.state;
-  if (options.flat_start) {
-    for (BusIndex i = 0; i < n; ++i) {
-      const Bus& b = network.bus(i);
-      st.vm[static_cast<std::size_t>(i)] =
-          (b.type == BusType::kPQ) ? 1.0 : b.v_setpoint;
-    }
+  for (BusIndex i = 0; i < n; ++i) {
+    const Bus& b = network.bus(i);
+    st.vm[static_cast<std::size_t>(i)] =
+        (b.type == BusType::kPQ) ? 1.0 : b.v_setpoint;
   }
 
   // Unknowns and equations: θ and ΔP of every non-slack bus (row

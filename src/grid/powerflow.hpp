@@ -15,7 +15,6 @@ namespace gridse::grid {
 struct PowerFlowOptions {
   double tolerance = 1e-10;  ///< max |mismatch| in p.u.
   int max_iterations = 30;
-  bool flat_start = true;
 };
 
 struct PowerFlowResult {
@@ -61,13 +60,13 @@ class PowerFlowFactors {
 /// MeasurementKernel over one P injection per non-slack bus and one Q
 /// injection per PQ bus (the estimator's h(x)), and each Newton correction
 /// is solved by GMRES right-preconditioned by the block diagonal of the
-/// slot's B′ and B″ factors (Flueck & Chiang 1998).
+/// slot's B′ and B″ factors (Flueck & Chiang 1998). Starts flat: θ = 0,
+/// |V| = 1 at PQ buses and the voltage setpoint elsewhere.
 /// Throws ConvergenceFailure when the iteration diverges numerically (NaN),
 /// but returns converged=false (not a throw) when it runs out of Newton
-/// iterations or a GMRES solve misses its tolerance, so callers can retry
-/// with a different start. The result's iterations and max_mismatch are
-/// those of the returned state. `network.validate()` runs only when the
-/// slot refactors.
+/// iterations or a GMRES solve misses its tolerance. The result's
+/// iterations and max_mismatch are those of the returned state.
+/// `network.validate()` runs only when the slot refactors.
 PowerFlowResult solve_power_flow(const Network& network,
                                  PowerFlowFactors& slot,
                                  const PowerFlowOptions& options = {});

@@ -369,15 +369,15 @@ std::size_t append_anchor_measurements(const Network& network,
   return appended;
 }
 
-DcPowerFlow solve_dc_power_flow_islands(const Network& network,
-                                        const IslandReport& islands) {
+std::vector<double> solve_dc_power_flow_islands(const Network& network,
+                                                const IslandReport& islands) {
   BprimeFactor slot;
   return solve_dc_power_flow_islands(network, islands, slot);
 }
 
-DcPowerFlow solve_dc_power_flow_islands(const Network& network,
-                                        const IslandReport& islands,
-                                        BprimeFactor& slot) {
+std::vector<double> solve_dc_power_flow_islands(const Network& network,
+                                                const IslandReport& islands,
+                                                BprimeFactor& slot) {
   const BusIndex n = network.num_buses();
   GRIDSE_CHECK(islands.island_of_bus.size() == static_cast<std::size_t>(n));
 
@@ -401,22 +401,10 @@ DcPowerFlow solve_dc_power_flow_islands(const Network& network,
     live[bi] = br.in_service && islands.bus_energized(br.from) ? 1 : 0;
   }
 
-  DcPowerFlow result;
-  result.theta.assign(static_cast<std::size_t>(n), 0.0);
-  result.flows.assign(network.num_branches(), 0.0);
-  if (next > 0) {
-    sparse::Csr bprime = detail::assemble_bprime(network, red, live);
-    if (!slot.holds(bprime)) slot.factor(std::move(bprime));
-    result.theta = detail::bprime_angles(network, red, slot);
-  }
-  for (std::size_t bi = 0; bi < network.num_branches(); ++bi) {
-    if (live[bi] == 0) continue;
-    const Branch& br = network.branch(bi);
-    result.flows[bi] = (result.theta[static_cast<std::size_t>(br.from)] -
-                        result.theta[static_cast<std::size_t>(br.to)]) /
-                       br.x;
-  }
-  return result;
+  if (next == 0) return std::vector<double>(static_cast<std::size_t>(n), 0.0);
+  sparse::Csr bprime = detail::assemble_bprime(network, red, live);
+  if (!slot.holds(bprime)) slot.factor(std::move(bprime));
+  return detail::bprime_angles(network, red, slot);
 }
 
 }  // namespace gridse::grid

@@ -157,18 +157,19 @@ std::size_t append_anchor_measurements(const Network& network,
                                        const GridState& prior,
                                        MeasurementSet& set);
 
-/// DC power flow of the live, possibly islanded network: each energized
-/// island is solved with its own reference pinned to θ = 0; de-energized
-/// islands get θ = 0 and zero flows. Never fails on islanding — this is
-/// the graceful-degradation truth model for topology replay.
-[[nodiscard]] DcPowerFlow solve_dc_power_flow_islands(
+/// DC power flow of the live, possibly islanded network, as bus angles in
+/// radians: each energized island is solved over its in-service branches
+/// with its own reference pinned to θ = 0; de-energized islands get θ = 0.
+/// Never fails on islanding — this is the graceful-degradation truth model
+/// for topology replay.
+[[nodiscard]] std::vector<double> solve_dc_power_flow_islands(
     const Network& network, const IslandReport& islands);
 
 /// As above, through the caller's B′ slot: the factor is reused while the
 /// reduced B′ is unchanged, refactored when switching changes its values,
 /// and its plan re-analyzed only when switching moves an island boundary
 /// (a changed pattern).
-[[nodiscard]] DcPowerFlow solve_dc_power_flow_islands(
+[[nodiscard]] std::vector<double> solve_dc_power_flow_islands(
     const Network& network, const IslandReport& islands, BprimeFactor& slot);
 
 }  // namespace gridse::grid

@@ -208,7 +208,6 @@ Case parse_matpower(const std::string& text) {
     br.r = col(row, 2, "branch");
     br.x = col(row, 3, "branch");
     br.b_charging = col(row, 4, "branch");
-    br.rating = row.size() > 5 ? col(row, 5, "branch") / c.base_mva : 0.0;
     const double tap = row.size() > 8 ? col(row, 8, "branch") : 0.0;
     br.tap = tap == 0.0 ? 1.0 : tap;
     br.phase_shift =

@@ -17,7 +17,7 @@ namespace gridse::io {
 ///  - out-of-service branches (BR_STATUS = 0) and generators
 ///    (GEN_STATUS ≤ 0) are dropped;
 ///  - TAP = 0 means a plain line; SHIFT is converted degrees → radians;
-///  - RATE_A (MVA) becomes the per-unit branch rating (0 = unlimited).
+///  - RATE_A/B/C (thermal ratings) are not read.
 ///
 /// Throws InvalidInput on malformed input or an electrically invalid case.
 Case parse_matpower(const std::string& text);

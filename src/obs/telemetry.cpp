@@ -146,27 +146,27 @@ std::string exposition_text(const Snapshot& snapshot) {
   return out.str();
 }
 
-TelemetrySampler::TelemetrySampler(TelemetryOptions options,
+TelemetrySampler::TelemetrySampler(runtime::TelemetryConfig config,
                                    MetricsRegistry& registry)
-    : options_(std::move(options)), registry_(registry) {
-  GRIDSE_CHECK_MSG(!options_.dir.empty(),
+    : config_(std::move(config)), registry_(registry) {
+  GRIDSE_CHECK_MSG(!config_.dir.empty(),
                    "TelemetrySampler needs an output directory");
-  options_.flight_ring = std::max<std::size_t>(options_.flight_ring, 1);
+  config_.flight_ring = std::max(config_.flight_ring, 1);
   analysis::LockGuard lock(mutex_);
   try {
-    fs::create_directories(options_.dir);
-    out_.open(fs::path(options_.dir) / "timeseries.jsonl", std::ios::trunc);
+    fs::create_directories(config_.dir);
+    out_.open(fs::path(config_.dir) / "timeseries.jsonl", std::ios::trunc);
   } catch (const std::exception& e) {
-    warn("cannot open " + options_.dir + ": " + e.what());
+    warn("cannot open " + config_.dir + ": " + e.what());
   }
   if (out_.is_open()) {
     write_line_locked(
         "{\"schema\":\"gridse-timeseries/1\",\"flight_ring\":" +
-        std::to_string(options_.flight_ring) + ",\"sample_period_ms\":" +
-        std::to_string(options_.sample_period.count()) + "}");
+        std::to_string(config_.flight_ring) + ",\"sample_period_ms\":" +
+        std::to_string(config_.sample_period.count()) + "}");
   }
   baseline_ = registry_.snapshot();
-  if (options_.sample_period.count() > 0) {
+  if (config_.sample_period.count() > 0) {
     sampler_thread_ = std::thread([this] { sampler_loop(); });
   }
 }
@@ -189,7 +189,7 @@ void TelemetrySampler::on_cycle_end(const CycleStamp& stamp) {
   const std::string record = render_record_locked("cycle", cur, &stamp);
   ring_.push_back(RingEntry{stamp.cycle, stamp.degraded_subsystems,
                             stamp.dead_clusters, record});
-  while (ring_.size() > options_.flight_ring) {
+  while (ring_.size() > static_cast<std::size_t>(config_.flight_ring)) {
     ring_.pop_front();
   }
   baseline_ = cur;
@@ -322,7 +322,7 @@ void TelemetrySampler::write_line_locked(const std::string& line) {
 }
 
 void TelemetrySampler::write_exposition_locked(const Snapshot& cur) {
-  write_file_atomic(fs::path(options_.dir) / "metrics.prom",
+  write_file_atomic(fs::path(config_.dir) / "metrics.prom",
                     exposition_text(cur));
 }
 
@@ -335,7 +335,7 @@ void TelemetrySampler::flush_pending_locked() {
   // Flush the trace ring and event log alongside the flight file: the
   // post-mortem is the last chance to capture them time-anchored.
   const fs::path trace_dir =
-      fs::path(options_.dir) / ("flight-" + std::to_string(cycle) + "-trace");
+      fs::path(config_.dir) / ("flight-" + std::to_string(cycle) + "-trace");
   trace::FlushStats trace_stats;
   try {
     trace_stats = trace::write_trace_files(trace_dir.string());
@@ -380,7 +380,7 @@ void TelemetrySampler::flush_pending_locked() {
 
   try {
     write_file_atomic(
-        fs::path(options_.dir) / ("flight-" + std::to_string(cycle) + ".json"),
+        fs::path(config_.dir) / ("flight-" + std::to_string(cycle) + ".json"),
         doc.str());
     ++flights_written_;
   } catch (const std::exception& e) {
@@ -393,7 +393,7 @@ void TelemetrySampler::sampler_loop() {
   analysis::UniqueLock lock(mutex_);
   while (!stop_) {
     const bool stopped =
-        stop_cv_.wait_for(lock, options_.sample_period, [this] {
+        stop_cv_.wait_for(lock, config_.sample_period, [this] {
           GRIDSE_ASSERT_HELD(mutex_);
           return stop_;
         });

@@ -11,6 +11,7 @@
 
 #include "analysis/debug_sync.hpp"
 #include "obs/metrics.hpp"
+#include "runtime/resilience.hpp"
 
 namespace gridse::obs {
 
@@ -32,18 +33,6 @@ struct CycleStamp {
   double step2_seconds = 0.0;
   double combine_seconds = 0.0;
   double total_seconds = 0.0;
-};
-
-/// Sampler knobs, resolved by the caller (DseSystem resolves
-/// runtime::TelemetryConfig against the environment and passes the result
-/// here so src/obs stays free of config plumbing).
-struct TelemetryOptions {
-  /// Output directory; created on first use. Must be non-empty.
-  std::string dir;
-  /// Background wall-clock sampling period for long phases; 0 = off.
-  std::chrono::milliseconds sample_period{0};
-  /// Cycle records retained in the flight-recorder ring.
-  std::size_t flight_ring = 16;
 };
 
 /// One degradation trigger noted between cycle boundaries; flushed into the
@@ -83,7 +72,10 @@ struct FlightTrigger {
 /// metrics hot path (instrument updates never block on the sampler).
 class TelemetrySampler {
  public:
-  explicit TelemetrySampler(TelemetryOptions options,
+  /// `config` comes resolved against the environment (DseSystem applies
+  /// runtime::with_env_overrides); its directory must be non-empty, and a
+  /// flight ring below 1 keeps one record.
+  explicit TelemetrySampler(runtime::TelemetryConfig config,
                             MetricsRegistry& registry =
                                 MetricsRegistry::global());
   ~TelemetrySampler();
@@ -106,7 +98,7 @@ class TelemetrySampler {
 
   [[nodiscard]] std::size_t cycles_recorded() const;
   [[nodiscard]] std::size_t flights_written() const;
-  [[nodiscard]] const std::string& dir() const { return options_.dir; }
+  [[nodiscard]] const std::string& dir() const { return config_.dir; }
 
  private:
   struct RingEntry {
@@ -125,7 +117,7 @@ class TelemetrySampler {
   void flush_pending_locked() GRIDSE_REQUIRES(mutex_);
   void sampler_loop();
 
-  TelemetryOptions options_;
+  runtime::TelemetryConfig config_;
   MetricsRegistry& registry_;
   mutable analysis::Mutex mutex_{"TelemetrySampler::mutex_"};
   Snapshot baseline_ GRIDSE_GUARDED_BY(mutex_);

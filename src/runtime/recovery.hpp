@@ -21,14 +21,6 @@ enum class RankState : std::uint8_t {
 
 [[nodiscard]] const char* to_string(RankState state);
 
-/// Heartbeat detector settings for one membership probe (derived from
-/// RecoveryConfig by the caller).
-struct HeartbeatSettings {
-  std::chrono::milliseconds period{20};
-  std::chrono::milliseconds timeout{1000};
-  int rounds = 2;
-};
-
 /// The shared cluster-membership view one probe produces: the per-exchange
 /// timeout discovery of the degraded path is replaced by this single
 /// consensus snapshot taken at the start of the cycle.

@@ -91,11 +91,11 @@ bool parse_env_flag(const std::string& name, const std::string& raw) {
 ResilienceConfig with_env_overrides(ResilienceConfig base) {
   read_env("GRIDSE_BARRIER_TIMEOUT_MS", base.barrier_timeout, parse_env_ms);
   read_env("GRIDSE_RECOVERY", base.recovery.enabled, parse_env_flag);
-  read_env("GRIDSE_HEARTBEAT_PERIOD_MS", base.recovery.heartbeat_period,
+  read_env("GRIDSE_HEARTBEAT_PERIOD_MS", base.recovery.heartbeat.period,
            parse_env_ms);
-  read_env("GRIDSE_HEARTBEAT_TIMEOUT_MS", base.recovery.heartbeat_timeout,
+  read_env("GRIDSE_HEARTBEAT_TIMEOUT_MS", base.recovery.heartbeat.timeout,
            parse_env_ms);
-  read_env("GRIDSE_HEARTBEAT_ROUNDS", base.recovery.heartbeat_rounds,
+  read_env("GRIDSE_HEARTBEAT_ROUNDS", base.recovery.heartbeat.rounds,
            [](const std::string& name, const std::string& raw) {
              return parse_env_int(name, raw, 1);
            });

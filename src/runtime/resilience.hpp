@@ -29,6 +29,18 @@ struct RetryPolicy {
                                                   std::uint64_t salt) const;
 };
 
+/// The heartbeat failure detector's settings for one membership probe.
+struct HeartbeatSettings {
+  /// Spacing between heartbeat rounds at the start of each cycle.
+  std::chrono::milliseconds period{20};
+  /// Total budget for collecting peers' heartbeats (and the coordinator's
+  /// membership broadcast). A peer with zero beats inside this window is
+  /// observed dead; some-but-not-all beats observed is suspect.
+  std::chrono::milliseconds timeout{1000};
+  /// Beats sent per cycle; >= 2 distinguishes suspect from dead.
+  int rounds = 2;
+};
+
 /// Cross-cycle recovery knobs: the heartbeat failure detector, checkpoint
 /// warm-restart, and remapping after confirmed cluster loss (see
 /// docs/RESILIENCE.md "Recovery & remapping"). Default **off**: with
@@ -36,14 +48,7 @@ struct RetryPolicy {
 /// this layer existed.
 struct RecoveryConfig {
   bool enabled = false;
-  /// Spacing between heartbeat rounds at the start of each cycle.
-  std::chrono::milliseconds heartbeat_period{20};
-  /// Total budget for collecting peers' heartbeats (and the coordinator's
-  /// membership broadcast). A peer with zero beats inside this window is
-  /// observed dead; some-but-not-all beats observed is suspect.
-  std::chrono::milliseconds heartbeat_timeout{1000};
-  /// Beats sent per cycle; >= 2 distinguishes suspect from dead.
-  int heartbeat_rounds = 2;
+  HeartbeatSettings heartbeat;
   /// How many cycles a rejoining cluster waits after announce_rejoin before
   /// it is folded back into the participant set (the remap epoch).
   int rejoin_epoch = 1;

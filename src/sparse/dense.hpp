@@ -6,8 +6,9 @@
 
 namespace gridse::sparse {
 
-/// Small dense row-major matrix. Reference implementation used by tests and
-/// for tiny subsystem solves where sparse machinery is overkill.
+/// Small dense row-major matrix: the reference the sparse kernels' tests and
+/// bench_pcg_solvers compare against. Nothing in the estimation cycle uses
+/// it.
 class DenseMatrix {
  public:
   DenseMatrix() = default;

@@ -59,11 +59,8 @@ struct TrackingCase {
       return pf.state;
     }
     // DC angles with set-point magnitudes: what keeps a 10k truth cheap.
-    const std::optional<grid::DcPowerFlow> dc =
-        grid::solve_dc_power_flow(scaled);
-    EXPECT_TRUE(dc.has_value());
     grid::GridState state(scaled.num_buses());
-    state.theta = dc->theta;
+    state.theta = grid::solve_dc_power_flow(scaled);
     for (grid::BusIndex b = 0; b < scaled.num_buses(); ++b) {
       state.vm[static_cast<std::size_t>(b)] =
           scaled.bus(b).type == grid::BusType::kPQ ? 1.0

@@ -30,9 +30,9 @@ SystemConfig recovery_config() {
   cfg.resilience.barrier_timeout = std::chrono::milliseconds{30'000};
   cfg.dse.exchange_deadline = std::chrono::milliseconds{2000};
   cfg.resilience.recovery.enabled = true;
-  cfg.resilience.recovery.heartbeat_period = std::chrono::milliseconds{5};
-  cfg.resilience.recovery.heartbeat_timeout = std::chrono::milliseconds{500};
-  cfg.resilience.recovery.heartbeat_rounds = 2;
+  cfg.resilience.recovery.heartbeat.period = std::chrono::milliseconds{5};
+  cfg.resilience.recovery.heartbeat.timeout = std::chrono::milliseconds{500};
+  cfg.resilience.recovery.heartbeat.rounds = 2;
   return cfg;
 }
 

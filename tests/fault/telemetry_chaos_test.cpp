@@ -29,9 +29,9 @@ SystemConfig telemetry_recovery_config(const std::string& dir) {
   cfg.resilience.barrier_timeout = std::chrono::milliseconds{30'000};
   cfg.dse.exchange_deadline = std::chrono::milliseconds{2000};
   cfg.resilience.recovery.enabled = true;
-  cfg.resilience.recovery.heartbeat_period = std::chrono::milliseconds{5};
-  cfg.resilience.recovery.heartbeat_timeout = std::chrono::milliseconds{500};
-  cfg.resilience.recovery.heartbeat_rounds = 2;
+  cfg.resilience.recovery.heartbeat.period = std::chrono::milliseconds{5};
+  cfg.resilience.recovery.heartbeat.timeout = std::chrono::milliseconds{500};
+  cfg.resilience.recovery.heartbeat.rounds = 2;
   cfg.telemetry.dir = dir;
   cfg.telemetry.flight_ring = 8;
   return cfg;

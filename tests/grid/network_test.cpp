@@ -105,14 +105,6 @@ TEST(Network, ScaleLoadsMultipliesLoadAndGeneration) {
   EXPECT_THROW(n.scale_loads(0.0), InternalError);
 }
 
-TEST(Network, BranchRatingMutator) {
-  Network n = two_bus();
-  n.set_branch_rating(0, 1.5);
-  EXPECT_DOUBLE_EQ(n.branch(0).rating, 1.5);
-  EXPECT_THROW(n.set_branch_rating(5, 1.0), InternalError);
-  EXPECT_THROW(n.set_branch_rating(0, -1.0), InternalError);
-}
-
 TEST(Network, BranchesAtTracksIncidence) {
   Network n = two_bus();
   Bus third;

@@ -59,8 +59,6 @@ TEST(Matpower, ParsesCase9) {
   EXPECT_EQ(c.network.slack_bus(), c.network.index_of(1));
   // gen VG overrides slack/PV setpoints
   EXPECT_DOUBLE_EQ(c.network.bus(c.network.index_of(2)).v_setpoint, 1.025);
-  // RATE_A becomes a p.u. rating
-  EXPECT_DOUBLE_EQ(c.network.branch(0).rating, 2.5);
   // loads in per unit
   EXPECT_DOUBLE_EQ(c.network.bus(c.network.index_of(5)).p_load, 0.9);
 }
@@ -132,7 +130,6 @@ mpc.branch = [ 1 2 0.01 0.1 0.02 0 0 0 0 0 1 -360 360; ];
 )");
   EXPECT_EQ(c.network.num_buses(), 2);
   EXPECT_DOUBLE_EQ(c.network.bus(0).v_setpoint, 1.02);
-  EXPECT_DOUBLE_EQ(c.network.branch(0).rating, 0.0);  // RATE_A 0 = unlimited
 }
 
 TEST(Matpower, RejectsMalformedInput) {

@@ -60,7 +60,7 @@ TEST(TelemetryTest, CycleDeltasSumToAggregateUnderContention) {
 
   std::vector<jsonm::Value> records;
   {
-    TelemetryOptions options;
+    runtime::TelemetryConfig options;
     options.dir = dir.string();
     TelemetrySampler sampler(options, registry);
 
@@ -151,7 +151,7 @@ TEST(TelemetryTest, CycleDeltasSumToAggregateUnderContention) {
 TEST(TelemetryTest, FlightRingKeepsLastNOnOverflow) {
   const fs::path dir = fresh_dir("gridse_telemetry_ring_test");
   MetricsRegistry registry;
-  TelemetryOptions options;
+  runtime::TelemetryConfig options;
   options.dir = dir.string();
   options.flight_ring = 4;
   TelemetrySampler sampler(options, registry);
@@ -194,7 +194,7 @@ TEST(TelemetryTest, DestructorFlushesPendingFlight) {
   const fs::path dir = fresh_dir("gridse_telemetry_dtor_test");
   MetricsRegistry registry;
   {
-    TelemetryOptions options;
+    runtime::TelemetryConfig options;
     options.dir = dir.string();
     TelemetrySampler sampler(options, registry);
     for (int cycle = 0; cycle < 3; ++cycle) {
@@ -215,7 +215,7 @@ TEST(TelemetryTest, IntervalSamplesDoNotAdvanceBaseline) {
   MetricsRegistry registry;
   std::vector<jsonm::Value> records;
   {
-    TelemetryOptions options;
+    runtime::TelemetryConfig options;
     options.dir = dir.string();
     options.sample_period = std::chrono::milliseconds(5);
     TelemetrySampler sampler(options, registry);

@@ -85,13 +85,13 @@ TEST(ParseEnvFlag, RejectsAnythingElse) {
 
 TEST_F(ResilienceEnvTest, NoOverridesLeavesConfigUntouched) {
   ResilienceConfig base;
-  base.recovery.heartbeat_rounds = 5;
+  base.recovery.heartbeat.rounds = 5;
   const ResilienceConfig out = with_env_overrides(base);
   EXPECT_EQ(exchange_deadline_with_env(std::chrono::milliseconds{123}),
             std::chrono::milliseconds{123});
   EXPECT_EQ(out.barrier_timeout, base.barrier_timeout);
   EXPECT_FALSE(out.recovery.enabled);
-  EXPECT_EQ(out.recovery.heartbeat_rounds, 5);
+  EXPECT_EQ(out.recovery.heartbeat.rounds, 5);
 }
 
 TEST_F(ResilienceEnvTest, AppliesEveryRecoveryOverride) {
@@ -108,9 +108,9 @@ TEST_F(ResilienceEnvTest, AppliesEveryRecoveryOverride) {
   EXPECT_EQ(exchange_deadline_with_env(std::chrono::milliseconds{0}),
             std::chrono::milliseconds{888});
   EXPECT_TRUE(out.recovery.enabled);
-  EXPECT_EQ(out.recovery.heartbeat_period, std::chrono::milliseconds{7});
-  EXPECT_EQ(out.recovery.heartbeat_timeout, std::chrono::milliseconds{99});
-  EXPECT_EQ(out.recovery.heartbeat_rounds, 4);
+  EXPECT_EQ(out.recovery.heartbeat.period, std::chrono::milliseconds{7});
+  EXPECT_EQ(out.recovery.heartbeat.timeout, std::chrono::milliseconds{99});
+  EXPECT_EQ(out.recovery.heartbeat.rounds, 4);
   EXPECT_EQ(out.recovery.rejoin_epoch, 2);
   EXPECT_EQ(out.recovery.checkpoint_dir, "/tmp/ckpt");
 }
